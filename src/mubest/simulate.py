@@ -1,18 +1,35 @@
 """Seeded Monte-Carlo emulation of the three-copy estimation protocol.
 
-For every design state the three measurements are sampled independently
-(inverse-CDF on the 4-outcome Born distributions), the precomputed optimal
-estimator for the joint outcome is looked up, and tr(rho rhohat) is averaged
-over states and repetitions.  All randomness flows through substreams derived
-deterministically from (seed, measurement role, state index, block index), so
-results are reproducible and independent of execution order; with
-share_ab_outcomes the streams for bases A and B depend only on their own
-parameters and are therefore shared across triples that share those bases.
+For every design state the three measurements are sampled independently, the
+optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
+averaged over states and repetitions.  Estimators always come from the
+triple's own bases, so a unitarily transformed triple is scored correctly.
+
+Substreams.  The draws of measurement role r (0=A, 1=B, 2=C) for one (state,
+block) come from their own PCG64 stream, the one numpy builds as
+``PCG64(SeedSequence(entropy=seed, spawn_key=(r, param_key, state, block)))``,
+so results are reproducible and independent of execution order.  The sampler
+constructs no such objects: `_pcg64_states` replays SeedSequence's pool mixing
+and PCG64's seeding step as uint32 array arithmetic over a chunk of states and
+all blocks at once, and each derived state is loaded into one reused
+generator.  The tests check the derivation against numpy's constructors.
+
+`_param_key` hashes the triple's angles (x, y, z), not its bases, on purpose:
+triples with equal angles, including unitarily or controlled-phase transformed
+ones, draw the same uniforms, which gives common random numbers across an
+equivalence scan.  With share_ab_outcomes the keys of roles A and B depend
+only on their own angles (none for A, x for B), so triples sharing those bases
+share those outcome streams.
+
+Inverse CDF.  With cumulative Born probabilities c0 <= c1 <= c2 of a 4-outcome
+measurement, a uniform u gives the outcome (u > c0) + (u > c1) + (u > c2), the
+index searchsorted(c, u) would return; the joint outcome 16a + 4b + c is
+accumulated in uint8 for all blocks of a state at once.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +39,19 @@ from .estimation import (
     triple_fidelity,
     triple_measurements,
 )
-from .linalg import symmetric_dimension
-from .mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
+from .mub import MubTriple, controlled_phase, haar_random_unitary, transform_triple
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = (1 << 32) - 1
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_STATE_CHUNK = 64  # states whose substreams are derived together
 
 
 @dataclass(frozen=True)
@@ -34,6 +62,9 @@ class SimConfig:
     share_ab_outcomes: bool = True
 
     def __post_init__(self):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError("expected non-negative integer")
         if self.m_block < 1 or self.blocks < 1:
             raise ValueError("m_block and blocks must be >= 1")
 
@@ -41,13 +72,17 @@ class SimConfig:
 @dataclass
 class SimReport:
     config: SimConfig
-    triple_params: tuple
+    triple: MubTriple  # the bases the run was sampled and scored with
     mean_fidelity: float
     per_block_fidelities: np.ndarray
     std: float  # standard deviation over blocks
     counts: np.ndarray  # (K, blocks, n_outcomes) joint outcome counts per state
     per_state_fidelity: np.ndarray  # (K,) per-state average of tr(rho rhohat)
     outcome_shape: tuple
+
+    @property
+    def triple_params(self):
+        return (self.triple.x, self.triple.y, self.triple.z)
 
     @property
     def std_of_mean(self):
@@ -78,33 +113,10 @@ class DeviationSummary:
     max_deviation: float
 
 
-_estimator_cache = {}
-
-
-def _design_fingerprint(design):
-    return hashlib.blake2b(
-        np.ascontiguousarray(design.states).tobytes(), digest_size=8
-    ).hexdigest()
-
-
-def estimator_tables(triple, design, mode="ideal", estimator_source="matched"):
-    """Per-outcome estimator densities and the (K, 64) fidelity lookup table.
-
-    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o = 16 j + 4 k + l.
-    Cached by (x, y, z, mode, estimator source, design identity).
-    """
-    key = (
-        round(triple.x, 12),
-        round(triple.y, 12),
-        round(triple.z, 12),
-        mode,
-        estimator_source,
-        _design_fingerprint(design),
-    )
-    if key in _estimator_cache:
-        return _estimator_cache[key]
+def _fidelity_tables(measurements, design, mode, estimator_source):
+    """Estimator densities per outcome and f[i, o] = <psi_i| rhohat_o |psi_i>."""
     report = estimation_fidelity(
-        triple_measurements(triple),
+        measurements,
         mode=mode,
         design=design if mode == "empirical" else None,
         estimator_source=estimator_source,
@@ -114,8 +126,16 @@ def estimator_tables(triple, design, mode="ideal", estimator_source="matched"):
     f_table = np.empty((design.size, len(densities)))
     for o, rho in enumerate(densities):
         f_table[:, o] = np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
-    _estimator_cache[key] = (densities, f_table)
     return densities, f_table
+
+
+def estimator_tables(triple, design, mode="ideal", estimator_source="matched"):
+    """Per-outcome estimator densities and the (K, 64) fidelity lookup table.
+
+    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o = 16 j + 4 k + l,
+    from the estimators of the triple's own bases.
+    """
+    return _fidelity_tables(triple_measurements(triple), design, mode, estimator_source)
 
 
 def _born_probabilities(basis, states):
@@ -129,6 +149,7 @@ def _born_probabilities(basis, states):
 
 
 def _param_key(role, triple, cfg):
+    # angles only, by design: see the module docstring
     if cfg.share_ab_outcomes:
         params = {0: (), 1: (triple.x,), 2: (triple.y, triple.z)}[role]
     else:
@@ -137,9 +158,77 @@ def _param_key(role, triple, cfg):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def _substream(seed, role, param_key, state, block):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(role, param_key, state, block))
-    return np.random.Generator(np.random.PCG64(ss))
+def _pcg64_states(seed, spawn_key):
+    """(state, inc) of PCG64(SeedSequence(entropy=seed, spawn_key=spawn_key)).
+
+    `seed` is a non-negative int; each spawn-key entry is an int below 2**32 or
+    an array of them, and the entries broadcast together.  Returns two object
+    arrays of Python ints with the broadcast shape.
+    """
+    seed = int(seed)
+    # SeedSequence splits the seed into little-endian 32-bit words and, for a
+    # spawned sequence, pads them with zeros to the pool size
+    run = [(seed >> 32 * i) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    run += [0] * (_POOL_SIZE - len(run))
+    shape = np.broadcast_shapes(*(np.shape(k) for k in spawn_key))
+    entropy = [np.full(shape, word, dtype=np.uint32) for word in run]
+    entropy += [np.broadcast_to(np.asarray(k, dtype=np.uint32), shape) for k in spawn_key]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const  # uint32 arithmetic wraps mod 2**32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> _XSHIFT).astype(np.uint64))
+    u64 = [(words[i] | words[i + 1] << 32).astype(object) for i in range(0, 8, 2)]
+
+    # pcg64_set_seed: the first two words are initstate (high, low), the last two initseq
+    initstate = u64[0] << 64 | u64[1]
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
+
+
+def _scored_report(triple, cfg, counts, f_table, outcome_shape):
+    """Per-block and per-state fidelities of a (K, blocks, outcomes) count table."""
+    K = counts.shape[0]
+    per_block = (
+        np.einsum("kbo,ko->b", counts.astype(float), f_table) / (K * cfg.m_block)
+    )
+    per_state = (counts.sum(axis=1) * f_table).sum(axis=1) / (cfg.m_block * cfg.blocks)
+    return SimReport(
+        config=cfg,
+        triple=triple,
+        mean_fidelity=float(per_block.mean()),
+        per_block_fidelities=per_block,
+        std=float(per_block.std(ddof=1)) if cfg.blocks > 1 else 0.0,
+        counts=counts,
+        per_state_fidelity=per_state,
+        outcome_shape=outcome_shape,
+    )
 
 
 def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="matched"):
@@ -150,37 +239,43 @@ def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="match
     subsets) reuses without fresh sampling.
     """
     _, f_table = estimator_tables(triple, design, mode, estimator_source)
-    K = design.size
-    probs = [_born_probabilities(b, design.states) for b in triple.bases]
-    cdfs = [np.cumsum(p, axis=1)[:, :3] for p in probs]
+    K, B = design.size, cfg.blocks
+    cdfs = [
+        np.cumsum(_born_probabilities(b, design.states), axis=1)[:, :3]
+        for b in triple.bases
+    ]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
 
-    counts = np.zeros((K, cfg.blocks, 64), dtype=np.int64)
-    for state in range(K):
-        for block in range(cfg.blocks):
-            outcomes = []
-            for role in range(3):
-                rng = _substream(cfg.seed, role, param_keys[role], state, block)
-                u = rng.random(cfg.m_block)
-                outcomes.append(np.searchsorted(cdfs[role][state], u))
-            joint = (outcomes[0] * 16 + outcomes[1] * 4 + outcomes[2]).astype(np.int64)
-            counts[state, block] = np.bincount(joint, minlength=64)
-
-    per_block = (
-        np.einsum("kbo,ko->b", counts.astype(float), f_table) / (K * cfg.m_block)
-    )
-    per_state = counts.sum(axis=1).astype(float)
-    per_state_fid = (per_state * f_table).sum(axis=1) / (cfg.m_block * cfg.blocks)
-    return SimReport(
-        config=cfg,
-        triple_params=(triple.x, triple.y, triple.z),
-        mean_fidelity=float(per_block.mean()),
-        per_block_fidelities=per_block,
-        std=float(per_block.std(ddof=1)) if cfg.blocks > 1 else 0.0,
-        counts=counts,
-        per_state_fidelity=per_state_fid,
-        outcome_shape=(4, 4, 4),
-    )
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    u = np.empty((B, cfg.m_block))
+    above = np.empty(u.shape, dtype=bool)
+    joint = np.empty(u.shape, dtype=np.uint8)
+    counts = np.empty((K, B, 64), dtype=np.int64)
+    for start in range(0, K, _STATE_CHUNK):
+        chunk = np.arange(start, min(start + _STATE_CHUNK, K))
+        streams = [
+            _pcg64_states(cfg.seed, (role, key, chunk[:, None], np.arange(B)))
+            for role, key in enumerate(param_keys)
+        ]
+        for i, state in enumerate(chunk):
+            joint.fill(0)
+            for role, (pcg_state, pcg_inc) in enumerate(streams):
+                for block in range(B):
+                    bit_generator.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": pcg_state[i, block], "inc": pcg_inc[i, block]},
+                        "has_uint32": 0,
+                        "uinteger": 0,
+                    }
+                    generator.random(out=u[block])
+                joint *= 4
+                for threshold in cdfs[role][state]:
+                    np.greater(u, threshold, out=above)
+                    joint += above
+            for block in range(B):
+                counts[state, block] = np.bincount(joint[block], minlength=64)
+    return _scored_report(triple, cfg, counts, f_table, (4, 4, 4))
 
 
 def exact_protocol_fidelity(triple, design, mode="ideal", estimator_source="matched"):
@@ -198,46 +293,18 @@ def reprocess_two_copy(report, pair, design, mode="ideal", estimator_source="mat
     counts are marginalized over the third measurement, then scored against
     the two-copy optimal estimators from Q on the chosen product effects.
     """
-    from .mub import measurement_of
-
     i1, i2 = pair
     if not (0 <= i1 < i2 <= 2):
         raise ValueError("pair must be two distinct measurement indices in order")
-    triple = mub_triple(*report.triple_params)
-    measurements = [measurement_of(b) for b in triple.bases]
-    sub = estimation_fidelity(
-        [measurements[i1], measurements[i2]],
-        mode=mode,
-        design=design if mode == "empirical" else None,
-        estimator_source=estimator_source,
+    measurements = triple_measurements(report.triple)
+    _, f_table = _fidelity_tables(
+        [measurements[i1], measurements[i2]], design, mode, estimator_source
     )
-    densities = [est.density for _, _, est in sub.per_outcome]
-    V = design.states
-    f_table = np.empty((design.size, 16))
-    for o, rho in enumerate(densities):
-        f_table[:, o] = np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
-
-    K = design.size
     cfg = report.config
-    counts3 = report.counts.reshape(K, cfg.blocks, 4, 4, 4)
+    counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
-    counts2 = counts3.sum(axis=2 + drop_axis).reshape(K, cfg.blocks, 16)
-    per_block = (
-        np.einsum("kbo,ko->b", counts2.astype(float), f_table) / (K * cfg.m_block)
-    )
-    per_state = (counts2.sum(axis=1) * f_table).sum(axis=1) / (
-        cfg.m_block * cfg.blocks
-    )
-    return SimReport(
-        config=cfg,
-        triple_params=report.triple_params,
-        mean_fidelity=float(per_block.mean()),
-        per_block_fidelities=per_block,
-        std=float(per_block.std(ddof=1)) if cfg.blocks > 1 else 0.0,
-        counts=counts2,
-        per_state_fidelity=per_state,
-        outcome_shape=(4, 4),
-    )
+    counts2 = counts3.sum(axis=2 + drop_axis).reshape(design.size, cfg.blocks, 16)
+    return _scored_report(report.triple, cfg, counts2, f_table, (4, 4))
 
 
 def equivalence_scan_phase(

@@ -158,6 +158,14 @@ def test_simulate_invalid_blocks(outdir, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["simulate", "subsets"])
+def test_negative_seed_rejected(outdir, capsys, small_design_file, command):
+    code = main([command, "--design", small_design_file, "--seed", "-1", "--M", "10",
+                 "--blocks", "2"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 def test_equivalence_phase_exact(outdir, capsys, small_design_file):
     code = main(
         ["equivalence", "--design", small_design_file, "--mode", "ideal",

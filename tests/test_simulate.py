@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import F3_SYMMETRIC
-from mubest.estimation import triple_fidelity
-from mubest.mub import mub_triple
+from mubest.mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
 from mubest.simulate import (
     SimConfig,
+    _born_probabilities,
+    _param_key,
+    _pcg64_states,
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
@@ -21,6 +24,51 @@ HALF = math.pi / 2
 
 SMALL = SimConfig(seed=11, m_block=400, blocks=3)
 
+# sha256 of counts.tobytes() and the exact mean fidelity of two small runs,
+# recorded with the per-substream SeedSequence/PCG64 sampler this one replaced:
+# the sampled streams must never change for an existing seed
+GOLDEN_RUNS = [
+    (
+        (HALF, HALF, HALF),
+        SMALL,
+        "14cd5debbdcb2ec38953fd41f5816aea3281dba889db3b3ce0ebefcebcbba750",
+        0.5207395658426618,
+    ),
+    (
+        (HALF, HALF, HALF / 2),
+        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
+        "6b4173e9662b582a41e1f656c95be397729d8af106a314d40e6f4b0502cac230",
+        0.5179342483842025,
+    ),
+]
+
+
+def predicted_std_of_mean(triple, design, cfg):
+    """Standard deviation of a run's mean fidelity that the exact Born
+    probabilities predict: one block's variance is sum_k var_k(f) / (K^2 M).
+
+    A std estimated from a few blocks is itself noisy (at B = 2 it can read
+    ~1e-6), so sampling checks use this instead."""
+    probs = [np.abs(b.vectors.conj().T @ design.states).T ** 2 for b in triple.bases]
+    joint = np.einsum("ka,kb,kc->kabc", *probs).reshape(design.size, 64)
+    _, f = estimator_tables(triple, design)
+    var = ((joint * f**2).sum(axis=1) - (joint * f).sum(axis=1) ** 2).sum()
+    return math.sqrt(var / (design.size**2 * cfg.m_block * cfg.blocks))
+
+
+@pytest.fixture(scope="module")
+def haar_triple(symmetric_triple):
+    u = haar_random_unitary(4, np.random.default_rng(7))
+    return transform_triple(symmetric_triple, u)
+
+
+SCAN = SimConfig(seed=0, m_block=500, blocks=2)
+
+
+@pytest.fixture(scope="module")
+def haar_report(haar_triple, design960):
+    return simulate_protocol(haar_triple, design960, SCAN)
+
 
 @pytest.fixture(scope="module")
 def small_report(symmetric_triple, design960):
@@ -32,6 +80,56 @@ def test_config_validation():
         SimConfig(seed=0, m_block=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, blocks=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
+def test_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        SimConfig(seed=seed)
+
+
+@pytest.mark.parametrize("params, cfg, counts_sha256, mean", GOLDEN_RUNS)
+def test_golden_counts(design960, params, cfg, counts_sha256, mean):
+    report = simulate_protocol(mub_triple(*params), design960, cfg)
+    assert hashlib.sha256(report.counts.tobytes()).hexdigest() == counts_sha256
+    assert report.mean_fidelity == mean
+
+
+def reference_counts(triple, design, cfg):
+    """The sampler's contract written plainly: one numpy-constructed substream
+    per (role, state, block) and searchsorted on the cumulative Born
+    probabilities."""
+    cdfs = [np.cumsum(_born_probabilities(b, design.states), axis=1) for b in triple.bases]
+    keys = [_param_key(role, triple, cfg) for role in range(3)]
+    counts = np.zeros((design.size, cfg.blocks, 64), dtype=np.int64)
+    for state in range(design.size):
+        for block in range(cfg.blocks):
+            joint = np.zeros(cfg.m_block, dtype=np.int64)
+            for role in range(3):
+                ss = np.random.SeedSequence(cfg.seed, spawn_key=(role, keys[role], state, block))
+                u = np.random.Generator(np.random.PCG64(ss)).random(cfg.m_block)
+                joint = 4 * joint + np.searchsorted(cdfs[role][state, :3], u)
+            counts[state, block] = np.bincount(joint, minlength=64)
+    return counts
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_counts_match_reference(haar_triple, design960, share):
+    cfg = SimConfig(seed=2**40 + 3, m_block=50, blocks=2, share_ab_outcomes=share)
+    report = simulate_protocol(haar_triple, design960, cfg)
+    assert np.array_equal(report.counts, reference_counts(haar_triple, design960, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**128 + 7])
+def test_substream_states_match_numpy(seed):
+    # 2**128 + 7 has five entropy words, more than the pool, which numpy
+    # mixes in a separate pass
+    rng = np.random.default_rng(seed % 2**32)
+    keys = rng.integers(0, 2**32, size=(4, 20), dtype=np.uint64)
+    state, inc = _pcg64_states(seed, tuple(keys))
+    for i, spawn_key in enumerate(keys.T.tolist()):
+        want = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+        assert want.state["state"] == {"state": state[i], "inc": inc[i]}
 
 
 def test_counts_shape_and_totals(small_report, design960):
@@ -96,11 +194,12 @@ def test_unshared_streams_differ(design960, symmetric_triple, small_report):
     assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
 
 
-def test_estimator_tables_cached(symmetric_triple, design960):
-    a = estimator_tables(symmetric_triple, design960)
-    b = estimator_tables(symmetric_triple, design960)
-    assert a[1] is b[1]
-    assert a[1].shape == (design960.size, 64)
+def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
+    # same (x, y, z), different bases: the tables must differ
+    _, plain = estimator_tables(symmetric_triple, design960)
+    _, moved = estimator_tables(haar_triple, design960)
+    assert plain.shape == moved.shape == (design960.size, 64)
+    assert not np.allclose(plain, moved)
 
 
 def test_to_dict_roundtrippable(small_report):
@@ -140,6 +239,25 @@ def test_equivalence_scan_phase_exact_invariance(symmetric_triple, design960):
     for phi, exact, sim, std in rows:
         assert abs(exact - F3_SYMMETRIC) <= 1e-10
         assert sim is None and std is None
+
+
+def test_equivalence_scan_simulated_invariance(symmetric_triple, haar_report, design960):
+    # every transformed triple is scored with its own estimators: simulated F
+    # stays within sampling error of the exact F of the untransformed triple
+    rows = equivalence_scan_phase([0.0, HALF, math.pi], symmetric_triple, design960, SCAN)
+    for phi, exact, sim, std in rows:
+        triple = transform_triple(symmetric_triple, controlled_phase(phi))
+        assert abs(exact - F3_SYMMETRIC) <= 1e-10
+        assert abs(sim - exact) <= 5 * predicted_std_of_mean(triple, design960, SCAN), phi
+    sigma = predicted_std_of_mean(haar_report.triple, design960, SCAN)
+    assert abs(haar_report.mean_fidelity - F3_SYMMETRIC) <= 5 * sigma
+
+
+def test_reprocess_two_copy_transformed(haar_report, design960):
+    rep2 = reprocess_two_copy(haar_report, (0, 1), design960)
+    assert rep2.triple is haar_report.triple
+    n = design960.size * SCAN.m_block * SCAN.blocks
+    assert abs(rep2.mean_fidelity - 7.0 / 15.0) <= 8 / math.sqrt(n)
 
 
 def test_equivalence_scan_random_exact_invariance(symmetric_triple, design960):
