@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .designs import (
     StateDesign,
     clifford_design,
+    default_design,
     fiducial_angles,
     fiducial_state,
     frame_potential,
@@ -18,8 +19,8 @@ from .estimation import (
     estimation_fidelity,
     fidelity_scan,
     optimal_estimator,
+    outcome_tables,
     q_operator,
-    q_operator_empirical,
     triple_fidelity,
 )
 from .groups import (

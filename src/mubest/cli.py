@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .designs import (
-    clifford_design,
+    default_design,
     frame_potential,
     load_design,
     moment_operator,
@@ -28,14 +28,14 @@ from .designs import (
     save_design,
 )
 from .errors import DesignFormatError, InfeasibleDesignError
-from .estimation import estimation_fidelity, fidelity_scan, triple_fidelity
+from .estimation import estimation_fidelity, fidelity_scan, triple_measurements
 from .groups import (
     clifford_group_2q,
     pauli_group_projective,
     restricted_clifford_group_2q,
     save_group,
 )
-from .mub import measurement_of, mub_triple
+from .mub import mub_triple
 from .simulate import (
     SimConfig,
     equivalence_scan_phase,
@@ -53,23 +53,33 @@ _ANGLE_RE = re.compile(r"^(?P<num>[+-]?[\d.]*)\s*pi\s*(?:/\s*(?P<den>[\d.]+))?$"
 
 
 def parse_angle(token):
-    token = token.strip().lower().replace("π", "pi")
-    m = _ANGLE_RE.match(token)
+    """Radians, or a pi-fraction token like pi/2 or 3pi/8; the value must be finite."""
+    text = token.strip().lower().replace("π", "pi")
+    m = _ANGLE_RE.match(text)
     if m:
-        num = float(m.group("num")) if m.group("num") not in ("", "+", "-") else (
-            -1.0 if m.group("num") == "-" else 1.0
-        )
+        num = m.group("num")
+        num = -1.0 if num == "-" else 1.0 if num in ("", "+") else float(num)
         den = float(m.group("den")) if m.group("den") else 1.0
-        return num * math.pi / den
-    return float(token)
+        if den == 0:
+            raise ValueError(f"angle {token!r} has a zero denominator")
+        value = num * math.pi / den
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"angle {token!r} is not finite")
+    return value
 
 
 def parse_angle_list(text):
     """Comma list of angles, or start:stop:count grid (endpoints inclusive)."""
     if ":" in text:
-        start_s, stop_s, count_s = text.split(":")
-        start, stop = parse_angle(start_s), parse_angle(stop_s)
-        count = int(count_s)
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"grid {text!r} is not start:stop:count")
+        start, stop = parse_angle(fields[0]), parse_angle(fields[1])
+        count = int(fields[2])
+        if count < 1:
+            raise ValueError(f"grid {text!r} has count {count} < 1")
         return list(np.linspace(start, stop, count))
     return [parse_angle(tok) for tok in text.split(",")]
 
@@ -140,6 +150,7 @@ class ManifestWriter:
             "parameters": self.parameters,
             "seed": self.seed,
             "output_paths": self.outputs,
+            "output_sha256": {path: _file_sha256(path) for path in self.outputs},
             "tool_version": __version__,
             "manifest_hash": self.digest,
             "wall_time_s": round(time.time() - self.t0, 3),
@@ -148,15 +159,18 @@ class ManifestWriter:
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=1)
 
-    def mark_failed(self):
-        for path in self.outputs:
-            if os.path.exists(path):
-                open(path + ".failed", "w").close()
+
+def _file_sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load_or_build_design(source):
     if source in (None, "clifford"):
-        return clifford_design(restricted_clifford_group_2q())
+        return default_design()
     return load_design(source)
 
 
@@ -192,7 +206,7 @@ def cmd_design(args):
         seed=args.seed,
     )
     if args.subcommand == "clifford":
-        design = clifford_design(restricted_clifford_group_2q())
+        design = default_design()
     else:
         design = optimize_design(
             K=args.K, d=4, t=4, seed=args.seed, max_iters=args.iters,
@@ -224,23 +238,18 @@ def cmd_fidelity(args):
     )
     if args.copies == 3:
         rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design,
-                             estimator_source=args.estimator_source,
-                             threads=args.threads)
-        for _, y, z, f in rows:
-            print(f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}")
+                             estimator_source=args.estimator_source)
     else:
         pair = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}[args.pair]
         rows = []
         for y in y_values:
             for z in z_values:
-                triple = mub_triple(x, y, z)
-                ms = [measurement_of(b) for b in triple.bases]
-                f = estimation_fidelity(
-                    [ms[pair[0]], ms[pair[1]]], mode=args.mode, design=design,
-                    estimator_source=args.estimator_source,
-                ).fidelity
+                ms = triple_measurements(mub_triple(x, y, z))
+                f = estimation_fidelity([ms[i] for i in pair], args.mode, design,
+                                        args.estimator_source).fidelity
                 rows.append((x, y, z, f))
-                print(f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}")
+    for _, y, z, f in rows:
+        print(f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}")
     if args.out:
         mw.write_csv(args.out, {"mode": args.mode, "copies": args.copies},
                      ["x", "y", "z", "F"], rows)
@@ -278,6 +287,7 @@ def cmd_simulate(args):
 
 
 def cmd_equivalence(args):
+    grid = parse_angle_list(args.phi_grid) if args.phi_grid else None
     base = mub_triple(math.pi / 2, math.pi / 2, math.pi / 2)
     design = _load_or_build_design(args.design)
     mode = "empirical" if args.design not in (None, "clifford") else "ideal"
@@ -293,8 +303,7 @@ def cmd_equivalence(args):
          "out": args.out},
         seed=args.seed,
     )
-    if args.phi_grid:
-        grid = parse_angle_list(args.phi_grid)
+    if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
         for phi, exact, sim, std in rows:
             sim_s = "" if sim is None else f" simulated={sim:.6f} std={std:.6f}"
@@ -394,8 +403,7 @@ def build_parser():
                         "(empirical mode only)")
     p.add_argument("--design", help="design file, or 'clifford' (empirical mode)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the grid scan (output is identical "
-                        "for any value)")
+                   help="accepted for compatibility; the scan runs in one thread")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_fidelity)
 

@@ -9,10 +9,12 @@ second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DesignFormatError, InfeasibleDesignError
+from .groups import restricted_clifford_group_2q
 from .linalg import TensorSpace, symmetric_dimension, symmetric_projector
 
 QUARTIC_SUM = 5.0 / 7.0
@@ -135,6 +137,14 @@ def clifford_design(restricted_group):
     return orbit(restricted_group, fiducial_state(), t=4)
 
 
+@lru_cache(maxsize=None)
+def default_design():
+    """The Clifford-orbit 4-design, built once on first use; its states are read-only."""
+    design = clifford_design(restricted_clifford_group_2q())
+    design.states.flags.writeable = False
+    return design
+
+
 def frame_potential(design, t):
     """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}."""
     if design.size == 0:
@@ -157,16 +167,12 @@ def frame_potential_gradient(states, t):
     return (2 * t / K**2) * (states @ W)
 
 
-_sym_basis_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _symmetric_basis(d, t):
     """Orthonormal columns spanning the symmetric subspace of (C^d)^{x t}."""
-    if (d, t) not in _sym_basis_cache:
-        P, _ = symmetric_projector(TensorSpace(d, t))
-        w, v = np.linalg.eigh(P)
-        _sym_basis_cache[d, t] = v[:, w > 0.5]
-    return _sym_basis_cache[d, t]
+    P, _ = symmetric_projector(TensorSpace(d, t))
+    w, v = np.linalg.eigh(P)
+    return v[:, w > 0.5]
 
 
 def moment_operator(design, t):

@@ -3,8 +3,16 @@
 For an effect A on N copies, Q(A) = (N+1)! tr_{1..N}[ P_{N+1} (A x 1) ] acting
 on the extra copy; the estimation fidelity of a product measurement is
 sum over outcomes of ||Q|| / ((N+1)! D_{N+1}), attained by any estimator
-supported in the top eigenspace of Q.  Non-ideal designs replace P_{N+1} by
-the rescaled moment operator P'.
+supported in the top eigenspace of Q.  A K-state design {psi_j} of strength
+t >= N+1 reproduces P_{N+1} as (D_{N+1}/K) sum_j (|psi_j><psi_j|)^{x N+1}, so
+for a product effect x_i E_i, with Born weights w_j = prod_i <psi_j|E_i|psi_j>,
+
+    Q = (N+1)! D_{N+1} / K  sum_j w_j |psi_j><psi_j|.
+
+`outcome_tables` evaluates this for all outcomes at once, over the Clifford
+orbit (an exact 4-design) in ideal mode and over a given design in empirical
+mode, where the sum is the design's stand-in Q'.  `q_operator` keeps the
+symmetric-projector contraction for any effect as the tests' reference.
 """
 
 import math
@@ -14,8 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .designs import default_design
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import TensorSpace, hermitian_eig, symmetric_projector
+from .linalg import TensorSpace, is_hermitian, symmetric_dimension, symmetric_projector
+from .mub import measurement_of, mub_triple
 
 DEGENERACY_TOL = 1e-9
 
@@ -23,19 +33,13 @@ DEGENERACY_TOL = 1e-9
 @lru_cache(maxsize=None)
 def _sym_projector_reshaped(d, t):
     """P_t reshaped to (d^{t-1}, d, d^{t-1}, d) for leading partial traces."""
-    P, D = symmetric_projector(TensorSpace(d, t))
-    return P.reshape(d ** (t - 1), d, d ** (t - 1), d), D
-
-
-def _contract(P_reshaped, effect, N):
-    # Q[a,b] = (N+1)! * sum_{x,y} P[x,a,y,b] effect[y,x]
-    return math.factorial(N + 1) * np.einsum("xayb,yx->ab", P_reshaped, effect)
+    P, _ = symmetric_projector(TensorSpace(d, t))
+    return P.reshape(d ** (t - 1), d, d ** (t - 1), d)
 
 
 @dataclass(frozen=True)
 class QOperator:
     matrix: np.ndarray
-    outcome_label: tuple
     norm: float
 
 
@@ -46,12 +50,26 @@ class Estimator:
     gap: float
 
 
-@dataclass
+@dataclass(frozen=True)
+class OutcomeTables:
+    """Q and its top eigenspace for each of the d^N joint outcomes.
+
+    Outcomes are in np.ndindex order over the measurements, so the first
+    measurement's outcome is the most significant digit.
+    """
+
+    q: np.ndarray  # (d^N, d, d)
+    norms: np.ndarray  # (d^N,) largest eigenvalue of each Q
+    densities: np.ndarray  # (d^N, d, d) normalized top-eigenspace projectors
+    support: np.ndarray  # (d^N,) top-eigenspace dimensions
+    gaps: np.ndarray  # (d^N,) distance to the next eigenvalue, 0 if none
+
+
+@dataclass(frozen=True)
 class EstimationReport:
     fidelity: float
-    per_outcome: list  # (outcome_label, ||Q||, Estimator)
-    n_copies: int
-    design_mode: str
+    values: np.ndarray  # (d^N,) tr(Q_o rhohat_o), ||Q_o|| for matched estimators
+    estimators: OutcomeTables  # the tables whose densities are the estimators
 
 
 def q_operator(effect, N, d):
@@ -63,131 +81,124 @@ def q_operator(effect, N, d):
         raise DimensionMismatchError(
             f"effect has shape {effect.shape}, expected {(d**N, d**N)}"
         )
-    Pr, _ = _sym_projector_reshaped(d, N + 1)
-    m = _contract(Pr, effect, N)
-    w = np.linalg.eigvalsh(m)
-    return QOperator(matrix=m, outcome_label=(), norm=float(w[-1]))
+    Pr = _sym_projector_reshaped(d, N + 1)
+    # Q[a,b] = (N+1)! * sum_{x,y} P[x,a,y,b] effect[y,x]
+    m = math.factorial(N + 1) * np.einsum("xayb,yx->ab", Pr, effect)
+    return QOperator(matrix=m, norm=float(np.linalg.eigvalsh(m)[-1]))
 
 
-def empirical_projector(design, t):
-    """P' = (D_t / K) sum_j (|psi_j><psi_j|)^{x t}, the design's stand-in for P_t."""
-    from .designs import moment_operator
-    from .linalg import symmetric_dimension
+def _top_eigenspaces(q, degeneracy_tol):
+    """Batched top eigenvalue, estimator density, support dimension and gap.
 
-    M, _ = moment_operator(design, t)
-    return symmetric_dimension(design.dim, t) / design.size * M
+    Eigenvalues within degeneracy_tol * ||Q|| of the maximum are grouped, which
+    keeps the estimator well defined at symmetric parameter points.
+    """
+    w, v = np.linalg.eigh(q)
+    top = w[:, -1]
+    if np.any(top <= degeneracy_tol):
+        raise ContractViolationError("Q operator is numerically zero")
+    members = w >= (top - degeneracy_tol * top)[:, None]
+    support = members.sum(axis=1)
+    vs = v * members[:, None, :]
+    densities = vs @ vs.conj().swapaxes(1, 2) / support[:, None, None]
+    below = np.where(members, -np.inf, w).max(axis=1)
+    gaps = np.where(support < w.shape[1], top - below, 0.0)
+    return top, densities, support, gaps
 
 
-def q_operator_empirical(effect, N, design):
-    """Q'(A): same contraction with the design moment operator instead of P_{N+1}."""
-    effect = np.asarray(effect, dtype=complex)
+def optimal_estimator(q, degeneracy_tol=DEGENERACY_TOL):
+    """Normalized projector onto the top eigenspace of Q."""
+    m = np.asarray(q.matrix)
+    if not is_hermitian(m):
+        raise ContractViolationError("matrix is not Hermitian within 1e-10")
+    _, densities, support, gaps = _top_eigenspaces(m[None], degeneracy_tol)
+    return Estimator(density=densities[0], support_dim=int(support[0]), gap=float(gaps[0]))
+
+
+def _state_projectors(states):
+    """C-ordered rows |psi_j><psi_j|, flattened to (K, d*d), of the columns of `states`."""
+    v = np.ascontiguousarray(states.T)
+    return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
+
+
+def born_weights(measurements, states):
+    """(K, d^N) product Born weights w[j, o] = prod_i <psi_j|E_{i,o_i}|psi_j>."""
+    w = np.ones((states.shape[1], 1))
+    for m in measurements:
+        p = (states.conj()[None] * (np.stack(m.effects) @ states)).sum(axis=1).real.T
+        w = (w[:, :, None] * p[:, None, :]).reshape(len(w), -1)
+    return w
+
+
+def expectations(densities, states):
+    """f[k, o] = <psi_k| rho_o |psi_k> for densities (n, d, d) and columns of `states`."""
+    flat = np.ascontiguousarray(densities).reshape(len(densities), -1)
+    # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
+    return _state_projectors(states).view(float) @ flat.view(float).T
+
+
+def outcome_tables(measurements, design, degeneracy_tol=DEGENERACY_TOL):
+    """Q over `design` and its top eigenspaces for every joint outcome.
+
+    One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
+    the estimator densities, the support dimensions and the gaps.
+    """
+    N = len(measurements)
+    if N not in (1, 2, 3):
+        raise ValueError("need 1 to 3 measurements")
     d = design.dim
-    if effect.shape != (d**N, d**N):
-        raise DimensionMismatchError(
-            f"effect has shape {effect.shape}, expected {(d**N, d**N)}"
-        )
+    if any(m.dim != d for m in measurements):
+        raise DimensionMismatchError(f"measurements do not act on dimension {d}")
+    for m in measurements:
+        if np.max(np.abs(sum(m.effects) - np.eye(d))) > 1e-10:
+            raise ContractViolationError("measurement effects do not sum to identity")
     if design.t < N + 1:
         warnings.warn(
             f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
             stacklevel=2,
         )
-    Pp = empirical_projector(design, N + 1)
-    Pr = Pp.reshape(d**N, d, d**N, d)
-    m = _contract(Pr, effect, N)
-    w = np.linalg.eigvalsh(m)
-    return QOperator(matrix=m, outcome_label=(), norm=float(w[-1]))
+    w = born_weights(measurements, design.states)
+    scale = math.factorial(N + 1) * symmetric_dimension(d, N + 1) / design.size
+    # real weights against (re, im) pairs, so w is never cast to a complex copy
+    q = scale * (w.T @ _state_projectors(design.states).view(float)).view(complex)
+    q = q.reshape(-1, d, d)
+    norms, densities, support, gaps = _top_eigenspaces(q, degeneracy_tol)
+    return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
 
 
-def optimal_estimator(q, degeneracy_tol=DEGENERACY_TOL):
-    """Normalized projector onto the top eigenspace of Q.
-
-    Eigenvalues within degeneracy_tol * ||Q|| of the maximum are grouped, which
-    keeps the estimator well defined at symmetric parameter points.
-    """
-    w, v = hermitian_eig(q.matrix)
-    top = w[-1]
-    if top <= degeneracy_tol:
-        raise ContractViolationError("Q operator is numerically zero")
-    members = w >= top - degeneracy_tol * top
-    support = int(members.sum())
-    vs = v[:, members]
-    density = (vs @ vs.conj().T) / support
-    below = w[~members]
-    gap = float(top - below[-1]) if below.size else 0.0
-    return Estimator(density=density, support_dim=support, gap=gap)
-
-
-def _check_complete(measurements):
-    for m in measurements:
-        total = sum(m.effects)
-        if np.max(np.abs(total - np.eye(m.dim))) > 1e-10:
-            raise ContractViolationError("measurement effects do not sum to identity")
-
-
-def estimation_fidelity(
-    measurements,
-    mode="ideal",
-    design=None,
-    estimator_source="matched",
-    degeneracy_tol=DEGENERACY_TOL,
-):
+def estimation_fidelity(measurements, mode="ideal", design=None,
+                        estimator_source="matched", degeneracy_tol=DEGENERACY_TOL):
     """Estimation fidelity of a product of rank-1 projective measurements.
 
-    Enumerates all d^N outcome tuples, builds each product effect, computes
-    Q (ideal mode) or Q' (empirical mode, from `design`), and sums the top
-    eigenvalues.  With estimator_source="ideal" in empirical mode, the
-    estimator comes from the ideal Q's top eigenspace but is scored against
-    Q' (the "standard estimator": suboptimal, hence a slightly lower value).
+    Ideal mode takes Q over the Clifford-orbit 4-design (equal to the exact
+    symmetric-projector Q) and ignores `design`; empirical mode takes Q' over
+    `design`.  With estimator_source="ideal" in empirical mode, the estimator
+    comes from the ideal Q's top eigenspace but is scored against Q' (the
+    "standard estimator": suboptimal, hence a slightly lower value).
     """
-    N = len(measurements)
-    if N not in (1, 2, 3):
-        raise ValueError("need 1 to 3 measurements")
-    d = measurements[0].dim
-    _check_complete(measurements)
-    if mode == "empirical":
-        if design is None:
-            raise ValueError("empirical mode requires a design")
-        Pp = empirical_projector(design, N + 1)
-        P_emp = Pp.reshape(d**N, d, d**N, d)
-    elif mode != "ideal":
+    if mode == "ideal":
+        design = default_design()
+    elif mode != "empirical":
         raise ValueError(f"unknown mode {mode!r}")
-    Pr, D = _sym_projector_reshaped(d, N + 1)
-
-    per_outcome = []
-    total = 0.0
-    for label in np.ndindex(*(len(m) for m in measurements)):
-        effect = measurements[0].effects[label[0]]
-        for i in range(1, N):
-            effect = np.kron(effect, measurements[i].effects[label[i]])
-        if mode == "ideal":
-            m = _contract(Pr, effect, N)
-            q = QOperator(m, tuple(label), float(np.linalg.eigvalsh(m)[-1]))
-            est = optimal_estimator(q, degeneracy_tol)
-            value = q.norm
-        else:
-            m = _contract(P_emp, effect, N)
-            q = QOperator(m, tuple(label), float(np.linalg.eigvalsh(m)[-1]))
-            if estimator_source == "ideal":
-                m_ideal = _contract(Pr, effect, N)
-                q_ideal = QOperator(
-                    m_ideal, tuple(label), float(np.linalg.eigvalsh(m_ideal)[-1])
-                )
-                est = optimal_estimator(q_ideal, degeneracy_tol)
-                value = float(np.trace(q.matrix @ est.density).real)
-            else:
-                est = optimal_estimator(q, degeneracy_tol)
-                value = q.norm
-        per_outcome.append((tuple(label), value, est))
-        total += value
-    fidelity = total / (math.factorial(N + 1) * D)
+    elif design is None:
+        raise ValueError("empirical mode requires a design")
+    if estimator_source not in ("matched", "ideal"):
+        raise ValueError(f"unknown estimator source {estimator_source!r}")
+    tables = outcome_tables(measurements, design, degeneracy_tol)
+    estimators, values = tables, tables.norms
+    if mode == "empirical" and estimator_source == "ideal":
+        estimators = outcome_tables(measurements, default_design(), degeneracy_tol)
+        values = np.einsum("oab,oba->o", tables.q, estimators.densities).real
+    N = len(measurements)
+    D = symmetric_dimension(design.dim, N + 1)
     return EstimationReport(
-        fidelity=fidelity, per_outcome=per_outcome, n_copies=N, design_mode=mode
+        fidelity=float(values.sum()) / (math.factorial(N + 1) * D),
+        values=values,
+        estimators=estimators,
     )
 
 
 def triple_measurements(triple):
-    from .mub import measurement_of
-
     return [measurement_of(b) for b in triple.bases]
 
 
@@ -202,30 +213,11 @@ def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched
 
 
 def fidelity_scan(x, y_values, z_values, mode="ideal", design=None,
-                  estimator_source="matched", threads=1):
-    """F_MUB over a (y, z) grid at fixed x.  Returns rows (x, y, z, F).
-
-    Grid points are independent; `threads` > 1 evaluates them in a thread
-    pool, with results assembled in grid order regardless of worker count.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .mub import mub_triple
-
-    points = [(y, z) for y in y_values for z in z_values]
-
-    def one(point):
-        y, z = point
-        return triple_fidelity(
-            mub_triple(x, y, z),
-            mode=mode,
-            design=design,
-            estimator_source=estimator_source,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, points))
-    else:
-        values = [one(p) for p in points]
-    return [(x, y, z, f) for (y, z), f in zip(points, values)]
+                  estimator_source="matched"):
+    """F_MUB over a (y, z) grid at fixed x.  Returns rows (x, y, z, F) in grid order."""
+    return [
+        (x, y, z, triple_fidelity(mub_triple(x, y, z), mode=mode, design=design,
+                                  estimator_source=estimator_source))
+        for y in y_values
+        for z in z_values
+    ]

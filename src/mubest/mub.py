@@ -28,7 +28,7 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         g = self.vectors.conj().T @ self.vectors
-        if np.max(np.abs(g - np.eye(self.dim))) > UNBIASED_TOL:
+        if not np.max(np.abs(g - np.eye(self.dim))) <= UNBIASED_TOL:
             raise ContractViolationError("basis vectors are not orthonormal")
 
 
@@ -95,7 +95,7 @@ def mub_triple(x, y, z):
         basis_c=OrthonormalBasis(hadamard_c(y, z)),
     )
     dev = unbiasedness_report(triple)
-    if dev > UNBIASED_TOL:
+    if not dev <= UNBIASED_TOL:
         raise ContractViolationError(f"bases are not mutually unbiased (dev={dev:.2e})")
     return triple
 
@@ -103,12 +103,9 @@ def mub_triple(x, y, z):
 def unbiasedness_report(triple):
     """Max over all 48 cross-basis pairs of | |<u|v>|^2 - 1/4 |."""
     bases = [b.vectors for b in triple.bases]
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
-            worst = max(worst, float(np.max(np.abs(overlaps - 0.25))))
-    return worst
+    overlaps = [np.abs(bases[i].conj().T @ bases[j]) ** 2
+                for i in range(3) for j in range(i + 1, 3)]
+    return float(np.max(np.abs(np.array(overlaps) - 0.25)))  # NaN propagates
 
 
 def transform_triple(triple, u):

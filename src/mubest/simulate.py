@@ -4,6 +4,12 @@ For every design state the three measurements are sampled independently, the
 optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
+Estimator densities come from `estimation.outcome_tables` (through
+`estimation_fidelity`); the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> is
+one contraction of them with the sampling design's states, for three copies
+and for two-copy reprocessing alike.  The sampler keeps its own Born
+probabilities (`_born_probabilities`), whose arithmetic fixes the CDF
+thresholds and so the sampled outcomes.
 
 Substreams.  The draws of measurement role r (0=A, 1=B, 2=C) for one (state,
 block) come from their own PCG64 stream, the one numpy builds as
@@ -35,7 +41,9 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .estimation import (
+    born_weights,
     estimation_fidelity,
+    expectations,
     triple_fidelity,
     triple_measurements,
 )
@@ -113,29 +121,17 @@ class DeviationSummary:
     max_deviation: float
 
 
-def _fidelity_tables(measurements, design, mode, estimator_source):
-    """Estimator densities per outcome and f[i, o] = <psi_i| rhohat_o |psi_i>."""
-    report = estimation_fidelity(
-        measurements,
-        mode=mode,
-        design=design if mode == "empirical" else None,
-        estimator_source=estimator_source,
-    )
-    densities = [est.density for _, _, est in report.per_outcome]
-    V = design.states  # d x K
-    f_table = np.empty((design.size, len(densities)))
-    for o, rho in enumerate(densities):
-        f_table[:, o] = np.einsum("ik,ij,jk->k", V.conj(), rho, V).real
-    return densities, f_table
-
-
 def estimator_tables(triple, design, mode="ideal", estimator_source="matched"):
     """Per-outcome estimator densities and the (K, 64) fidelity lookup table.
 
     f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o = 16 j + 4 k + l,
     from the estimators of the triple's own bases.
     """
-    return _fidelity_tables(triple_measurements(triple), design, mode, estimator_source)
+    report = estimation_fidelity(
+        triple_measurements(triple), mode, design, estimator_source
+    )
+    densities = report.estimators.densities
+    return densities, expectations(densities, design.states)
 
 
 def _born_probabilities(basis, states):
@@ -281,8 +277,7 @@ def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="match
 def exact_protocol_fidelity(triple, design, mode="ideal", estimator_source="matched"):
     """Infinite-M limit: exact Born probabilities instead of sampled frequencies."""
     _, f_table = estimator_tables(triple, design, mode, estimator_source)
-    probs = [_born_probabilities(b, design.states) for b in triple.bases]
-    joint = np.einsum("kj,kl,km->kjlm", *probs).reshape(design.size, 64)
+    joint = born_weights(triple_measurements(triple), design.states)
     return float((joint * f_table).sum() / design.size)
 
 
@@ -297,9 +292,10 @@ def reprocess_two_copy(report, pair, design, mode="ideal", estimator_source="mat
     if not (0 <= i1 < i2 <= 2):
         raise ValueError("pair must be two distinct measurement indices in order")
     measurements = triple_measurements(report.triple)
-    _, f_table = _fidelity_tables(
-        [measurements[i1], measurements[i2]], design, mode, estimator_source
+    two_copy = estimation_fidelity(
+        [measurements[i1], measurements[i2]], mode, design, estimator_source
     )
+    f_table = expectations(two_copy.estimators.densities, design.states)
     cfg = report.config
     counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
@@ -317,10 +313,7 @@ def equivalence_scan_phase(
     rows = []
     for phi in phi_grid:
         triple = transform_triple(base_triple, controlled_phase(phi))
-        exact = triple_fidelity(
-            triple, mode=mode, design=design if mode == "empirical" else None,
-            estimator_source=estimator_source,
-        )
+        exact = triple_fidelity(triple, mode, design, estimator_source)
         if cfg is not None:
             rep = simulate_protocol(triple, design, cfg, mode, estimator_source)
             rows.append((phi, exact, rep.mean_fidelity, rep.std_of_mean))
@@ -357,20 +350,12 @@ def equivalence_scan_random(
     if n_unitaries < 1:
         raise ValueError("n_unitaries must be >= 1")
     rng = np.random.default_rng(unitary_seed)
-    reference = triple_fidelity(
-        base_triple, mode=mode, design=design if mode == "empirical" else None,
-        estimator_source=estimator_source,
-    )
+    reference = triple_fidelity(base_triple, mode, design, estimator_source)
     exact_vals, sim_vals = [], []
     for _ in range(n_unitaries):
         u = haar_random_unitary(design.dim, rng)
         triple = transform_triple(base_triple, u)
-        exact_vals.append(
-            triple_fidelity(
-                triple, mode=mode, design=design if mode == "empirical" else None,
-                estimator_source=estimator_source,
-            )
-        )
+        exact_vals.append(triple_fidelity(triple, mode, design, estimator_source))
         if cfg is not None:
             rep = simulate_protocol(triple, design, cfg, mode, estimator_source)
             sim_vals.append(rep.mean_fidelity)
@@ -386,6 +371,8 @@ def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
     fidelity contributions, mirroring the resampling analysis of the count
     data.  std is over the `trials` draws (0 when size equals K).
     """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a std, got {trials}")
     K = report.per_state_fidelity.size
     rng = np.random.default_rng(seed)
     results = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -48,6 +49,42 @@ def test_parse_angle_list_forms():
     default = parse_angle_list(DEFAULT_Z_GRID)
     assert len(default) == 9
     assert default[1] == pytest.approx(math.pi / 8)
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1pi/0", "zero denominator"),
+    ("nan", "not finite"),
+    ("-inf", "not finite"),
+    ("1e400", "not finite"),
+])
+def test_parse_angle_rejects(token, message):
+    with pytest.raises(ValueError, match=message):
+        parse_angle(token)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0:pi:0", "count 0 < 1"),
+    ("0:pi:-3", "count -3 < 1"),
+    ("0:pi", "not start:stop:count"),
+    ("0:pi:3:4", "not start:stop:count"),
+    ("0:nan:3", "not finite"),
+])
+def test_parse_angle_list_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_angle_list(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--x", "1pi/0"],
+    ["fidelity", "--x", "nan"],
+    ["fidelity", "--z-list", "0:pi:0"],
+    ["fidelity", "--z-list", "0:pi"],
+    ["equivalence", "--exact", "--phi-grid", "0:pi:0"],
+])
+def test_bad_angles_exit_validation(outdir, capsys, argv):
+    assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (outdir / "out.csv").exists()
 
 
 def test_groups_command(outdir, capsys):
@@ -190,6 +227,24 @@ def test_subsets_command(outdir, capsys, small_design_file):
             if not ln.startswith("#")][1:]
     stds = [float(r.split(",")[2]) for r in rows]
     assert stds[0] > stds[-1]
+
+
+def test_subsets_rejects_single_trial(outdir, capsys, small_design_file):
+    code = main(["subsets", "--design", small_design_file, "--sizes", "10",
+                 "--M", "10", "--blocks", "2", "--trials", "1"])
+    assert code == EXIT_VALIDATION
+    assert "trials must be >= 2" in capsys.readouterr().err
+
+
+def test_manifest_records_output_hashes(outdir, small_design_file):
+    main(["simulate", "--design", small_design_file, "--M", "20", "--blocks", "2",
+          "--out", "run.json"])
+    manifest = json.loads((outdir / "run.json.manifest.json").read_text())
+    paths = manifest["output_paths"]
+    assert len(paths) == 2
+    assert manifest["output_sha256"] == {
+        p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths
+    }
 
 
 def test_version_flag(capsys):

@@ -1,24 +1,36 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import F3_SYMMETRIC
+from mubest.designs import StateDesign, default_design, moment_operator
 from mubest.estimation import (
-    empirical_projector,
     estimation_fidelity,
     fidelity_scan,
     optimal_estimator,
+    outcome_tables,
     q_operator,
-    q_operator_empirical,
     triple_fidelity,
     triple_measurements,
 )
 from mubest.errors import ContractViolationError, DimensionMismatchError
 from mubest.linalg import TensorSpace, symmetric_dimension, symmetric_projector
-from mubest.mub import measurement_of, mub_triple
+from mubest.mub import (
+    OrthonormalBasis,
+    haar_random_unitary,
+    measurement_of,
+    mub_triple,
+    transform_triple,
+)
 
 HALF = math.pi / 2
+SEEDS = st.integers(0, 2**32 - 1)
+ANGLES = st.floats(0.0, 2 * math.pi)
+COPIES = st.sampled_from([1, 2, 3])
 
 
 def random_product_effect(rng, d, N):
@@ -108,9 +120,10 @@ def test_three_copy_sample_grid_points():
 
 
 def test_empirical_projector_of_exact_design(design960):
-    P, _ = symmetric_projector(TensorSpace(4, 4))
-    Pp = empirical_projector(design960, 4)
-    assert np.max(np.abs(Pp - P)) <= 1e-8
+    # the design identity behind outcome_tables: (D_4/K) sum_j (|psi_j><psi_j|)^{x4} = P_4
+    P, D = symmetric_projector(TensorSpace(4, 4))
+    M, _ = moment_operator(design960, 4)
+    assert np.max(np.abs(D / design960.size * M - P)) <= 1e-8
 
 
 def test_empirical_matches_ideal_for_clifford_design(design960, symmetric_triple):
@@ -139,11 +152,10 @@ def test_empirical_mode_requires_design(symmetric_triple):
 
 
 def test_q_empirical_warns_on_weak_design(design960):
-    from mubest.designs import StateDesign
-
     weak = StateDesign(dim=4, t=1, states=design960.states[:, :50])
+    basis_b = mub_triple(HALF, HALF, HALF).basis_b
     with pytest.warns(UserWarning):
-        q_operator_empirical(np.eye(4) / 4, 1, weak)
+        estimation_fidelity([measurement_of(basis_b)], mode="empirical", design=weak)
 
 
 def test_incomplete_measurement_rejected():
@@ -156,11 +168,75 @@ def test_incomplete_measurement_rejected():
         estimation_fidelity([broken])
 
 
-def test_fidelity_scan_thread_independence():
+def test_fidelity_scan_grid_order():
     ys = [0.0, HALF]
     zs = [0.0, HALF]
-    serial = fidelity_scan(HALF, ys, zs, threads=1)
-    threaded = fidelity_scan(HALF, ys, zs, threads=4)
-    assert serial == threaded
-    assert len(serial) == 4
-    assert serial[0][:3] == (HALF, 0.0, 0.0)
+    rows = fidelity_scan(HALF, ys, zs)
+    assert [row[:3] for row in rows] == [(HALF, y, z) for y in ys for z in zs]
+    assert rows[3][3] == triple_fidelity(mub_triple(HALF, HALF, HALF))
+
+
+def random_measurements(rng, N):
+    return [measurement_of(OrthonormalBasis(haar_random_unitary(4, rng))) for _ in range(N)]
+
+
+def product_effects(measurements):
+    """Product effects in the outcome order of outcome_tables."""
+    for label in np.ndindex(*(len(m) for m in measurements)):
+        yield functools.reduce(np.kron, [m.effects[i] for m, i in zip(measurements, label)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS, N=COPIES)
+def test_outcome_tables_match_q_operator(seed, N):
+    measurements = random_measurements(np.random.default_rng(seed), N)
+    tables = outcome_tables(measurements, default_design())
+    for o, effect in enumerate(product_effects(measurements)):
+        q = q_operator(effect, N, 4)
+        assert np.max(np.abs(tables.q[o] - q.matrix)) <= 1e-12
+        assert abs(tables.norms[o] - q.norm) <= 1e-12
+        assert np.max(np.abs(tables.densities[o] - optimal_estimator(q).density)) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS, N=COPIES, K=st.integers(10, 30))
+def test_empirical_mode_matches_moment_operator(seed, N, K):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
+    design = StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0))
+    measurements = random_measurements(rng, N)
+    M, _ = moment_operator(design, N + 1)
+    D = symmetric_dimension(4, N + 1)
+    Pp = (D / K * M).reshape(4**N, 4, 4**N, 4)
+    tables = outcome_tables(measurements, design)
+    matched = standard = 0.0
+    for o, effect in enumerate(product_effects(measurements)):
+        q = math.factorial(N + 1) * np.einsum("xayb,yx->ab", Pp, effect)
+        assert np.max(np.abs(tables.q[o] - q)) <= 1e-12
+        matched += np.linalg.eigvalsh(q)[-1]
+        ideal = optimal_estimator(q_operator(effect, N, 4)).density
+        standard += np.trace(q @ ideal).real
+    scale = math.factorial(N + 1) * D
+    F = estimation_fidelity(measurements, mode="empirical", design=design).fidelity
+    assert abs(F - matched / scale) <= 1e-12
+    F_std = estimation_fidelity(
+        measurements, mode="empirical", design=design, estimator_source="ideal"
+    ).fidelity
+    assert abs(F_std - standard / scale) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(x=ANGLES, y=ANGLES, z=ANGLES, seed=SEEDS)
+def test_fidelity_unitarily_invariant(x, y, z, seed):
+    triple = mub_triple(x, y, z)
+    moved = transform_triple(triple, haar_random_unitary(4, np.random.default_rng(seed)))
+    assert abs(triple_fidelity(moved) - triple_fidelity(triple)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", [(HALF, HALF, HALF), (HALF, 0.0, 0.0)])
+def test_support_dims_at_symmetric_points(params):
+    measurements = triple_measurements(mub_triple(*params))
+    tables = outcome_tables(measurements, default_design())
+    expected = [optimal_estimator(q_operator(e, 3, 4)).support_dim
+                for e in product_effects(measurements)]
+    assert tables.support.tolist() == expected

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def test_orthonormal_basis_rejects_bad_columns():
     bad[0, 1] = 0.5
     with pytest.raises(ContractViolationError):
         OrthonormalBasis(bad)
+
+
+def test_nan_angles_rejected():
+    with pytest.raises(ContractViolationError):
+        OrthonormalBasis(np.full((4, 4), np.nan))
+    with pytest.raises(ContractViolationError):
+        mub_triple(math.nan, 0.0, 0.0)
+    bases = [b.vectors.copy() for b in mub_triple(HALF, HALF, HALF).bases]
+    bases[2][0, 0] = math.nan
+    triple = SimpleNamespace(bases=[SimpleNamespace(vectors=v) for v in bases])
+    assert math.isnan(unbiasedness_report(triple))
 
 
 def test_transform_preserves_unbiasedness(rng):

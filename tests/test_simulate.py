@@ -24,9 +24,11 @@ HALF = math.pi / 2
 
 SMALL = SimConfig(seed=11, m_block=400, blocks=3)
 
-# sha256 of counts.tobytes() and the exact mean fidelity of two small runs,
-# recorded with the per-substream SeedSequence/PCG64 sampler this one replaced:
-# the sampled streams must never change for an existing seed
+# sha256 of counts.tobytes() and the mean fidelity of two small runs, recorded
+# with the per-substream SeedSequence/PCG64 sampler this one replaced: the
+# sampled streams must never change for an existing seed.  The mean is checked
+# to 1e-12, the tolerance within which fidelities must stay, because scoring
+# arithmetic may sum in another order.
 GOLDEN_RUNS = [
     (
         (HALF, HALF, HALF),
@@ -92,7 +94,7 @@ def test_config_rejects_bad_seed(seed):
 def test_golden_counts(design960, params, cfg, counts_sha256, mean):
     report = simulate_protocol(mub_triple(*params), design960, cfg)
     assert hashlib.sha256(report.counts.tobytes()).hexdigest() == counts_sha256
-    assert report.mean_fidelity == mean
+    assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
 def reference_counts(triple, design, cfg):
