@@ -38,6 +38,7 @@ from .groups import (
 from .mub import mub_triple
 from .simulate import (
     SimConfig,
+    check_subset_request,
     equivalence_scan_phase,
     equivalence_scan_random,
     random_subset_analysis,
@@ -273,8 +274,7 @@ def cmd_simulate(args):
             seed=args.seed,
         )
         path = _resolve(args.out)
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(include_counts=args.counts), fh, indent=1)
+        _write_report(path, report, args.counts)
         mw.add(path)
         blocks_csv = path + ".blocks.csv"
         mw.write_csv(
@@ -284,6 +284,27 @@ def cmd_simulate(args):
         )
         mw.finalize()
     return EXIT_OK
+
+
+def _write_report(path, report, include_counts):
+    """The bytes of json.dump(report.to_dict(include_counts), indent=1).
+
+    The (K, B, 64) counts block is streamed one state at a time rather than
+    through the pure-Python encoder that indent selects.
+    """
+    text = json.dumps(report.to_dict(), indent=1)
+    with open(path, "w") as fh:
+        if not include_counts:
+            fh.write(text)
+            return
+        fh.write(text[:-2] + ',\n "counts": [')
+        for k, state in enumerate(report.counts):
+            blocks = ",\n".join(
+                "   [\n    " + ",\n    ".join(map(str, row)) + "\n   ]"
+                for row in state.tolist()
+            )
+            fh.write(("," if k else "") + "\n  [\n" + blocks + "\n  ]")
+        fh.write("\n ]\n}")
 
 
 def cmd_equivalence(args):
@@ -340,10 +361,11 @@ def cmd_equivalence(args):
 
 def cmd_subsets(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
+    sizes = [int(s) for s in args.sizes.split(",")]
     design = _load_or_build_design(args.design)
     cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks)
+    check_subset_request(sizes, args.trials, design.size)
     report = simulate_protocol(mub_triple(x, y, z), design, cfg)
-    sizes = [int(s) for s in args.sizes.split(",")]
     results = random_subset_analysis(
         report, sizes, trials=args.trials, seed=args.subset_seed
     )

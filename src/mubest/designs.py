@@ -14,11 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DesignFormatError, InfeasibleDesignError
-from .groups import restricted_clifford_group_2q
+from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
 from .linalg import TensorSpace, symmetric_dimension, symmetric_projector
 
 QUARTIC_SUM = 5.0 / 7.0
-DEDUP_OVERLAP = 1.0 - 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class StateDesign:
 
     def validate(self):
         norms = np.linalg.norm(self.states, axis=0)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # NaN fails too
         if bad.size:
             raise DesignFormatError(f"state {bad[0]} is not unit norm")
         return self
@@ -106,23 +105,14 @@ def fiducial_state():
     return np.kron(q1, q2)
 
 
-def _canonical_state(v):
-    pivot = v[np.argmax(np.abs(v) > 1e-8)]
-    return v * (abs(pivot) / pivot)
-
-
-def _state_key(v):
-    return np.rint(np.stack([v.real, v.imag]) * 1e6).astype(np.int64).tobytes()
-
-
 def orbit(group, psi, t=4):
-    """Group orbit of |psi>, deduplicated modulo global phase."""
+    """Group orbit of |psi>, deduplicated modulo global phase, in group order."""
     psi = np.asarray(psi, dtype=complex)
-    seen = {}
-    for u in group:
-        v = _canonical_state(u @ psi)
-        seen.setdefault(_state_key(v), v)
-    states = np.array(list(seen.values())).T
+    images = strip_phases(np.array(group.elements) @ psi)
+    first = {}
+    for i, key in enumerate(canonical_keys(images).tolist()):
+        first.setdefault(key, i)
+    states = images[list(first.values())].T
     return StateDesign(
         dim=psi.size,
         t=t,

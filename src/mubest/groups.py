@@ -5,6 +5,16 @@ form: the first entry of non-negligible modulus (row-major scan) is made
 positive real, and entries rounded to a 1e-6 grid serve as the deduplication
 key.  Clifford entries live on a lattice with spacing >= 2^-4, so the grid
 separates distinct elements with huge margin while absorbing float drift.
+
+Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
+the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
+parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
+canonical forms agree.  The closure multiplies a whole breadth-first level by
+every generator in one batched matmul, checks every product for unitarity,
+and keys the level in one pass; new keys are taken in (frontier element,
+generator) order, the order of the nested loop.  Group files are written one
+element at a time through json.dumps, with the bytes of json.dump of the
+whole document.
 """
 
 import json
@@ -41,27 +51,55 @@ def standard_gates():
     return gates
 
 
+def strip_phases(stack):
+    """Remove each element's global phase from a stack of vectors or matrices.
+
+    The first entry (row-major) of modulus > MODULUS_FLOOR becomes positive
+    real.  The modulus is np.hypot, not np.abs: on arrays np.abs differs from
+    the scalar abs in the last ulp for some entries, hypot matches it.
+    """
+    flat = stack.reshape(len(stack), -1)
+    pivots = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > MODULUS_FLOOR, axis=1)]
+    phases = np.hypot(pivots.real, pivots.imag) / pivots
+    return stack * phases.reshape((-1,) + (1,) * (stack.ndim - 1))
+
+
+def canonicalize_phases(us):
+    """Phase-canonical form of a stack of unitaries; raises unless each is unitary."""
+    return strip_phases(check_unitary(us))
+
+
+def canonical_keys(stack):
+    """Fixed-precision encoding of each phase-canonical element, as one void array."""
+    grid = np.rint(np.stack([stack.real, stack.imag], axis=1) * KEY_GRID).astype(np.int64)
+    flat = grid.reshape(len(grid), -1)
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
 def canonicalize_phase(u):
-    """Strip the global phase: first entry with modulus > 1e-8 becomes positive real."""
-    u = check_unitary(u)
-    flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(flat) > MODULUS_FLOOR)]
-    return u * (abs(pivot) / pivot)
+    """Strip the global phase of one unitary (see canonicalize_phases)."""
+    return canonicalize_phases(np.asarray(u)[None])[0]
 
 
 def canonical_key(u):
-    """Hashable fixed-precision encoding of a phase-canonical unitary."""
-    grid = np.rint(np.stack([u.real, u.imag]) * KEY_GRID).astype(np.int64)
-    return grid.tobytes()
+    """Hashable key of one phase-canonical unitary (see canonical_keys)."""
+    return canonical_keys(np.asarray(u)[None])[0].tobytes()
 
 
 class UnitaryGroup:
-    """An immutable set of phase-canonical unitaries with O(1) membership tests."""
+    """An immutable set of phase-canonical unitaries with O(1) membership tests.
 
-    def __init__(self, elements, generator_labels=()):
+    `keys` maps canonical_key(u) to the index of u; it is computed from the
+    elements unless the caller already has it.
+    """
+
+    def __init__(self, elements, generator_labels=(), keys=None):
         self.elements = list(elements)
         self.generator_labels = list(generator_labels)
-        self._keys = {canonical_key(u): i for i, u in enumerate(self.elements)}
+        if keys is None:
+            keys = canonical_keys(np.array(self.elements)).tolist() if self.elements else []
+            keys = {k: i for i, k in enumerate(keys)}
+        self._keys = keys
 
     def __len__(self):
         return len(self.elements)
@@ -80,30 +118,32 @@ class UnitaryGroup:
 def generate_group(generators, max_size, generator_labels=()):
     """Breadth-first closure of the generators under left multiplication.
 
-    Deduplication is by canonical key.  Raises GroupSizeError if the closure
+    Each level is one stacked product g @ u over (frontier element u,
+    generator g), canonicalised and keyed in one pass; new keys are taken in
+    that order, so the element order is that of the nested loop.  Every
+    product is checked for unitarity.  Raises GroupSizeError if the closure
     would exceed max_size (a symptom of wrong generators or a broken
     canonicalization grid).
     """
-    gens = [canonicalize_phase(g) for g in generators]
-    dim = gens[0].shape[0]
-    identity = np.eye(dim, dtype=complex)
-    elements = {canonical_key(identity): identity}
-    frontier = [identity]
-    while frontier:
+    gens = canonicalize_phases(np.array(generators, dtype=complex))
+    dim = gens.shape[-1]
+    frontier = np.eye(dim, dtype=complex)[None]
+    keys = {canonical_key(frontier[0]): 0}
+    levels = [frontier]
+    while len(frontier):
+        products = canonicalize_phases(
+            np.matmul(gens[None], frontier[:, None]).reshape(-1, dim, dim)
+        )
         fresh = []
-        for u in frontier:
-            for g in gens:
-                v = canonicalize_phase(g @ u)
-                k = canonical_key(v)
-                if k not in elements:
-                    if len(elements) >= max_size:
-                        raise GroupSizeError(
-                            f"group closure exceeded max_size={max_size}"
-                        )
-                    elements[k] = v
-                    fresh.append(v)
-        frontier = fresh
-    return UnitaryGroup(elements.values(), generator_labels)
+        for i, k in enumerate(canonical_keys(products).tolist()):
+            if k not in keys:
+                if len(keys) >= max_size:
+                    raise GroupSizeError(f"group closure exceeded max_size={max_size}")
+                keys[k] = len(keys)
+                fresh.append(i)
+        frontier = products[fresh]
+        levels.append(frontier)
+    return UnitaryGroup(np.concatenate(levels), generator_labels, keys)
 
 
 def clifford_group_2q():
@@ -151,28 +191,33 @@ def stabilizer_of_state(group, psi, tol=1e-8):
 
 
 def save_group(group, path):
-    """Write a group as a JSON list of matrices (same layout as design files)."""
-    data = {
-        "format_version": 1,
-        "dim": group.dim,
-        "order": len(group),
-        "generator_labels": group.generator_labels,
-        "elements": [
-            [[ [z.real, z.imag] for z in row] for row in u] for u in group
-        ],
-    }
+    """Write a group as a JSON list of matrices of [re, im] pairs.
+
+    The bytes are those of json.dump of the whole document; the elements are
+    streamed one at a time through json.dumps (the C encoder).
+    """
+    header = json.dumps(
+        {
+            "format_version": 1,
+            "dim": group.dim,
+            "order": len(group),
+            "generator_labels": group.generator_labels,
+        }
+    )
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        fh.write(header[:-1] + ', "elements": [')
+        for i, u in enumerate(group):
+            pairs = np.ascontiguousarray(u).view(float).reshape(u.shape + (2,))
+            fh.write((", " if i else "") + json.dumps(pairs.tolist()))
+        fh.write("]}")
 
 
 def load_group(path, spot_checks=20, rng=None):
     """Load a serialized group; verifies unitarity and closure spot-checks."""
     with open(path) as fh:
         data = json.load(fh)
-    elements = []
-    for rec in data["elements"]:
-        u = np.array([[complex(re, im) for re, im in row] for row in rec])
-        elements.append(canonicalize_phase(u))
+    pairs = np.array(data["elements"], dtype=float)
+    elements = canonicalize_phases(pairs.view(complex)[..., 0])
     group = UnitaryGroup(elements, data.get("generator_labels", ()))
     if len(group) != data["order"]:
         raise ContractViolationError(

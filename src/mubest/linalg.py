@@ -44,13 +44,16 @@ def is_hermitian(m, tol=HERMITIAN_TOL):
 
 
 def is_unitary(m, tol=UNITARY_TOL):
+    """max |U^dag U - I| <= tol for a square matrix, or over a stack of them."""
     m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         return False
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    return np.max(np.abs(gram - np.eye(m.shape[-1]))) <= tol
 
 
 def check_unitary(m, tol=UNITARY_TOL):
+    """m as a complex array; raises unless it (each matrix of a stack) is unitary."""
     if not is_unitary(m, tol):
         raise ContractViolationError("matrix is not unitary within tolerance")
     return np.asarray(m, dtype=complex)

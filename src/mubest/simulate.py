@@ -139,7 +139,7 @@ def _born_probabilities(basis, states):
     p = np.abs(basis.vectors.conj().T @ states) ** 2  # 4 x K
     p = p.T
     sums = p.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
+    if not np.max(np.abs(sums - 1.0)) <= 1e-9:  # NaN fails too
         raise ContractViolationError("outcome probabilities do not sum to 1")
     return p / sums[:, None]
 
@@ -364,6 +364,15 @@ def equivalence_scan_random(
     return exact_summary, sim_summary
 
 
+def check_subset_request(subset_sizes, trials, K):
+    """ValueError unless trials >= 2 (for a std) and every size is in 1..K."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a std, got {trials}")
+    for size in subset_sizes:
+        if not 1 <= size <= K:
+            raise ValueError(f"subset size {size} out of range 1..{K}")
+
+
 def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
     """Re-average the run over random state subsets; (mean, std) per subset size.
 
@@ -371,14 +380,11 @@ def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
     fidelity contributions, mirroring the resampling analysis of the count
     data.  std is over the `trials` draws (0 when size equals K).
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2 for a std, got {trials}")
     K = report.per_state_fidelity.size
+    check_subset_request(subset_sizes, trials, K)
     rng = np.random.default_rng(seed)
     results = {}
     for size in subset_sizes:
-        if not 1 <= size <= K:
-            raise ValueError(f"subset size {size} out of range 1..{K}")
         if size == K:
             results[size] = (float(report.per_state_fidelity.mean()), 0.0)
             continue

@@ -14,7 +14,9 @@ from mubest.cli import (
     parse_angle,
     parse_angle_list,
 )
-from mubest.designs import optimize_design, save_design
+from mubest.designs import load_design, optimize_design, save_design
+from mubest.mub import mub_triple
+from mubest.simulate import SimConfig, simulate_protocol
 
 
 @pytest.fixture
@@ -181,6 +183,37 @@ def test_simulate_command(outdir, capsys, small_design_file):
     assert (outdir / "run.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("counts", [True, False])
+def test_simulate_report_bytes(outdir, small_design_file, counts):
+    argv = ["simulate", "--design", small_design_file, "--seed", "5", "--M", "30",
+            "--blocks", "3", "--out", "run.json"]
+    assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
+    half = math.pi / 2
+    report = simulate_protocol(mub_triple(half, half, half), load_design(small_design_file),
+                               SimConfig(seed=5, m_block=30, blocks=3))
+    expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
+    assert (outdir / "run.json").read_text() == expected
+
+
+@pytest.fixture(scope="module")
+def nan_design_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("designs") / "nan.json"
+    save_design(optimize_design(40, 4, 4, seed=1, max_iters=50), path)
+    data = json.loads(path.read_text())
+    data["states"][7][3] = "nan"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--mode", "empirical"],
+    ["simulate", "--M", "10", "--blocks", "2"],
+])
+def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
+    assert main(argv + ["--design", nan_design_file]) == EXIT_IO
+    assert "not unit norm" in capsys.readouterr().err
+
+
 def test_simulate_reproducible(outdir, capsys, small_design_file):
     args = ["simulate", "--design", small_design_file, "--seed", "3",
             "--M", "200", "--blocks", "2"]
@@ -234,6 +267,20 @@ def test_subsets_rejects_single_trial(outdir, capsys, small_design_file):
                  "--M", "10", "--blocks", "2", "--trials", "1"])
     assert code == EXIT_VALIDATION
     assert "trials must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "1"],
+    ["--sizes", "0"],
+    ["--sizes", "961"],
+])
+def test_subsets_validates_before_sampling(outdir, capsys, monkeypatch, extra):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr("mubest.cli.simulate_protocol", fail)
+    assert main(["subsets"] + extra) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_manifest_records_output_hashes(outdir, small_design_file):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ from mubest.designs import (
     StateDesign,
     angles_to_bloch,
     bloch_to_state,
+    default_design,
     fiducial_angles,
     fiducial_bloch_second_qubit,
     fiducial_state,
@@ -94,6 +96,30 @@ def test_orbit_of_basis_state(restricted_group):
     d = orbit(restricted_group, e0)
     assert 0 < d.size < 960
     assert len(restricted_group) % d.size == 0  # orbit-stabilizer
+
+
+# sha256 of default_design().states.tobytes(), recorded before the orbit was vectorised
+DEFAULT_DESIGN_SHA256 = "3b34f14e083084bcb7dd870c6acb247c418b23cdd61442476d5fb3991a2d0397"
+
+
+def test_default_design_golden():
+    states = default_design().states
+    assert states.shape == (4, 960)
+    assert hashlib.sha256(states.tobytes()).hexdigest() == DEFAULT_DESIGN_SHA256
+
+
+@pytest.mark.parametrize("which", ["fiducial", "basis"])
+def test_orbit_keeps_first_occurrences(restricted_group, which):
+    psi = fiducial_state() if which == "fiducial" else np.eye(4, dtype=complex)[0]
+    seen = {}
+    for u in restricted_group:
+        v = u @ psi
+        pivot = v[np.argmax(np.abs(v) > 1e-8)]
+        v = v * (abs(pivot) / pivot)
+        key = np.rint(np.stack([v.real, v.imag]) * 1e6).astype(np.int64).tobytes()
+        seen.setdefault(key, v)
+    expected = np.array(list(seen.values())).T
+    assert np.array_equal(orbit(restricted_group, psi).states, expected)
 
 
 def test_frame_potential_bound_random(rng):
@@ -226,3 +252,11 @@ def test_validate_rejects_non_unit(tmp_path):
     with pytest.raises(DesignFormatError) as exc:
         StateDesign(dim=2, t=2, states=V).validate()
     assert "0" in str(exc.value)
+
+
+def test_validate_rejects_nan():
+    V = np.eye(2, dtype=complex)
+    V[1, 1] = np.nan
+    with pytest.raises(DesignFormatError) as exc:
+        StateDesign(dim=2, t=2, states=V).validate()
+    assert "state 1" in str(exc.value)

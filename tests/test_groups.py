@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mubest.groups import (
     save_group,
     stabilizer_of_state,
     standard_gates,
+    strip_phases,
 )
 from mubest.linalg import is_unitary
 
@@ -83,6 +86,61 @@ def test_generate_group_size_guard():
         generate_group([g["H1"], g["H2"], g["P1"], g["P2"], g["CNOT12"]], max_size=100)
 
 
+def test_generate_group_rejects_non_unitary_generator():
+    g = standard_gates()
+    with pytest.raises(ContractViolationError):
+        generate_group([g["H1"], 1.01 * g["P2"]], max_size=100)
+
+
+def test_generate_group_checks_every_product():
+    # each generator passes the 1e-9 unitarity check, their products do not
+    g = standard_gates()
+    scale = 1 + 4e-10
+    with pytest.raises(ContractViolationError):
+        generate_group([scale * g["H1"], scale * g["P2"]], max_size=11520)
+
+
+def test_strip_phases_matches_scalar_pivot(restricted_group, rng):
+    # the stacked form equals the one-at-a-time u * (abs(pivot) / pivot) bit for bit
+    stack = np.array(restricted_group.elements)
+    stack = stack * np.exp(2j * np.pi * rng.random(len(stack)))[:, None, None]
+    expected = []
+    for u in stack:
+        flat = u.ravel()
+        pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
+        expected.append(u * (abs(pivot) / pivot))
+    expected = np.array(expected)
+    assert np.array_equal(strip_phases(stack).view(np.int64), expected.view(np.int64))
+
+
+def test_generate_group_matches_nested_loop():
+    # the one-product-at-a-time closure with the scalar pivot, as the reference
+    def canonical(u):
+        flat = u.ravel()
+        pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
+        return u * (abs(pivot) / pivot)
+
+    g = standard_gates()
+    gens = [canonical(g["H2"] @ g["CNOT12"] @ g["P1"] @ g["H2"]),
+            canonical(g["H1"] @ g["P2"] @ g["CNOT12"] @ g["H2"])]
+    identity = np.eye(4, dtype=complex)
+    elements = {canonical_key(identity): identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for h in gens:
+                v = canonical(h @ u)
+                k = canonical_key(v)
+                if k not in elements:
+                    elements[k] = v
+                    fresh.append(v)
+        frontier = fresh
+    group = generate_group(gens, max_size=960)
+    expected = np.array(list(elements.values()))
+    assert np.array_equal(np.array(group.elements).view(np.int64), expected.view(np.int64))
+
+
 def test_generate_group_pauli_from_xz():
     g = standard_gates()
     group = generate_group([g["X"], g["Z"]], max_size=8)
@@ -118,3 +176,62 @@ def test_load_rejects_corrupted_order(restricted_group, tmp_path):
         json.dump(data, fh)
     with pytest.raises(ContractViolationError):
         load_group(path)
+
+
+# sha256 of save_group's output, recorded before the closure was vectorised;
+# they also pin the element order
+GROUP_FILE_SHA256 = {
+    "clifford": "ed2ae91b2a1cfcf670b02f2230b9a12a1f62b098e745a63dc530ea1728abd4ac",
+    "restricted": "a90a516f8f0ce3ff0ddb0ba8aea4dfdc2c1e0a4bec20c0022550e45e1f573252",
+}
+
+
+@pytest.mark.parametrize("name", ["clifford", "restricted"])
+def test_group_file_golden(name, request, tmp_path):
+    group = request.getfixturevalue(f"{name}_group")
+    path = tmp_path / f"{name}.json"
+    save_group(group, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GROUP_FILE_SHA256[name]
+
+
+def test_save_group_matches_json_dump(restricted_group, tmp_path):
+    import json
+
+    path = tmp_path / "restricted.json"
+    save_group(restricted_group, path)
+    data = {
+        "format_version": 1,
+        "dim": 4,
+        "order": 960,
+        "generator_labels": restricted_group.generator_labels,
+        "elements": [
+            [[[z.real, z.imag] for z in row] for row in u] for u in restricted_group
+        ],
+    }
+    assert path.read_text() == json.dumps(data)
+
+
+def test_clifford_save_load_roundtrip(clifford_group, tmp_path):
+    path = tmp_path / "clifford.json"
+    save_group(clifford_group, path)
+    loaded = load_group(path, spot_checks=50, rng=3)
+    assert len(loaded) == 11520
+    assert loaded.generator_labels == clifford_group.generator_labels
+    # re-canonicalising moves entries by at most an ulp-scale amount
+    drift = np.array(loaded.elements) - np.array(clifford_group.elements)
+    assert np.max(np.abs(drift)) <= 1e-15
+    for u in clifford_group.elements[::997]:
+        assert u in loaded
+
+
+def test_load_rejects_non_closed_group(restricted_group, tmp_path):
+    import json
+
+    path = tmp_path / "half.json"
+    save_group(restricted_group, path)
+    data = json.loads(path.read_text())
+    data["elements"] = data["elements"][:480]
+    data["order"] = 480
+    path.write_text(json.dumps(data))
+    with pytest.raises(ContractViolationError):
+        load_group(path, spot_checks=50, rng=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import F3_SYMMETRIC
+from mubest.errors import ContractViolationError
 from mubest.mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
 from mubest.simulate import (
     SimConfig,
@@ -271,6 +272,13 @@ def test_equivalence_scan_random_exact_invariance(symmetric_triple, design960):
     assert sim_s is None
     with pytest.raises(ValueError):
         equivalence_scan_random(0, symmetric_triple, design960)
+
+
+def test_born_probabilities_reject_nan(symmetric_triple, design960):
+    states = np.array(design960.states)
+    states[2, 5] = np.nan
+    with pytest.raises(ContractViolationError):
+        _born_probabilities(symmetric_triple.basis_a, states)
 
 
 def test_random_subset_analysis(small_report, design960):
