@@ -37,11 +37,13 @@ from .groups import (
 )
 from .mub import mub_triple
 from .simulate import (
+    SAMPLERS,
     SimConfig,
     check_subset_request,
     equivalence_scan_phase,
     equivalence_scan_random,
     random_subset_analysis,
+    run_health,
     simulate_protocol,
 )
 
@@ -143,7 +145,8 @@ class ManifestWriter:
     def add(self, path):
         self.outputs.append(path)
 
-    def finalize(self):
+    def finalize(self, **fields):
+        """Write the manifest; `fields` are further entries outside the digest."""
         if not self.outputs:
             return
         manifest = {
@@ -154,6 +157,7 @@ class ManifestWriter:
             "output_sha256": {path: _file_sha256(path) for path in self.outputs},
             "tool_version": __version__,
             "manifest_hash": self.digest,
+            **fields,
             "wall_time_s": round(time.time() - self.t0, 3),
         }
         path = self.outputs[0] + ".manifest.json"
@@ -261,7 +265,8 @@ def cmd_fidelity(args):
 def cmd_simulate(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
     design = _load_or_build_design(args.design)
-    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks)
+    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
+                    sampler=args.sampler)
     triple = mub_triple(x, y, z)
     report = simulate_protocol(triple, design, cfg, mode=args.mode)
     print(f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
@@ -270,7 +275,8 @@ def cmd_simulate(args):
         mw = ManifestWriter(
             "simulate",
             {"x": x, "y": y, "z": z, "M": args.M, "blocks": args.blocks,
-             "design": args.design, "mode": args.mode, "out": args.out},
+             "design": args.design, "mode": args.mode, "sampler": args.sampler,
+             "out": args.out},
             seed=args.seed,
         )
         path = _resolve(args.out)
@@ -282,7 +288,8 @@ def cmd_simulate(args):
             ["block", "fidelity"],
             [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)],
         )
-        mw.finalize()
+        mw.finalize(numpy_version=np.__version__,
+                    health=run_health(report, design, args.mode))
     return EXIT_OK
 
 
@@ -315,15 +322,14 @@ def cmd_equivalence(args):
     if args.mode:
         mode = args.mode
     cfg = None if args.exact else SimConfig(
-        seed=args.seed, m_block=args.M, blocks=args.blocks
+        seed=args.seed, m_block=args.M, blocks=args.blocks, sampler=args.sampler
     )
-    mw = ManifestWriter(
-        "equivalence",
-        {"design": args.design, "mode": mode, "exact": args.exact,
-         "phi_grid": args.phi_grid, "n_unitaries": args.n_unitaries,
-         "out": args.out},
-        seed=args.seed,
-    )
+    parameters = {"design": args.design, "mode": mode, "exact": args.exact,
+                  "phi_grid": args.phi_grid, "n_unitaries": args.n_unitaries,
+                  "out": args.out}
+    if cfg is not None:  # an exact scan draws nothing
+        parameters["sampler"] = args.sampler
+    mw = ManifestWriter("equivalence", parameters, seed=args.seed)
     if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
         for phi, exact, sim, std in rows:
@@ -363,7 +369,8 @@ def cmd_subsets(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
     sizes = [int(s) for s in args.sizes.split(",")]
     design = _load_or_build_design(args.design)
-    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks)
+    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
+                    sampler=args.sampler)
     check_subset_request(sizes, args.trials, design.size)
     report = simulate_protocol(mub_triple(x, y, z), design, cfg)
     results = random_subset_analysis(
@@ -376,13 +383,22 @@ def cmd_subsets(args):
         mw = ManifestWriter(
             "subsets",
             {"x": x, "y": y, "z": z, "sizes": sizes, "trials": args.trials,
-             "M": args.M, "blocks": args.blocks, "out": args.out},
+             "M": args.M, "blocks": args.blocks, "sampler": args.sampler,
+             "out": args.out},
             seed=args.seed,
         )
         mw.write_csv(args.out, {"x": x, "y": y, "z": z, "trials": args.trials},
                      ["K", "mean", "std"], rows)
         mw.finalize()
     return EXIT_OK
+
+
+def _add_sampler_option(parser):
+    parser.add_argument(
+        "--sampler", choices=SAMPLERS, default="counts",
+        help="'counts': chained multinomials (stream version 2); 'draws': every "
+             "shot drawn (version 1, reproduces counts of earlier versions)",
+    )
 
 
 def build_parser():
@@ -440,6 +456,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--M", type=int, default=10000, help="repetitions per block")
     p.add_argument("--blocks", type=int, default=10)
+    _add_sampler_option(p)
     p.add_argument("--counts", action="store_true",
                    help="include the full outcome count table in the report")
     p.add_argument("--out", help="JSON report path")
@@ -455,6 +472,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--M", type=int, default=10000)
     p.add_argument("--blocks", type=int, default=10)
+    _add_sampler_option(p)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_equivalence)
 
@@ -469,6 +487,7 @@ def build_parser():
     p.add_argument("--subset-seed", type=int, default=0)
     p.add_argument("--M", type=int, default=10000)
     p.add_argument("--blocks", type=int, default=10)
+    _add_sampler_option(p)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_subsets)
     return parser

@@ -12,9 +12,9 @@ parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
 canonical forms agree.  The closure multiplies a whole breadth-first level by
 every generator in one batched matmul, checks every product for unitarity,
 and keys the level in one pass; new keys are taken in (frontier element,
-generator) order, the order of the nested loop.  Group files are written one
-element at a time through json.dumps, with the bytes of json.dump of the
-whole document.
+generator) order, the order of the nested loop.  Group files have the bytes
+of json.dump of the whole document, but each distinct float (491 of the
+Clifford group's 368,640) is formatted by repr, as json does, only once.
 """
 
 import json
@@ -26,6 +26,7 @@ from .linalg import check_unitary, kron
 
 KEY_GRID = 1e6
 MODULUS_FLOOR = 1e-8
+_SAVE_CHUNK = 1024  # group elements formatted per write
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,8 +194,9 @@ def stabilizer_of_state(group, psi, tol=1e-8):
 def save_group(group, path):
     """Write a group as a JSON list of matrices of [re, im] pairs.
 
-    The bytes are those of json.dump of the whole document; the elements are
-    streamed one at a time through json.dumps (the C encoder).
+    The bytes are those of json.dump of the whole document.  Elements are
+    written a chunk of `_SAVE_CHUNK` at a time: each distinct float of the
+    chunk is formatted once and the chunk's elements fill a fixed template.
     """
     header = json.dumps(
         {
@@ -204,11 +206,16 @@ def save_group(group, path):
             "generator_labels": group.generator_labels,
         }
     )
+    row = "[" + ", ".join(["[%s, %s]"] * group.dim) + "]"
+    element = "[" + ", ".join([row] * group.dim) + "]"
     with open(path, "w") as fh:
         fh.write(header[:-1] + ', "elements": [')
-        for i, u in enumerate(group):
-            pairs = np.ascontiguousarray(u).view(float).reshape(u.shape + (2,))
-            fh.write((", " if i else "") + json.dumps(pairs.tolist()))
+        for start in range(0, len(group), _SAVE_CHUNK):
+            chunk = np.array(group.elements[start:start + _SAVE_CHUNK])
+            distinct, index = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
+            text = [repr(v) for v in distinct.view(float).tolist()]  # json's float format
+            fields = tuple(map(text.__getitem__, index.tolist()))
+            fh.write((", " if start else "") + ", ".join([element] * len(chunk)) % fields)
         fh.write("]}")
 
 

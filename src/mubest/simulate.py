@@ -7,30 +7,42 @@ triple's own bases, so a unitarily transformed triple is scored correctly.
 Estimator densities come from `estimation.outcome_tables` (through
 `estimation_fidelity`); the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> is
 one contraction of them with the sampling design's states, for three copies
-and for two-copy reprocessing alike.  The sampler keeps its own Born
-probabilities (`_born_probabilities`), whose arithmetic fixes the CDF
-thresholds and so the sampled outcomes.
+and for two-copy reprocessing alike.
 
-Substreams.  The draws of measurement role r (0=A, 1=B, 2=C) for one (state,
-block) come from their own PCG64 stream, the one numpy builds as
-``PCG64(SeedSequence(entropy=seed, spawn_key=(r, param_key, state, block)))``,
-so results are reproducible and independent of execution order.  The sampler
-constructs no such objects: `_pcg64_states` replays SeedSequence's pool mixing
-and PCG64's seeding step as uint32 array arithmetic over a chunk of states and
-all blocks at once, and each derived state is loaded into one reused
-generator.  The tests check the derivation against numpy's constructors.
+Samplers.  `SimConfig.sampler` selects how the joint outcome counts are drawn.
+Both keep their own Born probabilities (`_born_probabilities`, whose
+arithmetic fixes the sampled outcomes) and key their streams on `_param_key`.
+
+- ``"counts"`` (the default, stream version 2).  The three measurements act
+  on separate copies, so a state's joint counts factor into three steps:
+  n_A ~ Multinomial(M, p_A); each A cell splits by Multinomial(n_a, p_B); each
+  AB cell splits by Multinomial(n_ab, p_C).  Each step is one broadcast
+  `Generator.multinomial` call over a chunk of `_STATE_CHUNK` states and all
+  blocks.  Role r (0=A, 1=B, 2=C) has one generator,
+  ``PCG64(SeedSequence(seed, spawn_key=(_COUNTS_STREAM, r, param_key)))``,
+  consumed in state order, so the counts do not depend on the chunk size.
+  numpy does not promise to keep `multinomial`'s stream across releases, so
+  the CLI records the numpy version next to the sampler.
+- ``"draws"`` (stream version 1, the only way to reproduce counts recorded
+  before version 2).  Every shot is drawn: the draws of role r for one
+  (state, block) come from their own PCG64 stream, the one numpy builds as
+  ``PCG64(SeedSequence(entropy=seed, spawn_key=(r, param_key, state, block)))``.
+  The sampler constructs no such objects: `_pcg64_states` replays
+  SeedSequence's pool mixing and PCG64's seeding step as uint32 array
+  arithmetic over a chunk of states and all blocks at once, and each derived
+  state is loaded into one reused generator.  The tests check the derivation
+  against numpy's constructors.  With cumulative Born probabilities
+  c0 <= c1 <= c2 of a 4-outcome measurement, a uniform u gives the outcome
+  (u > c0) + (u > c1) + (u > c2), the index searchsorted(c, u) would return;
+  the joint outcome 16a + 4b + c is accumulated in uint8 for all blocks of a
+  state at once.
 
 `_param_key` hashes the triple's angles (x, y, z), not its bases, on purpose:
 triples with equal angles, including unitarily or controlled-phase transformed
-ones, draw the same uniforms, which gives common random numbers across an
+ones, use the same streams, which gives common random numbers across an
 equivalence scan.  With share_ab_outcomes the keys of roles A and B depend
 only on their own angles (none for A, x for B), so triples sharing those bases
-share those outcome streams.
-
-Inverse CDF.  With cumulative Born probabilities c0 <= c1 <= c2 of a 4-outcome
-measurement, a uniform u gives the outcome (u > c0) + (u > c1) + (u > c2), the
-index searchsorted(c, u) would return; the joint outcome 16a + 4b + c is
-accumulated in uint8 for all blocks of a state at once.
+share those outcomes: the same A and AB counts under either sampler.
 """
 
 import hashlib
@@ -59,7 +71,9 @@ _MASK32 = (1 << 32) - 1
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-_STATE_CHUNK = 64  # states whose substreams are derived together
+_STATE_CHUNK = 64  # states sampled together
+_COUNTS_STREAM = 2  # spawn-key prefix of the counts sampler's streams
+SAMPLERS = ("counts", "draws")
 
 
 @dataclass(frozen=True)
@@ -68,6 +82,7 @@ class SimConfig:
     m_block: int = 10000
     blocks: int = 10
     share_ab_outcomes: bool = True
+    sampler: str = "counts"
 
     def __post_init__(self):
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
@@ -75,6 +90,8 @@ class SimConfig:
             raise ValueError("expected non-negative integer")
         if self.m_block < 1 or self.blocks < 1:
             raise ValueError("m_block and blocks must be >= 1")
+        if self.sampler not in SAMPLERS:
+            raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
 
 
 @dataclass
@@ -102,6 +119,7 @@ class SimReport:
             "m_block": self.config.m_block,
             "blocks": self.config.blocks,
             "share_ab_outcomes": self.config.share_ab_outcomes,
+            "sampler": self.config.sampler,
             "triple_params": list(self.triple_params),
             "mean_fidelity": self.mean_fidelity,
             "per_block_fidelities": self.per_block_fidelities.tolist(),
@@ -235,13 +253,38 @@ def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="match
     subsets) reuses without fresh sampling.
     """
     _, f_table = estimator_tables(triple, design, mode, estimator_source)
-    K, B = design.size, cfg.blocks
-    cdfs = [
-        np.cumsum(_born_probabilities(b, design.states), axis=1)[:, :3]
-        for b in triple.bases
-    ]
+    probs = [_born_probabilities(b, design.states) for b in triple.bases]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
+    sample = _multinomial_counts if cfg.sampler == "counts" else _drawn_counts
+    counts = sample(probs, param_keys, cfg)
+    return _scored_report(triple, cfg, counts, f_table, (4, 4, 4))
 
+
+def _multinomial_counts(probs, param_keys, cfg):
+    """(K, B, 64) counts from three chained multinomials (stream version 2)."""
+    K, B = probs[0].shape[0], cfg.blocks
+    generators = [
+        np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(_COUNTS_STREAM, role, key))
+        ))
+        for role, key in enumerate(param_keys)
+    ]
+    counts = np.empty((K, B, 64), dtype=np.int64)
+    for start in range(0, K, _STATE_CHUNK):
+        chunk = slice(start, min(start + _STATE_CHUNK, K))
+        n = np.full((chunk.stop - start, B), cfg.m_block, dtype=np.int64)
+        for generator, p in zip(generators, probs):
+            # each cell counted so far splits over this role's four outcomes
+            pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
+            n = generator.multinomial(n, pvals)
+        counts[chunk] = n.reshape(-1, B, 64)
+    return counts
+
+
+def _drawn_counts(probs, param_keys, cfg):
+    """(K, B, 64) counts from one substream per (role, state, block) (version 1)."""
+    K, B = probs[0].shape[0], cfg.blocks
+    cdfs = [np.cumsum(p, axis=1)[:, :3] for p in probs]
     bit_generator = np.random.PCG64()
     generator = np.random.Generator(bit_generator)
     u = np.empty((B, cfg.m_block))
@@ -271,14 +314,41 @@ def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="match
                     joint += above
             for block in range(B):
                 counts[state, block] = np.bincount(joint[block], minlength=64)
-    return _scored_report(triple, cfg, counts, f_table, (4, 4, 4))
+    return counts
+
+
+def _exact_shot_moments(triple, design, mode, estimator_source):
+    """(K,) mean and variance of one shot's tr(rho rhohat) under the exact Born
+    probabilities of each design state."""
+    _, f_table = estimator_tables(triple, design, mode, estimator_source)
+    joint = born_weights(triple_measurements(triple), design.states)
+    mean = (joint * f_table).sum(axis=1)
+    return mean, (joint * f_table**2).sum(axis=1) - mean**2
 
 
 def exact_protocol_fidelity(triple, design, mode="ideal", estimator_source="matched"):
     """Infinite-M limit: exact Born probabilities instead of sampled frequencies."""
-    _, f_table = estimator_tables(triple, design, mode, estimator_source)
-    joint = born_weights(triple_measurements(triple), design.states)
-    return float((joint * f_table).sum() / design.size)
+    mean, _ = _exact_shot_moments(triple, design, mode, estimator_source)
+    return float(mean.sum() / design.size)
+
+
+def run_health(report, design, mode="ideal", estimator_source="matched"):
+    """How far a run's mean lies from the exact F, in predicted standard deviations.
+
+    The standard deviation of the mean comes from the exact Born probabilities:
+    one block's variance is sum_k var_k / (K^2 M), and the mean averages B
+    blocks.  A std estimated from a few blocks is itself noisy, so this is the
+    yardstick for z = (F_sim - F_exact) / sigma.
+    """
+    mean, var = _exact_shot_moments(report.triple, design, mode, estimator_source)
+    cfg, K = report.config, design.size
+    exact = float(mean.sum() / K)
+    sigma = math.sqrt(max(float(var.sum()), 0.0) / (K**2 * cfg.m_block * cfg.blocks))
+    return {
+        "exact_fidelity": exact,
+        "predicted_std_of_mean": sigma,
+        "z": (report.mean_fidelity - exact) / sigma if sigma > 0 else 0.0,
+    }
 
 
 def reprocess_two_copy(report, pair, design, mode="ideal", estimator_source="matched"):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mubest.cli import (
@@ -16,7 +17,7 @@ from mubest.cli import (
 )
 from mubest.designs import load_design, optimize_design, save_design
 from mubest.mub import mub_triple
-from mubest.simulate import SimConfig, simulate_protocol
+from mubest.simulate import SimConfig, run_health, simulate_protocol
 
 
 @pytest.fixture
@@ -193,6 +194,50 @@ def test_simulate_report_bytes(outdir, small_design_file, counts):
                                SimConfig(seed=5, m_block=30, blocks=3))
     expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
     assert (outdir / "run.json").read_text() == expected
+
+
+def test_simulate_draws_sampler_writes_v1_counts(outdir, small_design_file):
+    argv = ["simulate", "--design", small_design_file, "--seed", "3", "--M", "40",
+            "--blocks", "2", "--sampler", "draws", "--counts", "--out", "run.json"]
+    assert main(argv) == EXIT_OK
+    half = math.pi / 2
+    v1 = simulate_protocol(mub_triple(half, half, half), load_design(small_design_file),
+                           SimConfig(seed=3, m_block=40, blocks=2, sampler="draws"))
+    report = json.loads((outdir / "run.json").read_text())
+    assert report["sampler"] == "draws"
+    assert np.array_equal(np.array(report["counts"]), v1.counts)
+
+
+def test_simulate_manifest_describes_run(outdir, small_design_file):
+    argv = ["simulate", "--design", small_design_file, "--seed", "4", "--M", "50",
+            "--blocks", "3", "--out", "run.json"]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((outdir / "run.json.manifest.json").read_text())
+    assert manifest["parameters"]["sampler"] == "counts"
+    assert manifest["numpy_version"] == np.__version__
+    half = math.pi / 2
+    design = load_design(small_design_file)
+    report = simulate_protocol(mub_triple(half, half, half), design,
+                               SimConfig(seed=4, m_block=50, blocks=3))
+    assert manifest["health"] == run_health(report, design)
+
+
+@pytest.mark.parametrize("argv", [
+    ["subsets", "--sizes", "10", "--trials", "2"],
+    ["equivalence", "--phi-grid", "0:pi:2"],
+])
+def test_sampler_recorded_for_sampled_commands(outdir, small_design_file, argv):
+    assert main(argv + ["--design", small_design_file, "--M", "10", "--blocks", "2",
+                        "--sampler", "draws", "--out", "out.csv"]) == EXIT_OK
+    manifest = json.loads((outdir / "out.csv.manifest.json").read_text())
+    assert manifest["parameters"]["sampler"] == "draws"
+
+
+def test_exact_equivalence_records_no_sampler(outdir, small_design_file):
+    assert main(["equivalence", "--design", small_design_file, "--exact",
+                 "--phi-grid", "0:pi:2", "--out", "eq.csv"]) == EXIT_OK
+    manifest = json.loads((outdir / "eq.csv.manifest.json").read_text())
+    assert "sampler" not in manifest["parameters"]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import F3_SYMMETRIC
 from mubest.errors import ContractViolationError
 from mubest.mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
 from mubest.simulate import (
+    SAMPLERS,
     SimConfig,
     _born_probabilities,
     _param_key,
@@ -18,6 +20,7 @@ from mubest.simulate import (
     exact_protocol_fidelity,
     random_subset_analysis,
     reprocess_two_copy,
+    run_health,
     simulate_protocol,
 )
 
@@ -25,23 +28,38 @@ HALF = math.pi / 2
 
 SMALL = SimConfig(seed=11, m_block=400, blocks=3)
 
-# sha256 of counts.tobytes() and the mean fidelity of two small runs, recorded
-# with the per-substream SeedSequence/PCG64 sampler this one replaced: the
-# sampled streams must never change for an existing seed.  The mean is checked
-# to 1e-12, the tolerance within which fidelities must stay, because scoring
-# arithmetic may sum in another order.
+# sha256 of counts.tobytes() and the mean fidelity of small runs: the sampled
+# streams must never change for an existing seed.  The mean is checked to
+# 1e-12, the tolerance within which fidelities must stay, because scoring
+# arithmetic may sum in another order.  The "draws" runs were recorded with the
+# per-substream SeedSequence/PCG64 sampler that stream version 1 replays.  The
+# "counts" runs pin stream version 2, which also depends on numpy keeping
+# Generator.multinomial's stream.
 GOLDEN_RUNS = [
     (
         (HALF, HALF, HALF),
-        SMALL,
+        SimConfig(seed=11, m_block=400, blocks=3, sampler="draws"),
         "14cd5debbdcb2ec38953fd41f5816aea3281dba889db3b3ce0ebefcebcbba750",
         0.5207395658426618,
     ),
     (
         (HALF, HALF, HALF / 2),
-        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
+        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False,
+                  sampler="draws"),
         "6b4173e9662b582a41e1f656c95be397729d8af106a314d40e6f4b0502cac230",
         0.5179342483842025,
+    ),
+    (
+        (HALF, HALF, HALF),
+        SMALL,
+        "af7fd24fbd2d0cac8857f34a0fb53a217b7734df71ae8f483ddfa7ef7802a5fc",
+        0.5206869983810062,
+    ),
+    (
+        (HALF, HALF, HALF / 2),
+        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
+        "385c378b3067d1c3913ecf7569c3f4d1476797b81d86bff75a9983e17aad1876",
+        0.5178408911946424,
     ),
 ]
 
@@ -83,6 +101,9 @@ def test_config_validation():
         SimConfig(seed=0, m_block=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, blocks=0)
+    with pytest.raises(ValueError, match="sampler"):
+        SimConfig(seed=0, sampler="x")
+    assert SimConfig(seed=0).sampler == "counts"
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
@@ -118,9 +139,67 @@ def reference_counts(triple, design, cfg):
 
 @pytest.mark.parametrize("share", [True, False])
 def test_counts_match_reference(haar_triple, design960, share):
-    cfg = SimConfig(seed=2**40 + 3, m_block=50, blocks=2, share_ab_outcomes=share)
+    cfg = SimConfig(seed=2**40 + 3, m_block=50, blocks=2, share_ab_outcomes=share,
+                    sampler="draws")
     report = simulate_protocol(haar_triple, design960, cfg)
     assert np.array_equal(report.counts, reference_counts(haar_triple, design960, cfg))
+
+
+def reference_multinomial_counts(triple, design, cfg):
+    """The counts sampler's contract written plainly: per role, one generator
+    keyed (2, role, param_key) and one multinomial call over all states and
+    blocks, each cell counted so far splitting over the role's outcomes."""
+    n = np.full((design.size, cfg.blocks), cfg.m_block)
+    for role, basis in enumerate(triple.bases):
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(2, role, _param_key(role, triple, cfg)))
+        p = _born_probabilities(basis, design.states)
+        n = np.random.default_rng(seq).multinomial(
+            n, p.reshape((design.size,) + (1,) * (n.ndim - 1) + (4,))
+        )
+    return n.reshape(design.size, cfg.blocks, 64)
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_multinomial_counts_match_reference(haar_triple, design960, share):
+    # 960 states span 15 chunks, so chunking must not change the streams
+    cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=3, share_ab_outcomes=share)
+    report = simulate_protocol(haar_triple, design960, cfg)
+    assert np.array_equal(
+        report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
+    )
+
+
+@pytest.fixture(scope="module")
+def full_report(symmetric_triple, design960):
+    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=5))
+
+
+def test_counts_goodness_of_fit(full_report, symmetric_triple, design960):
+    # pooled over blocks, each state's counts follow Multinomial(M B, p_A x p_B x p_C)
+    cfg = full_report.config
+    probs = [_born_probabilities(b, design960.states) for b in symmetric_triple.bases]
+    expected = cfg.m_block * cfg.blocks * np.einsum("ka,kb,kc->kabc", *probs).reshape(-1, 64)
+    assert expected.min() > 1  # every cell is populated, so all take part
+    observed = full_report.counts.sum(axis=1)
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    dof = expected.size - design960.size
+    assert abs(chi2 - dof) / math.sqrt(2 * dof) <= 5
+
+
+def test_full_run_mean_within_predicted_sigma(full_report, symmetric_triple, design960):
+    sigma = predicted_std_of_mean(symmetric_triple, design960, full_report.config)
+    assert abs(full_report.mean_fidelity - F3_SYMMETRIC) <= 5 * sigma
+
+
+def test_run_health_matches_prediction(full_report, symmetric_triple, design960):
+    health = run_health(full_report, design960)
+    sigma = predicted_std_of_mean(symmetric_triple, design960, full_report.config)
+    assert health["exact_fidelity"] == pytest.approx(F3_SYMMETRIC, abs=1e-12)
+    assert health["predicted_std_of_mean"] == pytest.approx(sigma, rel=1e-9)
+    assert health["z"] == pytest.approx(
+        (full_report.mean_fidelity - health["exact_fidelity"]) / sigma, rel=1e-6
+    )
+    assert abs(health["z"]) <= 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**128 + 7])
@@ -177,23 +256,29 @@ def test_std_of_mean_property(small_report):
     )
 
 
-def test_shared_ab_streams_across_z(design960, symmetric_triple, small_report):
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_shared_ab_streams_across_z(design960, sampler):
     # triples differing only in z reuse the A and B outcome streams, so the
     # marginal counts over the C outcome agree exactly
-    other = simulate_protocol(mub_triple(HALF, HALF, HALF / 2), design960, SMALL)
-    c1 = small_report.counts.reshape(-1, SMALL.blocks, 4, 4, 4)
-    c2 = other.counts.reshape(-1, SMALL.blocks, 4, 4, 4)
+    cfg = replace(SMALL, sampler=sampler)
+    c1, c2 = (
+        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
+        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
+        for z in (HALF, HALF / 2)
+    )
     assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
     assert not np.array_equal(c1, c2)
 
 
-def test_unshared_streams_differ(design960, symmetric_triple, small_report):
-    cfg = SimConfig(seed=11, m_block=400, blocks=3, share_ab_outcomes=False)
-    solo = simulate_protocol(
-        mub_triple(HALF, HALF, HALF / 2), design960, cfg
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_unshared_streams_differ(design960, sampler):
+    shared = replace(SMALL, sampler=sampler)
+    solo = replace(shared, share_ab_outcomes=False)
+    c1, c2 = (
+        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
+        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
+        for z, cfg in ((HALF, shared), (HALF / 2, solo))
     )
-    c1 = small_report.counts.reshape(-1, SMALL.blocks, 4, 4, 4)
-    c2 = solo.counts.reshape(-1, cfg.blocks, 4, 4, 4)
     assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
 
 
