@@ -256,30 +256,30 @@ def test_std_of_mean_property(small_report):
     )
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS)
-def test_shared_ab_streams_across_z(design960, sampler):
+def test_shared_ab_streams_across_z(design960):
     # triples differing only in z reuse the A and B outcome streams, so the
-    # marginal counts over the C outcome agree exactly
-    cfg = replace(SMALL, sampler=sampler)
-    c1, c2 = (
-        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
-        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
-        for z in (HALF, HALF / 2)
-    )
-    assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
-    assert not np.array_equal(c1, c2)
+    # marginal counts over the C outcome agree exactly, under either sampler
+    for sampler in SAMPLERS:
+        cfg = replace(SMALL, sampler=sampler)
+        c1, c2 = (
+            simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
+            .counts.reshape(-1, cfg.blocks, 4, 4, 4)
+            for z in (HALF, HALF / 2)
+        )
+        assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4)), sampler
+        assert not np.array_equal(c1, c2), sampler
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS)
-def test_unshared_streams_differ(design960, sampler):
-    shared = replace(SMALL, sampler=sampler)
-    solo = replace(shared, share_ab_outcomes=False)
-    c1, c2 = (
-        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
-        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
-        for z, cfg in ((HALF, shared), (HALF / 2, solo))
-    )
-    assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
+def test_unshared_streams_differ(design960):
+    for sampler in SAMPLERS:
+        shared = replace(SMALL, sampler=sampler)
+        solo = replace(shared, share_ab_outcomes=False)
+        c1, c2 = (
+            simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
+            .counts.reshape(-1, cfg.blocks, 4, 4, 4)
+            for z, cfg in ((HALF, shared), (HALF / 2, solo))
+        )
+        assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4)), sampler
 
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
