@@ -52,6 +52,8 @@ EXIT_IO = 2
 EXIT_TARGET = 3
 EXIT_VALIDATION = 4
 
+_WRITE_ENTRIES = 1 << 13  # counts formatted together by _write_report
+
 _ANGLE_RE = re.compile(r"^(?P<num>[+-]?[\d.]*)\s*pi\s*(?:/\s*(?P<den>[\d.]+))?$")
 
 
@@ -296,8 +298,11 @@ def cmd_simulate(args):
 def _write_report(path, report, include_counts):
     """The bytes of json.dump(report.to_dict(include_counts), indent=1).
 
-    The (K, B, 64) counts block is streamed one state at a time rather than
-    through the pure-Python encoder that indent selects.
+    The (K, B, outcomes) counts block bypasses the pure-Python encoder that
+    indent selects.  It is written a run of whole states at a time, about
+    `_WRITE_ENTRIES` counts: the run's ints fill a fixed template of `%d`
+    fields in one formatting pass, which gives json's text for each int.  No
+    temporary grows with M or with the whole table.
     """
     text = json.dumps(report.to_dict(), indent=1)
     with open(path, "w") as fh:
@@ -305,12 +310,14 @@ def _write_report(path, report, include_counts):
             fh.write(text)
             return
         fh.write(text[:-2] + ',\n "counts": [')
-        for k, state in enumerate(report.counts):
-            blocks = ",\n".join(
-                "   [\n    " + ",\n    ".join(map(str, row)) + "\n   ]"
-                for row in state.tolist()
-            )
-            fh.write(("," if k else "") + "\n  [\n" + blocks + "\n  ]")
+        K, blocks, outcomes = report.counts.shape
+        block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
+        state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
+        step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
+        for start in range(0, K, step):
+            chunk = report.counts[start:start + step]
+            template = ",".join([state] * len(chunk))
+            fh.write(("," if start else "") + template % tuple(chunk.ravel().tolist()))
         fh.write("\n ]\n}")
 
 
@@ -327,8 +334,10 @@ def cmd_equivalence(args):
     parameters = {"design": args.design, "mode": mode, "exact": args.exact,
                   "phi_grid": args.phi_grid, "n_unitaries": args.n_unitaries,
                   "out": args.out}
-    if cfg is not None:  # an exact scan draws nothing
+    sampled = {}  # manifest fields of a sampled scan; an exact scan draws nothing
+    if cfg is not None:
         parameters["sampler"] = args.sampler
+        sampled["numpy_version"] = np.__version__
     mw = ManifestWriter("equivalence", parameters, seed=args.seed)
     if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
@@ -338,7 +347,7 @@ def cmd_equivalence(args):
         if args.out:
             mw.write_csv(args.out, {"mode": mode},
                          ["phi", "exact_F", "simulated_F", "std"], rows)
-            mw.finalize()
+            mw.finalize(**sampled)
     else:
         exact_s, sim_s = equivalence_scan_random(
             args.n_unitaries, base, design, cfg, mode=mode,
@@ -361,7 +370,7 @@ def cmd_equivalence(args):
                 ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
                 rows,
             )
-            mw.finalize()
+            mw.finalize(**sampled)
     return EXIT_OK
 
 
@@ -389,7 +398,7 @@ def cmd_subsets(args):
         )
         mw.write_csv(args.out, {"x": x, "y": y, "z": z, "trials": args.trials},
                      ["K", "mean", "std"], rows)
-        mw.finalize()
+        mw.finalize(numpy_version=np.__version__)
     return EXIT_OK
 
 

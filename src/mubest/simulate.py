@@ -88,8 +88,10 @@ class SimConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError("expected non-negative integer")
-        if self.m_block < 1 or self.blocks < 1:
-            raise ValueError("m_block and blocks must be >= 1")
+        if self.m_block < 1:
+            raise ValueError("m_block must be >= 1")
+        if self.blocks < 2:
+            raise ValueError("blocks must be >= 2 for a std")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
 
@@ -227,18 +229,20 @@ def _pcg64_states(seed, spawn_key):
 
 
 def _scored_report(triple, cfg, counts, f_table, outcome_shape):
-    """Per-block and per-state fidelities of a (K, blocks, outcomes) count table."""
+    """Per-block and per-state fidelities of a (K, blocks, outcomes) count table.
+
+    The integer table goes to einsum as it is: einsum casts it to float in
+    its buffered iterator, so no float copy of the whole table is made.
+    """
     K = counts.shape[0]
-    per_block = (
-        np.einsum("kbo,ko->b", counts.astype(float), f_table) / (K * cfg.m_block)
-    )
+    per_block = np.einsum("kbo,ko->b", counts, f_table) / (K * cfg.m_block)
     per_state = (counts.sum(axis=1) * f_table).sum(axis=1) / (cfg.m_block * cfg.blocks)
     return SimReport(
         config=cfg,
         triple=triple,
         mean_fidelity=float(per_block.mean()),
         per_block_fidelities=per_block,
-        std=float(per_block.std(ddof=1)) if cfg.blocks > 1 else 0.0,
+        std=float(per_block.std(ddof=1)),
         counts=counts,
         per_state_fidelity=per_state,
         outcome_shape=outcome_shape,

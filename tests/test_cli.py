@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from mubest.cli import (
     EXIT_OK,
     EXIT_TARGET,
     EXIT_VALIDATION,
+    _write_report,
     main,
     parse_angle,
     parse_angle_list,
 )
 from mubest.designs import load_design, optimize_design, save_design
 from mubest.mub import mub_triple
-from mubest.simulate import SimConfig, run_health, simulate_protocol
+from mubest.simulate import SimConfig, _scored_report, run_health, simulate_protocol
 
 
 @pytest.fixture
@@ -184,16 +186,49 @@ def test_simulate_command(outdir, capsys, small_design_file):
     assert (outdir / "run.json.manifest.json").exists()
 
 
-@pytest.mark.parametrize("counts", [True, False])
-def test_simulate_report_bytes(outdir, small_design_file, counts):
-    argv = ["simulate", "--design", small_design_file, "--seed", "5", "--M", "30",
-            "--blocks", "3", "--out", "run.json"]
+@pytest.fixture(scope="module")
+def design100_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("designs") / "k100.json"
+    save_design(optimize_design(100, 4, 4, seed=1, max_iters=400), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("design, M, blocks, sampler, counts", [
+    pytest.param("small_design_file", 30, 3, "counts", True, id="True"),
+    pytest.param("small_design_file", 30, 3, "counts", False, id="False"),
+    # counts in the millions: far above any table sized for small counts
+    pytest.param("small_design_file", 5_000_000, 2, "counts", True, id="large-M"),
+    # K = 100 states end the writer's runs of states with a partial one
+    pytest.param("design100_file", 30, 2, "counts", True, id="K-not-multiple-of-64"),
+    pytest.param("small_design_file", 30, 3, "draws", True, id="draws"),
+])
+def test_simulate_report_bytes(outdir, request, design, M, blocks, sampler, counts):
+    path = request.getfixturevalue(design)
+    argv = ["simulate", "--design", path, "--seed", "5", "--M", str(M),
+            "--blocks", str(blocks), "--sampler", sampler, "--out", "run.json"]
     assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
     half = math.pi / 2
-    report = simulate_protocol(mub_triple(half, half, half), load_design(small_design_file),
-                               SimConfig(seed=5, m_block=30, blocks=3))
+    report = simulate_protocol(mub_triple(half, half, half), load_design(path),
+                               SimConfig(seed=5, m_block=M, blocks=blocks, sampler=sampler))
     expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
     assert (outdir / "run.json").read_text() == expected
+
+
+def test_write_report_memory_is_bounded(tmp_path, rng):
+    # a quarter of the paper's table (K = 960, B = 10, M = 10^4): under
+    # tracemalloc every formatted count is a traced allocation
+    counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
+    half = math.pi / 2
+    report = _scored_report(mub_triple(half, half, half), SimConfig(seed=0),
+                            counts, rng.random((240, 64)), (4, 4, 4))
+    tracemalloc.start()
+    try:
+        _write_report(tmp_path / "run.json", report, include_counts=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < counts.nbytes / 2
+    assert np.array_equal(json.loads((tmp_path / "run.json").read_text())["counts"], counts)
 
 
 def test_simulate_draws_sampler_writes_v1_counts(outdir, small_design_file):
@@ -225,12 +260,15 @@ def test_simulate_manifest_describes_run(outdir, small_design_file):
 @pytest.mark.parametrize("argv", [
     ["subsets", "--sizes", "10", "--trials", "2"],
     ["equivalence", "--phi-grid", "0:pi:2"],
+    ["equivalence", "--n-unitaries", "2"],
 ])
 def test_sampler_recorded_for_sampled_commands(outdir, small_design_file, argv):
     assert main(argv + ["--design", small_design_file, "--M", "10", "--blocks", "2",
                         "--sampler", "draws", "--out", "out.csv"]) == EXIT_OK
     manifest = json.loads((outdir / "out.csv.manifest.json").read_text())
     assert manifest["parameters"]["sampler"] == "draws"
+    # numpy does not promise to keep multinomial's stream across releases
+    assert manifest["numpy_version"] == np.__version__
 
 
 def test_exact_equivalence_records_no_sampler(outdir, small_design_file):
@@ -238,6 +276,7 @@ def test_exact_equivalence_records_no_sampler(outdir, small_design_file):
                  "--phi-grid", "0:pi:2", "--out", "eq.csv"]) == EXIT_OK
     manifest = json.loads((outdir / "eq.csv.manifest.json").read_text())
     assert "sampler" not in manifest["parameters"]
+    assert "numpy_version" not in manifest
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +310,9 @@ def test_simulate_reproducible(outdir, capsys, small_design_file):
 def test_simulate_invalid_blocks(outdir, capsys):
     code = main(["simulate", "--blocks", "0", "--M", "10"])
     assert code == EXIT_VALIDATION
+    # one block gives no std: a zero error bar would claim perfect precision
+    assert main(["simulate", "--blocks", "1", "--M", "5"]) == EXIT_VALIDATION
+    assert "blocks must be >= 2 for a std" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "subsets"])

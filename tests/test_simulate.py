@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from mubest.simulate import (
     _born_probabilities,
     _param_key,
     _pcg64_states,
+    _scored_report,
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
@@ -101,6 +103,8 @@ def test_config_validation():
         SimConfig(seed=0, m_block=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, blocks=0)
+    with pytest.raises(ValueError, match="blocks must be >= 2 for a std"):
+        SimConfig(seed=0, blocks=1)
     with pytest.raises(ValueError, match="sampler"):
         SimConfig(seed=0, sampler="x")
     assert SimConfig(seed=0).sampler == "counts"
@@ -299,6 +303,24 @@ def test_to_dict_roundtrippable(small_report):
     back = json.loads(text)
     assert back["mean_fidelity"] == small_report.mean_fidelity
     assert len(back["per_block_fidelities"]) == SMALL.blocks
+
+
+def test_scored_report_does_not_copy_counts(rng):
+    # the paper's table: K = 960 states, B = 10 blocks, M = 10^4
+    cfg = SimConfig(seed=0)
+    counts = rng.multinomial(cfg.m_block, np.full(64, 1 / 64), size=(960, cfg.blocks))
+    f_table = rng.random((960, 64))
+    tracemalloc.start()
+    try:
+        report = _scored_report(mub_triple(HALF, HALF, HALF), cfg, counts, f_table,
+                                (4, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < counts.nbytes / 4  # a float copy of the table is counts.nbytes
+    # and the scores are those of the float table, bit for bit
+    expected = np.einsum("kbo,ko->b", counts.astype(float), f_table) / (960 * cfg.m_block)
+    assert np.array_equal(report.per_block_fidelities, expected)
 
 
 def test_reprocess_two_copy(small_report, design960):
