@@ -40,6 +40,7 @@ from .simulate import (
     SAMPLERS,
     SimConfig,
     check_subset_request,
+    check_unitary_count,
     equivalence_scan_phase,
     equivalence_scan_random,
     random_subset_analysis,
@@ -219,11 +220,11 @@ def cmd_design(args):
             K=args.K, d=4, t=4, seed=args.seed, max_iters=args.iters,
             step=args.step, target=args.target,
         )
-    phi4 = frame_potential(design, 4)
+    phi4 = frame_potential(design, design.t)  # both sources build t = 4 designs
     _, ratio = moment_operator(design, 4)
     print(f"K={design.size} phi4={phi4:.10f} symmetric_ratio={ratio:.6f}")
     if args.out:
-        save_design(design, _resolve(args.out))
+        save_design(design, _resolve(args.out), phi_t=phi4)
         mw.add(_resolve(args.out))
         mw.finalize()
     if args.subcommand == "optimize" and args.target is not None and phi4 > args.target:
@@ -323,6 +324,8 @@ def _write_report(path, report, include_counts):
 
 def cmd_equivalence(args):
     grid = parse_angle_list(args.phi_grid) if args.phi_grid else None
+    if grid is None:
+        check_unitary_count(args.n_unitaries)
     base = mub_triple(math.pi / 2, math.pi / 2, math.pi / 2)
     design = _load_or_build_design(args.design)
     mode = "empirical" if args.design not in (None, "clifford") else "ideal"

@@ -6,6 +6,7 @@ The Clifford-orbit construction starts from a product fiducial state whose
 second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,9 +16,10 @@ import numpy as np
 
 from .errors import DesignFormatError, InfeasibleDesignError
 from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
-from .linalg import TensorSpace, symmetric_dimension, symmetric_projector
+from .linalg import symmetric_dimension
 
 QUARTIC_SUM = 5.0 / 7.0
+_GRAM_ROWS = 64  # rows of the frame-potential table filled per product
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,28 @@ def default_design():
 
 
 def frame_potential(design, t):
-    """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}."""
+    """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}.
+
+    The K x K table of |<psi_j|psi_k>|^{2t} is filled `_GRAM_ROWS` rows at a
+    time, so the complex Gram matrix is never held whole, and summed as one
+    array: the same bits as the whole-matrix formula.  No block has a single
+    row unless K = 1, because a one-row product takes a vector-matrix path
+    that can round differently.
+    """
     if design.size == 0:
         raise ValueError("frame potential of an empty design")
     if t < 1:
         raise ValueError("t must be >= 1")
-    G = np.abs(design.states.conj().T @ design.states) ** 2
-    return float((G**t).sum()) / design.size**2
+    states = design.states
+    K = design.size
+    table = np.empty((K, K))
+    for start in range(0, max(K - 1, 1), _GRAM_ROWS):
+        stop = K if K - start <= _GRAM_ROWS + 1 else start + _GRAM_ROWS
+        rows = table[start:stop]
+        np.abs(states[:, start:stop].conj().T @ states, out=rows)
+        rows **= 2
+        rows **= t
+    return float(table.sum()) / K**2
 
 
 def frame_potential_gradient(states, t):
@@ -159,10 +176,19 @@ def frame_potential_gradient(states, t):
 
 @lru_cache(maxsize=None)
 def _symmetric_basis(d, t):
-    """Orthonormal columns spanning the symmetric subspace of (C^d)^{x t}."""
-    P, _ = symmetric_projector(TensorSpace(d, t))
-    w, v = np.linalg.eigh(P)
-    return v[:, w > 0.5]
+    """Orthonormal columns spanning the symmetric subspace of (C^d)^{x t}.
+
+    One column per type class (occupation numbers of the d levels): the
+    uniform superposition, 1/sqrt(class size) each, of the basis words
+    i_1 ... i_t of that type.
+    """
+    classes = {}
+    for index, word in enumerate(itertools.product(range(d), repeat=t)):
+        classes.setdefault(tuple(sorted(word)), []).append(index)
+    basis = np.zeros((d**t, len(classes)))
+    for column, members in enumerate(classes.values()):
+        basis[members, column] = 1.0 / math.sqrt(len(members))
+    return basis
 
 
 def moment_operator(design, t):
@@ -206,8 +232,7 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
     V /= np.linalg.norm(V, axis=0)
 
     def phi(states):
-        G = np.abs(states.conj().T @ states) ** 2
-        return float((G**t).sum()) / K**2
+        return frame_potential(StateDesign(dim=d, t=t, states=states), t)
 
     f = phi(V)
     eta = step
@@ -248,27 +273,34 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
 # ---------------------------------------------------------------------------
 # design files: JSON (structured) and CSV (flat) renderings
 
-def _header(design):
+def _header(design, phi_t):
     return {
         "format_version": 1,
         "dim": design.dim,
         "t": design.t,
         "K": design.size,
         "provenance": design.provenance,
-        "phi_t": frame_potential(design, design.t),
+        "phi_t": phi_t,
     }
 
 
-def save_design(design, path):
+def save_design(design, path, phi_t=None):
+    """Write a design as JSON, or as CSV if path ends in .csv.
+
+    phi_t is the design's frame potential at design.t, recorded in the
+    header; it is computed here unless the caller already has it.
+    """
     path = str(path)
+    if phi_t is None:
+        phi_t = frame_potential(design, design.t)
     if path.endswith(".csv"):
-        _save_csv(design, path)
+        _save_csv(design, path, phi_t)
     else:
-        _save_json(design, path)
+        _save_json(design, path, phi_t)
 
 
-def _save_json(design, path):
-    data = _header(design)
+def _save_json(design, path, phi_t):
+    data = _header(design, phi_t)
     data["metadata"] = {
         k: v for k, v in design.metadata.items() if _json_safe(v)
     }
@@ -280,8 +312,8 @@ def _save_json(design, path):
         json.dump(data, fh, indent=1)
 
 
-def _save_csv(design, path):
-    hdr = _header(design)
+def _save_csv(design, path, phi_t):
+    hdr = _header(design, phi_t)
     with open(path, "w") as fh:
         for k, v in hdr.items():
             fh.write(f"# {k}={v}\n")

@@ -9,14 +9,16 @@ separates distinct elements with huge margin while absorbing float drift.
 Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
 the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
 parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
-canonical forms agree.  The closure multiplies a whole breadth-first level by
-every generator in one batched matmul, checks every product for unitarity,
-and keys the level in one pass; new keys are taken in (frontier element,
-generator) order, the order of the nested loop.  Group files have the bytes
-of json.dump of the whole document, but each distinct float (491 of the
-Clifford group's 368,640) is formatted by repr, as json does, only once.
+canonical forms agree.  The closure multiplies a block of a breadth-first
+level by every generator in one batched matmul, checks every product for
+unitarity, and keys the block in one pass; new keys are taken in (frontier
+element, generator) order, the order of the nested loop.  Group files have
+the bytes of json.dump of the whole document, but each distinct float (491
+of the Clifford group's 368,640) is formatted by repr, as json does, only
+once.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -26,6 +28,7 @@ from .linalg import check_unitary, kron
 
 KEY_GRID = 1e6
 MODULUS_FLOOR = 1e-8
+_CLOSURE_CHUNK = 256  # frontier elements multiplied by the generators at a time
 _SAVE_CHUNK = 1024  # group elements formatted per write
 
 I2 = np.eye(2, dtype=complex)
@@ -119,11 +122,13 @@ class UnitaryGroup:
 def generate_group(generators, max_size, generator_labels=()):
     """Breadth-first closure of the generators under left multiplication.
 
-    Each level is one stacked product g @ u over (frontier element u,
-    generator g), canonicalised and keyed in one pass; new keys are taken in
+    Each level is multiplied by the generators `_CLOSURE_CHUNK` frontier
+    elements at a time: one stacked product g @ u over (frontier element u,
+    generator g), canonicalised and keyed in one pass.  New keys are taken in
     that order, so the element order is that of the nested loop.  Every
-    product is checked for unitarity.  Raises GroupSizeError if the closure
-    would exceed max_size (a symptom of wrong generators or a broken
+    product is checked for unitarity.  The group's elements are views of the
+    levels, not a copy of them.  Raises GroupSizeError if the closure would
+    exceed max_size (a symptom of wrong generators or a broken
     canonicalization grid).
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
@@ -132,19 +137,21 @@ def generate_group(generators, max_size, generator_labels=()):
     keys = {canonical_key(frontier[0]): 0}
     levels = [frontier]
     while len(frontier):
-        products = canonicalize_phases(
-            np.matmul(gens[None], frontier[:, None]).reshape(-1, dim, dim)
-        )
         fresh = []
-        for i, k in enumerate(canonical_keys(products).tolist()):
-            if k not in keys:
-                if len(keys) >= max_size:
-                    raise GroupSizeError(f"group closure exceeded max_size={max_size}")
-                keys[k] = len(keys)
-                fresh.append(i)
-        frontier = products[fresh]
+        for start in range(0, len(frontier), _CLOSURE_CHUNK):
+            block = frontier[start:start + _CLOSURE_CHUNK, None]
+            products = canonicalize_phases(np.matmul(gens[None], block).reshape(-1, dim, dim))
+            new = []
+            for i, k in enumerate(canonical_keys(products).tolist()):
+                if k not in keys:
+                    if len(keys) >= max_size:
+                        raise GroupSizeError(f"group closure exceeded max_size={max_size}")
+                    keys[k] = len(keys)
+                    new.append(i)
+            fresh.append(products[new])
+        frontier = np.concatenate(fresh)
         levels.append(frontier)
-    return UnitaryGroup(np.concatenate(levels), generator_labels, keys)
+    return UnitaryGroup(itertools.chain.from_iterable(levels), generator_labels, keys)
 
 
 def clifford_group_2q():

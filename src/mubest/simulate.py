@@ -402,7 +402,7 @@ def _summary(values, reference):
         maximal=float(values.max()),
         minimal=float(values.min()),
         average=float(values.mean()),
-        std=float(values.std(ddof=1)) if values.size > 1 else 0.0,
+        std=float(values.std(ddof=1)),
         max_deviation=float(np.max(np.abs(values - reference))),
     )
 
@@ -421,8 +421,7 @@ def equivalence_scan_random(
     Returns (exact_summary, simulated_summary or None); deviations are with
     respect to the untransformed triple's exact fidelity in the same mode.
     """
-    if n_unitaries < 1:
-        raise ValueError("n_unitaries must be >= 1")
+    check_unitary_count(n_unitaries)
     rng = np.random.default_rng(unitary_seed)
     reference = triple_fidelity(base_triple, mode, design, estimator_source)
     exact_vals, sim_vals = [], []
@@ -436,6 +435,12 @@ def equivalence_scan_random(
     exact_summary = _summary(exact_vals, reference)
     sim_summary = _summary(sim_vals, reference) if sim_vals else None
     return exact_summary, sim_summary
+
+
+def check_unitary_count(n_unitaries):
+    """ValueError unless n_unitaries >= 2, the fewest values that give a std."""
+    if n_unitaries < 2:
+        raise ValueError("n_unitaries must be >= 2 for a std")
 
 
 def check_subset_request(subset_sizes, trials, K):

@@ -17,7 +17,13 @@ from mubest.cli import (
     parse_angle,
     parse_angle_list,
 )
-from mubest.designs import load_design, optimize_design, save_design
+from mubest.designs import (
+    default_design,
+    frame_potential,
+    load_design,
+    optimize_design,
+    save_design,
+)
 from mubest.mub import mub_triple
 from mubest.simulate import SimConfig, _scored_report, run_health, simulate_protocol
 
@@ -127,6 +133,40 @@ def test_design_infeasible(outdir, capsys):
     code = main(["design", "optimize", "--K", "10"])
     assert code == EXIT_TARGET
     assert "error" in capsys.readouterr().err
+
+
+# sha256 of the design files, recorded before the frame potential was row-blocked
+DESIGN_FILE_SHA256 = {
+    "clifford": "81e7f720a1a99c1bc3e61feeac79bb9e4998e3e3eeff77dea0393029ec8051f4",
+    "optimize": "7c60e831bc5ccf84f04b77b26a3ba141d5762cb69c401d0601908b518a0ba8ed",
+}
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["design", "clifford"], "K=960 phi4=0.0285714286 symmetric_ratio=1.000000\n"),
+    (["design", "optimize", "--K", "200", "--seed", "0", "--target", "0.0287"],
+     "K=200 phi4=0.0286964302 symmetric_ratio=0.782122\n"),
+])
+def test_design_file_golden(outdir, capsys, argv, stdout):
+    assert main(argv + ["--out", "d.json"]) == EXIT_OK
+    assert capsys.readouterr().out == stdout
+    digest = hashlib.sha256((outdir / "d.json").read_bytes()).hexdigest()
+    assert digest == DESIGN_FILE_SHA256[argv[1]]
+
+
+def test_design_evaluates_frame_potential_once(outdir, monkeypatch):
+    calls = []
+
+    def counted(design, t):
+        calls.append(t)
+        return frame_potential(design, t)
+
+    monkeypatch.setattr("mubest.cli.frame_potential", counted)
+    monkeypatch.setattr("mubest.designs.frame_potential", counted)
+    assert main(["design", "clifford", "--out", "d.json"]) == EXIT_OK
+    assert calls == [4]
+    assert load_design(outdir / "d.json").metadata["phi_t"] == frame_potential(
+        default_design(), 4)
 
 
 def test_fidelity_command_csv(outdir, capsys):
@@ -368,6 +408,19 @@ def test_subsets_validates_before_sampling(outdir, capsys, monkeypatch, extra):
     monkeypatch.setattr("mubest.cli.simulate_protocol", fail)
     assert main(["subsets"] + extra) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [["--exact"], ["--M", "10", "--blocks", "2"]])
+def test_equivalence_single_unitary_rejected(outdir, capsys, monkeypatch, extra):
+    def fail(*args, **kwargs):
+        raise AssertionError("built the design before validating")
+
+    monkeypatch.setattr("mubest.cli._load_or_build_design", fail)
+    code = main(["equivalence", "--n-unitaries", "1", "--out", "eq.csv"] + extra)
+    assert code == EXIT_VALIDATION
+    # one unitary gives no std: a zero would claim perfect precision
+    assert capsys.readouterr().err == "error: n_unitaries must be >= 2 for a std\n"
+    assert list(outdir.iterdir()) == []
 
 
 def test_manifest_records_output_hashes(outdir, small_design_file):

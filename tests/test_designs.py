@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mubest.designs
 from mubest.designs import (
     StateDesign,
+    _symmetric_basis,
     angles_to_bloch,
     bloch_to_state,
     default_design,
@@ -22,7 +25,7 @@ from mubest.designs import (
     save_design,
 )
 from mubest.errors import DesignFormatError, InfeasibleDesignError
-from mubest.linalg import symmetric_dimension
+from mubest.linalg import TensorSpace, symmetric_dimension, symmetric_projector
 
 
 def quartic_sum(r):
@@ -129,6 +132,66 @@ def test_frame_potential_bound_random(rng):
         d = StateDesign(dim=4, t=4, states=V)
         for t in range(1, 5):
             assert frame_potential(d, t) >= 1.0 / symmetric_dimension(4, t) - 1e-12
+
+
+def whole_gram_frame_potential(design, t):
+    """The frame potential from the whole complex Gram matrix at once."""
+    G = np.abs(design.states.conj().T @ design.states) ** 2
+    return float((G**t).sum()) / design.size**2
+
+
+@pytest.fixture(scope="module")
+def design200():
+    return optimize_design(K=200, d=4, t=4, seed=0, target=0.0287)
+
+
+@pytest.mark.parametrize("rows", [2, 7, mubest.designs._GRAM_ROWS])
+def test_frame_potential_same_bits_as_whole_gram(design960, design200, rng, monkeypatch,
+                                                 rows):
+    monkeypatch.setattr(mubest.designs, "_GRAM_ROWS", rows)
+    designs = [design960, design200]
+    for K in range(1, 201):  # every remainder of the row blocks
+        V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
+        designs.append(StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0)))
+    for design in designs:
+        for t in range(1, 5):
+            assert frame_potential(design, t) == whole_gram_frame_potential(design, t)
+
+
+def test_frame_potential_memory_is_bounded(design960):
+    K = design960.size
+    tracemalloc.start()
+    try:
+        frame_potential(design960, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float K x K table plus one block of rows; the complex Gram is 2 K^2 8
+    assert peak < 1.5 * K * K * 8
+
+
+def test_optimizer_iterations_at_k200(design200):
+    assert design200.metadata["iterations"] == 35
+    assert design200.metadata["reached_target"]
+    assert design200.metadata["phi_t"] == frame_potential(design200, 4)
+
+
+def test_symmetric_basis_spans_symmetric_subspace():
+    basis = _symmetric_basis(4, 4)
+    P, _ = symmetric_projector(TensorSpace(4, 4))
+    assert basis.shape == (256, symmetric_dimension(4, 4))
+    assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-14
+    assert np.max(np.abs(basis @ basis.T - P)) <= 1e-14
+
+
+def test_moment_ratio_matches_eigh_basis(design960, design200):
+    P, _ = symmetric_projector(TensorSpace(4, 4))
+    w, v = np.linalg.eigh(P)
+    eigh_basis = v[:, w > 0.5]
+    for design in (design960, design200):
+        M, ratio = moment_operator(design, 4)
+        ws = np.linalg.eigvalsh(eigh_basis.conj().T @ M @ eigh_basis)
+        assert abs(ratio - ws[0] / ws[-1]) <= 1e-12
 
 
 def test_clifford_design_saturates_through_t4(design960):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mubest.errors import ContractViolationError, GroupSizeError
 from mubest.groups import (
     canonical_key,
     canonicalize_phase,
+    clifford_group_2q,
     generate_group,
     load_group,
     pauli_group_projective,
@@ -235,3 +237,15 @@ def test_load_rejects_non_closed_group(restricted_group, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ContractViolationError):
         load_group(path, spot_checks=50, rng=0)
+
+
+def test_closure_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        group = clifford_group_2q()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 11520
+    # stacking a whole level's products at once peaked at 24 MB
+    assert peak < 12e6

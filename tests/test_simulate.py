@@ -381,6 +381,13 @@ def test_equivalence_scan_random_exact_invariance(symmetric_triple, design960):
         equivalence_scan_random(0, symmetric_triple, design960)
 
 
+def test_equivalence_scan_random_needs_two_unitaries(symmetric_triple, design960):
+    # one unitary gives no std: a zero would claim perfect precision
+    for cfg in (None, SMALL):
+        with pytest.raises(ValueError, match="n_unitaries must be >= 2 for a std"):
+            equivalence_scan_random(1, symmetric_triple, design960, cfg)
+
+
 def test_born_probabilities_reject_nan(symmetric_triple, design960):
     states = np.array(design960.states)
     states[2, 5] = np.nan
