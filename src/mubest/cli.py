@@ -356,17 +356,13 @@ def cmd_equivalence(args):
             args.n_unitaries, base, design, cfg, mode=mode,
             unitary_seed=args.seed,
         )
-        rows = [("exact", exact_s.maximal, exact_s.minimal, exact_s.average,
-                 exact_s.std, exact_s.max_deviation)]
-        print(f"exact: max={exact_s.maximal:.6f} min={exact_s.minimal:.6f}"
-              f" avg={exact_s.average:.6f} std={exact_s.std:.6f}"
-              f" max_dev={exact_s.max_deviation:.6f}")
-        if sim_s is not None:
-            rows.append(("simulated", sim_s.maximal, sim_s.minimal, sim_s.average,
-                         sim_s.std, sim_s.max_deviation))
-            print(f"simulated: max={sim_s.maximal:.6f} min={sim_s.minimal:.6f}"
-                  f" avg={sim_s.average:.6f} std={sim_s.std:.6f}"
-                  f" max_dev={sim_s.max_deviation:.6f}")
+        rows = []
+        for kind, s in (("exact", exact_s), ("simulated", sim_s)):
+            if s is None:
+                continue
+            rows.append((kind, s.maximal, s.minimal, s.average, s.std, s.max_deviation))
+            print(f"{kind}: max={s.maximal:.6f} min={s.minimal:.6f} avg={s.average:.6f}"
+                  f" std={s.std:.6f} max_dev={s.max_deviation:.6f}")
         if args.out:
             mw.write_csv(
                 args.out, {"n_unitaries": args.n_unitaries, "mode": mode},

@@ -227,6 +227,10 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
         )
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
     V /= np.linalg.norm(V, axis=0)
@@ -339,6 +343,23 @@ def load_design(path):
     return _load_json(path)
 
 
+def _count_field(path, key, value):
+    """A header count (dim, t or K): an int >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DesignFormatError(f"{path}: '{key}' must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _json_row(path, i, record):
+    """State i of a JSON design file as a list of floats."""
+    try:
+        if isinstance(record, list) and not any(isinstance(x, bool) for x in record):
+            return [float(x) for x in record]
+    except (TypeError, ValueError):
+        pass
+    raise DesignFormatError(f"{path}: state {i} is not a list of floats")
+
+
 def _states_from_rows(rows, dim):
     states = []
     for i, row in enumerate(rows):
@@ -360,13 +381,14 @@ def _load_json(path):
             raise DesignFormatError(f"{path}: missing field '{key}'")
     if data["format_version"] != 1:
         raise DesignFormatError(f"unsupported format_version {data['format_version']}")
-    rows = [[float(x) for x in rec] for rec in data["states"]]
-    if len(rows) != data["K"]:
-        raise DesignFormatError(f"expected K={data['K']} states, found {len(rows)}")
+    dim, t, K = (_count_field(path, key, data[key]) for key in ("dim", "t", "K"))
+    rows = [_json_row(path, i, record) for i, record in enumerate(data["states"])]
+    if len(rows) != K:
+        raise DesignFormatError(f"expected K={K} states, found {len(rows)}")
     design = StateDesign(
-        dim=data["dim"],
-        t=data["t"],
-        states=_states_from_rows(rows, data["dim"]),
+        dim=dim,
+        t=t,
+        states=_states_from_rows(rows, dim),
         provenance=data.get("provenance", "file"),
         metadata=dict(data.get("metadata", {}), phi_t=data.get("phi_t")),
     )
@@ -394,7 +416,10 @@ def _load_csv(path):
     for key in ("dim", "t", "K"):
         if key not in header:
             raise DesignFormatError(f"{path}: missing header field '{key}'")
-    dim, t, K = int(header["dim"]), int(header["t"]), int(header["K"])
+    dim, t, K = (
+        _count_field(path, key, int(header[key]) if header[key].isdecimal() else header[key])
+        for key in ("dim", "t", "K")
+    )
     if len(rows) != K:
         raise DesignFormatError(f"expected K={K} states, found {len(rows)}")
     design = StateDesign(

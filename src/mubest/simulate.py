@@ -25,17 +25,13 @@ arithmetic fixes the sampled outcomes) and key their streams on `_param_key`.
   the CLI records the numpy version next to the sampler.
 - ``"draws"`` (stream version 1, the only way to reproduce counts recorded
   before version 2).  Every shot is drawn: the draws of role r for one
-  (state, block) come from their own PCG64 stream, the one numpy builds as
-  ``PCG64(SeedSequence(entropy=seed, spawn_key=(r, param_key, state, block)))``.
-  The sampler constructs no such objects: `_pcg64_states` replays
-  SeedSequence's pool mixing and PCG64's seeding step as uint32 array
-  arithmetic over a chunk of states and all blocks at once, and each derived
-  state is loaded into one reused generator.  The tests check the derivation
-  against numpy's constructors.  With cumulative Born probabilities
-  c0 <= c1 <= c2 of a 4-outcome measurement, a uniform u gives the outcome
-  (u > c0) + (u > c1) + (u > c2), the index searchsorted(c, u) would return;
-  the joint outcome 16a + 4b + c is accumulated in uint8 for all blocks of a
-  state at once.
+  (state, block) come from their own generator, built with numpy's
+  constructors as
+  ``PCG64(SeedSequence(seed, spawn_key=(r, param_key, state, block)))``.
+  With cumulative Born probabilities c0 <= c1 <= c2 of a 4-outcome
+  measurement, a uniform u gives the outcome (u > c0) + (u > c1) + (u > c2),
+  the index searchsorted(c, u) would return; the joint outcome 16a + 4b + c
+  is accumulated in uint8 for all blocks of a state at once.
 
 `_param_key` hashes the triple's angles (x, y, z), not its bases, on purpose:
 triples with equal angles, including unitarily or controlled-phase transformed
@@ -61,16 +57,6 @@ from .estimation import (
 )
 from .mub import MubTriple, controlled_phase, haar_random_unitary, transform_triple
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = (1 << 32) - 1
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _STATE_CHUNK = 64  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the counts sampler's streams
 SAMPLERS = ("counts", "draws")
@@ -174,60 +160,6 @@ def _param_key(role, triple, cfg):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def _pcg64_states(seed, spawn_key):
-    """(state, inc) of PCG64(SeedSequence(entropy=seed, spawn_key=spawn_key)).
-
-    `seed` is a non-negative int; each spawn-key entry is an int below 2**32 or
-    an array of them, and the entries broadcast together.  Returns two object
-    arrays of Python ints with the broadcast shape.
-    """
-    seed = int(seed)
-    # SeedSequence splits the seed into little-endian 32-bit words and, for a
-    # spawned sequence, pads them with zeros to the pool size
-    run = [(seed >> 32 * i) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    run += [0] * (_POOL_SIZE - len(run))
-    shape = np.broadcast_shapes(*(np.shape(k) for k in spawn_key))
-    entropy = [np.full(shape, word, dtype=np.uint32) for word in run]
-    entropy += [np.broadcast_to(np.asarray(k, dtype=np.uint32), shape) for k in spawn_key]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const  # uint32 arithmetic wraps mod 2**32
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, np.uint64): eight words, paired little-endian
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        words.append((value ^ value >> _XSHIFT).astype(np.uint64))
-    u64 = [(words[i] | words[i + 1] << 32).astype(object) for i in range(0, 8, 2)]
-
-    # pcg64_set_seed: the first two words are initstate (high, low), the last two initseq
-    initstate = u64[0] << 64 | u64[1]
-    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return state, inc
-
-
 def _scored_report(triple, cfg, counts, f_table, outcome_shape):
     """Per-block and per-state fidelities of a (K, blocks, outcomes) count table.
 
@@ -289,35 +221,22 @@ def _drawn_counts(probs, param_keys, cfg):
     """(K, B, 64) counts from one substream per (role, state, block) (version 1)."""
     K, B = probs[0].shape[0], cfg.blocks
     cdfs = [np.cumsum(p, axis=1)[:, :3] for p in probs]
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
     u = np.empty((B, cfg.m_block))
     above = np.empty(u.shape, dtype=bool)
     joint = np.empty(u.shape, dtype=np.uint8)
     counts = np.empty((K, B, 64), dtype=np.int64)
-    for start in range(0, K, _STATE_CHUNK):
-        chunk = np.arange(start, min(start + _STATE_CHUNK, K))
-        streams = [
-            _pcg64_states(cfg.seed, (role, key, chunk[:, None], np.arange(B)))
-            for role, key in enumerate(param_keys)
-        ]
-        for i, state in enumerate(chunk):
-            joint.fill(0)
-            for role, (pcg_state, pcg_inc) in enumerate(streams):
-                for block in range(B):
-                    bit_generator.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": pcg_state[i, block], "inc": pcg_inc[i, block]},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
-                    generator.random(out=u[block])
-                joint *= 4
-                for threshold in cdfs[role][state]:
-                    np.greater(u, threshold, out=above)
-                    joint += above
+    for state in range(K):
+        joint.fill(0)
+        for role, key in enumerate(param_keys):
             for block in range(B):
-                counts[state, block] = np.bincount(joint[block], minlength=64)
+                seq = np.random.SeedSequence(cfg.seed, spawn_key=(role, key, state, block))
+                np.random.Generator(np.random.PCG64(seq)).random(out=u[block])
+            joint *= 4
+            for threshold in cdfs[role][state]:
+                np.greater(u, threshold, out=above)
+                joint += above
+        for block in range(B):
+            counts[state, block] = np.bincount(joint[block], minlength=64)
     return counts
 
 

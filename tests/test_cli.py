@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mubest
 from mubest.cli import (
     DEFAULT_Z_GRID,
     EXIT_IO,
@@ -127,6 +132,24 @@ def test_design_optimize_target_miss(outdir, capsys):
     )
     assert code == EXIT_TARGET
     assert "target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "-1"),
+    ("--target", "nan"), ("--target", "inf"),
+])
+def test_design_optimize_bad_step_or_target(tmp_path, option, value):
+    # a separate process with a timeout: a non-finite step once looped forever
+    env = dict(os.environ, MUBEST_OUTDIR=str(tmp_path),
+               PYTHONPATH=str(Path(mubest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mubest.cli", "design", "optimize", "--K", "40",
+         "--iters", "20", option, value, "--out", "d.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert f"{option[2:]} must be finite" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_infeasible(outdir, capsys):
@@ -336,6 +359,41 @@ def nan_design_file(tmp_path_factory):
 def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     assert main(argv + ["--design", nan_design_file]) == EXIT_IO
     assert "not unit norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix, field, value, message", [
+    ("json", "t", "4", "'t' must be an integer >= 1, got '4'"),
+    ("json", "dim", 4.0, "'dim' must be an integer >= 1, got 4.0"),
+    ("json", "t", True, "'t' must be an integer >= 1, got True"),
+    ("json", "K", "40", "'K' must be an integer >= 1, got '40'"),
+    ("json", "K", 0, "'K' must be an integer >= 1, got 0"),
+    ("json", "state", "abc", "state 3 is not a list of floats"),
+    ("json", "state", None, "state 3 is not a list of floats"),
+    ("csv", "t", "true", "'t' must be an integer >= 1, got 'true'"),
+    ("csv", "dim", "4.0", "'dim' must be an integer >= 1, got '4.0'"),
+    ("csv", "K", "0", "'K' must be an integer >= 1, got 0"),
+    ("csv", "state", "abc", "bad float"),
+])
+def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
+                                  value, message):
+    path = outdir / f"bad.{suffix}"
+    if suffix == "json":
+        data = json.loads(Path(small_design_file).read_text())
+        if field == "state":
+            data["states"][3][1] = value
+        else:
+            data[field] = value
+        path.write_text(json.dumps(data))
+    else:
+        save_design(load_design(small_design_file), path)
+        lines = path.read_text().splitlines()
+        lines = [f"# {field}={value}" if line.startswith(f"# {field}=") else line
+                 for line in lines]
+        if field == "state":
+            lines[-1] = value + lines[-1][lines[-1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+    assert main(["fidelity", "--mode", "empirical", "--design", str(path)]) == EXIT_IO
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_reproducible(outdir, capsys, small_design_file):
