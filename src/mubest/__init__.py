@@ -33,9 +33,7 @@ from .groups import (
 )
 from .linalg import (
     TensorSpace,
-    hermitian_eig,
     kron,
-    partial_trace_leading,
     permutation_operator,
     symmetric_projector,
 )

@@ -1,7 +1,8 @@
 """Command-line front end reproducing the theory tables and simulation runs.
 
-Each command writes its tabular output as CSV (12 significant digits,
-'#'-comment header) plus a JSON run manifest adjacent to the outputs.
+Each command returns a `Run`, which `main` prints and, under --out, writes:
+tabular output as CSV (12 significant digits, '#'-comment header) plus a
+JSON run manifest adjacent to the outputs.
 Angles accept plain radians or pi-fraction tokens like pi/2 or 3pi/8;
 grids use start:stop:count.  Exit codes: 0 ok, 2 usage/I-O, 3 numerical
 target not reached, 4 validation failure.
@@ -15,6 +16,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,38 +100,47 @@ def _outdir():
 
 
 def _resolve(path):
-    if path is None:
-        return None
     if os.path.isabs(path) or os.path.dirname(path):
         return path
     return os.path.join(_outdir(), path)
 
 
-class ManifestWriter:
-    def __init__(self, command, parameters, seed=None):
-        self.command = command
-        self.parameters = parameters
-        self.seed = seed
-        self.outputs = []
-        self.t0 = time.time()
+@dataclass
+class Run:
+    """What a command produced; `_finish` prints it and writes it to disk.
 
-    @property
-    def digest(self):
-        payload = json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "tool_version": __version__,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    `outputs` are (path, write) pairs: `write(path, digest)` writes one file,
+    `digest` being the manifest digest that CSV headers carry.  `fields` are
+    manifest entries outside the digest; `error` is (exit code, message).
+    """
 
-    def write_csv(self, path, header_fields, columns, rows):
-        path = _resolve(path)
+    lines: list
+    parameters: dict
+    outputs: list = field(default_factory=list)
+    fields: dict = field(default_factory=dict)
+    error: tuple = None
+
+
+def manifest_digest(command, parameters, seed):
+    """16 hex digits identifying a run's command, parameters, seed and tool version."""
+    payload = json.dumps(
+        {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "tool_version": __version__,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _csv(header_fields, columns, rows):
+    """A `write` for Run.outputs: a CSV table under a '#'-comment header."""
+
+    def write(path, digest):
         with open(path, "w") as fh:
-            fh.write(f"# manifest={self.digest}\n")
+            fh.write(f"# manifest={digest}\n")
             for k, v in header_fields.items():
                 fh.write(f"# {k}={v}\n")
             fh.write(",".join(columns) + "\n")
@@ -142,30 +153,8 @@ class ManifestWriter:
                     )
                     + "\n"
                 )
-        self.outputs.append(path)
-        return path
 
-    def add(self, path):
-        self.outputs.append(path)
-
-    def finalize(self, **fields):
-        """Write the manifest; `fields` are further entries outside the digest."""
-        if not self.outputs:
-            return
-        manifest = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "output_paths": self.outputs,
-            "output_sha256": {path: _file_sha256(path) for path in self.outputs},
-            "tool_version": __version__,
-            "manifest_hash": self.digest,
-            **fields,
-            "wall_time_s": round(time.time() - self.t0, 3),
-        }
-        path = self.outputs[0] + ".manifest.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=1)
+    return write
 
 
 def _file_sha256(path):
@@ -174,6 +163,37 @@ def _file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _finish(args, run, t0):
+    """Print `run`'s lines; under --out write its outputs and manifest; report its error."""
+    for line in run.lines:
+        print(line)
+    if args.out:
+        seed = getattr(args, "seed", None)
+        digest = manifest_digest(args.command, run.parameters, seed)
+        paths = []
+        for path, write in run.outputs:
+            paths.append(_resolve(path))
+            write(paths[-1], digest)
+        manifest = {
+            "command": args.command,
+            "parameters": run.parameters,
+            "seed": seed,
+            "output_paths": paths,
+            "output_sha256": {path: _file_sha256(path) for path in paths},
+            "tool_version": __version__,
+            "manifest_hash": digest,
+            **run.fields,
+            "wall_time_s": round(time.time() - t0, 3),
+        }
+        with open(paths[0] + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=1)
+    if run.error:
+        code, message = run.error
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 def _load_or_build_design(source):
@@ -193,26 +213,16 @@ def cmd_groups(args):
         "restricted": restricted_clifford_group_2q,
     }
     group = builders[args.which]()
-    print(f"order={len(group)}")
-    if args.out:
-        save_group(group, _resolve(args.out))
-    if len(group) != expected:
-        print(f"error: expected order {expected}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.out:
-        mw = ManifestWriter("groups", {"which": args.which, "out": args.out})
-        mw.add(_resolve(args.out))
-        mw.finalize()
-    return EXIT_OK
+    return Run(
+        [f"order={len(group)}"],
+        {"which": args.which, "out": args.out},
+        [(args.out, lambda path, digest: save_group(group, path))],
+        error=None if len(group) == expected else
+        (EXIT_VALIDATION, f"expected order {expected}"),
+    )
 
 
 def cmd_design(args):
-    mw = ManifestWriter(
-        "design",
-        {"subcommand": args.subcommand, "K": args.K, "iters": args.iters,
-         "target": args.target, "out": args.out},
-        seed=args.seed,
-    )
     if args.subcommand == "clifford":
         design = default_design()
     else:
@@ -222,16 +232,16 @@ def cmd_design(args):
         )
     phi4 = frame_potential(design, design.t)  # both sources build t = 4 designs
     _, ratio = moment_operator(design, 4)
-    print(f"K={design.size} phi4={phi4:.10f} symmetric_ratio={ratio:.6f}")
-    if args.out:
-        save_design(design, _resolve(args.out), phi_t=phi4)
-        mw.add(_resolve(args.out))
-        mw.finalize()
-    if args.subcommand == "optimize" and args.target is not None and phi4 > args.target:
-        print(f"error: phi4={phi4:.10f} did not reach target {args.target}",
-              file=sys.stderr)
-        return EXIT_TARGET
-    return EXIT_OK
+    missed = (args.subcommand == "optimize" and args.target is not None
+              and phi4 > args.target)
+    return Run(
+        [f"K={design.size} phi4={phi4:.10f} symmetric_ratio={ratio:.6f}"],
+        {"subcommand": args.subcommand, "K": args.K, "iters": args.iters,
+         "step": args.step, "target": args.target, "out": args.out},
+        [(args.out, lambda path, digest: save_design(design, path, phi_t=phi4))],
+        error=(EXIT_TARGET, f"phi4={phi4:.10f} did not reach target {args.target}")
+        if missed else None,
+    )
 
 
 def cmd_fidelity(args):
@@ -239,11 +249,6 @@ def cmd_fidelity(args):
     y_values = parse_angle_list(args.y_list)
     z_values = parse_angle_list(args.z_list)
     design = _load_or_build_design(args.design) if args.mode == "empirical" else None
-    mw = ManifestWriter(
-        "fidelity",
-        {"x": x, "y_list": y_values, "z_list": z_values, "mode": args.mode,
-         "copies": args.copies, "design": args.design, "out": args.out},
-    )
     if args.copies == 3:
         rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design,
                              estimator_source=args.estimator_source)
@@ -256,13 +261,15 @@ def cmd_fidelity(args):
                 f = estimation_fidelity([ms[i] for i in pair], args.mode, design,
                                         args.estimator_source).fidelity
                 rows.append((x, y, z, f))
-    for _, y, z, f in rows:
-        print(f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}")
-    if args.out:
-        mw.write_csv(args.out, {"mode": args.mode, "copies": args.copies},
-                     ["x", "y", "z", "F"], rows)
-        mw.finalize()
-    return EXIT_OK
+    return Run(
+        [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
+        {"x": x, "y_list": y_values, "z_list": z_values, "mode": args.mode,
+         "copies": args.copies, "pair": args.pair,
+         "estimator_source": args.estimator_source, "design": args.design,
+         "out": args.out},
+        [(args.out, _csv({"mode": args.mode, "copies": args.copies},
+                         ["x", "y", "z", "F"], rows))],
+    )
 
 
 def cmd_simulate(args):
@@ -270,30 +277,20 @@ def cmd_simulate(args):
     design = _load_or_build_design(args.design)
     cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
                     sampler=args.sampler)
-    triple = mub_triple(x, y, z)
-    report = simulate_protocol(triple, design, cfg, mode=args.mode)
-    print(f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
-          f" (block std {report.std:.6f})")
-    if args.out:
-        mw = ManifestWriter(
-            "simulate",
-            {"x": x, "y": y, "z": z, "M": args.M, "blocks": args.blocks,
-             "design": args.design, "mode": args.mode, "sampler": args.sampler,
-             "out": args.out},
-            seed=args.seed,
-        )
-        path = _resolve(args.out)
-        _write_report(path, report, args.counts)
-        mw.add(path)
-        blocks_csv = path + ".blocks.csv"
-        mw.write_csv(
-            blocks_csv, {"x": x, "y": y, "z": z},
-            ["block", "fidelity"],
-            [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)],
-        )
-        mw.finalize(numpy_version=np.__version__,
-                    health=run_health(report, design, args.mode))
-    return EXIT_OK
+    report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode)
+    return Run(
+        [f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
+         f" (block std {report.std:.6f})"],
+        {"x": x, "y": y, "z": z, "M": args.M, "blocks": args.blocks,
+         "design": args.design, "mode": args.mode, "sampler": args.sampler,
+         "counts": args.counts, "out": args.out},
+        [(args.out, lambda path, digest: _write_report(path, report, args.counts)),
+         (f"{args.out}.blocks.csv",
+          _csv({"x": x, "y": y, "z": z}, ["block", "fidelity"],
+               [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)]))],
+        {"numpy_version": np.__version__,
+         "health": run_health(report, design, args.mode)},
+    )
 
 
 def _write_report(path, report, include_counts):
@@ -339,38 +336,31 @@ def cmd_equivalence(args):
                   "out": args.out}
     sampled = {}  # manifest fields of a sampled scan; an exact scan draws nothing
     if cfg is not None:
-        parameters["sampler"] = args.sampler
+        parameters.update(M=args.M, blocks=args.blocks, sampler=args.sampler)
         sampled["numpy_version"] = np.__version__
-    mw = ManifestWriter("equivalence", parameters, seed=args.seed)
     if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
-        for phi, exact, sim, std in rows:
-            sim_s = "" if sim is None else f" simulated={sim:.6f} std={std:.6f}"
-            print(f"phi={phi:.6f} exact={exact:.12g}{sim_s}")
-        if args.out:
-            mw.write_csv(args.out, {"mode": mode},
-                         ["phi", "exact_F", "simulated_F", "std"], rows)
-            mw.finalize(**sampled)
+        lines = [f"phi={phi:.6f} exact={exact:.12g}"
+                 + ("" if sim is None else f" simulated={sim:.6f} std={std:.6f}")
+                 for phi, exact, sim, std in rows]
+        write = _csv({"mode": mode}, ["phi", "exact_F", "simulated_F", "std"], rows)
     else:
         exact_s, sim_s = equivalence_scan_random(
             args.n_unitaries, base, design, cfg, mode=mode,
             unitary_seed=args.seed,
         )
-        rows = []
-        for kind, s in (("exact", exact_s), ("simulated", sim_s)):
-            if s is None:
-                continue
-            rows.append((kind, s.maximal, s.minimal, s.average, s.std, s.max_deviation))
-            print(f"{kind}: max={s.maximal:.6f} min={s.minimal:.6f} avg={s.average:.6f}"
-                  f" std={s.std:.6f} max_dev={s.max_deviation:.6f}")
-        if args.out:
-            mw.write_csv(
-                args.out, {"n_unitaries": args.n_unitaries, "mode": mode},
-                ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
-                rows,
-            )
-            mw.finalize(**sampled)
-    return EXIT_OK
+        rows = [(kind, s.maximal, s.minimal, s.average, s.std, s.max_deviation)
+                for kind, s in (("exact", exact_s), ("simulated", sim_s))
+                if s is not None]
+        lines = [f"{kind}: max={mx:.6f} min={mn:.6f} avg={avg:.6f}"
+                 f" std={std:.6f} max_dev={dev:.6f}"
+                 for kind, mx, mn, avg, std, dev in rows]
+        write = _csv(
+            {"n_unitaries": args.n_unitaries, "mode": mode},
+            ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
+            rows,
+        )
+    return Run(lines, parameters, [(args.out, write)], sampled)
 
 
 def cmd_subsets(args):
@@ -385,20 +375,15 @@ def cmd_subsets(args):
         report, sizes, trials=args.trials, seed=args.subset_seed
     )
     rows = [(size, mean, std) for size, (mean, std) in results.items()]
-    for size, mean, std in rows:
-        print(f"K={size} mean={mean:.6f} std={std:.6f}")
-    if args.out:
-        mw = ManifestWriter(
-            "subsets",
-            {"x": x, "y": y, "z": z, "sizes": sizes, "trials": args.trials,
-             "M": args.M, "blocks": args.blocks, "sampler": args.sampler,
-             "out": args.out},
-            seed=args.seed,
-        )
-        mw.write_csv(args.out, {"x": x, "y": y, "z": z, "trials": args.trials},
-                     ["K", "mean", "std"], rows)
-        mw.finalize(numpy_version=np.__version__)
-    return EXIT_OK
+    return Run(
+        [f"K={size} mean={mean:.6f} std={std:.6f}" for size, mean, std in rows],
+        {"x": x, "y": y, "z": z, "design": args.design, "sizes": sizes,
+         "trials": args.trials, "subset_seed": args.subset_seed, "M": args.M,
+         "blocks": args.blocks, "sampler": args.sampler, "out": args.out},
+        [(args.out, _csv({"x": x, "y": y, "z": z, "trials": args.trials},
+                         ["K", "mean", "std"], rows))],
+        {"numpy_version": np.__version__},
+    )
 
 
 def _add_sampler_option(parser):
@@ -448,8 +433,6 @@ def build_parser():
                    help="'ideal' scores the ideal-Q estimator against Q' "
                         "(empirical mode only)")
     p.add_argument("--design", help="design file, or 'clifford' (empirical mode)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the scan runs in one thread")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_fidelity)
 
@@ -502,10 +485,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    t0 = time.time()
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _finish(args, args.func(args), t0)
     except (OSError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

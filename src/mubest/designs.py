@@ -350,6 +350,14 @@ def _count_field(path, key, value):
     return value
 
 
+def _float_field(path, key, text):
+    """A CSV header float (phi_t)."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DesignFormatError(f"{path}: '{key}' must be a float, got {text!r}") from None
+
+
 def _json_row(path, i, record):
     """State i of a JSON design file as a list of floats."""
     try:
@@ -376,6 +384,11 @@ def _load_json(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DesignFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("states", []), list)
+            and isinstance(data.get("metadata", {}), dict)):
+        raise DesignFormatError(
+            f"{path}: not a design object (a JSON object with a 'states' list"
+            " and an optional 'metadata' object)")
     for key in ("format_version", "dim", "t", "K", "states"):
         if key not in data:
             raise DesignFormatError(f"{path}: missing field '{key}'")
@@ -427,6 +440,7 @@ def _load_csv(path):
         t=t,
         states=_states_from_rows(rows, dim),
         provenance=header.get("provenance", "file"),
-        metadata={"phi_t": float(header["phi_t"])} if "phi_t" in header else {},
+        metadata={"phi_t": _float_field(path, "phi_t", header["phi_t"])}
+        if "phi_t" in header else {},
     )
     return design.validate()

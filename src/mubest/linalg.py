@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionMismatchError
+from .errors import ContractViolationError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-9
@@ -101,36 +101,3 @@ def symmetric_projector(space):
 
 def symmetric_dimension(d, t):
     return math.comb(d + t - 1, t)
-
-
-def partial_trace_leading(m, d, keep):
-    """Trace out the first t-keep factors of an operator on (C^d)^{x t}.
-
-    The result acts on the last `keep` factors and has the same trace.
-    """
-    m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError("operator must be square")
-    size = m.shape[0]
-    t = round(math.log(size, d))
-    if d**t != size:
-        raise DimensionMismatchError(f"size {size} is not a power of d={d}")
-    if not 1 <= keep < t:
-        raise DimensionMismatchError(f"keep={keep} out of range for t={t}")
-    dout = d**keep
-    dtr = size // dout
-    return np.einsum("xaxb->ab", m.reshape(dtr, dout, dtr, dout))
-
-
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix; eigenvalues ascending.
-
-    Raises ContractViolationError on non-Hermitian input.  The returned
-    columns are orthonormal; within degenerate blocks the choice of
-    eigenvectors is arbitrary.
-    """
-    m = np.asarray(m)
-    if not is_hermitian(m):
-        raise ContractViolationError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh(m)
-    return w, v

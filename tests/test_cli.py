@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from mubest.cli import (
     EXIT_VALIDATION,
     _write_report,
     main,
+    manifest_digest,
     parse_angle,
     parse_angle_list,
 )
@@ -217,13 +219,12 @@ def test_fidelity_two_copy(outdir, capsys):
     assert "F=0.46666" in capsys.readouterr().out
 
 
-def test_fidelity_threads_same_output(outdir, capsys):
-    args = ["fidelity", "--y-list", "pi/2,0", "--z-list", "0,pi/2"]
-    main(args)
-    serial = capsys.readouterr().out
-    main(args + ["--threads", "4"])
-    threaded = capsys.readouterr().out
-    assert serial == threaded
+def test_fidelity_threads_rejected(outdir, capsys):
+    # --threads was accepted and ignored; it is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--y-list", "pi/2", "--z-list", "0", "--threads", "4"])
+    assert exc.value.code == EXIT_IO
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_fidelity_missing_design_file(outdir, capsys):
@@ -369,17 +370,23 @@ def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     ("json", "K", 0, "'K' must be an integer >= 1, got 0"),
     ("json", "state", "abc", "state 3 is not a list of floats"),
     ("json", "state", None, "state 3 is not a list of floats"),
+    ("json", None, 5, "not a design object"),
+    ("json", "states", 5, "not a design object"),
+    ("json", "metadata", [1], "not a design object"),
     ("csv", "t", "true", "'t' must be an integer >= 1, got 'true'"),
     ("csv", "dim", "4.0", "'dim' must be an integer >= 1, got '4.0'"),
     ("csv", "K", "0", "'K' must be an integer >= 1, got 0"),
     ("csv", "state", "abc", "bad float"),
+    ("csv", "phi_t", "abc", "'phi_t' must be a float, got 'abc'"),
 ])
 def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
                                   value, message):
     path = outdir / f"bad.{suffix}"
     if suffix == "json":
         data = json.loads(Path(small_design_file).read_text())
-        if field == "state":
+        if field is None:
+            data = value
+        elif field == "state":
             data["states"][3][1] = value
         else:
             data[field] = value
@@ -498,11 +505,53 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_manifest_digest_stable(outdir):
-    from mubest.cli import ManifestWriter
+def test_manifest_digest_stable():
+    a = manifest_digest("fidelity", {"x": 1.0}, seed=2)
+    assert a == manifest_digest("fidelity", {"x": 1.0}, seed=2)
+    assert a != manifest_digest("fidelity", {"x": 1.5}, seed=2)
+    assert a != manifest_digest("fidelity", {"x": 1.0}, seed=3)
 
-    a = ManifestWriter("fidelity", {"x": 1.0}, seed=2)
-    b = ManifestWriter("fidelity", {"x": 1.0}, seed=2)
-    c = ManifestWriter("fidelity", {"x": 1.5}, seed=2)
-    assert a.digest == b.digest
-    assert a.digest != c.digest
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["design", "optimize", "--K", "40", "--iters", "20"], ["--step", "1"],
+     ["--step", "0.01"]),
+    (["fidelity", "--copies", "2", "--y-list", "pi/2", "--z-list", "0"],
+     ["--pair", "AB"], ["--pair", "BC"]),
+    (["fidelity", "--mode", "empirical", "--y-list", "pi/2", "--z-list", "0"],
+     ["--estimator-source", "matched"], ["--estimator-source", "ideal"]),
+    (["simulate", "--M", "10", "--blocks", "2"], [], ["--counts"]),
+    (["subsets", "--M", "10", "--blocks", "2", "--sizes", "10", "--trials", "2"],
+     ["--subset-seed", "0"], ["--subset-seed", "1"]),
+    (["subsets", "--M", "10", "--blocks", "2", "--sizes", "10", "--trials", "2"],
+     [], ["--design", "SMALL"]),
+    (["equivalence", "--phi-grid", "0:pi:2", "--blocks", "2"], ["--M", "10"],
+     ["--M", "20"]),
+    (["equivalence", "--phi-grid", "0:pi:2", "--M", "10"], ["--blocks", "2"],
+     ["--blocks", "3"]),
+], ids=["design-step", "fidelity-pair", "fidelity-estimator-source", "simulate-counts",
+        "subsets-subset-seed", "subsets-design", "equivalence-M", "equivalence-blocks"])
+def test_manifest_records_output_options(outdir, small_design_file, argv, first, second):
+    # each pair of runs writes different outputs, so it must get different digests
+    digests = []
+    for extra in (first, second):
+        extra = [small_design_file if arg == "SMALL" else arg for arg in extra]
+        assert main(argv + extra + ["--out", "out.csv"]) == EXIT_OK
+        manifest = json.loads((outdir / "out.csv.manifest.json").read_text())
+        assert manifest["manifest_hash"] == manifest_digest(
+            argv[0], manifest["parameters"], manifest["seed"])
+        digests.append(manifest["manifest_hash"])
+    assert digests[0] != digests[1]
+
+
+def test_manifest_wall_time_covers_command(outdir, small_design_file, monkeypatch):
+    def slow(*args, **kwargs):
+        time.sleep(0.1)
+        report = simulate_protocol(*args, **kwargs)
+        time.sleep(0.1)
+        return report
+
+    monkeypatch.setattr("mubest.cli.simulate_protocol", slow)
+    assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
+                 "--out", "run.json"]) == EXIT_OK
+    manifest = json.loads((outdir / "run.json.manifest.json").read_text())
+    assert manifest["wall_time_s"] >= 0.2

@@ -4,22 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from mubest.errors import ContractViolationError, DimensionMismatchError
 from mubest.linalg import (
     TensorSpace,
-    hermitian_eig,
     kron,
-    partial_trace_leading,
     permutation_operator,
     symmetric_projector,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2
 
 
 def test_kron_identity():
@@ -106,67 +98,3 @@ def test_symmetric_projector_properties(d, t):
     for sigma in itertools.islice(itertools.permutations(range(t)), 6):
         W = permutation_operator(sigma, space)
         assert np.max(np.abs(P @ W - W @ P)) <= 1e-10
-
-
-def test_partial_trace_product_state(rng):
-    A = random_hermitian(rng, 4)
-    B = random_hermitian(rng, 4)
-    out = partial_trace_leading(np.kron(A, B), 4, 1)
-    assert np.allclose(out, np.trace(A) * B, atol=1e-12)
-
-
-def test_partial_trace_symmetric_projector():
-    P, _ = symmetric_projector(TensorSpace(4, 2))
-    out = partial_trace_leading(P, 4, 1)
-    assert np.allclose(out, 2.5 * np.eye(4), atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(rng):
-    m = random_hermitian(rng, 64)
-    out = partial_trace_leading(m, 4, 1)
-    assert abs(np.trace(out) - np.trace(m)) <= 1e-12 * max(1, abs(np.trace(m)))
-
-
-def test_partial_trace_linear_and_positive(rng):
-    a = random_hermitian(rng, 16)
-    b = random_hermitian(rng, 16)
-    lhs = partial_trace_leading(2.0 * a + 3.0 * b, 4, 1)
-    rhs = 2.0 * partial_trace_leading(a, 4, 1) + 3.0 * partial_trace_leading(b, 4, 1)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-    # PSD in, PSD out
-    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    psd = g @ g.conj().T
-    w = np.linalg.eigvalsh(partial_trace_leading(psd, 4, 1))
-    assert w[0] >= -1e-10 * w[-1]
-
-
-def test_partial_trace_dimension_errors():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace_leading(np.eye(6), 4, 1)
-    with pytest.raises(DimensionMismatchError):
-        partial_trace_leading(np.eye(16), 4, 2)  # keep must be < t
-
-
-def test_hermitian_eig_diagonal():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-
-
-def test_hermitian_eig_pauli_x():
-    w, _ = hermitian_eig(X)
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_hermitian_eig_reconstruction(rng):
-    m = random_hermitian(rng, 16)
-    w, v = hermitian_eig(m)
-    scale = np.max(np.abs(m))
-    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) <= 1e-9 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(16))) <= 1e-10
-    assert abs(w.sum() - np.trace(m).real) <= 1e-10 * max(1, abs(np.trace(m).real))
-
-
-def test_hermitian_eig_rejects_non_hermitian(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    with pytest.raises(ContractViolationError):
-        hermitian_eig(g)
