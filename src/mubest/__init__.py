@@ -18,9 +18,7 @@ from .designs import (
 from .estimation import (
     estimation_fidelity,
     fidelity_scan,
-    optimal_estimator,
     outcome_tables,
-    q_operator,
     triple_fidelity,
 )
 from .groups import (
@@ -29,13 +27,6 @@ from .groups import (
     generate_group,
     pauli_group_projective,
     restricted_clifford_group_2q,
-    stabilizer_of_state,
-)
-from .linalg import (
-    TensorSpace,
-    kron,
-    permutation_operator,
-    symmetric_projector,
 )
 from .mub import (
     MubTriple,

@@ -174,42 +174,28 @@ def frame_potential_gradient(states, t):
     return (2 * t / K**2) * (states @ W)
 
 
-@lru_cache(maxsize=None)
-def _symmetric_basis(d, t):
-    """Orthonormal columns spanning the symmetric subspace of (C^d)^{x t}.
-
-    One column per type class (occupation numbers of the d levels): the
-    uniform superposition, 1/sqrt(class size) each, of the basis words
-    i_1 ... i_t of that type.
-    """
-    classes = {}
-    for index, word in enumerate(itertools.product(range(d), repeat=t)):
-        classes.setdefault(tuple(sorted(word)), []).append(index)
-    basis = np.zeros((d**t, len(classes)))
-    for column, members in enumerate(classes.values()):
-        basis[members, column] = 1.0 / math.sqrt(len(members))
-    return basis
-
-
 def moment_operator(design, t):
-    """Sum_j (|psi_j><psi_j|)^{x t} and its symmetric-subspace eigenvalue ratio.
+    """Sum_j (|psi_j><psi_j|)^{x t} on the symmetric subspace, and its eigenvalue ratio.
 
-    Returns (M, ratio) where ratio = smallest/largest eigenvalue of M
-    restricted to the range of the symmetric projector P_t; an exact
-    t-design gives ratio 1 and M = (K/D_t) P_t.
+    The symmetric subspace has one orthonormal basis vector |alpha> per type
+    class alpha (occupation numbers of the d levels), and
+    <alpha|psi^{x t}> = sqrt(t!/alpha!) prod_i psi_i^{alpha_i}, so the K x D_t
+    matrix S of these amplitudes gives the restriction without forming
+    psi^{x t}.  Returns (R, ratio) where R = S^T S^* is the D_t x D_t
+    restriction and ratio = smallest/largest eigenvalue of R; an exact
+    t-design gives R = (K/D_t) I and ratio 1.
     """
     d = design.dim
     if d**t > 1024:
         raise ValueError(f"d^t = {d**t} exceeds the supported size")
-    A = design.states[:, :].T  # K x d
-    lifted = A
-    for _ in range(t - 1):
-        lifted = np.einsum("ka,kb->kab", lifted, A).reshape(A.shape[0], -1)
-    M = lifted.T @ lifted.conj()
-    basis = _symmetric_basis(d, t)
-    ws = np.linalg.eigvalsh(basis.conj().T @ M @ basis)
-    ratio = float(ws[0] / ws[-1])
-    return M, ratio
+    A = design.states.T  # K x d
+    S = np.empty((A.shape[0], symmetric_dimension(d, t)), dtype=complex)
+    for column, word in enumerate(itertools.combinations_with_replacement(range(d), t)):
+        weight = math.factorial(t) / math.prod(math.factorial(word.count(i)) for i in set(word))
+        S[:, column] = math.sqrt(weight) * A[:, word].prod(axis=1)
+    R = S.T @ S.conj()
+    ws = np.linalg.eigvalsh(R)
+    return R, float(ws[0] / ws[-1])
 
 
 def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
@@ -392,9 +378,16 @@ def _load_json(path):
     for key in ("format_version", "dim", "t", "K", "states"):
         if key not in data:
             raise DesignFormatError(f"{path}: missing field '{key}'")
-    if data["format_version"] != 1:
-        raise DesignFormatError(f"unsupported format_version {data['format_version']}")
+    version = data["format_version"]
+    if type(version) is not int or version != 1:
+        raise DesignFormatError(f"{path}: unsupported format_version {version!r}")
     dim, t, K = (_count_field(path, key, data[key]) for key in ("dim", "t", "K"))
+    phi_t = data.get("phi_t")
+    if "phi_t" in data and (isinstance(phi_t, bool) or not isinstance(phi_t, (int, float))):
+        raise DesignFormatError(f"{path}: 'phi_t' must be a number, got {phi_t!r}")
+    provenance = data.get("provenance", "file")
+    if not isinstance(provenance, str):
+        raise DesignFormatError(f"{path}: 'provenance' must be a string, got {provenance!r}")
     rows = [_json_row(path, i, record) for i, record in enumerate(data["states"])]
     if len(rows) != K:
         raise DesignFormatError(f"expected K={K} states, found {len(rows)}")
@@ -402,8 +395,8 @@ def _load_json(path):
         dim=dim,
         t=t,
         states=_states_from_rows(rows, dim),
-        provenance=data.get("provenance", "file"),
-        metadata=dict(data.get("metadata", {}), phi_t=data.get("phi_t")),
+        provenance=provenance,
+        metadata=dict(data.get("metadata", {}), phi_t=phi_t),
     )
     return design.validate()
 

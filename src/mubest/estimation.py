@@ -11,43 +11,22 @@ for a product effect x_i E_i, with Born weights w_j = prod_i <psi_j|E_i|psi_j>,
 
 `outcome_tables` evaluates this for all outcomes at once, over the Clifford
 orbit (an exact 4-design) in ideal mode and over a given design in empirical
-mode, where the sum is the design's stand-in Q'.  `q_operator` keeps the
-symmetric-projector contraction for any effect as the tests' reference.
+mode, where the sum is the design's stand-in Q'.  It is the only place Q is
+formed.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .designs import default_design
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import TensorSpace, is_hermitian, symmetric_dimension, symmetric_projector
+from .linalg import symmetric_dimension
 from .mub import measurement_of, mub_triple
 
 DEGENERACY_TOL = 1e-9
-
-
-@lru_cache(maxsize=None)
-def _sym_projector_reshaped(d, t):
-    """P_t reshaped to (d^{t-1}, d, d^{t-1}, d) for leading partial traces."""
-    P, _ = symmetric_projector(TensorSpace(d, t))
-    return P.reshape(d ** (t - 1), d, d ** (t - 1), d)
-
-
-@dataclass(frozen=True)
-class QOperator:
-    matrix: np.ndarray
-    norm: float
-
-
-@dataclass(frozen=True)
-class Estimator:
-    density: np.ndarray
-    support_dim: int
-    gap: float
 
 
 @dataclass(frozen=True)
@@ -72,21 +51,6 @@ class EstimationReport:
     estimators: OutcomeTables  # the tables whose densities are the estimators
 
 
-def q_operator(effect, N, d):
-    """Q(A) for an effect on (C^d)^{x N} with the exact symmetric projector."""
-    effect = np.asarray(effect, dtype=complex)
-    if N not in (1, 2, 3):
-        raise ValueError("N must be 1, 2, or 3")
-    if effect.shape != (d**N, d**N):
-        raise DimensionMismatchError(
-            f"effect has shape {effect.shape}, expected {(d**N, d**N)}"
-        )
-    Pr = _sym_projector_reshaped(d, N + 1)
-    # Q[a,b] = (N+1)! * sum_{x,y} P[x,a,y,b] effect[y,x]
-    m = math.factorial(N + 1) * np.einsum("xayb,yx->ab", Pr, effect)
-    return QOperator(matrix=m, norm=float(np.linalg.eigvalsh(m)[-1]))
-
-
 def _top_eigenspaces(q, degeneracy_tol):
     """Batched top eigenvalue, estimator density, support dimension and gap.
 
@@ -104,15 +68,6 @@ def _top_eigenspaces(q, degeneracy_tol):
     below = np.where(members, -np.inf, w).max(axis=1)
     gaps = np.where(support < w.shape[1], top - below, 0.0)
     return top, densities, support, gaps
-
-
-def optimal_estimator(q, degeneracy_tol=DEGENERACY_TOL):
-    """Normalized projector onto the top eigenspace of Q."""
-    m = np.asarray(q.matrix)
-    if not is_hermitian(m):
-        raise ContractViolationError("matrix is not Hermitian within 1e-10")
-    _, densities, support, gaps = _top_eigenspaces(m[None], degeneracy_tol)
-    return Estimator(density=densities[0], support_dim=int(support[0]), gap=float(gaps[0]))
 
 
 def _state_projectors(states):

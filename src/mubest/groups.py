@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from .errors import ContractViolationError, GroupSizeError
-from .linalg import check_unitary, kron
+from .linalg import check_unitary
 
 KEY_GRID = 1e6
 MODULUS_FLOOR = 1e-8
@@ -50,8 +50,8 @@ def standard_gates():
     """The named gate set, with single-qubit gates also embedded as G x I and I x G."""
     gates = {"X": X, "Y": Y, "Z": Z, "P": P, "H": H, "CNOT12": CNOT12, "CNOT21": CNOT21}
     for name, g in [("H", H), ("P", P), ("X", X), ("Y", Y), ("Z", Z)]:
-        gates[name + "1"] = kron(g, I2)
-        gates[name + "2"] = kron(I2, g)
+        gates[name + "1"] = np.kron(g, I2)
+        gates[name + "2"] = np.kron(I2, g)
     return gates
 
 
@@ -187,15 +187,8 @@ def pauli_group_projective(n):
     if n == 1:
         elements = [canonicalize_phase(p) for p in singles]
     else:
-        elements = [canonicalize_phase(kron(a, b)) for a in singles for b in singles]
+        elements = [canonicalize_phase(np.kron(a, b)) for a in singles for b in singles]
     return UnitaryGroup(elements, generator_labels=["pauli"])
-
-
-def stabilizer_of_state(group, psi, tol=1e-8):
-    """Subgroup fixing |psi> up to global phase: |<psi|U|psi>| >= 1 - tol."""
-    psi = np.asarray(psi, dtype=complex)
-    members = [u for u in group if abs(np.vdot(psi, u @ psi)) >= 1 - tol]
-    return UnitaryGroup(members, generator_labels=["stabilizer"])
 
 
 def save_group(group, path):

@@ -1,0 +1,81 @@
+"""Slow, textbook reference constructions that the tests check mubest against.
+
+Each is built densely on the full (C^d)^{x t}, independently of the package's
+own code paths: a factor permutation as a transposed identity, the symmetric
+projector as the average over all t! permutations, Q as a partial trace of
+P_{N+1} (A x 1), the stabilizer by scanning a group, and the moment operator
+from the lifted states psi^{x t}.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+
+def permutation_operator(sigma, d, t):
+    """d^t x d^t operator sending v_1 x ... x v_t to w_1 x ... x w_t, w_p = v_{sigma^{-1}(p)}.
+
+    `sigma` is a permutation of range(t); anything else raises ValueError.
+    """
+    sigma = tuple(sigma)
+    eye = np.eye(d**t).reshape((d,) * (2 * t))
+    # input factor q lands on output axis sigma(q)
+    axes = list(range(t)) + [t + sigma[q] for q in range(t)]
+    return np.transpose(eye, axes).reshape(d**t, d**t)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_projector(d, t):
+    """Projector onto the symmetric subspace: the mean of all t! permutation operators.
+
+    Built once per (d, t) and returned read-only.
+    """
+    perms = itertools.permutations(range(t))
+    P = sum(permutation_operator(sigma, d, t) for sigma in perms) / math.factorial(t)
+    P.flags.writeable = False
+    return P
+
+
+def q_operator(effect, N, d):
+    """Q(A) = (N+1)! tr_{1..N}[P_{N+1} (A x 1)] for an effect A on (C^d)^{x N}."""
+    t = N + 1
+    lifted = symmetric_projector(d, t) @ np.kron(effect, np.eye(d))
+    return math.factorial(t) * np.einsum("xaxb->ab", lifted.reshape(d**N, d, d**N, d))
+
+
+def top_eigenspace(q, tol=1e-9):
+    """(density, dimension, gap) of Q's top eigenspace.
+
+    Eigenvalues within tol * ||Q|| of the largest count as top; the density is
+    the normalized projector onto them and the gap the distance to the next
+    eigenvalue, 0 if there is none.
+    """
+    w, v = np.linalg.eigh(q)
+    members = w >= w[-1] - tol * w[-1]
+    top = v[:, members]
+    rest = w[~members]
+    gap = float(w[-1] - rest[-1]) if rest.size else 0.0
+    return top @ top.conj().T / members.sum(), int(members.sum()), gap
+
+
+def product_effects(measurements):
+    """The product effect of each joint outcome, in np.ndindex order over the measurements."""
+    for label in np.ndindex(*(len(m) for m in measurements)):
+        yield functools.reduce(np.kron, [m.effects[i] for m, i in zip(measurements, label)])
+
+
+def stabilizer(group, psi, tol=1e-8):
+    """Elements of `group` fixing |psi> up to global phase: |<psi|U|psi>| >= 1 - tol."""
+    psi = np.asarray(psi, dtype=complex)
+    return [u for u in group if abs(np.vdot(psi, u @ psi)) >= 1 - tol]
+
+
+def moment_matrix(design, t):
+    """M = sum_j (|psi_j><psi_j|)^{x t} on the full d^t-dimensional space."""
+    A = design.states.T  # K x d
+    lifted = A
+    for _ in range(t - 1):
+        lifted = np.einsum("ka,kb->kab", lifted, A).reshape(len(A), -1)
+    return lifted.T @ lifted.conj()

@@ -5,7 +5,6 @@ Each test prints a single `[PASS]`/`[FAIL]` line with the measured numbers
 asserts.  Criteria with stated runtime budgets time themselves.
 """
 
-import itertools
 import math
 import time
 
@@ -13,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import F3_SYMMETRIC, IDEAL_ROW_Y_HALF, IDEAL_ROW_Y_ZERO, Z_GRID
+from reference import product_effects, q_operator, stabilizer
 from mubest.designs import (
+    default_design,
     frame_potential,
     frame_potential_gradient,
     moment_operator,
@@ -24,7 +25,7 @@ from mubest.designs import (
 from mubest.estimation import (
     estimation_fidelity,
     fidelity_scan,
-    q_operator,
+    outcome_tables,
     triple_fidelity,
     triple_measurements,
 )
@@ -32,10 +33,9 @@ from mubest.groups import (
     clifford_group_2q,
     pauli_group_projective,
     restricted_clifford_group_2q,
-    stabilizer_of_state,
 )
 from mubest.linalg import symmetric_dimension
-from mubest.mub import mub_triple
+from mubest.mub import OrthonormalBasis, haar_random_unitary, measurement_of, mub_triple
 from mubest.simulate import (
     SimConfig,
     equivalence_scan_phase,
@@ -80,7 +80,7 @@ def test_criterion_02_orbit_structure(restricted_group, clifford_group):
     psi = fiducial_state()
     n_restricted = orbit(restricted_group, psi).size
     n_full = orbit(clifford_group, psi).size
-    n_stab = len(stabilizer_of_state(clifford_group, psi))
+    n_stab = len(stabilizer(clifford_group, psi))
     elapsed = time.perf_counter() - t0
     ok = (n_restricted, n_full, n_stab) == (960, 3840, 3) and elapsed < 120
     report(
@@ -229,39 +229,19 @@ def test_criterion_09_subset_analysis(full_run):
     )
 
 
-def _permutation_sum_oracle(effect, N, d):
-    """Brute-force Q: average of explicit permutation operators, then a
-    plain partial-trace loop (independent of the production contraction)."""
-    t = N + 1
-    P = np.zeros((d**t, d**t), dtype=complex)
-    eye = np.eye(d**t).reshape((d,) * (2 * t))
-    for sigma in itertools.permutations(range(t)):
-        # output axis p carries input factor sigma^{-1}(p)
-        inverse = [sigma.index(p) for p in range(t)]
-        axes = list(range(t)) + [t + inverse[p] for p in range(t)]
-        P += np.transpose(eye, axes).reshape(d**t, d**t)
-    P /= math.factorial(t)
-    M = P @ np.kron(effect, np.eye(d))
-    Mr = M.reshape(d**N, d, d**N, d)
-    q = np.zeros((d, d), dtype=complex)
-    for x in range(d**N):
-        q += Mr[x, :, x, :]
-    return math.factorial(t) * q
-
-
 def test_criterion_10_oracle_equivalence(rng):
+    # the production Q (a sum over the Clifford-orbit design) against the
+    # permutation-sum reference, for every outcome of random product measurements
     d = 4
     worst_q = 0.0
     for i in range(20):
         N = 1 + (i % 2)
-        vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(N)]
-        effect = np.array([[1.0]])
-        for v in vs:
-            v = v / np.linalg.norm(v)
-            effect = np.kron(effect, np.outer(v, v.conj()))
-        q_lib = q_operator(effect, N, d).matrix
-        q_ref = _permutation_sum_oracle(effect, N, d)
-        worst_q = max(worst_q, float(np.max(np.abs(q_lib - q_ref))))
+        measurements = [measurement_of(OrthonormalBasis(haar_random_unitary(d, rng)))
+                        for _ in range(N)]
+        tables = outcome_tables(measurements, default_design())
+        for q_lib, effect in zip(tables.q, product_effects(measurements)):
+            q_ref = q_operator(effect, N, d)
+            worst_q = max(worst_q, float(np.max(np.abs(q_lib - q_ref))))
 
     K, t = 15, 4
     V = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))

@@ -373,6 +373,10 @@ def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     ("json", None, 5, "not a design object"),
     ("json", "states", 5, "not a design object"),
     ("json", "metadata", [1], "not a design object"),
+    ("json", "phi_t", "abc", "'phi_t' must be a number, got 'abc'"),
+    ("json", "provenance", [1], "'provenance' must be a string, got [1]"),
+    ("json", "format_version", True, "unsupported format_version True"),
+    ("json", "format_version", 1.0, "unsupported format_version 1.0"),
     ("csv", "t", "true", "'t' must be an integer >= 1, got 'true'"),
     ("csv", "dim", "4.0", "'dim' must be an integer >= 1, got '4.0'"),
     ("csv", "K", "0", "'K' must be an integer >= 1, got 0"),

@@ -9,7 +9,6 @@ import pytest
 import mubest.designs
 from mubest.designs import (
     StateDesign,
-    _symmetric_basis,
     angles_to_bloch,
     bloch_to_state,
     default_design,
@@ -25,7 +24,8 @@ from mubest.designs import (
     save_design,
 )
 from mubest.errors import DesignFormatError, InfeasibleDesignError
-from mubest.linalg import TensorSpace, symmetric_dimension, symmetric_projector
+from mubest.linalg import symmetric_dimension
+from reference import moment_matrix, symmetric_projector
 
 
 def quartic_sum(r):
@@ -176,21 +176,43 @@ def test_optimizer_iterations_at_k200(design200):
     assert design200.metadata["phi_t"] == frame_potential(design200, 4)
 
 
-def test_symmetric_basis_spans_symmetric_subspace():
-    basis = _symmetric_basis(4, 4)
-    P, _ = symmetric_projector(TensorSpace(4, 4))
-    assert basis.shape == (256, symmetric_dimension(4, 4))
-    assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-14
-    assert np.max(np.abs(basis @ basis.T - P)) <= 1e-14
+def test_moment_operator_memory_is_bounded(design960):
+    K, D = design960.size, symmetric_dimension(4, 4)
+    tracemalloc.start()
+    try:
+        moment_operator(design960, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex K x D_4 amplitude matrix is K D_4 16 bytes; a K x 4^4 lift would not fit
+    assert peak < 4 * K * D * 16
+
+
+def eigh_basis(d, t):
+    """Orthonormal columns spanning the range of the reference symmetric projector."""
+    w, v = np.linalg.eigh(symmetric_projector(d, t))
+    return v[:, w > 0.5]
+
+
+def test_symmetric_basis_spans_symmetric_subspace(design960, design200):
+    # the type-class amplitudes give the restriction to the symmetric subspace:
+    # its spectrum is that of the full moment matrix on any basis of P's range
+    for design in (design960, design200):
+        for t in range(1, 5):
+            basis = eigh_basis(4, t)
+            R, _ = moment_operator(design, t)
+            M = moment_matrix(design, t)
+            expected = np.linalg.eigvalsh(basis.conj().T @ M @ basis)
+            assert R.shape == (symmetric_dimension(4, t),) * 2
+            assert np.max(np.abs(np.linalg.eigvalsh(R) - expected)) <= 1e-12 * expected[-1]
 
 
 def test_moment_ratio_matches_eigh_basis(design960, design200):
-    P, _ = symmetric_projector(TensorSpace(4, 4))
-    w, v = np.linalg.eigh(P)
-    eigh_basis = v[:, w > 0.5]
+    basis = eigh_basis(4, 4)
     for design in (design960, design200):
-        M, ratio = moment_operator(design, 4)
-        ws = np.linalg.eigvalsh(eigh_basis.conj().T @ M @ eigh_basis)
+        M = moment_matrix(design, 4)
+        _, ratio = moment_operator(design, 4)
+        ws = np.linalg.eigvalsh(basis.conj().T @ M @ basis)
         assert abs(ratio - ws[0] / ws[-1]) <= 1e-12
 
 
@@ -207,10 +229,12 @@ def test_clifford_design_not_six_design(design960):
 
 
 def test_moment_operator_ratio(design960):
-    M, ratio = moment_operator(design960, 4)
+    R, ratio = moment_operator(design960, 4)
     assert abs(ratio - 1.0) <= 1e-8
-    # M restricted to the symmetric subspace is (K/D) * identity
-    assert abs(np.trace(M).real - design960.size) <= 1e-6
+    # the sum restricted to the symmetric subspace is (K/D) * identity
+    D = symmetric_dimension(4, 4)
+    assert np.max(np.abs(D / design960.size * R - np.eye(D))) <= 1e-8
+    assert abs(np.trace(R).real - design960.size) <= 1e-6
 
 
 def test_frame_potential_gradient_finite_difference(rng):

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -11,21 +10,21 @@ from mubest.designs import StateDesign, default_design, moment_operator
 from mubest.estimation import (
     estimation_fidelity,
     fidelity_scan,
-    optimal_estimator,
     outcome_tables,
-    q_operator,
     triple_fidelity,
     triple_measurements,
 )
 from mubest.errors import ContractViolationError, DimensionMismatchError
-from mubest.linalg import TensorSpace, symmetric_dimension, symmetric_projector
+from mubest.linalg import symmetric_dimension
 from mubest.mub import (
     OrthonormalBasis,
+    ProjectiveMeasurement,
     haar_random_unitary,
     measurement_of,
     mub_triple,
     transform_triple,
 )
+from reference import moment_matrix, product_effects, q_operator, top_eigenspace
 
 HALF = math.pi / 2
 SEEDS = st.integers(0, 2**32 - 1)
@@ -33,26 +32,19 @@ ANGLES = st.floats(0.0, 2 * math.pi)
 COPIES = st.sampled_from([1, 2, 3])
 
 
-def random_product_effect(rng, d, N):
-    vs = []
-    for _ in range(N):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        vs.append(v)
-    effect = np.outer(vs[0], vs[0].conj())
-    for v in vs[1:]:
-        effect = np.kron(effect, np.outer(v, v.conj()))
-    return effect
+def random_measurements(rng, N):
+    return [measurement_of(OrthonormalBasis(haar_random_unitary(4, rng))) for _ in range(N)]
 
 
 def test_q_operator_shape_and_hermiticity(rng):
     for N in (1, 2):
-        q = q_operator(random_product_effect(rng, 4, N), N, 4)
-        assert q.matrix.shape == (4, 4)
-        assert np.allclose(q.matrix, q.matrix.conj().T)
-        w = np.linalg.eigvalsh(q.matrix)
-        assert w[0] >= -1e-10  # positive semidefinite
-        assert abs(q.norm - w[-1]) <= 1e-12
+        tables = outcome_tables(random_measurements(rng, N), default_design())
+        assert tables.q.shape == (4**N, 4, 4)
+        for q, norm in zip(tables.q, tables.norms):
+            assert np.allclose(q, q.conj().T)
+            w = np.linalg.eigvalsh(q)
+            assert w[0] >= -1e-10  # positive semidefinite
+            assert abs(norm - w[-1]) <= 1e-12
 
 
 def test_q_operator_resolution_of_identity(rng):
@@ -61,38 +53,37 @@ def test_q_operator_resolution_of_identity(rng):
     d, N = 4, 1
     triple = mub_triple(HALF, HALF, HALF)
     m = measurement_of(triple.basis_b)
-    total = sum(q_operator(e, N, d).matrix for e in m.effects)
+    total = outcome_tables([m], default_design()).q.sum(axis=0)
     D = symmetric_dimension(d, N + 1)
     expected = math.factorial(N + 1) * D / d
     assert np.allclose(total, expected * np.eye(d), atol=1e-10)
 
 
-def test_q_operator_input_checks():
+def test_q_operator_input_checks(rng):
+    qubit = measurement_of(OrthonormalBasis(haar_random_unitary(2, rng)))
     with pytest.raises(DimensionMismatchError):
-        q_operator(np.eye(4), 2, 4)
+        outcome_tables([qubit], default_design())
     with pytest.raises(ValueError):
-        q_operator(np.eye(4), 0, 4)
+        outcome_tables([], default_design())
 
 
 def test_optimal_estimator_properties(rng):
-    q = q_operator(random_product_effect(rng, 4, 2), 2, 4)
-    est = optimal_estimator(q)
-    rho = est.density
-    assert np.allclose(rho, rho.conj().T)
-    assert abs(np.trace(rho).real - 1.0) <= 1e-10
-    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
-    # achieves the operator norm
-    assert abs(np.trace(q.matrix @ rho).real - q.norm) <= 1e-9 * q.norm
+    tables = outcome_tables(random_measurements(rng, 2), default_design())
+    for q, norm, rho in zip(tables.q, tables.norms, tables.densities):
+        assert np.allclose(rho, rho.conj().T)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        # achieves the operator norm
+        assert abs(np.trace(q @ rho).real - norm) <= 1e-9 * norm
 
 
 def test_optimal_estimator_degenerate_top_space():
     # Q of the identity effect is a multiple of the identity: the whole
     # space is the top eigenspace and the estimator is maximally mixed
-    q = q_operator(np.eye(4), 1, 4)
-    est = optimal_estimator(q)
-    assert est.support_dim == 4
-    assert np.allclose(est.density, np.eye(4) / 4, atol=1e-12)
-    assert est.gap == 0.0
+    tables = outcome_tables([ProjectiveMeasurement(effects=(np.eye(4),))], default_design())
+    assert tables.support.tolist() == [4]
+    assert np.allclose(tables.densities[0], np.eye(4) / 4, atol=1e-12)
+    assert tables.gaps[0] == 0.0
 
 
 def test_single_copy_single_basis_fidelity():
@@ -120,10 +111,13 @@ def test_three_copy_sample_grid_points():
 
 
 def test_empirical_projector_of_exact_design(design960):
-    # the design identity behind outcome_tables: (D_4/K) sum_j (|psi_j><psi_j|)^{x4} = P_4
-    P, D = symmetric_projector(TensorSpace(4, 4))
-    M, _ = moment_operator(design960, 4)
-    assert np.max(np.abs(D / design960.size * M - P)) <= 1e-8
+    # the design identity behind outcome_tables: (D_4/K) sum_j (|psi_j><psi_j|)^{x4} = P_4,
+    # that is, the sum restricted to the symmetric subspace is (K/D_4) I
+    R, _ = moment_operator(design960, 4)
+    D = symmetric_dimension(4, 4)
+    assert R.shape == (D, D)
+    assert np.max(np.abs(D / design960.size * R - np.eye(D))) <= 1e-8
+    assert abs(np.trace(R).real - design960.size) <= 1e-6
 
 
 def test_empirical_matches_ideal_for_clifford_design(design960, symmetric_triple):
@@ -161,8 +155,6 @@ def test_q_empirical_warns_on_weak_design(design960):
 def test_incomplete_measurement_rejected():
     triple = mub_triple(HALF, HALF, HALF)
     m = measurement_of(triple.basis_a)
-    from mubest.mub import ProjectiveMeasurement
-
     broken = ProjectiveMeasurement(effects=m.effects[:3])
     with pytest.raises(ContractViolationError):
         estimation_fidelity([broken])
@@ -176,16 +168,6 @@ def test_fidelity_scan_grid_order():
     assert rows[3][3] == triple_fidelity(mub_triple(HALF, HALF, HALF))
 
 
-def random_measurements(rng, N):
-    return [measurement_of(OrthonormalBasis(haar_random_unitary(4, rng))) for _ in range(N)]
-
-
-def product_effects(measurements):
-    """Product effects in the outcome order of outcome_tables."""
-    for label in np.ndindex(*(len(m) for m in measurements)):
-        yield functools.reduce(np.kron, [m.effects[i] for m, i in zip(measurements, label)])
-
-
 @settings(max_examples=12, deadline=None)
 @given(seed=SEEDS, N=COPIES)
 def test_outcome_tables_match_q_operator(seed, N):
@@ -193,9 +175,9 @@ def test_outcome_tables_match_q_operator(seed, N):
     tables = outcome_tables(measurements, default_design())
     for o, effect in enumerate(product_effects(measurements)):
         q = q_operator(effect, N, 4)
-        assert np.max(np.abs(tables.q[o] - q.matrix)) <= 1e-12
-        assert abs(tables.norms[o] - q.norm) <= 1e-12
-        assert np.max(np.abs(tables.densities[o] - optimal_estimator(q).density)) <= 1e-10
+        assert np.max(np.abs(tables.q[o] - q)) <= 1e-12
+        assert abs(tables.norms[o] - np.linalg.eigvalsh(q)[-1]) <= 1e-12
+        assert np.max(np.abs(tables.densities[o] - top_eigenspace(q)[0])) <= 1e-10
 
 
 @settings(max_examples=12, deadline=None)
@@ -205,7 +187,7 @@ def test_empirical_mode_matches_moment_operator(seed, N, K):
     V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
     design = StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0))
     measurements = random_measurements(rng, N)
-    M, _ = moment_operator(design, N + 1)
+    M = moment_matrix(design, N + 1)
     D = symmetric_dimension(4, N + 1)
     Pp = (D / K * M).reshape(4**N, 4, 4**N, 4)
     tables = outcome_tables(measurements, design)
@@ -214,7 +196,7 @@ def test_empirical_mode_matches_moment_operator(seed, N, K):
         q = math.factorial(N + 1) * np.einsum("xayb,yx->ab", Pp, effect)
         assert np.max(np.abs(tables.q[o] - q)) <= 1e-12
         matched += np.linalg.eigvalsh(q)[-1]
-        ideal = optimal_estimator(q_operator(effect, N, 4)).density
+        ideal = top_eigenspace(q_operator(effect, N, 4))[0]
         standard += np.trace(q @ ideal).real
     scale = math.factorial(N + 1) * D
     F = estimation_fidelity(measurements, mode="empirical", design=design).fidelity
@@ -237,6 +219,5 @@ def test_fidelity_unitarily_invariant(x, y, z, seed):
 def test_support_dims_at_symmetric_points(params):
     measurements = triple_measurements(mub_triple(*params))
     tables = outcome_tables(measurements, default_design())
-    expected = [optimal_estimator(q_operator(e, 3, 4)).support_dim
-                for e in product_effects(measurements)]
+    expected = [top_eigenspace(q_operator(e, 3, 4))[1] for e in product_effects(measurements)]
     assert tables.support.tolist() == expected

