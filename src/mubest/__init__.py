@@ -41,7 +41,6 @@ from .simulate import (
     SimReport,
     equivalence_scan_phase,
     equivalence_scan_random,
-    exact_protocol_fidelity,
     random_subset_analysis,
     reprocess_two_copy,
     simulate_protocol,

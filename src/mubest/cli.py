@@ -289,7 +289,7 @@ def cmd_simulate(args):
           _csv({"x": x, "y": y, "z": z}, ["block", "fidelity"],
                [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)]))],
         {"numpy_version": np.__version__,
-         "health": run_health(report, design, args.mode)},
+         "health": run_health(report)},
     )
 
 

@@ -419,9 +419,12 @@ def _load_csv(path):
                     rows.append([float(x) for x in line.split(",")])
                 except ValueError as exc:
                     raise DesignFormatError(f"{path}:{lineno}: bad float") from exc
-    for key in ("dim", "t", "K"):
+    for key in ("format_version", "dim", "t", "K"):
         if key not in header:
             raise DesignFormatError(f"{path}: missing header field '{key}'")
+    if header["format_version"] != "1":
+        raise DesignFormatError(
+            f"{path}: unsupported format_version {header['format_version']!r}")
     dim, t, K = (
         _count_field(path, key, int(header[key]) if header[key].isdecimal() else header[key])
         for key in ("dim", "t", "K")

@@ -51,17 +51,17 @@ class EstimationReport:
     estimators: OutcomeTables  # the tables whose densities are the estimators
 
 
-def _top_eigenspaces(q, degeneracy_tol):
+def _top_eigenspaces(q):
     """Batched top eigenvalue, estimator density, support dimension and gap.
 
-    Eigenvalues within degeneracy_tol * ||Q|| of the maximum are grouped, which
+    Eigenvalues within DEGENERACY_TOL * ||Q|| of the maximum are grouped, which
     keeps the estimator well defined at symmetric parameter points.
     """
     w, v = np.linalg.eigh(q)
     top = w[:, -1]
-    if np.any(top <= degeneracy_tol):
+    if np.any(top <= DEGENERACY_TOL):
         raise ContractViolationError("Q operator is numerically zero")
-    members = w >= (top - degeneracy_tol * top)[:, None]
+    members = w >= (top - DEGENERACY_TOL * top)[:, None]
     support = members.sum(axis=1)
     vs = v * members[:, None, :]
     densities = vs @ vs.conj().swapaxes(1, 2) / support[:, None, None]
@@ -92,7 +92,7 @@ def expectations(densities, states):
     return _state_projectors(states).view(float) @ flat.view(float).T
 
 
-def outcome_tables(measurements, design, degeneracy_tol=DEGENERACY_TOL):
+def outcome_tables(measurements, design):
     """Q over `design` and its top eigenspaces for every joint outcome.
 
     One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
@@ -117,12 +117,12 @@ def outcome_tables(measurements, design, degeneracy_tol=DEGENERACY_TOL):
     # real weights against (re, im) pairs, so w is never cast to a complex copy
     q = scale * (w.T @ _state_projectors(design.states).view(float)).view(complex)
     q = q.reshape(-1, d, d)
-    norms, densities, support, gaps = _top_eigenspaces(q, degeneracy_tol)
+    norms, densities, support, gaps = _top_eigenspaces(q)
     return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
 
 
 def estimation_fidelity(measurements, mode="ideal", design=None,
-                        estimator_source="matched", degeneracy_tol=DEGENERACY_TOL):
+                        estimator_source="matched"):
     """Estimation fidelity of a product of rank-1 projective measurements.
 
     Ideal mode takes Q over the Clifford-orbit 4-design (equal to the exact
@@ -139,10 +139,10 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
         raise ValueError("empirical mode requires a design")
     if estimator_source not in ("matched", "ideal"):
         raise ValueError(f"unknown estimator source {estimator_source!r}")
-    tables = outcome_tables(measurements, design, degeneracy_tol)
+    tables = outcome_tables(measurements, design)
     estimators, values = tables, tables.norms
     if mode == "empirical" and estimator_source == "ideal":
-        estimators = outcome_tables(measurements, default_design(), degeneracy_tol)
+        estimators = outcome_tables(measurements, default_design())
         values = np.einsum("oab,oba->o", tables.q, estimators.densities).real
     N = len(measurements)
     D = symmetric_dimension(design.dim, N + 1)

@@ -4,10 +4,10 @@ For every design state the three measurements are sampled independently, the
 optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
-Estimator densities come from `estimation.outcome_tables` (through
-`estimation_fidelity`); the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> is
-one contraction of them with the sampling design's states, for three copies
-and for two-copy reprocessing alike.
+`estimator_tables` gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k>
+for three copies and two-copy reprocessing alike.  A `SimReport` carries the
+design, mode, measurements and table it was scored with; `run_health` and
+`reprocess_two_copy` read them, so they always use the run's own estimators.
 
 Samplers.  `SimConfig.sampler` selects how the joint outcome counts are drawn.
 Both keep their own Born probabilities (`_born_probabilities`, whose
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import StateDesign
 from .errors import ContractViolationError
 from .estimation import (
     born_weights,
@@ -86,12 +87,15 @@ class SimConfig:
 class SimReport:
     config: SimConfig
     triple: MubTriple  # the bases the run was sampled and scored with
+    design: StateDesign  # the sampled states
+    mode: str  # which Q defined the estimators
+    measurements: tuple  # the measurements whose joint outcomes `counts` records
+    f_table: np.ndarray  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
     mean_fidelity: float
     per_block_fidelities: np.ndarray
     std: float  # standard deviation over blocks
     counts: np.ndarray  # (K, blocks, n_outcomes) joint outcome counts per state
     per_state_fidelity: np.ndarray  # (K,) per-state average of tr(rho rhohat)
-    outcome_shape: tuple
 
     @property
     def triple_params(self):
@@ -127,17 +131,14 @@ class DeviationSummary:
     max_deviation: float
 
 
-def estimator_tables(triple, design, mode="ideal", estimator_source="matched"):
-    """Per-outcome estimator densities and the (K, 64) fidelity lookup table.
+def estimator_tables(measurements, design, mode="ideal"):
+    """(K, d^N) fidelity lookup table of N measurements' optimal estimators.
 
-    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o = 16 j + 4 k + l,
-    from the estimators of the triple's own bases.
+    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
+    order (o = 16 j + 4 k + l for three copies).
     """
-    report = estimation_fidelity(
-        triple_measurements(triple), mode, design, estimator_source
-    )
-    densities = report.estimators.densities
-    return densities, expectations(densities, design.states)
+    report = estimation_fidelity(measurements, mode, design)
+    return expectations(report.estimators.densities, design.states)
 
 
 def _born_probabilities(basis, states):
@@ -160,7 +161,7 @@ def _param_key(role, triple, cfg):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def _scored_report(triple, cfg, counts, f_table, outcome_shape):
+def _scored_report(triple, cfg, design, mode, measurements, counts, f_table):
     """Per-block and per-state fidelities of a (K, blocks, outcomes) count table.
 
     The integer table goes to einsum as it is: einsum casts it to float in
@@ -172,28 +173,32 @@ def _scored_report(triple, cfg, counts, f_table, outcome_shape):
     return SimReport(
         config=cfg,
         triple=triple,
+        design=design,
+        mode=mode,
+        measurements=measurements,
+        f_table=f_table,
         mean_fidelity=float(per_block.mean()),
         per_block_fidelities=per_block,
         std=float(per_block.std(ddof=1)),
         counts=counts,
         per_state_fidelity=per_state,
-        outcome_shape=outcome_shape,
     )
 
 
-def simulate_protocol(triple, design, cfg, mode="ideal", estimator_source="matched"):
+def simulate_protocol(triple, design, cfg, mode="ideal"):
     """Run the sampled three-copy protocol and average per Eq.-(6)-style weights.
 
     Returns per-block and overall estimation fidelities plus the full joint
     outcome count table, which downstream reprocessing (two-copy, random
     subsets) reuses without fresh sampling.
     """
-    _, f_table = estimator_tables(triple, design, mode, estimator_source)
+    measurements = tuple(triple_measurements(triple))
+    f_table = estimator_tables(measurements, design, mode)
     probs = [_born_probabilities(b, design.states) for b in triple.bases]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
     sample = _multinomial_counts if cfg.sampler == "counts" else _drawn_counts
     counts = sample(probs, param_keys, cfg)
-    return _scored_report(triple, cfg, counts, f_table, (4, 4, 4))
+    return _scored_report(triple, cfg, design, mode, measurements, counts, f_table)
 
 
 def _multinomial_counts(probs, param_keys, cfg):
@@ -240,31 +245,20 @@ def _drawn_counts(probs, param_keys, cfg):
     return counts
 
 
-def _exact_shot_moments(triple, design, mode, estimator_source):
-    """(K,) mean and variance of one shot's tr(rho rhohat) under the exact Born
-    probabilities of each design state."""
-    _, f_table = estimator_tables(triple, design, mode, estimator_source)
-    joint = born_weights(triple_measurements(triple), design.states)
-    mean = (joint * f_table).sum(axis=1)
-    return mean, (joint * f_table**2).sum(axis=1) - mean**2
-
-
-def exact_protocol_fidelity(triple, design, mode="ideal", estimator_source="matched"):
-    """Infinite-M limit: exact Born probabilities instead of sampled frequencies."""
-    mean, _ = _exact_shot_moments(triple, design, mode, estimator_source)
-    return float(mean.sum() / design.size)
-
-
-def run_health(report, design, mode="ideal", estimator_source="matched"):
+def run_health(report):
     """How far a run's mean lies from the exact F, in predicted standard deviations.
 
-    The standard deviation of the mean comes from the exact Born probabilities:
-    one block's variance is sum_k var_k / (K^2 M), and the mean averages B
-    blocks.  A std estimated from a few blocks is itself noisy, so this is the
-    yardstick for z = (F_sim - F_exact) / sigma.
+    The exact F is the infinite-M limit of the run: its own table weighted by
+    the exact Born probabilities of its measurements on its design.  One
+    shot's variance per state follows from the same weights, one block's
+    variance is sum_k var_k / (K^2 M), and the mean averages B blocks.  A std
+    estimated from a few blocks is itself noisy, so this is the yardstick for
+    z = (F_sim - F_exact) / sigma.
     """
-    mean, var = _exact_shot_moments(report.triple, design, mode, estimator_source)
-    cfg, K = report.config, design.size
+    joint = born_weights(report.measurements, report.design.states)
+    mean = (joint * report.f_table).sum(axis=1)
+    var = (joint * report.f_table**2).sum(axis=1) - mean**2
+    cfg, K = report.config, report.design.size
     exact = float(mean.sum() / K)
     sigma = math.sqrt(max(float(var.sum()), 0.0) / (K**2 * cfg.m_block * cfg.blocks))
     return {
@@ -274,31 +268,29 @@ def run_health(report, design, mode="ideal", estimator_source="matched"):
     }
 
 
-def reprocess_two_copy(report, pair, design, mode="ideal", estimator_source="matched"):
-    """Two-copy estimation fidelity from an existing run's outcome counts.
+def reprocess_two_copy(report, pair):
+    """Two-copy estimation fidelity from an existing three-copy run's counts.
 
     `pair` selects two of the three measurements by index (0=A, 1=B, 2=C);
     counts are marginalized over the third measurement, then scored against
-    the two-copy optimal estimators from Q on the chosen product effects.
+    the two-copy optimal estimators from Q on the chosen product effects, in
+    the run's own design and mode.
     """
     i1, i2 = pair
-    if not (0 <= i1 < i2 <= 2):
-        raise ValueError("pair must be two distinct measurement indices in order")
-    measurements = triple_measurements(report.triple)
-    two_copy = estimation_fidelity(
-        [measurements[i1], measurements[i2]], mode, design, estimator_source
-    )
-    f_table = expectations(two_copy.estimators.densities, design.states)
-    cfg = report.config
+    if len(report.measurements) != 3 or not (0 <= i1 < i2 <= 2):
+        raise ValueError("pair must be two distinct measurement indices of a "
+                         "three-copy run, in order")
+    measurements = (report.measurements[i1], report.measurements[i2])
+    design, cfg = report.design, report.config
+    f_table = estimator_tables(measurements, design, report.mode)
     counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
     counts2 = counts3.sum(axis=2 + drop_axis).reshape(design.size, cfg.blocks, 16)
-    return _scored_report(report.triple, cfg, counts2, f_table, (4, 4))
+    return _scored_report(report.triple, cfg, design, report.mode, measurements,
+                          counts2, f_table)
 
 
-def equivalence_scan_phase(
-    phi_grid, base_triple, design, cfg=None, mode="ideal", estimator_source="matched"
-):
+def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"):
     """Controlled-phase family: exact (and optionally simulated) F for each phase.
 
     Returns rows (phi, exact_F, simulated_F or None, std or None).
@@ -306,9 +298,9 @@ def equivalence_scan_phase(
     rows = []
     for phi in phi_grid:
         triple = transform_triple(base_triple, controlled_phase(phi))
-        exact = triple_fidelity(triple, mode, design, estimator_source)
+        exact = triple_fidelity(triple, mode, design)
         if cfg is not None:
-            rep = simulate_protocol(triple, design, cfg, mode, estimator_source)
+            rep = simulate_protocol(triple, design, cfg, mode)
             rows.append((phi, exact, rep.mean_fidelity, rep.std_of_mean))
         else:
             rows.append((phi, exact, None, None))
@@ -326,15 +318,8 @@ def _summary(values, reference):
     )
 
 
-def equivalence_scan_random(
-    n_unitaries,
-    base_triple,
-    design,
-    cfg=None,
-    mode="ideal",
-    estimator_source="matched",
-    unitary_seed=0,
-):
+def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="ideal",
+                            unitary_seed=0):
     """Haar-random unitary transformations of the triple; Table-style statistics.
 
     Returns (exact_summary, simulated_summary or None); deviations are with
@@ -342,14 +327,14 @@ def equivalence_scan_random(
     """
     check_unitary_count(n_unitaries)
     rng = np.random.default_rng(unitary_seed)
-    reference = triple_fidelity(base_triple, mode, design, estimator_source)
+    reference = triple_fidelity(base_triple, mode, design)
     exact_vals, sim_vals = [], []
     for _ in range(n_unitaries):
         u = haar_random_unitary(design.dim, rng)
         triple = transform_triple(base_triple, u)
-        exact_vals.append(triple_fidelity(triple, mode, design, estimator_source))
+        exact_vals.append(triple_fidelity(triple, mode, design))
         if cfg is not None:
-            rep = simulate_protocol(triple, design, cfg, mode, estimator_source)
+            rep = simulate_protocol(triple, design, cfg, mode)
             sim_vals.append(rep.mean_fidelity)
     exact_summary = _summary(exact_vals, reference)
     sim_summary = _summary(sim_vals, reference) if sim_vals else None
@@ -363,9 +348,11 @@ def check_unitary_count(n_unitaries):
 
 
 def check_subset_request(subset_sizes, trials, K):
-    """ValueError unless trials >= 2 (for a std) and every size is in 1..K."""
+    """ValueError unless trials >= 2 (for a std) and the sizes are distinct, in 1..K."""
     if trials < 2:
         raise ValueError(f"trials must be >= 2 for a std, got {trials}")
+    if len(set(subset_sizes)) != len(subset_sizes):
+        raise ValueError(f"subset sizes repeat: {list(subset_sizes)}")
     for size in subset_sizes:
         if not 1 <= size <= K:
             raise ValueError(f"subset size {size} out of range 1..{K}")

@@ -31,6 +31,7 @@ from mubest.designs import (
     optimize_design,
     save_design,
 )
+from mubest.estimation import triple_measurements
 from mubest.mub import mub_triple
 from mubest.simulate import SimConfig, _scored_report, run_health, simulate_protocol
 
@@ -283,8 +284,10 @@ def test_write_report_memory_is_bounded(tmp_path, rng):
     # tracemalloc every formatted count is a traced allocation
     counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
     half = math.pi / 2
-    report = _scored_report(mub_triple(half, half, half), SimConfig(seed=0),
-                            counts, rng.random((240, 64)), (4, 4, 4))
+    triple = mub_triple(half, half, half)
+    report = _scored_report(triple, SimConfig(seed=0), None, "ideal",
+                            tuple(triple_measurements(triple)), counts,
+                            rng.random((240, 64)))
     tracemalloc.start()
     try:
         _write_report(tmp_path / "run.json", report, include_counts=True)
@@ -318,7 +321,7 @@ def test_simulate_manifest_describes_run(outdir, small_design_file):
     design = load_design(small_design_file)
     report = simulate_protocol(mub_triple(half, half, half), design,
                                SimConfig(seed=4, m_block=50, blocks=3))
-    assert manifest["health"] == run_health(report, design)
+    assert manifest["health"] == run_health(report)
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,6 +385,9 @@ def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     ("csv", "K", "0", "'K' must be an integer >= 1, got 0"),
     ("csv", "state", "abc", "bad float"),
     ("csv", "phi_t", "abc", "'phi_t' must be a float, got 'abc'"),
+    ("csv", "format_version", "7", "unsupported format_version '7'"),
+    ("csv", "format_version", "1.0", "unsupported format_version '1.0'"),
+    ("csv", "format_version", None, "missing header field 'format_version'"),
 ])
 def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
                                   value, message):
@@ -398,8 +404,9 @@ def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, fie
     else:
         save_design(load_design(small_design_file), path)
         lines = path.read_text().splitlines()
-        lines = [f"# {field}={value}" if line.startswith(f"# {field}=") else line
-                 for line in lines]
+        header = f"# {field}="  # a None value deletes the header line
+        lines = [f"{header}{value}" if line.startswith(header) else line
+                 for line in lines if value is not None or not line.startswith(header)]
         if field == "state":
             lines[-1] = value + lines[-1][lines[-1].index(","):]
         path.write_text("\n".join(lines) + "\n")
@@ -469,6 +476,7 @@ def test_subsets_rejects_single_trial(outdir, capsys, small_design_file):
     ["--trials", "1"],
     ["--sizes", "0"],
     ["--sizes", "961"],
+    ["--sizes", "10,10"],
 ])
 def test_subsets_validates_before_sampling(outdir, capsys, monkeypatch, extra):
     def fail(*args, **kwargs):

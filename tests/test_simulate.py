@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import F3_SYMMETRIC
+from mubest.designs import optimize_design
 from mubest.errors import ContractViolationError
+from mubest.estimation import estimation_fidelity, triple_fidelity, triple_measurements
 from mubest.mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
 from mubest.simulate import (
     SAMPLERS,
@@ -18,7 +20,6 @@ from mubest.simulate import (
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
-    exact_protocol_fidelity,
     random_subset_analysis,
     reprocess_two_copy,
     run_health,
@@ -79,7 +80,7 @@ def predicted_std_of_mean(triple, design, cfg):
     ~1e-6), so sampling checks use this instead."""
     probs = [np.abs(b.vectors.conj().T @ design.states).T ** 2 for b in triple.bases]
     joint = np.einsum("ka,kb,kc->kabc", *probs).reshape(design.size, 64)
-    _, f = estimator_tables(triple, design)
+    f = estimator_tables(triple_measurements(triple), design)
     var = ((joint * f**2).sum(axis=1) - (joint * f).sum(axis=1) ** 2).sum()
     return math.sqrt(var / (design.size**2 * cfg.m_block * cfg.blocks))
 
@@ -201,7 +202,7 @@ def test_full_run_mean_within_predicted_sigma(full_report, symmetric_triple, des
 
 
 def test_run_health_matches_prediction(full_report, symmetric_triple, design960):
-    health = run_health(full_report, design960)
+    health = run_health(full_report)
     sigma = predicted_std_of_mean(symmetric_triple, design960, full_report.config)
     assert health["exact_fidelity"] == pytest.approx(F3_SYMMETRIC, abs=1e-12)
     assert health["predicted_std_of_mean"] == pytest.approx(sigma, rel=1e-9)
@@ -215,7 +216,7 @@ def test_counts_shape_and_totals(small_report, design960):
     counts = small_report.counts
     assert counts.shape == (design960.size, SMALL.blocks, 64)
     assert np.all(counts.sum(axis=2) == SMALL.m_block)
-    assert small_report.outcome_shape == (4, 4, 4)
+    assert [len(m.effects) for m in small_report.measurements] == [4, 4, 4]
 
 
 def test_seed_reproducibility(symmetric_triple, design960, small_report):
@@ -231,16 +232,11 @@ def test_different_seed_differs(symmetric_triple, design960, small_report):
     assert not np.array_equal(other.counts, small_report.counts)
 
 
-def test_mean_consistent_with_exact(small_report, symmetric_triple, design960):
-    exact = exact_protocol_fidelity(symmetric_triple, design960)
+def test_mean_consistent_with_exact(small_report, design960):
+    exact = run_health(small_report)["exact_fidelity"]
     n = design960.size * SMALL.m_block * SMALL.blocks
     # binomial-scale tolerance, generous factor
     assert abs(small_report.mean_fidelity - exact) <= 8 / math.sqrt(n)
-
-
-def test_exact_limit_matches_ideal_theory(symmetric_triple, design960):
-    exact = exact_protocol_fidelity(symmetric_triple, design960)
-    assert abs(exact - F3_SYMMETRIC) <= 1e-9
 
 
 def test_std_of_mean_property(small_report):
@@ -281,8 +277,8 @@ def test_unshared_streams_differ(design960):
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
     # same (x, y, z), different bases: the tables must differ
-    _, plain = estimator_tables(symmetric_triple, design960)
-    _, moved = estimator_tables(haar_triple, design960)
+    plain = estimator_tables(triple_measurements(symmetric_triple), design960)
+    moved = estimator_tables(triple_measurements(haar_triple), design960)
     assert plain.shape == moved.shape == (design960.size, 64)
     assert not np.allclose(plain, moved)
 
@@ -298,15 +294,16 @@ def test_to_dict_roundtrippable(small_report):
     assert len(back["per_block_fidelities"]) == SMALL.blocks
 
 
-def test_scored_report_does_not_copy_counts(rng):
+def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     # the paper's table: K = 960 states, B = 10 blocks, M = 10^4
     cfg = SimConfig(seed=0)
     counts = rng.multinomial(cfg.m_block, np.full(64, 1 / 64), size=(960, cfg.blocks))
     f_table = rng.random((960, 64))
+    measurements = tuple(triple_measurements(symmetric_triple))
     tracemalloc.start()
     try:
-        report = _scored_report(mub_triple(HALF, HALF, HALF), cfg, counts, f_table,
-                                (4, 4, 4))
+        report = _scored_report(symmetric_triple, cfg, design960, "ideal", measurements,
+                                counts, f_table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,22 +314,55 @@ def test_scored_report_does_not_copy_counts(rng):
 
 
 def test_reprocess_two_copy(small_report, design960):
-    rep2 = reprocess_two_copy(small_report, (0, 1), design960)
+    rep2 = reprocess_two_copy(small_report, (0, 1))
     assert rep2.counts.shape == (design960.size, SMALL.blocks, 16)
     assert np.all(rep2.counts.sum(axis=2) == SMALL.m_block)
     n = design960.size * SMALL.m_block * SMALL.blocks
     assert abs(rep2.mean_fidelity - 7.0 / 15.0) <= 8 / math.sqrt(n)
     with pytest.raises(ValueError):
-        reprocess_two_copy(small_report, (1, 0), design960)
+        reprocess_two_copy(small_report, (1, 0))
+    with pytest.raises(ValueError):
+        reprocess_two_copy(rep2, (0, 1))  # a two-copy run has no third count axis
 
 
-def test_reprocess_pairs_marginalize_consistently(small_report, design960):
+def test_reprocess_pairs_marginalize_consistently(small_report):
     # marginalized totals per state-block agree with the parent run
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        rep2 = reprocess_two_copy(small_report, pair, design960)
+        rep2 = reprocess_two_copy(small_report, pair)
         assert np.array_equal(
             rep2.counts.sum(axis=2), small_report.counts.sum(axis=2)
         )
+
+
+def test_two_copy_health(small_report):
+    # a two-copy report is judged against the two-copy exact F of its pair
+    for pair in [(0, 1), (0, 2), (1, 2)]:
+        health = run_health(reprocess_two_copy(small_report, pair))
+        assert health["exact_fidelity"] == pytest.approx(7 / 15, abs=1e-12), pair
+        assert abs(health["z"]) <= 5, pair
+
+
+@pytest.fixture(scope="module")
+def empirical_report(symmetric_triple):
+    design = optimize_design(40, 4, 4, seed=1, max_iters=400)
+    return simulate_protocol(symmetric_triple, design,
+                             SimConfig(seed=1, m_block=2000, blocks=4), mode="empirical")
+
+
+def test_empirical_health_uses_run_mode(empirical_report, symmetric_triple):
+    # the exact F of an empirical run is the empirical F of its own design
+    health = run_health(empirical_report)
+    expected = triple_fidelity(symmetric_triple, "empirical", empirical_report.design)
+    assert health["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
+    assert abs(expected - F3_SYMMETRIC) > 1e-4  # so the ideal value would not pass
+    assert abs(health["z"]) <= 5
+
+
+def test_empirical_two_copy_uses_run_mode(empirical_report):
+    rep2 = reprocess_two_copy(empirical_report, (0, 1))
+    expected = estimation_fidelity(empirical_report.measurements[:2], "empirical",
+                                   empirical_report.design).fidelity
+    assert run_health(rep2)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_equivalence_scan_phase_exact_invariance(symmetric_triple, design960):
@@ -357,7 +387,7 @@ def test_equivalence_scan_simulated_invariance(symmetric_triple, haar_report, de
 
 
 def test_reprocess_two_copy_transformed(haar_report, design960):
-    rep2 = reprocess_two_copy(haar_report, (0, 1), design960)
+    rep2 = reprocess_two_copy(haar_report, (0, 1))
     assert rep2.triple is haar_report.triple
     n = design960.size * SCAN.m_block * SCAN.blocks
     assert abs(rep2.mean_fidelity - 7.0 / 15.0) <= 8 / math.sqrt(n)
@@ -401,3 +431,5 @@ def test_random_subset_analysis(small_report, design960):
     assert stds[0] > stds[1] > stds[2]
     with pytest.raises(ValueError):
         random_subset_analysis(small_report, [0])
+    with pytest.raises(ValueError, match="subset sizes repeat"):
+        random_subset_analysis(small_report, [K // 4, K // 4])
