@@ -199,7 +199,11 @@ def _finish(args, run, t0):
 def _load_or_build_design(source):
     if source in (None, "clifford"):
         return default_design()
-    return load_design(source)
+    design = load_design(source)
+    if design.dim != 4:
+        raise DesignFormatError(
+            f"{source}: design has dim={design.dim}; the measurements act on dimension 4")
+    return design
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,12 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
 
 
 # ---------------------------------------------------------------------------
-# design files: JSON (structured) and CSV (flat) renderings
+# design files: one schema, two renderings.  A file is a header (the six
+# fields of _header), free-form metadata and one row of 2*dim floats
+# (re0, im0, re1, im1, ...) per state.  JSON holds them as an object with a
+# 'metadata' object and a 'states' list; CSV as '# key=value' lines, a column
+# line and one comma-separated row per state.  Each reader only parses its
+# rendering; load_design checks the result.
 
 def _header(design, phi_t):
     return {
@@ -283,65 +288,79 @@ def save_design(design, path, phi_t=None):
     path = str(path)
     if phi_t is None:
         phi_t = frame_potential(design, design.t)
-    if path.endswith(".csv"):
-        _save_csv(design, path, phi_t)
-    else:
-        _save_json(design, path, phi_t)
-
-
-def _save_json(design, path, phi_t):
-    data = _header(design, phi_t)
-    data["metadata"] = {
-        k: v for k, v in design.metadata.items() if _json_safe(v)
-    }
-    data["states"] = [
-        [f"{x:.17g}" for pair in zip(col.real, col.imag) for x in pair]
-        for col in design.states.T
-    ]
+    header = _header(design, phi_t)
+    rows = [[f"{x:.17g}" for pair in zip(col.real, col.imag) for x in pair]
+            for col in design.states.T]
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-
-
-def _save_csv(design, path, phi_t):
-    hdr = _header(design, phi_t)
-    with open(path, "w") as fh:
-        for k, v in hdr.items():
-            fh.write(f"# {k}={v}\n")
-        cols = ",".join(f"re{i},im{i}" for i in range(design.dim))
-        fh.write(cols + "\n")
-        for col in design.states.T:
-            fh.write(
-                ",".join(
-                    f"{x:.17g}" for pair in zip(col.real, col.imag) for x in pair
-                )
-                + "\n"
-            )
-
-
-def _json_safe(v):
-    return isinstance(v, (int, float, str, bool, type(None)))
+        if path.endswith(".csv"):
+            fh.writelines(f"# {k}={v}\n" for k, v in header.items())
+            fh.write(",".join(f"re{i},im{i}" for i in range(design.dim)) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        else:
+            metadata = {k: v for k, v in design.metadata.items()
+                        if isinstance(v, (int, float, str, bool, type(None)))}
+            json.dump(dict(header, metadata=metadata, states=rows), fh, indent=1)
 
 
 def load_design(path):
+    """Read a design file written by save_design and check it against the schema."""
     path = str(path)
-    if path.endswith(".csv"):
-        return _load_csv(path)
-    return _load_json(path)
+    header, metadata, rows = (_read_csv if path.endswith(".csv") else _read_json)(path)
 
+    def fail(message):
+        raise DesignFormatError(f"{path}: {message}")
 
-def _count_field(path, key, value):
-    """A header count (dim, t or K): an int >= 1 and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DesignFormatError(f"{path}: '{key}' must be an integer >= 1, got {value!r}")
-    return value
-
-
-def _float_field(path, key, text):
-    """A CSV header float (phi_t)."""
+    for key in ("format_version", "dim", "t", "K"):
+        if key not in header:
+            fail(f"missing header field '{key}'")
+    version = header["format_version"]
+    if type(version) is not int or version != 1:
+        fail(f"unsupported format_version {version!r}")
+    for key in ("dim", "t", "K"):
+        if type(header[key]) is not int or header[key] < 1:
+            fail(f"'{key}' must be an integer >= 1, got {header[key]!r}")
+    dim, t, K = header["dim"], header["t"], header["K"]
+    phi_t = header.get("phi_t")
+    if "phi_t" in header and (isinstance(phi_t, bool) or not isinstance(phi_t, (int, float))):
+        fail(f"'phi_t' must be a number, got {phi_t!r}")
+    provenance = header.get("provenance", "file")
+    if not isinstance(provenance, str):
+        fail(f"'provenance' must be a string, got {provenance!r}")
+    if len(rows) != K:
+        fail(f"expected K={K} states, found {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != 2 * dim:
+            fail(f"state {i}: expected {2 * dim} floats, got {len(row)}")
+    table = np.array(rows)
+    design = StateDesign(
+        dim=dim,
+        t=t,
+        states=(table[:, 0::2] + 1j * table[:, 1::2]).T,
+        provenance=provenance,
+        metadata=dict(metadata, phi_t=phi_t),
+    )
     try:
-        return float(text)
-    except ValueError:
-        raise DesignFormatError(f"{path}: '{key}' must be a float, got {text!r}") from None
+        return design.validate()
+    except DesignFormatError as exc:
+        fail(exc)
+
+
+def _read_json(path):
+    """(header, metadata, rows) of a JSON design file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DesignFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+        except RecursionError as exc:
+            raise DesignFormatError(f"{path}: JSON nested too deeply") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("states"), list)
+            and isinstance(data.get("metadata", {}), dict)):
+        raise DesignFormatError(
+            f"{path}: not a design object (a JSON object with a 'states' list"
+            " and an optional 'metadata' object)")
+    rows = [_json_row(path, i, record) for i, record in enumerate(data.pop("states"))]
+    return data, data.pop("metadata", {}), rows
 
 
 def _json_row(path, i, record):
@@ -354,54 +373,12 @@ def _json_row(path, i, record):
     raise DesignFormatError(f"{path}: state {i} is not a list of floats")
 
 
-def _states_from_rows(rows, dim):
-    states = []
-    for i, row in enumerate(rows):
-        if len(row) != 2 * dim:
-            raise DesignFormatError(f"state {i}: expected {2*dim} floats, got {len(row)}")
-        col = np.array(row[0::2]) + 1j * np.array(row[1::2])
-        states.append(col)
-    return np.array(states).T
+def _read_csv(path):
+    """(header, metadata, rows) of a CSV design file; it has no metadata.
 
-
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DesignFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not (isinstance(data, dict) and isinstance(data.get("states", []), list)
-            and isinstance(data.get("metadata", {}), dict)):
-        raise DesignFormatError(
-            f"{path}: not a design object (a JSON object with a 'states' list"
-            " and an optional 'metadata' object)")
-    for key in ("format_version", "dim", "t", "K", "states"):
-        if key not in data:
-            raise DesignFormatError(f"{path}: missing field '{key}'")
-    version = data["format_version"]
-    if type(version) is not int or version != 1:
-        raise DesignFormatError(f"{path}: unsupported format_version {version!r}")
-    dim, t, K = (_count_field(path, key, data[key]) for key in ("dim", "t", "K"))
-    phi_t = data.get("phi_t")
-    if "phi_t" in data and (isinstance(phi_t, bool) or not isinstance(phi_t, (int, float))):
-        raise DesignFormatError(f"{path}: 'phi_t' must be a number, got {phi_t!r}")
-    provenance = data.get("provenance", "file")
-    if not isinstance(provenance, str):
-        raise DesignFormatError(f"{path}: 'provenance' must be a string, got {provenance!r}")
-    rows = [_json_row(path, i, record) for i, record in enumerate(data["states"])]
-    if len(rows) != K:
-        raise DesignFormatError(f"expected K={K} states, found {len(rows)}")
-    design = StateDesign(
-        dim=dim,
-        t=t,
-        states=_states_from_rows(rows, dim),
-        provenance=provenance,
-        metadata=dict(data.get("metadata", {}), phi_t=phi_t),
-    )
-    return design.validate()
-
-
-def _load_csv(path):
+    A header value is the JSON literal it spells (4 is an int, 0.05 a
+    float), or else its text.
+    """
     header = {}
     rows = []
     with open(path) as fh:
@@ -411,7 +388,10 @@ def _load_csv(path):
                 continue
             if line.startswith("#"):
                 k, _, v = line[1:].strip().partition("=")
-                header[k.strip()] = v.strip()
+                try:
+                    header[k.strip()] = json.loads(v)
+                except (ValueError, RecursionError):
+                    header[k.strip()] = v.strip()
             elif line.startswith("re0"):
                 continue
             else:
@@ -419,24 +399,4 @@ def _load_csv(path):
                     rows.append([float(x) for x in line.split(",")])
                 except ValueError as exc:
                     raise DesignFormatError(f"{path}:{lineno}: bad float") from exc
-    for key in ("format_version", "dim", "t", "K"):
-        if key not in header:
-            raise DesignFormatError(f"{path}: missing header field '{key}'")
-    if header["format_version"] != "1":
-        raise DesignFormatError(
-            f"{path}: unsupported format_version {header['format_version']!r}")
-    dim, t, K = (
-        _count_field(path, key, int(header[key]) if header[key].isdecimal() else header[key])
-        for key in ("dim", "t", "K")
-    )
-    if len(rows) != K:
-        raise DesignFormatError(f"expected K={K} states, found {len(rows)}")
-    design = StateDesign(
-        dim=dim,
-        t=t,
-        states=_states_from_rows(rows, dim),
-        provenance=header.get("provenance", "file"),
-        metadata={"phi_t": _float_field(path, "phi_t", header["phi_t"])}
-        if "phi_t" in header else {},
-    )
-    return design.validate()
+    return header, {}, rows

@@ -365,30 +365,38 @@ def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     assert "not unit norm" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suffix, field, value, message", [
-    ("json", "t", "4", "'t' must be an integer >= 1, got '4'"),
-    ("json", "dim", 4.0, "'dim' must be an integer >= 1, got 4.0"),
-    ("json", "t", True, "'t' must be an integer >= 1, got True"),
-    ("json", "K", "40", "'K' must be an integer >= 1, got '40'"),
-    ("json", "K", 0, "'K' must be an integer >= 1, got 0"),
+def _both_renderings(cases):
+    """Each "both" case as a .json case in place and a .csv case appended, its
+    '# field=' line spelling the value as the JSON literal; None deletes the field."""
+    return ([("json" if suffix == "both" else suffix, *case) for suffix, *case in cases]
+            + [("csv", field, None if value is None else json.dumps(value), message)
+               for suffix, field, value, message in cases if suffix == "both"])
+
+
+@pytest.mark.parametrize("suffix, field, value, message", _both_renderings([
+    ("both", "t", "4", "'t' must be an integer >= 1, got '4'"),
+    ("both", "dim", 4.0, "'dim' must be an integer >= 1, got 4.0"),
+    ("both", "t", True, "'t' must be an integer >= 1, got True"),
+    ("both", "K", "40", "'K' must be an integer >= 1, got '40'"),
+    ("both", "K", 0, "'K' must be an integer >= 1, got 0"),
     ("json", "state", "abc", "state 3 is not a list of floats"),
     ("json", "state", None, "state 3 is not a list of floats"),
     ("json", None, 5, "not a design object"),
     ("json", "states", 5, "not a design object"),
     ("json", "metadata", [1], "not a design object"),
-    ("json", "phi_t", "abc", "'phi_t' must be a number, got 'abc'"),
-    ("json", "provenance", [1], "'provenance' must be a string, got [1]"),
-    ("json", "format_version", True, "unsupported format_version True"),
-    ("json", "format_version", 1.0, "unsupported format_version 1.0"),
-    ("csv", "t", "true", "'t' must be an integer >= 1, got 'true'"),
-    ("csv", "dim", "4.0", "'dim' must be an integer >= 1, got '4.0'"),
-    ("csv", "K", "0", "'K' must be an integer >= 1, got 0"),
+    ("both", "phi_t", "abc", "'phi_t' must be a number, got 'abc'"),
+    ("both", "provenance", [1], "'provenance' must be a string, got [1]"),
+    ("both", "format_version", True, "unsupported format_version True"),
+    ("both", "format_version", 1.0, "unsupported format_version 1.0"),
+    ("both", "format_version", 7, "unsupported format_version 7"),
+    ("both", "format_version", None, "missing header field 'format_version'"),
+    ("both", "dim", None, "missing header field 'dim'"),
     ("csv", "state", "abc", "bad float"),
-    ("csv", "phi_t", "abc", "'phi_t' must be a float, got 'abc'"),
-    ("csv", "format_version", "7", "unsupported format_version '7'"),
-    ("csv", "format_version", "1.0", "unsupported format_version '1.0'"),
-    ("csv", "format_version", None, "missing header field 'format_version'"),
-])
+    # a CSV header value that spells no JSON literal is text
+    ("csv", "dim", "04", "'dim' must be an integer >= 1, got '04'"),
+    ("csv", "phi_t", "abc", "'phi_t' must be a number, got 'abc'"),
+    ("csv", "phi_t", "nan", "'phi_t' must be a number, got 'nan'"),
+]))
 def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
                                   value, message):
     path = outdir / f"bad.{suffix}"
@@ -398,6 +406,8 @@ def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, fie
             data = value
         elif field == "state":
             data["states"][3][1] = value
+        elif value is None:
+            del data[field]
         else:
             data[field] = value
         path.write_text(json.dumps(data))
@@ -411,7 +421,22 @@ def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, fie
             lines[-1] = value + lines[-1][lines[-1].index(","):]
         path.write_text("\n".join(lines) + "\n")
     assert main(["fidelity", "--mode", "empirical", "--design", str(path)]) == EXIT_IO
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--mode", "empirical"],
+    ["simulate", "--M", "10", "--blocks", "2"],
+    ["subsets", "--sizes", "4", "--trials", "2", "--M", "10", "--blocks", "2"],
+    ["equivalence", "--exact", "--phi-grid", "0:pi:2"],
+])
+def test_design_of_wrong_dim_exits_io(outdir, capsys, argv):
+    path = outdir / "qubit.json"
+    save_design(optimize_design(8, 2, 2, seed=2, max_iters=50), path)
+    assert main(argv + ["--design", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: {path}: design has dim=2; the measurements act on dimension 4\n")
 
 
 def test_simulate_reproducible(outdir, capsys, small_design_file):

@@ -295,7 +295,7 @@ def test_save_load_json_roundtrip(tmp_path):
     save_design(d, path)
     loaded = load_design(path)
     assert loaded.size == 8 and loaded.dim == 2 and loaded.t == 2
-    assert np.max(np.abs(loaded.states - d.states)) <= 1e-15
+    assert np.array_equal(loaded.states, d.states)  # %.17g round-trips exactly
 
 
 def test_save_load_csv_roundtrip(tmp_path):
@@ -304,7 +304,40 @@ def test_save_load_csv_roundtrip(tmp_path):
     save_design(d, path)
     loaded = load_design(path)
     assert loaded.size == 8
-    assert np.max(np.abs(loaded.states - d.states)) <= 1e-15
+    assert np.array_equal(loaded.states, d.states)
+    save_design(d, tmp_path / "design.json")
+    from_json = load_design(tmp_path / "design.json")
+    assert np.array_equal(loaded.states, from_json.states)
+    assert (loaded.dim, loaded.t, loaded.provenance, loaded.metadata["phi_t"]) == (
+        from_json.dim, from_json.t, from_json.provenance, from_json.metadata["phi_t"])
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_load_without_phi_t(tmp_path, suffix):
+    path = tmp_path / f"design.{suffix}"
+    save_design(optimize_design(8, 2, 2, seed=2, max_iters=50), path)
+    if suffix == "json":
+        data = json.loads(path.read_text())
+        del data["phi_t"]
+        path.write_text(json.dumps(data))
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith("# phi_t=")))
+    assert load_design(path).metadata["phi_t"] is None
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_load_deeply_nested_value(tmp_path, suffix):
+    path = tmp_path / f"deep.{suffix}"
+    if suffix == "json":
+        path.write_text("[" * 100000)
+        message = "JSON nested too deeply"
+    else:
+        save_design(optimize_design(8, 2, 2, seed=2, max_iters=50), path)
+        path.write_text(path.read_text().replace("# dim=2", "# dim=" + "[" * 100000))
+        message = "'dim' must be an integer >= 1"
+    with pytest.raises(DesignFormatError, match=message):
+        load_design(path)
 
 
 def test_load_json_missing_field(tmp_path):
