@@ -20,6 +20,7 @@ from .linalg import symmetric_dimension
 
 QUARTIC_SUM = 5.0 / 7.0
 _GRAM_ROWS = 64  # rows of the frame-potential table filled per product
+_NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
 
 
 @dataclass(frozen=True)
@@ -323,6 +324,8 @@ def load_design(path):
     phi_t = header.get("phi_t")
     if "phi_t" in header and (isinstance(phi_t, bool) or not isinstance(phi_t, (int, float))):
         fail(f"'phi_t' must be a number, got {phi_t!r}")
+    if isinstance(phi_t, float) and not math.isfinite(phi_t):
+        fail(f"'phi_t' must be a finite number, got {phi_t!r}")
     provenance = header.get("provenance", "file")
     if not isinstance(provenance, str):
         fail(f"'provenance' must be a string, got {provenance!r}")
@@ -377,7 +380,8 @@ def _read_csv(path):
     """(header, metadata, rows) of a CSV design file; it has no metadata.
 
     A header value is the JSON literal it spells (4 is an int, 0.05 a
-    float), or else its text.
+    float), a float if it is one of the spellings inf, -inf and nan that
+    save_design writes for a non-finite float, or else its text.
     """
     header = {}
     rows = []
@@ -391,7 +395,8 @@ def _read_csv(path):
                 try:
                     header[k.strip()] = json.loads(v)
                 except (ValueError, RecursionError):
-                    header[k.strip()] = v.strip()
+                    v = v.strip()
+                    header[k.strip()] = float(v) if v in _NONFINITE_SPELLINGS else v
             elif line.startswith("re0"):
                 continue
             else:

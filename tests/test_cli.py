@@ -395,7 +395,14 @@ def _both_renderings(cases):
     # a CSV header value that spells no JSON literal is text
     ("csv", "dim", "04", "'dim' must be an integer >= 1, got '04'"),
     ("csv", "phi_t", "abc", "'phi_t' must be a number, got 'abc'"),
-    ("csv", "phi_t", "nan", "'phi_t' must be a number, got 'nan'"),
+    # a non-finite phi_t: NaN and +-Infinity, which Python's json reads, in both
+    # renderings, and in CSV also the spellings save_design writes for them
+    ("both", "phi_t", math.nan, "'phi_t' must be a finite number, got nan"),
+    ("both", "phi_t", math.inf, "'phi_t' must be a finite number, got inf"),
+    ("both", "phi_t", -math.inf, "'phi_t' must be a finite number, got -inf"),
+    ("csv", "phi_t", "nan", "'phi_t' must be a finite number, got nan"),
+    ("csv", "phi_t", "inf", "'phi_t' must be a finite number, got inf"),
+    ("csv", "phi_t", "-inf", "'phi_t' must be a finite number, got -inf"),
 ]))
 def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
                                   value, message):
