@@ -2,7 +2,8 @@
 
 Each command returns a `Run`, which `main` prints and, under --out, writes:
 tabular output as CSV (12 significant digits, '#'-comment header) plus a
-JSON run manifest adjacent to the outputs.
+JSON run manifest adjacent to the outputs.  The manifest describes the run by
+its parsed command line: every option as typed, and argv verbatim.
 Angles accept plain radians or pi-fraction tokens like pi/2 or 3pi/8;
 grids use start:stop:count.  Exit codes: 0 ok, 2 usage/I-O, 3 numerical
 target not reached, 4 validation failure.
@@ -102,14 +103,10 @@ def parse_angle_list(text):
 DEFAULT_Z_GRID = "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8,pi"
 
 
-def _outdir():
-    return os.environ.get("MUBEST_OUTDIR", ".")
-
-
 def _resolve(path):
     if os.path.isabs(path) or os.path.dirname(path):
         return path
-    return os.path.join(_outdir(), path)
+    return os.path.join(os.environ.get("MUBEST_OUTDIR", "."), path)
 
 
 @dataclass
@@ -122,10 +119,14 @@ class Run:
     """
 
     lines: list
-    parameters: dict
     outputs: list = field(default_factory=list)
     fields: dict = field(default_factory=dict)
     error: tuple = None
+
+
+def run_parameters(args):
+    """Every option of a parsed command line, as typed, defaults included."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
 def manifest_digest(command, parameters, seed):
@@ -172,24 +173,32 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _finish(args, run, t0):
-    """Print `run`'s lines; under --out write its outputs and manifest; report its error."""
+def _finish(args, argv, run, t0):
+    """Print `run`'s lines; under --out write its outputs and manifest; report its error.
+
+    The digest covers the parsed options; `argv` is recorded verbatim beside it,
+    with numpy's version and, for a run that samples, its sampler's stream version.
+    """
     for line in run.lines:
         print(line)
     if args.out:
-        seed = getattr(args, "seed", None)
-        digest = manifest_digest(args.command, run.parameters, seed)
+        parameters, seed = run_parameters(args), getattr(args, "seed", None)
+        cfg = _sim_config(args)
+        digest = manifest_digest(args.command, parameters, seed)
         paths = []
         for path, write in run.outputs:
             paths.append(_resolve(path))
             write(paths[-1], digest)
         manifest = {
             "command": args.command,
-            "parameters": run.parameters,
+            "argv": argv,
+            "parameters": parameters,
             "seed": seed,
             "output_paths": paths,
             "output_sha256": {path: _file_sha256(path) for path in paths},
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "stream_version": None if cfg is None else SAMPLERS[cfg.sampler],
             "manifest_hash": digest,
             **run.fields,
             "wall_time_s": round(time.time() - t0, 3),
@@ -213,20 +222,26 @@ def _load_or_build_design(source):
     return design
 
 
+def _sim_config(args):
+    """The run's sampling settings, or None for a run that samples nothing."""
+    if not hasattr(args, "sampler") or getattr(args, "exact", False):
+        return None
+    return SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
+                     sampler=args.sampler)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_groups(args):
-    expected = {"pauli": 16, "clifford": 11520, "restricted": 960}[args.which]
-    builders = {
-        "pauli": lambda: pauli_group_projective(2),
-        "clifford": clifford_group_2q,
-        "restricted": restricted_clifford_group_2q,
-    }
-    group = builders[args.which]()
+    build, expected = {
+        "pauli": (lambda: pauli_group_projective(2), 16),
+        "clifford": (clifford_group_2q, 11520),
+        "restricted": (restricted_clifford_group_2q, 960),
+    }[args.which]
+    group = build()
     return Run(
         [f"order={len(group)}"],
-        {"which": args.which, "out": args.out},
         [(args.out, lambda path, digest: save_group(group, path))],
         error=None if len(group) == expected else
         (EXIT_VALIDATION, f"expected order {expected}"),
@@ -245,17 +260,23 @@ def cmd_design(args):
     _, ratio = moment_operator(design, 4)
     missed = (args.subcommand == "optimize" and args.target is not None
               and phi4 > args.target)
+    health = {"phi4": phi4, "symmetric_ratio": ratio}
+    if args.subcommand == "optimize":
+        health.update(iterations=design.metadata["iterations"],
+                      reached_target=design.metadata["reached_target"])
     return Run(
         [f"K={design.size} phi4={phi4:.10f} symmetric_ratio={ratio:.6f}"],
-        {"subcommand": args.subcommand, "K": args.K, "iters": args.iters,
-         "step": args.step, "target": args.target, "out": args.out},
         [(args.out, lambda path, digest: save_design(design, path, phi_t=phi4))],
+        {"health": health},
         error=(EXIT_TARGET, f"phi4={phi4:.10f} did not reach target {args.target}")
         if missed else None,
     )
 
 
 def cmd_fidelity(args):
+    if args.mode != "empirical" and (args.design is not None
+                                     or args.estimator_source == "ideal"):
+        raise ValueError("--design and --estimator-source ideal need --mode empirical")
     x = parse_angle(args.x)
     y_values = parse_angle_list(args.y_list)
     z_values = parse_angle_list(args.z_list)
@@ -274,10 +295,6 @@ def cmd_fidelity(args):
                 rows.append((x, y, z, f))
     return Run(
         [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
-        {"x": x, "y_list": y_values, "z_list": z_values, "mode": args.mode,
-         "copies": args.copies, "pair": args.pair,
-         "estimator_source": args.estimator_source, "design": args.design,
-         "out": args.out},
         [(args.out, _csv({"mode": args.mode, "copies": args.copies},
                          ["x", "y", "z", "F"], rows))],
     )
@@ -285,22 +302,17 @@ def cmd_fidelity(args):
 
 def cmd_simulate(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
+    cfg = _sim_config(args)
     design = _load_or_build_design(args.design)
-    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
-                    sampler=args.sampler)
     report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode)
     return Run(
         [f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
          f" (block std {report.std:.6f})"],
-        {"x": x, "y": y, "z": z, "M": args.M, "blocks": args.blocks,
-         "design": args.design, "mode": args.mode, "sampler": args.sampler,
-         "counts": args.counts, "out": args.out},
         [(args.out, lambda path, digest: _write_report(path, report, args.counts)),
          (f"{args.out}.blocks.csv",
           _csv({"x": x, "y": y, "z": z}, ["block", "fidelity"],
                [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)]))],
-        {"numpy_version": np.__version__,
-         "health": run_health(report)},
+        {"health": run_health(report)},
     )
 
 
@@ -334,21 +346,10 @@ def cmd_equivalence(args):
     grid = parse_angle_list(args.phi_grid) if args.phi_grid else None
     if grid is None:
         check_unitary_count(args.n_unitaries)
+    cfg = _sim_config(args)
     base = mub_triple(math.pi / 2, math.pi / 2, math.pi / 2)
     design = _load_or_build_design(args.design)
-    mode = "empirical" if args.design not in (None, "clifford") else "ideal"
-    if args.mode:
-        mode = args.mode
-    cfg = None if args.exact else SimConfig(
-        seed=args.seed, m_block=args.M, blocks=args.blocks, sampler=args.sampler
-    )
-    parameters = {"design": args.design, "mode": mode, "exact": args.exact,
-                  "phi_grid": args.phi_grid, "n_unitaries": args.n_unitaries,
-                  "out": args.out}
-    sampled = {}  # manifest fields of a sampled scan; an exact scan draws nothing
-    if cfg is not None:
-        parameters.update(M=args.M, blocks=args.blocks, sampler=args.sampler)
-        sampled["numpy_version"] = np.__version__
+    mode = args.mode or ("empirical" if args.design not in (None, "clifford") else "ideal")
     if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
         lines = [f"phi={phi:.6f} exact={exact:.12g}"
@@ -371,15 +372,14 @@ def cmd_equivalence(args):
             ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
             rows,
         )
-    return Run(lines, parameters, [(args.out, write)], sampled)
+    return Run(lines, [(args.out, write)])
 
 
 def cmd_subsets(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
     sizes = [int(s) for s in args.sizes.split(",")]
+    cfg = _sim_config(args)
     design = _load_or_build_design(args.design)
-    cfg = SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
-                    sampler=args.sampler)
     check_subset_request(sizes, args.trials, design.size)
     report = simulate_protocol(mub_triple(x, y, z), design, cfg)
     results = random_subset_analysis(
@@ -388,16 +388,16 @@ def cmd_subsets(args):
     rows = [(size, mean, std) for size, (mean, std) in results.items()]
     return Run(
         [f"K={size} mean={mean:.6f} std={std:.6f}" for size, mean, std in rows],
-        {"x": x, "y": y, "z": z, "design": args.design, "sizes": sizes,
-         "trials": args.trials, "subset_seed": args.subset_seed, "M": args.M,
-         "blocks": args.blocks, "sampler": args.sampler, "out": args.out},
         [(args.out, _csv({"x": x, "y": y, "z": z, "trials": args.trials},
                          ["K", "mean", "std"], rows))],
-        {"numpy_version": np.__version__},
     )
 
 
-def _add_sampler_option(parser):
+def _add_sampling_options(parser):
+    """The options a sampling command builds its SimConfig from (`_sim_config`)."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--M", type=int, default=10000, help="repetitions per block")
+    parser.add_argument("--blocks", type=int, default=10)
     parser.add_argument(
         "--sampler", choices=SAMPLERS, default="counts",
         help="'counts': chained multinomials (stream version 2); 'draws': every "
@@ -423,7 +423,7 @@ def build_parser():
     p = sub.add_parser("design", help="build a 4-design (Clifford orbit or numerical)")
     p.add_argument("subcommand", choices=["clifford", "optimize"])
     p.add_argument("--K", type=int, default=200, help="number of states (optimize)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="optimizer's random start")
     p.add_argument("--iters", type=int, default=100000, help="max iterations")
     p.add_argument("--step", type=float, default=1.0, help="initial step length")
     p.add_argument("--target", type=float, default=None,
@@ -455,10 +455,7 @@ def build_parser():
                    help="design file path or 'clifford'")
     p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
                    help="which Q defines the estimators")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--M", type=int, default=10000, help="repetitions per block")
-    p.add_argument("--blocks", type=int, default=10)
-    _add_sampler_option(p)
+    _add_sampling_options(p)
     p.add_argument("--counts", action="store_true",
                    help="include the full outcome count table in the report")
     p.add_argument("--out", help="JSON report path")
@@ -471,10 +468,7 @@ def build_parser():
     p.add_argument("--exact", action="store_true", help="skip simulation")
     p.add_argument("--phi-grid", help="phase grid start:stop:count")
     p.add_argument("--n-unitaries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--M", type=int, default=10000)
-    p.add_argument("--blocks", type=int, default=10)
-    _add_sampler_option(p)
+    _add_sampling_options(p)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_equivalence)
 
@@ -485,11 +479,8 @@ def build_parser():
     p.add_argument("--design", default="clifford")
     p.add_argument("--sizes", default="240,480,720")
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subset-seed", type=int, default=0)
-    p.add_argument("--M", type=int, default=10000)
-    p.add_argument("--blocks", type=int, default=10)
-    _add_sampler_option(p)
+    _add_sampling_options(p)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_subsets)
     return parser
@@ -497,9 +488,13 @@ def build_parser():
 
 def main(argv=None):
     t0 = time.time()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return _finish(args, args.func(args), t0)
+        # numpy's message and exit code, before any design is built or state sampled
+        if min(getattr(args, name, 0) for name in ("seed", "subset_seed")) < 0:
+            raise ValueError("expected non-negative integer")
+        return _finish(args, argv, args.func(args), t0)
     except (OSError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -60,7 +60,7 @@ from .mub import MubTriple, controlled_phase, haar_random_unitary, transform_tri
 
 _STATE_CHUNK = 64  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the counts sampler's streams
-SAMPLERS = ("counts", "draws")
+SAMPLERS = {"counts": 2, "draws": 1}  # sampler: its stream version
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ class SimConfig:
         if self.blocks < 2:
             raise ValueError("blocks must be >= 2 for a std")
         if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
+            raise ValueError(
+                f"sampler must be one of {tuple(SAMPLERS)}, got {self.sampler!r}")
 
 
 @dataclass

@@ -19,10 +19,12 @@ from mubest.cli import (
     EXIT_TARGET,
     EXIT_VALIDATION,
     _write_report,
+    build_parser,
     main,
     manifest_digest,
     parse_angle,
     parse_angle_list,
+    run_parameters,
 )
 from mubest.designs import (
     default_design,
@@ -99,6 +101,11 @@ def test_parse_angle_list_rejects(text, message):
     ["fidelity", "--z-list", "0:pi:0"],
     ["fidelity", "--z-list", "0:pi"],
     ["equivalence", "--exact", "--phi-grid", "0:pi:0"],
+    # fidelity reads --design and --estimator-source ideal in empirical mode only
+    ["fidelity", "--design", "no_such_file.json"],
+    ["fidelity", "--design", "clifford", "--y-list", "pi/2", "--z-list", "0"],
+    ["fidelity", "--estimator-source", "ideal"],
+    ["fidelity", "--copies", "2", "--mode", "ideal", "--estimator-source", "ideal"],
 ])
 def test_bad_angles_exit_validation(outdir, capsys, argv):
     assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
@@ -126,6 +133,14 @@ def test_design_optimize_command(outdir, capsys):
     manifest = json.loads((outdir / "d.json.manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["manifest_hash"]
+    design = load_design(outdir / "d.json")
+    phi4 = frame_potential(design, 4)
+    assert manifest["health"]["phi4"] == pytest.approx(phi4, rel=1e-12)
+    assert f"phi4={manifest['health']['phi4']:.10f}" in out
+    assert f"symmetric_ratio={manifest['health']['symmetric_ratio']:.6f}" in out
+    # no --target: the optimizer ran all 300 iterations or stalled before
+    assert 1 <= manifest["health"]["iterations"] <= 300
+    assert manifest["health"]["reached_target"] is False
 
 
 def test_design_optimize_target_miss(outdir, capsys):
@@ -336,14 +351,15 @@ def test_sampler_recorded_for_sampled_commands(outdir, small_design_file, argv):
     assert manifest["parameters"]["sampler"] == "draws"
     # numpy does not promise to keep multinomial's stream across releases
     assert manifest["numpy_version"] == np.__version__
+    assert manifest["stream_version"] == 1
 
 
 def test_exact_equivalence_records_no_sampler(outdir, small_design_file):
+    # an exact scan draws nothing, so it claims no stream
     assert main(["equivalence", "--design", small_design_file, "--exact",
                  "--phi-grid", "0:pi:2", "--out", "eq.csv"]) == EXIT_OK
     manifest = json.loads((outdir / "eq.csv.manifest.json").read_text())
-    assert "sampler" not in manifest["parameters"]
-    assert "numpy_version" not in manifest
+    assert manifest["stream_version"] is None
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +525,7 @@ def test_subsets_rejects_single_trial(outdir, capsys, small_design_file):
     ["--sizes", "0"],
     ["--sizes", "961"],
     ["--sizes", "10,10"],
+    ["--subset-seed", "-1"],
 ])
 def test_subsets_validates_before_sampling(outdir, capsys, monkeypatch, extra):
     def fail(*args, **kwargs):
@@ -529,6 +546,18 @@ def test_equivalence_single_unitary_rejected(outdir, capsys, monkeypatch, extra)
     assert code == EXIT_VALIDATION
     # one unitary gives no std: a zero would claim perfect precision
     assert capsys.readouterr().err == "error: n_unitaries must be >= 2 for a std\n"
+    assert list(outdir.iterdir()) == []
+
+
+def test_equivalence_negative_seed_rejected(outdir, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built the design before validating")
+
+    monkeypatch.setattr("mubest.cli._load_or_build_design", fail)
+    code = main(["equivalence", "--exact", "--seed", "-1", "--n-unitaries", "3",
+                 "--out", "eq.csv"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
     assert list(outdir.iterdir()) == []
 
 
@@ -599,3 +628,109 @@ def test_manifest_wall_time_covers_command(outdir, small_design_file, monkeypatc
                  "--out", "run.json"]) == EXIT_OK
     manifest = json.loads((outdir / "run.json.manifest.json").read_text())
     assert manifest["wall_time_s"] >= 0.2
+
+
+def _digest(argv):
+    args = build_parser().parse_args(argv)
+    return manifest_digest(args.command, run_parameters(args), getattr(args, "seed", None))
+
+
+# the required arguments of each subcommand; every other option keeps its default
+BASE_ARGV = {"groups": ["--which", "pauli"], "design": ["clifford"], "fidelity": [],
+             "simulate": [], "equivalence": [], "subsets": []}
+
+
+def _changed_argv(command, action):
+    """BASE_ARGV of `command` with `action` set to a value other than its base one."""
+    base = getattr(build_parser().parse_args([command] + BASE_ARGV[command]), action.dest)
+    if action.nargs == 0:  # a store_true flag
+        assert base is False
+        return BASE_ARGV[command] + [action.option_strings[0]]
+    if action.choices is not None:
+        value = next(str(c) for c in action.choices if c != base)
+    elif action.type in (int, float):
+        value = str(1 if base is None else base + 1)
+    else:
+        value = f"{base}_changed"  # another angle token, grid, path or name
+    if not action.option_strings:  # the positional, which BASE_ARGV holds alone
+        return [value]
+    return BASE_ARGV[command] + [action.option_strings[0], value]
+
+
+def test_every_option_changes_the_digest():
+    # parsing only: two command lines that differ in one option get different digests
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == set(BASE_ARGV)
+    checked = 0
+    for command, parser in subparsers.choices.items():
+        base = _digest([command] + BASE_ARGV[command])
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            argv = [command] + _changed_argv(command, action)
+            assert _digest(argv) != base, argv
+            checked += 1
+    assert checked == 51
+
+
+def test_run_parameters_are_the_parsed_options():
+    args = build_parser().parse_args(["subsets", "--x", "pi/3", "--sizes", "10,20"])
+    parameters = run_parameters(args)
+    assert "command" not in parameters and "func" not in parameters
+    assert parameters["x"] == "pi/3" and parameters["sizes"] == "10,20"
+    assert parameters["M"] == 10000 and parameters["out"] is None
+
+
+# the README's commands at small sizes; each writes a manifest
+README_RUNS = [
+    ["groups", "--which", "restricted", "--out", "restricted.json"],
+    ["design", "clifford", "--out", "clifford.json"],
+    ["design", "optimize", "--K", "40", "--seed", "0", "--target", "0.0287",
+     "--iters", "5", "--out", "num200.json"],
+    ["fidelity", "--x", "pi/2", "--y-list", "pi/2,0", "--z-list", "0:pi:3",
+     "--out", "curves.csv"],
+    ["fidelity", "--mode", "empirical", "--design", "num200.json", "--z-list", "0:pi:3",
+     "--out", "curves_emp.csv"],
+    ["simulate", "--x", "pi/2", "--y", "pi/2", "--z", "pi/2", "--seed", "0",
+     "--M", "10", "--blocks", "2", "--out", "run.json"],
+    ["simulate", "--x", "pi/2", "--y", "pi/2", "--z", "pi/2", "--seed", "0",
+     "--M", "10", "--blocks", "2", "--counts", "--out", "run_counts.json"],
+    ["simulate", "--x", "pi/2", "--y", "pi/2", "--z", "pi/2", "--seed", "0",
+     "--M", "10", "--blocks", "2", "--sampler", "draws", "--out", "run_v1.json"],
+    ["equivalence", "--exact", "--phi-grid", "0:2pi:3", "--out", "phase.csv"],
+    ["equivalence", "--exact", "--n-unitaries", "3", "--out", "haar.csv"],
+    ["subsets", "--sizes", "240,480,720", "--trials", "3", "--M", "10", "--blocks", "2",
+     "--out", "subsets.csv"],
+]
+
+
+def _sha256_by_name(manifest):
+    return {os.path.basename(path): digest
+            for path, digest in manifest["output_sha256"].items()}
+
+
+def test_manifests_replay(tmp_path, monkeypatch, capsys):
+    # a relative --design is read from the working directory, where the first
+    # pass writes num200.json; the replay writes into its own MUBEST_OUTDIR
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    monkeypatch.setenv("MUBEST_OUTDIR", str(first))
+    codes = [main(argv) for argv in README_RUNS]
+    assert codes == [EXIT_OK] * 2 + [EXIT_TARGET] + [EXIT_OK] * 8
+    manifests = [json.loads((first / (argv[-1] + ".manifest.json")).read_text())
+                 for argv in README_RUNS]
+    monkeypatch.setenv("MUBEST_OUTDIR", str(second))
+    for argv, code, manifest in zip(README_RUNS, codes, manifests):
+        assert manifest["argv"] == argv
+        assert manifest["parameters"] == run_parameters(
+            build_parser().parse_args(manifest["argv"]))
+        assert main(manifest["argv"]) == code
+        replay = json.loads((second / (argv[-1] + ".manifest.json")).read_text())
+        assert replay["manifest_hash"] == manifest["manifest_hash"]
+        assert _sha256_by_name(replay) == _sha256_by_name(manifest)
+        assert all(path.startswith(str(second)) for path in replay["output_paths"])
+        sampled = argv[0] in ("simulate", "subsets")
+        assert manifest["stream_version"] == (
+            {"counts": 2, "draws": 1}[manifest["parameters"]["sampler"]] if sampled else None)
