@@ -19,8 +19,8 @@ _EXPORTS = {
                    "triple_fidelity"),
     "groups": ("UnitaryGroup", "clifford_group_2q", "generate_group",
                "pauli_group_projective", "restricted_clifford_group_2q"),
-    "mub": ("MubTriple", "haar_random_unitary", "measurement_of", "mub_triple",
-            "transform_triple", "unbiasedness_report"),
+    "mub": ("MubTriple", "haar_random_unitary", "mub_triple", "transform_triple",
+            "unbiasedness_report"),
     "simulate": ("SimConfig", "SimReport", "equivalence_scan_phase",
                  "equivalence_scan_random", "random_subset_analysis", "reprocess_two_copy",
                  "simulate_protocol"),

@@ -26,7 +26,7 @@ from .designs import (
     save_design,
 )
 from .errors import DesignFormatError, InfeasibleDesignError
-from .estimation import estimation_fidelity, fidelity_scan, triple_measurements
+from .estimation import estimation_fidelity, fidelity_scan
 from .groups import (
     clifford_group_2q,
     pauli_group_projective,
@@ -104,6 +104,7 @@ DEFAULT_Z_GRID = "0,pi/8,pi/4,3pi/8,pi/2,5pi/8,3pi/4,7pi/8,pi"
 
 
 def _resolve(path):
+    """A bare file name is looked up in MUBEST_OUTDIR; other paths are used as given."""
     if os.path.isabs(path) or os.path.dirname(path):
         return path
     return os.path.join(os.environ.get("MUBEST_OUTDIR", "."), path)
@@ -215,7 +216,7 @@ def _finish(args, argv, run, t0):
 def _load_or_build_design(source):
     if source in (None, "clifford"):
         return default_design()
-    design = load_design(source)
+    design = load_design(_resolve(source))
     if design.dim != 4:
         raise DesignFormatError(
             f"{source}: design has dim={design.dim}; the measurements act on dimension 4")
@@ -289,8 +290,8 @@ def cmd_fidelity(args):
         rows = []
         for y in y_values:
             for z in z_values:
-                ms = triple_measurements(mub_triple(x, y, z))
-                f = estimation_fidelity([ms[i] for i in pair], args.mode, design,
+                bases = mub_triple(x, y, z).bases
+                f = estimation_fidelity([bases[i] for i in pair], args.mode, design,
                                         args.estimator_source).fidelity
                 rows.append((x, y, z, f))
     return Run(

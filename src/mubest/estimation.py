@@ -9,10 +9,12 @@ for a product effect x_i E_i, with Born weights w_j = prod_i <psi_j|E_i|psi_j>,
 
     Q = (N+1)! D_{N+1} / K  sum_j w_j |psi_j><psi_j|.
 
-`outcome_tables` evaluates this for all outcomes at once, over the Clifford
-orbit (an exact 4-design) in ideal mode and over a given design in empirical
-mode, where the sum is the design's stand-in Q'.  It is the only place Q is
-formed.
+Each measurement is an `OrthonormalBasis`, and each factor of w_j is one of
+its outcome probabilities from `mub.born_probabilities`, the function that
+also drives the samplers.  `outcome_tables` evaluates Q for all outcomes at
+once, over the Clifford orbit (an exact 4-design) in ideal mode and over a
+given design in empirical mode, where the sum is the design's stand-in Q'.
+It is the only place Q is formed.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 from .designs import default_design
 from .errors import ContractViolationError, DimensionMismatchError
 from .linalg import symmetric_dimension
-from .mub import measurement_of, mub_triple
+from .mub import born_probabilities, mub_triple
 
 DEGENERACY_TOL = 1e-9
 
@@ -77,10 +79,10 @@ def _state_projectors(states):
 
 
 def born_weights(measurements, states):
-    """(K, d^N) product Born weights w[j, o] = prod_i <psi_j|E_{i,o_i}|psi_j>."""
+    """(K, d^N) product Born weights w[j, o] = prod_i |<v_{i,o_i}|psi_j>|^2 of the bases."""
     w = np.ones((states.shape[1], 1))
-    for m in measurements:
-        p = (states.conj()[None] * (np.stack(m.effects) @ states)).sum(axis=1).real.T
+    for basis in measurements:
+        p = born_probabilities(basis, states)
         w = (w[:, :, None] * p[:, None, :]).reshape(len(w), -1)
     return w
 
@@ -93,7 +95,7 @@ def expectations(densities, states):
 
 
 def outcome_tables(measurements, design):
-    """Q over `design` and its top eigenspaces for every joint outcome.
+    """Q over `design` and its top eigenspaces for every joint outcome of the bases.
 
     One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
     the estimator densities, the support dimensions and the gaps.
@@ -104,9 +106,6 @@ def outcome_tables(measurements, design):
     d = design.dim
     if any(m.dim != d for m in measurements):
         raise DimensionMismatchError(f"measurements do not act on dimension {d}")
-    for m in measurements:
-        if np.max(np.abs(sum(m.effects) - np.eye(d))) > 1e-10:
-            raise ContractViolationError("measurement effects do not sum to identity")
     if design.t < N + 1:
         warnings.warn(
             f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
@@ -123,7 +122,7 @@ def outcome_tables(measurements, design):
 
 def estimation_fidelity(measurements, mode="ideal", design=None,
                         estimator_source="matched"):
-    """Estimation fidelity of a product of rank-1 projective measurements.
+    """Estimation fidelity of a product of rank-1 projective measurements, one per basis.
 
     Ideal mode takes Q over the Clifford-orbit 4-design (equal to the exact
     symmetric-projector Q) and ignores `design`; empirical mode takes Q' over
@@ -153,14 +152,10 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
     )
 
 
-def triple_measurements(triple):
-    return [measurement_of(b) for b in triple.bases]
-
-
 def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched"):
     """Three-copy estimation fidelity F_MUB of a triple of bases."""
     return estimation_fidelity(
-        triple_measurements(triple),
+        triple.bases,
         mode=mode,
         design=design,
         estimator_source=estimator_source,

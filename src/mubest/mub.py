@@ -4,6 +4,10 @@ The first basis is computational; the second and third are the columns of two
 parametrized complex Hadamard matrices.  Every pair of vectors from distinct
 bases has |overlap|^2 = 1/4, which the constructor verifies at build time
 (a row/column transposition slip would fail this check immediately).
+
+A basis is its own measurement: the rank-1 projective measurement onto its
+columns.  `born_probabilities` is the one place its outcome probabilities
+are computed.
 """
 
 from dataclasses import dataclass
@@ -27,23 +31,12 @@ class OrthonormalBasis:
         return self.vectors.shape[0]
 
     def __post_init__(self):
+        shape = self.vectors.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ContractViolationError(f"basis matrix must be square, got {shape}")
         g = self.vectors.conj().T @ self.vectors
         if not np.max(np.abs(g - np.eye(self.dim))) <= UNBIASED_TOL:
             raise ContractViolationError("basis vectors are not orthonormal")
-
-
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """Rank-1 projective measurement: one projector per outcome."""
-
-    effects: tuple
-
-    def __len__(self):
-        return len(self.effects)
-
-    @property
-    def dim(self):
-        return self.effects[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,12 +114,18 @@ def transform_triple(triple, u):
     )
 
 
-def measurement_of(basis):
-    effects = tuple(
-        np.outer(basis.vectors[:, j], basis.vectors[:, j].conj())
-        for j in range(basis.dim)
-    )
-    return ProjectiveMeasurement(effects=effects)
+def born_probabilities(basis, states):
+    """(K, d) outcome distribution per state of the rank-1 measurement in `basis`.
+
+    p[k, o] = |<v_o|psi_k>|^2 for the columns of `states`.  This arithmetic
+    fixes the seeded counts: it feeds both samplers, Q and run health.
+    """
+    p = np.abs(basis.vectors.conj().T @ states) ** 2  # d x K
+    p = p.T
+    sums = p.sum(axis=1)
+    if not np.max(np.abs(sums - 1.0)) <= 1e-9:  # NaN fails too
+        raise ContractViolationError("outcome probabilities do not sum to 1")
+    return p / sums[:, None]
 
 
 def controlled_phase(phi):

@@ -6,12 +6,14 @@ averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimator_tables` gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k>
 for three copies and two-copy reprocessing alike.  A `SimReport` carries the
-design, mode, measurements and table it was scored with; `run_health` and
-`reprocess_two_copy` read them, so they always use the run's own estimators.
+design, mode, measurements (the bases) and table it was scored with;
+`run_health` and `reprocess_two_copy` read them, so they always use the run's
+own estimators.
 
 Samplers.  `SimConfig.sampler` selects how the joint outcome counts are drawn.
-Both keep their own Born probabilities (`_born_probabilities`, whose
-arithmetic fixes the sampled outcomes) and key their streams on `_param_key`.
+Both draw from `mub.born_probabilities`, the one Born function that also
+gives Q its weights and `run_health` its exact F, and key their streams on
+`_param_key`.
 
 - ``"counts"`` (the default, stream version 2).  The three measurements act
   on separate copies, so a state's joint counts factor into three steps:
@@ -48,15 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import StateDesign
-from .errors import ContractViolationError
-from .estimation import (
-    born_weights,
-    estimation_fidelity,
-    expectations,
-    triple_fidelity,
-    triple_measurements,
+from .estimation import born_weights, estimation_fidelity, expectations, triple_fidelity
+from .mub import (
+    MubTriple,
+    born_probabilities,
+    controlled_phase,
+    haar_random_unitary,
+    transform_triple,
 )
-from .mub import MubTriple, controlled_phase, haar_random_unitary, transform_triple
 
 _STATE_CHUNK = 64  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the counts sampler's streams
@@ -90,7 +91,7 @@ class SimReport:
     triple: MubTriple  # the bases the run was sampled and scored with
     design: StateDesign  # the sampled states
     mode: str  # which Q defined the estimators
-    measurements: tuple  # the measurements whose joint outcomes `counts` records
+    measurements: tuple  # the bases whose joint outcomes `counts` records
     f_table: np.ndarray  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
     mean_fidelity: float
     per_block_fidelities: np.ndarray
@@ -133,23 +134,13 @@ class DeviationSummary:
 
 
 def estimator_tables(measurements, design, mode="ideal"):
-    """(K, d^N) fidelity lookup table of N measurements' optimal estimators.
+    """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
 
     f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
     order (o = 16 j + 4 k + l for three copies).
     """
     report = estimation_fidelity(measurements, mode, design)
     return expectations(report.estimators.densities, design.states)
-
-
-def _born_probabilities(basis, states):
-    # (K, 4) outcome distribution per state for a rank-1 projective basis
-    p = np.abs(basis.vectors.conj().T @ states) ** 2  # 4 x K
-    p = p.T
-    sums = p.sum(axis=1)
-    if not np.max(np.abs(sums - 1.0)) <= 1e-9:  # NaN fails too
-        raise ContractViolationError("outcome probabilities do not sum to 1")
-    return p / sums[:, None]
 
 
 def _param_key(role, triple, cfg):
@@ -193,9 +184,9 @@ def simulate_protocol(triple, design, cfg, mode="ideal"):
     outcome count table, which downstream reprocessing (two-copy, random
     subsets) reuses without fresh sampling.
     """
-    measurements = tuple(triple_measurements(triple))
+    measurements = triple.bases
     f_table = estimator_tables(measurements, design, mode)
-    probs = [_born_probabilities(b, design.states) for b in triple.bases]
+    probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
     sample = _multinomial_counts if cfg.sampler == "counts" else _drawn_counts
     counts = sample(probs, param_keys, cfg)

@@ -60,10 +60,14 @@ def top_eigenspace(q, tol=1e-9):
     return top @ top.conj().T / members.sum(), int(members.sum()), gap
 
 
-def product_effects(measurements):
-    """The product effect of each joint outcome, in np.ndindex order over the measurements."""
-    for label in np.ndindex(*(len(m) for m in measurements)):
-        yield functools.reduce(np.kron, [m.effects[i] for m, i in zip(measurements, label)])
+def product_effects(bases):
+    """The product effect of each joint outcome, in np.ndindex order over the bases.
+
+    Each factor is the projector onto one basis column, built here with np.outer.
+    """
+    for label in np.ndindex(*(b.dim for b in bases)):
+        yield functools.reduce(np.kron, [np.outer(b.vectors[:, i], b.vectors[:, i].conj())
+                                         for b, i in zip(bases, label)])
 
 
 def stabilizer(group, psi, tol=1e-8):

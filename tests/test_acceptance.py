@@ -27,7 +27,6 @@ from mubest.estimation import (
     fidelity_scan,
     outcome_tables,
     triple_fidelity,
-    triple_measurements,
 )
 from mubest.groups import (
     clifford_group_2q,
@@ -35,7 +34,7 @@ from mubest.groups import (
     restricted_clifford_group_2q,
 )
 from mubest.linalg import symmetric_dimension
-from mubest.mub import OrthonormalBasis, haar_random_unitary, measurement_of, mub_triple
+from mubest.mub import OrthonormalBasis, haar_random_unitary, mub_triple
 from mubest.simulate import (
     SimConfig,
     equivalence_scan_phase,
@@ -107,7 +106,7 @@ def test_criterion_03_design_certification(design960):
 
 def test_criterion_04_closed_form_fidelities(symmetric_triple):
     f3 = triple_fidelity(symmetric_triple)
-    ms = triple_measurements(symmetric_triple)
+    ms = symmetric_triple.bases
     f2 = [
         estimation_fidelity([ms[i], ms[j]]).fidelity
         for i, j in [(0, 1), (0, 2), (1, 2)]
@@ -236,8 +235,7 @@ def test_criterion_10_oracle_equivalence(rng):
     worst_q = 0.0
     for i in range(20):
         N = 1 + (i % 2)
-        measurements = [measurement_of(OrthonormalBasis(haar_random_unitary(d, rng)))
-                        for _ in range(N)]
+        measurements = [OrthonormalBasis(haar_random_unitary(d, rng)) for _ in range(N)]
         tables = outcome_tables(measurements, default_design())
         for q_lib, effect in zip(tables.q, product_effects(measurements)):
             q_ref = q_operator(effect, N, d)

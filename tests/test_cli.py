@@ -33,7 +33,6 @@ from mubest.designs import (
     optimize_design,
     save_design,
 )
-from mubest.estimation import triple_measurements
 from mubest.mub import mub_triple
 from mubest.simulate import SimConfig, _scored_report, run_health, simulate_protocol
 
@@ -252,6 +251,28 @@ def test_fidelity_missing_design_file(outdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_relative_design_follows_outdir(tmp_path, monkeypatch, capsys):
+    # --design resolves like --out: a bare name in MUBEST_OUTDIR, a path with
+    # a directory part as given, here from the working directory
+    out, cwd = tmp_path / "out", tmp_path / "cwd"
+    out.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("MUBEST_OUTDIR", str(out))
+    assert main(["design", "optimize", "--K", "40", "--iters", "5",
+                 "--out", "d40.json"]) == EXIT_OK
+    assert (out / "d40.json").exists() and not (cwd / "d40.json").exists()
+    fidelity = ["fidelity", "--mode", "empirical", "--y-list", "pi/2", "--z-list", "pi/2"]
+    capsys.readouterr()
+    assert main(fidelity + ["--design", "d40.json"]) == EXIT_OK
+    from_outdir = capsys.readouterr().out
+    assert main(fidelity + ["--design", "./d40.json"]) == EXIT_IO
+    assert "No such file or directory" in capsys.readouterr().err
+    (cwd / "d40.json").write_bytes((out / "d40.json").read_bytes())
+    assert main(fidelity + ["--design", "./d40.json"]) == EXIT_OK
+    assert capsys.readouterr().out == from_outdir
+
+
 def test_simulate_command(outdir, capsys, small_design_file):
     code = main(
         ["simulate", "--design", small_design_file, "--seed", "3", "--M", "200",
@@ -301,7 +322,7 @@ def test_write_report_memory_is_bounded(tmp_path, rng):
     half = math.pi / 2
     triple = mub_triple(half, half, half)
     report = _scored_report(triple, SimConfig(seed=0), None, "ideal",
-                            tuple(triple_measurements(triple)), counts,
+                            triple.bases, counts,
                             rng.random((240, 64)))
     tracemalloc.start()
     try:
@@ -710,12 +731,11 @@ def _sha256_by_name(manifest):
 
 
 def test_manifests_replay(tmp_path, monkeypatch, capsys):
-    # a relative --design is read from the working directory, where the first
-    # pass writes num200.json; the replay writes into its own MUBEST_OUTDIR
+    # a bare --design name is read from MUBEST_OUTDIR, like --out, so each pass
+    # reads the num200.json it wrote into its own directory
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()
     second.mkdir()
-    monkeypatch.chdir(first)
     monkeypatch.setenv("MUBEST_OUTDIR", str(first))
     codes = [main(argv) for argv in README_RUNS]
     assert codes == [EXIT_OK] * 2 + [EXIT_TARGET] + [EXIT_OK] * 8

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, default_design, moment_operator
 from mubest.estimation import (
+    _top_eigenspaces,
     estimation_fidelity,
     fidelity_scan,
     outcome_tables,
     triple_fidelity,
-    triple_measurements,
 )
 from mubest.errors import ContractViolationError, DimensionMismatchError
 from mubest.linalg import symmetric_dimension
 from mubest.mub import (
     OrthonormalBasis,
-    ProjectiveMeasurement,
     haar_random_unitary,
-    measurement_of,
     mub_triple,
     transform_triple,
 )
@@ -33,7 +31,7 @@ COPIES = st.sampled_from([1, 2, 3])
 
 
 def random_measurements(rng, N):
-    return [measurement_of(OrthonormalBasis(haar_random_unitary(4, rng))) for _ in range(N)]
+    return [OrthonormalBasis(haar_random_unitary(4, rng)) for _ in range(N)]
 
 
 def test_q_operator_shape_and_hermiticity(rng):
@@ -52,15 +50,14 @@ def test_q_operator_resolution_of_identity(rng):
     # (N+1)! tr_{1..N}[P_{N+1}], a multiple of the identity
     d, N = 4, 1
     triple = mub_triple(HALF, HALF, HALF)
-    m = measurement_of(triple.basis_b)
-    total = outcome_tables([m], default_design()).q.sum(axis=0)
+    total = outcome_tables([triple.basis_b], default_design()).q.sum(axis=0)
     D = symmetric_dimension(d, N + 1)
     expected = math.factorial(N + 1) * D / d
     assert np.allclose(total, expected * np.eye(d), atol=1e-10)
 
 
 def test_q_operator_input_checks(rng):
-    qubit = measurement_of(OrthonormalBasis(haar_random_unitary(2, rng)))
+    qubit = OrthonormalBasis(haar_random_unitary(2, rng))
     with pytest.raises(DimensionMismatchError):
         outcome_tables([qubit], default_design())
     with pytest.raises(ValueError):
@@ -78,23 +75,25 @@ def test_optimal_estimator_properties(rng):
 
 
 def test_optimal_estimator_degenerate_top_space():
-    # Q of the identity effect is a multiple of the identity: the whole
-    # space is the top eigenspace and the estimator is maximally mixed
-    tables = outcome_tables([ProjectiveMeasurement(effects=(np.eye(4),))], default_design())
-    assert tables.support.tolist() == [4]
-    assert np.allclose(tables.densities[0], np.eye(4) / 4, atol=1e-12)
-    assert tables.gaps[0] == 0.0
+    # a Q that is a multiple of the identity: the whole space is the top
+    # eigenspace and the estimator is maximally mixed
+    q = np.array([c * np.eye(4, dtype=complex) for c in (0.5, 1.0, 3.0)])
+    norms, densities, support, gaps = _top_eigenspaces(q)
+    assert np.allclose(norms, [0.5, 1.0, 3.0], rtol=1e-12)
+    assert support.tolist() == [4, 4, 4]
+    assert np.allclose(densities, np.eye(4) / 4, atol=1e-12)
+    assert gaps.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_single_copy_single_basis_fidelity():
     triple = mub_triple(HALF, HALF, HALF)
-    report = estimation_fidelity([measurement_of(triple.basis_a)])
+    report = estimation_fidelity([triple.basis_a])
     assert abs(report.fidelity - 0.4) <= 1e-10
 
 
 def test_two_copy_pair_fidelity():
     triple = mub_triple(HALF, HALF, HALF)
-    ms = triple_measurements(triple)
+    ms = triple.bases
     for pair in [(0, 1), (0, 2), (1, 2)]:
         f = estimation_fidelity([ms[pair[0]], ms[pair[1]]]).fidelity
         assert abs(f - 7.0 / 15.0) <= 1e-10
@@ -149,15 +148,16 @@ def test_q_empirical_warns_on_weak_design(design960):
     weak = StateDesign(dim=4, t=1, states=design960.states[:, :50])
     basis_b = mub_triple(HALF, HALF, HALF).basis_b
     with pytest.warns(UserWarning):
-        estimation_fidelity([measurement_of(basis_b)], mode="empirical", design=weak)
+        estimation_fidelity([basis_b], mode="empirical", design=weak)
 
 
 def test_incomplete_measurement_rejected():
-    triple = mub_triple(HALF, HALF, HALF)
-    m = measurement_of(triple.basis_a)
-    broken = ProjectiveMeasurement(effects=m.effects[:3])
-    with pytest.raises(ContractViolationError):
-        estimation_fidelity([broken])
+    # a measurement is its basis, so an incomplete or overcomplete one can
+    # only arrive as a non-square matrix, which the basis rejects by shape
+    columns = mub_triple(HALF, HALF, HALF).basis_b.vectors
+    for vectors in (columns[:, :3], np.hstack([columns, columns[:, :1]])):
+        with pytest.raises(ContractViolationError, match=rf"\(4, {vectors.shape[1]}\)"):
+            OrthonormalBasis(vectors)
 
 
 def test_fidelity_scan_grid_order():
@@ -217,7 +217,7 @@ def test_fidelity_unitarily_invariant(x, y, z, seed):
 
 @pytest.mark.parametrize("params", [(HALF, HALF, HALF), (HALF, 0.0, 0.0)])
 def test_support_dims_at_symmetric_points(params):
-    measurements = triple_measurements(mub_triple(*params))
+    measurements = mub_triple(*params).bases
     tables = outcome_tables(measurements, default_design())
     expected = [top_eigenspace(q_operator(e, 3, 4))[1] for e in product_effects(measurements)]
     assert tables.support.tolist() == expected

@@ -7,11 +7,11 @@ import pytest
 from mubest.errors import ContractViolationError
 from mubest.mub import (
     OrthonormalBasis,
+    born_probabilities,
     controlled_phase,
     haar_random_unitary,
     hadamard_b,
     hadamard_c,
-    measurement_of,
     mub_triple,
     transform_triple,
     unbiasedness_report,
@@ -98,16 +98,27 @@ def test_transform_requires_unitary():
         transform_triple(triple, np.ones((4, 4)))
 
 
-def test_measurement_completeness_and_rank():
+def test_measurement_completeness_and_rank(design960):
+    # each basis is a complete measurement: the rows of its Born function sum
+    # to 1 on the 960-state design, and are |<v_o|psi>|^2
     triple = mub_triple(0.4, 1.1, 2.0)
+    states = design960.states
     for basis in triple.bases:
-        m = measurement_of(basis)
-        total = sum(m.effects)
-        assert np.allclose(total, np.eye(4), atol=1e-12)
-        for e in m.effects:
-            assert np.allclose(e, e.conj().T)
-            assert abs(np.trace(e) - 1.0) <= 1e-12  # rank one projector
-            assert np.allclose(e @ e, e, atol=1e-12)
+        p = born_probabilities(basis, states)
+        assert p.shape == (design960.size, 4)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+        for k in (0, 17, 959):
+            overlaps = [abs(np.vdot(v, states[:, k])) ** 2 for v in basis.vectors.T]
+            assert np.allclose(p[k], overlaps, atol=1e-12)
+        # rank one: a basis vector gives its own outcome with certainty
+        assert np.allclose(born_probabilities(basis, basis.vectors), np.eye(4), atol=1e-12)
+
+
+def test_born_probabilities_reject_nan(symmetric_triple, design960):
+    states = np.array(design960.states)
+    states[2, 5] = np.nan
+    with pytest.raises(ContractViolationError):
+        born_probabilities(symmetric_triple.basis_a, states)
 
 
 def test_controlled_phase():

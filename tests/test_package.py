@@ -27,8 +27,8 @@ EXPORTS = {
         "restricted_clifford_group_2q",
     ],
     "mub": [
-        "MubTriple", "haar_random_unitary", "measurement_of", "mub_triple",
-        "transform_triple", "unbiasedness_report",
+        "MubTriple", "haar_random_unitary", "mub_triple", "transform_triple",
+        "unbiasedness_report",
     ],
     "simulate": [
         "SimConfig", "SimReport", "equivalence_scan_phase", "equivalence_scan_random",
@@ -76,7 +76,7 @@ def test_cli_loads_every_layer():
 
 def test_all_lists_the_exports():
     assert mubest.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(mubest.__all__) == 33
+    assert len(mubest.__all__) == 32
 
 
 @pytest.mark.parametrize("layer", LAYERS)

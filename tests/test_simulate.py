@@ -8,13 +8,17 @@ import pytest
 
 from conftest import F3_SYMMETRIC
 from mubest.designs import optimize_design
-from mubest.errors import ContractViolationError
-from mubest.estimation import estimation_fidelity, triple_fidelity, triple_measurements
-from mubest.mub import controlled_phase, haar_random_unitary, mub_triple, transform_triple
+from mubest.estimation import estimation_fidelity, triple_fidelity
+from mubest.mub import (
+    born_probabilities,
+    controlled_phase,
+    haar_random_unitary,
+    mub_triple,
+    transform_triple,
+)
 from mubest.simulate import (
     SAMPLERS,
     SimConfig,
-    _born_probabilities,
     _param_key,
     _scored_report,
     equivalence_scan_phase,
@@ -80,7 +84,7 @@ def predicted_std_of_mean(triple, design, cfg):
     ~1e-6), so sampling checks use this instead."""
     probs = [np.abs(b.vectors.conj().T @ design.states).T ** 2 for b in triple.bases]
     joint = np.einsum("ka,kb,kc->kabc", *probs).reshape(design.size, 64)
-    f = estimator_tables(triple_measurements(triple), design)
+    f = estimator_tables(triple.bases, design)
     var = ((joint * f**2).sum(axis=1) - (joint * f).sum(axis=1) ** 2).sum()
     return math.sqrt(var / (design.size**2 * cfg.m_block * cfg.blocks))
 
@@ -133,7 +137,7 @@ def reference_counts(triple, design, cfg):
     """The sampler's contract written plainly: one numpy-constructed substream
     per (role, state, block) and searchsorted on the cumulative Born
     probabilities."""
-    cdfs = [np.cumsum(_born_probabilities(b, design.states), axis=1) for b in triple.bases]
+    cdfs = [np.cumsum(born_probabilities(b, design.states), axis=1) for b in triple.bases]
     keys = [_param_key(role, triple, cfg) for role in range(3)]
     counts = np.zeros((design.size, cfg.blocks, 64), dtype=np.int64)
     for state in range(design.size):
@@ -162,7 +166,7 @@ def reference_multinomial_counts(triple, design, cfg):
     n = np.full((design.size, cfg.blocks), cfg.m_block)
     for role, basis in enumerate(triple.bases):
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(2, role, _param_key(role, triple, cfg)))
-        p = _born_probabilities(basis, design.states)
+        p = born_probabilities(basis, design.states)
         n = np.random.default_rng(seq).multinomial(
             n, p.reshape((design.size,) + (1,) * (n.ndim - 1) + (4,))
         )
@@ -187,7 +191,7 @@ def full_report(symmetric_triple, design960):
 def test_counts_goodness_of_fit(full_report, symmetric_triple, design960):
     # pooled over blocks, each state's counts follow Multinomial(M B, p_A x p_B x p_C)
     cfg = full_report.config
-    probs = [_born_probabilities(b, design960.states) for b in symmetric_triple.bases]
+    probs = [born_probabilities(b, design960.states) for b in symmetric_triple.bases]
     expected = cfg.m_block * cfg.blocks * np.einsum("ka,kb,kc->kabc", *probs).reshape(-1, 64)
     assert expected.min() > 1  # every cell is populated, so all take part
     observed = full_report.counts.sum(axis=1)
@@ -216,7 +220,8 @@ def test_counts_shape_and_totals(small_report, design960):
     counts = small_report.counts
     assert counts.shape == (design960.size, SMALL.blocks, 64)
     assert np.all(counts.sum(axis=2) == SMALL.m_block)
-    assert [len(m.effects) for m in small_report.measurements] == [4, 4, 4]
+    assert len(small_report.measurements) == 3
+    assert all(m is b for m, b in zip(small_report.measurements, small_report.triple.bases))
 
 
 def test_seed_reproducibility(symmetric_triple, design960, small_report):
@@ -277,8 +282,8 @@ def test_unshared_streams_differ(design960):
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
     # same (x, y, z), different bases: the tables must differ
-    plain = estimator_tables(triple_measurements(symmetric_triple), design960)
-    moved = estimator_tables(triple_measurements(haar_triple), design960)
+    plain = estimator_tables(symmetric_triple.bases, design960)
+    moved = estimator_tables(haar_triple.bases, design960)
     assert plain.shape == moved.shape == (design960.size, 64)
     assert not np.allclose(plain, moved)
 
@@ -299,7 +304,7 @@ def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     cfg = SimConfig(seed=0)
     counts = rng.multinomial(cfg.m_block, np.full(64, 1 / 64), size=(960, cfg.blocks))
     f_table = rng.random((960, 64))
-    measurements = tuple(triple_measurements(symmetric_triple))
+    measurements = symmetric_triple.bases
     tracemalloc.start()
     try:
         report = _scored_report(symmetric_triple, cfg, design960, "ideal", measurements,
@@ -365,6 +370,19 @@ def test_empirical_two_copy_uses_run_mode(empirical_report):
     assert run_health(rep2)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_ideal_phase_scan_reports_ideal_fidelity(empirical_report, symmetric_triple):
+    # over a design that is not the Clifford orbit, an ideal-mode run's health F
+    # averages the ideal table over that design and so is not the ideal F; a
+    # sampled scan's exact_F must still be the ideal F
+    design = empirical_report.design
+    rows = equivalence_scan_phase([0.0, HALF], symmetric_triple, design, SMALL, mode="ideal")
+    for phi, exact, sim, std in rows:
+        triple = transform_triple(symmetric_triple, controlled_phase(phi))
+        assert exact == triple_fidelity(triple, "ideal")
+        health = run_health(simulate_protocol(triple, design, SMALL, mode="ideal"))
+        assert abs(health["exact_fidelity"] - exact) > 1e-5
+
+
 def test_equivalence_scan_phase_exact_invariance(symmetric_triple, design960):
     rows = equivalence_scan_phase(
         [0.0, HALF, math.pi], symmetric_triple, design960
@@ -409,13 +427,6 @@ def test_equivalence_scan_random_needs_two_unitaries(symmetric_triple, design960
     for cfg in (None, SMALL):
         with pytest.raises(ValueError, match="n_unitaries must be >= 2 for a std"):
             equivalence_scan_random(1, symmetric_triple, design960, cfg)
-
-
-def test_born_probabilities_reject_nan(symmetric_triple, design960):
-    states = np.array(design960.states)
-    states[2, 5] = np.nan
-    with pytest.raises(ContractViolationError):
-        _born_probabilities(symmetric_triple.basis_a, states)
 
 
 def test_random_subset_analysis(small_report, design960):
