@@ -41,6 +41,7 @@ from .simulate import (
     check_unitary_count,
     equivalence_scan_phase,
     equivalence_scan_random,
+    predicted_subset_std,
     random_subset_analysis,
     run_health,
     simulate_protocol,
@@ -387,10 +388,14 @@ def cmd_subsets(args):
         report, sizes, trials=args.trials, seed=args.subset_seed
     )
     rows = [(size, mean, std) for size, (mean, std) in results.items()]
+    health = [{"K": size, "std": std,
+               "predicted_std": predicted_subset_std(report.per_state_fidelity, size)}
+              for size, _, std in rows]
     return Run(
         [f"K={size} mean={mean:.6f} std={std:.6f}" for size, mean, std in rows],
         [(args.out, _csv({"x": x, "y": y, "z": z, "trials": args.trials},
                          ["K", "mean", "std"], rows))],
+        {"health": {"subsets": health}},
     )
 
 

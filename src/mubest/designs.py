@@ -111,7 +111,7 @@ def fiducial_state():
 def orbit(group, psi, t=4):
     """Group orbit of |psi>, deduplicated modulo global phase, in group order."""
     psi = np.asarray(psi, dtype=complex)
-    images = strip_phases(np.array(group.elements) @ psi)
+    images = strip_phases(group.elements @ psi)
     first = {}
     for i, key in enumerate(canonical_keys(images).tolist()):
         first.setdefault(key, i)

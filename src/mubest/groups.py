@@ -5,6 +5,10 @@ form: the first entry of non-negligible modulus (row-major scan) is made
 positive real, and entries rounded to a 1e-6 grid serve as the deduplication
 key.  Clifford entries live on a lattice with spacing >= 2^-4, so the grid
 separates distinct elements with huge margin while absorbing float drift.
+The grid is int32: entries of unitaries and unit vectors have modulus <= 1,
+so rint(x * 1e6) fits with room to spare, and a 4x4 key is 128 bytes.  A
+value off the int32 grid raises ContractViolationError rather than wrapping.
+A `UnitaryGroup` holds its elements as one (n, d, d) array.
 
 Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
 the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
@@ -18,7 +22,6 @@ of the Clifford group's 368,640) is formatted by repr, as json does, only
 once.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -27,6 +30,7 @@ from .errors import ContractViolationError, GroupSizeError
 from .linalg import check_unitary
 
 KEY_GRID = 1e6
+_KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
 _CLOSURE_CHUNK = 256  # frontier elements multiplied by the generators at a time
 _SAVE_CHUNK = 1024  # group elements formatted per write
@@ -74,9 +78,15 @@ def canonicalize_phases(us):
 
 
 def canonical_keys(stack):
-    """Fixed-precision encoding of each phase-canonical element, as one void array."""
-    grid = np.rint(np.stack([stack.real, stack.imag], axis=1) * KEY_GRID).astype(np.int64)
-    flat = grid.reshape(len(grid), -1)
+    """Fixed-precision encoding of each phase-canonical element, as one void array.
+
+    Raises ContractViolationError if a value falls off the int32 grid.
+    """
+    scaled = np.rint(np.stack([stack.real, stack.imag], axis=1) * KEY_GRID)
+    if not np.all(np.abs(scaled) <= _KEY_MAX):  # False for NaN too
+        raise ContractViolationError(
+            f"entries beyond the int32 key grid (|x| > {_KEY_MAX / KEY_GRID:g})")
+    flat = scaled.astype(np.int32).reshape(len(scaled), -1)
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
@@ -93,15 +103,16 @@ def canonical_key(u):
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries with O(1) membership tests.
 
-    `keys` maps canonical_key(u) to the index of u; it is computed from the
-    elements unless the caller already has it.
+    `elements` is one (n, d, d) array.  `keys` maps canonical_key(u) to the
+    index of u; it is computed from the elements unless the caller already
+    has it.
     """
 
     def __init__(self, elements, generator_labels=(), keys=None):
-        self.elements = list(elements)
+        self.elements = np.ascontiguousarray(elements)
         self.generator_labels = list(generator_labels)
         if keys is None:
-            keys = canonical_keys(np.array(self.elements)).tolist() if self.elements else []
+            keys = canonical_keys(self.elements).tolist() if len(self.elements) else []
             keys = {k: i for i, k in enumerate(keys)}
         self._keys = keys
 
@@ -116,7 +127,7 @@ class UnitaryGroup:
 
     @property
     def dim(self):
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
 
 def generate_group(generators, max_size, generator_labels=()):
@@ -126,8 +137,8 @@ def generate_group(generators, max_size, generator_labels=()):
     elements at a time: one stacked product g @ u over (frontier element u,
     generator g), canonicalised and keyed in one pass.  New keys are taken in
     that order, so the element order is that of the nested loop.  Every
-    product is checked for unitarity.  The group's elements are views of the
-    levels, not a copy of them.  Raises GroupSizeError if the closure would
+    product is checked for unitarity.  The group's elements are the levels,
+    concatenated into one array.  Raises GroupSizeError if the closure would
     exceed max_size (a symptom of wrong generators or a broken
     canonicalization grid).
     """
@@ -151,7 +162,7 @@ def generate_group(generators, max_size, generator_labels=()):
             fresh.append(products[new])
         frontier = np.concatenate(fresh)
         levels.append(frontier)
-    return UnitaryGroup(itertools.chain.from_iterable(levels), generator_labels, keys)
+    return UnitaryGroup(np.concatenate(levels), generator_labels, keys)
 
 
 def clifford_group_2q():
@@ -211,7 +222,7 @@ def save_group(group, path):
     with open(path, "w") as fh:
         fh.write(header[:-1] + ', "elements": [')
         for start in range(0, len(group), _SAVE_CHUNK):
-            chunk = np.array(group.elements[start:start + _SAVE_CHUNK])
+            chunk = group.elements[start:start + _SAVE_CHUNK]
             distinct, index = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
             text = [repr(v) for v in distinct.view(float).tolist()]  # json's float format
             fields = tuple(map(text.__getitem__, index.tolist()))

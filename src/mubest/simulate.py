@@ -10,6 +10,13 @@ design, mode, measurements (the bases) and table it was scored with;
 `run_health` and `reprocess_two_copy` read them, so they always use the run's
 own estimators.
 
+Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
+`simulate_protocol` allocates the table, for either sampler to fill, as
+np.min_scalar_type(M): uint8 up to M = 255, uint16 up to 65535 (the paper's
+M = 10^4), uint32 beyond.  Two-copy marginals keep that dtype, being bounded
+by M too; sums over blocks, which can reach M * blocks, accumulate in int64.
+Files written from the table are the same whatever its dtype.
+
 Samplers.  `SimConfig.sampler` selects how the joint outcome counts are drawn.
 Both draw from `mub.born_probabilities`, the one Born function that also
 gives Q its weights and `run_health` its exact F, and key their streams on
@@ -96,7 +103,7 @@ class SimReport:
     mean_fidelity: float
     per_block_fidelities: np.ndarray
     std: float  # standard deviation over blocks
-    counts: np.ndarray  # (K, blocks, n_outcomes) joint outcome counts per state
+    counts: np.ndarray  # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M)
     per_state_fidelity: np.ndarray  # (K,) per-state average of tr(rho rhohat)
 
     @property
@@ -157,11 +164,13 @@ def _scored_report(triple, cfg, design, mode, measurements, counts, f_table):
     """Per-block and per-state fidelities of a (K, blocks, outcomes) count table.
 
     The integer table goes to einsum as it is: einsum casts it to float in
-    its buffered iterator, so no float copy of the whole table is made.
+    its buffered iterator, so no float copy of the whole table is made.  The
+    per-state sum over blocks is taken in int64, which holds M * blocks.
     """
     K = counts.shape[0]
     per_block = np.einsum("kbo,ko->b", counts, f_table) / (K * cfg.m_block)
-    per_state = (counts.sum(axis=1) * f_table).sum(axis=1) / (cfg.m_block * cfg.blocks)
+    per_state = ((counts.sum(axis=1, dtype=np.int64) * f_table).sum(axis=1)
+                 / (cfg.m_block * cfg.blocks))
     return SimReport(
         config=cfg,
         triple=triple,
@@ -189,20 +198,20 @@ def simulate_protocol(triple, design, cfg, mode="ideal"):
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
     sample = _multinomial_counts if cfg.sampler == "counts" else _drawn_counts
-    counts = sample(probs, param_keys, cfg)
+    counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
+    sample(probs, param_keys, cfg, counts)
     return _scored_report(triple, cfg, design, mode, measurements, counts, f_table)
 
 
-def _multinomial_counts(probs, param_keys, cfg):
-    """(K, B, 64) counts from three chained multinomials (stream version 2)."""
-    K, B = probs[0].shape[0], cfg.blocks
+def _multinomial_counts(probs, param_keys, cfg, counts):
+    """Fill the (K, B, 64) counts from three chained multinomials (stream version 2)."""
+    K, B = counts.shape[:2]
     generators = [
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed, spawn_key=(_COUNTS_STREAM, role, key))
         ))
         for role, key in enumerate(param_keys)
     ]
-    counts = np.empty((K, B, 64), dtype=np.int64)
     for start in range(0, K, _STATE_CHUNK):
         chunk = slice(start, min(start + _STATE_CHUNK, K))
         n = np.full((chunk.stop - start, B), cfg.m_block, dtype=np.int64)
@@ -211,17 +220,15 @@ def _multinomial_counts(probs, param_keys, cfg):
             pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
             n = generator.multinomial(n, pvals)
         counts[chunk] = n.reshape(-1, B, 64)
-    return counts
 
 
-def _drawn_counts(probs, param_keys, cfg):
-    """(K, B, 64) counts from one substream per (role, state, block) (version 1)."""
-    K, B = probs[0].shape[0], cfg.blocks
+def _drawn_counts(probs, param_keys, cfg, counts):
+    """Fill the (K, B, 64) counts from one substream per (role, state, block) (version 1)."""
+    K, B = counts.shape[:2]
     cdfs = [np.cumsum(p, axis=1)[:, :3] for p in probs]
     u = np.empty((B, cfg.m_block))
     above = np.empty(u.shape, dtype=bool)
     joint = np.empty(u.shape, dtype=np.uint8)
-    counts = np.empty((K, B, 64), dtype=np.int64)
     for state in range(K):
         joint.fill(0)
         for role, key in enumerate(param_keys):
@@ -234,7 +241,6 @@ def _drawn_counts(probs, param_keys, cfg):
                 joint += above
         for block in range(B):
             counts[state, block] = np.bincount(joint[block], minlength=64)
-    return counts
 
 
 def run_health(report):
@@ -277,7 +283,8 @@ def reprocess_two_copy(report, pair):
     f_table = estimator_tables(measurements, design, report.mode)
     counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
-    counts2 = counts3.sum(axis=2 + drop_axis).reshape(design.size, cfg.blocks, 16)
+    counts2 = counts3.sum(axis=2 + drop_axis, dtype=report.counts.dtype)
+    counts2 = counts2.reshape(design.size, cfg.blocks, 16)
     return _scored_report(report.triple, cfg, design, report.mode, measurements,
                           counts2, f_table)
 
@@ -348,6 +355,19 @@ def check_subset_request(subset_sizes, trials, K):
     for size in subset_sizes:
         if not 1 <= size <= K:
             raise ValueError(f"subset size {size} out of range 1..{K}")
+
+
+def predicted_subset_std(per_state_fidelity, size):
+    """Predicted std of the mean of `size` of the K values, drawn without replacement.
+
+    sigma * sqrt((K - n) / (n (K - 1))) with sigma the population std (ddof 0)
+    of the values: the finite-population correction (Cochran, Sampling
+    Techniques, 1977).  It is 0 at n = K.
+    """
+    K = per_state_fidelity.size
+    if size == K:
+        return 0.0
+    return float(per_state_fidelity.std()) * math.sqrt((K - size) / (size * (K - 1)))
 
 
 def random_subset_analysis(report, subset_sizes, trials=30, seed=0):

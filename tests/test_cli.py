@@ -299,6 +299,9 @@ def design100_file(tmp_path_factory):
     pytest.param("small_design_file", 30, 3, "counts", False, id="False"),
     # counts in the millions: far above any table sized for small counts
     pytest.param("small_design_file", 5_000_000, 2, "counts", True, id="large-M"),
+    # the edges of the count table's uint8, uint16 and uint32 dtypes
+    *(pytest.param("small_design_file", M, 2, sampler, True, id=f"{sampler}-M{M}")
+      for M in (255, 256, 65535, 65536) for sampler in ("counts", "draws")),
     # K = 100 states end the writer's runs of states with a partial one
     pytest.param("design100_file", 30, 2, "counts", True, id="K-not-multiple-of-64"),
     pytest.param("small_design_file", 30, 3, "draws", True, id="draws"),
@@ -311,6 +314,7 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, sampler, coun
     half = math.pi / 2
     report = simulate_protocol(mub_triple(half, half, half), load_design(path),
                                SimConfig(seed=5, m_block=M, blocks=blocks, sampler=sampler))
+    assert report.counts.dtype == np.min_scalar_type(M)
     expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
     assert (outdir / "run.json").read_text() == expected
 
@@ -532,6 +536,26 @@ def test_subsets_command(outdir, capsys, small_design_file):
             if not ln.startswith("#")][1:]
     stds = [float(r.split(",")[2]) for r in rows]
     assert stds[0] > stds[-1]
+
+
+def test_subsets_health_predicts_std(outdir):
+    # seeds, sizes and the 1 +- 0.25 band were fixed before the first run; at
+    # 300 trials an observed std scatters by about 4% around its prediction
+    code = main(["subsets", "--seed", "3", "--M", "100", "--blocks", "2",
+                 "--sizes", "10,100,480,960", "--trials", "300", "--subset-seed", "0",
+                 "--out", "sub.csv"])
+    assert code == EXIT_OK
+    manifest = json.loads((outdir / "sub.csv.manifest.json").read_text())
+    rows = [ln.split(",") for ln in (outdir / "sub.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    health = manifest["health"]["subsets"]
+    assert [h["K"] for h in health] == [10, 100, 480, 960]
+    for h, row in zip(health, rows):
+        assert f"{h['std']:.12g}" == row[2]
+        if h["K"] == 960:
+            assert h["std"] == h["predicted_std"] == 0.0
+        else:
+            assert 0.75 <= h["std"] / h["predicted_std"] <= 1.25, h
 
 
 def test_subsets_rejects_single_trial(outdir, capsys, small_design_file):

@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mubest.designs import fiducial_state, orbit
 from mubest.errors import ContractViolationError, GroupSizeError
 from mubest.groups import (
+    UnitaryGroup,
     canonical_key,
+    canonical_keys,
     canonicalize_phase,
     clifford_group_2q,
     generate_group,
@@ -249,3 +252,47 @@ def test_closure_memory_is_bounded():
     assert len(group) == 11520
     # stacking a whole level's products at once peaked at 24 MB
     assert peak < 12e6
+
+
+def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
+    # a state of norm 1e4 has entries of order 1e10 on the 1e-6 grid
+    with pytest.raises(ContractViolationError, match="int32"):
+        orbit(restricted_group, 1e4 * fiducial_state())
+    with pytest.raises(ContractViolationError, match="int32"):
+        canonical_keys(np.full((1, 4), np.nan + 0j))
+    assert len(canonical_key(np.eye(4, dtype=complex))) == 128
+
+
+@pytest.mark.parametrize("name", ["pauli", "restricted", "clifford", "loaded"])
+def test_elements_are_one_array(name, request, restricted_group, tmp_path):
+    if name == "pauli":
+        group = pauli_group_projective(2)
+    elif name == "loaded":
+        save_group(restricted_group, tmp_path / "restricted.json")
+        group = load_group(tmp_path / "restricted.json", spot_checks=2, rng=0)
+    else:
+        group = request.getfixturevalue(f"{name}_group")
+    assert isinstance(group.elements, np.ndarray)
+    assert group.elements.shape == (len(group), 4, 4)
+    assert group.dim == 4
+
+
+def test_group_from_an_element_array(restricted_group):
+    # keys computed from an (n, d, d) array, not only from a list
+    group = UnitaryGroup(restricted_group.elements)
+    assert len(group) == 960
+    assert all(u in group for u in restricted_group.elements[::97])
+    assert len(UnitaryGroup(np.empty((0, 4, 4), dtype=complex))) == 0
+
+
+def test_clifford_group_memory_held():
+    # int32 keys and one element array: 8.76 MB were held with int64 keys and
+    # a list of per-element views
+    tracemalloc.start()
+    try:
+        group = clifford_group_2q()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 11520
+    assert held < 6.5e6

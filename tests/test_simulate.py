@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import F3_SYMMETRIC
-from mubest.designs import optimize_design
+from mubest.designs import StateDesign, optimize_design
 from mubest.estimation import estimation_fidelity, triple_fidelity
 from mubest.mub import (
     born_probabilities,
@@ -24,6 +25,7 @@ from mubest.simulate import (
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
+    predicted_subset_std,
     random_subset_analysis,
     reprocess_two_copy,
     run_health,
@@ -34,8 +36,8 @@ HALF = math.pi / 2
 
 SMALL = SimConfig(seed=11, m_block=400, blocks=3)
 
-# sha256 of counts.tobytes() and the mean fidelity of small runs: the sampled
-# streams must never change for an existing seed.  The mean is checked to
+# sha256 of the counts' int64 bytes and the mean fidelity of small runs: the
+# sampled streams must never change for an existing seed.  The mean is checked to
 # 1e-12, the tolerance within which fidelities must stay, because scoring
 # arithmetic may sum in another order.  The "draws" runs pin stream version 1,
 # one SeedSequence/PCG64 substream per (role, state, block); the last one has
@@ -129,7 +131,8 @@ def test_config_rejects_bad_seed(seed):
 @pytest.mark.parametrize("params, cfg, counts_sha256, mean", GOLDEN_RUNS)
 def test_golden_counts(design960, params, cfg, counts_sha256, mean):
     report = simulate_protocol(mub_triple(*params), design960, cfg)
-    assert hashlib.sha256(report.counts.tobytes()).hexdigest() == counts_sha256
+    # the table is held in the narrowest unsigned dtype that holds M
+    assert hashlib.sha256(report.counts.astype(np.int64).tobytes()).hexdigest() == counts_sha256
     assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
@@ -444,3 +447,61 @@ def test_random_subset_analysis(small_report, design960):
         random_subset_analysis(small_report, [0])
     with pytest.raises(ValueError, match="subset sizes repeat"):
         random_subset_analysis(small_report, [K // 4, K // 4])
+
+
+# the count dtype's boundaries: uint8 holds M = 255, uint16 holds 256 and
+# 65535, uint32 holds 65536
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+@pytest.mark.parametrize("m_block", [255, 256, 65535, 65536])
+def test_count_dtype_boundaries(design960, symmetric_triple, sampler, m_block):
+    design = StateDesign(dim=4, t=4, states=design960.states[:, :6])
+    cfg = SimConfig(seed=3, m_block=m_block, blocks=2, sampler=sampler)
+    report = simulate_protocol(symmetric_triple, design, cfg)
+    assert report.counts.dtype == np.min_scalar_type(m_block)
+    assert np.all(report.counts.sum(axis=2, dtype=np.int64) == m_block)
+    for pair in [(0, 1), (0, 2), (1, 2)]:
+        counts2 = reprocess_two_copy(report, pair).counts
+        assert counts2.dtype == report.counts.dtype, pair
+        assert np.all(counts2.sum(axis=2, dtype=np.int64) == m_block), pair
+    if m_block == 65535:
+        # per-state F are those of the float table; test_per_state_sum_does_not_wrap
+        # gives the sum over blocks a cell beyond uint16
+        expected = ((report.counts.astype(float).sum(axis=1) * report.f_table).sum(axis=1)
+                    / (m_block * cfg.blocks))
+        assert np.array_equal(report.per_state_fidelity, expected)
+
+
+def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
+    # every shot in one cell: a uint16 sum over two blocks of M = 65535 would wrap
+    cfg = SimConfig(seed=0, m_block=65535, blocks=2)
+    counts = np.zeros((design960.size, cfg.blocks, 64), dtype=np.uint16)
+    counts[:, :, 5] = cfg.m_block
+    f_table = estimator_tables(symmetric_triple.bases, design960)
+    report = _scored_report(symmetric_triple, cfg, design960, "ideal",
+                            symmetric_triple.bases, counts, f_table)
+    assert np.array_equal(report.per_state_fidelity, f_table[:, 5] * (2.0 * cfg.m_block)
+                          / (cfg.m_block * cfg.blocks))
+
+
+def test_paper_size_table_memory(symmetric_triple, design960):
+    # K = 960, B = 10, M = 10^4: the table is uint16, and the run's traced
+    # peak stays below what the int64 table alone used to take
+    simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=10, blocks=2))
+    tracemalloc.start()
+    try:
+        report = simulate_protocol(symmetric_triple, design960, SimConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.counts.nbytes == 960 * 10 * 64 * 2
+    assert peak < 960 * 10 * 64 * 8
+
+
+def test_predicted_subset_std_is_exact():
+    # the finite-population correction gives the exact std of a subset mean:
+    # check it against the mean over every subset of a small population
+    values = np.array([0.1, 0.4, 0.35, 0.9, 0.2, 0.55, 0.7])
+    for n in range(1, values.size + 1):
+        means = [values[list(c)].mean() for c in itertools.combinations(range(values.size), n)]
+        assert predicted_subset_std(values, n) == pytest.approx(np.std(means), abs=1e-15), n
+    assert predicted_subset_std(values, values.size) == 0.0
