@@ -19,7 +19,7 @@ from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
 from .linalg import symmetric_dimension
 
 QUARTIC_SUM = 5.0 / 7.0
-_GRAM_ROWS = 64  # rows of the frame-potential table filled per product
+_SUM_LEAF = 1 << 16  # table elements summed per leaf of the pairwise tree (>= 128)
 _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
 
 
@@ -139,28 +139,42 @@ def default_design():
 
 
 def frame_potential(design, t):
-    """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}.
+    """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}, without the K x K table.
 
-    The K x K table of |<psi_j|psi_k>|^{2t} is filled `_GRAM_ROWS` rows at a
-    time, so the complex Gram matrix is never held whole, and summed as one
-    array: the same bits as the whole-matrix formula.  No block has a single
-    row unless K = 1, because a one-row product takes a vector-matrix path
-    that can round differently.
+    The sum has the bits of table.sum() over the whole row-major table, which
+    numpy adds pairwise: a range of n > 128 elements is split at
+    h = n//2 - (n//2 % 8) and the two halves' sums are added.  `_table_sum`
+    recurses over the flat index range the same way down to leaves of at most
+    `_SUM_LEAF` elements, fills only the table rows that cover a leaf, and
+    np.add.reduce's the leaf's slice, which numpy sums by the same tree.  The
+    leaf must hold >= 128 elements: numpy does not split shorter ranges, so
+    splitting them would add in another order.  A leaf takes at least two rows
+    unless K = 1, because a one-row product takes a vector-matrix path that
+    can round differently.  test_frame_potential_same_bits_as_whole_gram pins
+    the bits against the whole table's sum.
     """
     if design.size == 0:
         raise ValueError("frame potential of an empty design")
     if t < 1:
         raise ValueError("t must be >= 1")
-    states = design.states
     K = design.size
-    table = np.empty((K, K))
-    for start in range(0, max(K - 1, 1), _GRAM_ROWS):
-        stop = K if K - start <= _GRAM_ROWS + 1 else start + _GRAM_ROWS
-        rows = table[start:stop]
-        np.abs(states[:, start:stop].conj().T @ states, out=rows)
-        rows **= 2
-        rows **= t
-    return float(table.sum()) / K**2
+    return float(_table_sum(design.states, t, 0, K * K)) / K**2
+
+
+def _table_sum(states, t, lo, n):
+    """Pairwise sum of elements lo .. lo + n - 1 of the flat table of frame_potential."""
+    if n > _SUM_LEAF:
+        h = n // 2 - (n // 2 % 8)
+        return _table_sum(states, t, lo, h) + _table_sum(states, t, lo + h, n - h)
+    K = states.shape[1]
+    first, stop = lo // K, (lo + n - 1) // K + 1
+    if stop - first == 1 and K > 1:
+        first, stop = (first, stop + 1) if stop < K else (first - 1, stop)
+    rows = np.abs(states[:, first:stop].conj().T @ states)
+    rows **= 2
+    rows **= t
+    offset = lo - first * K
+    return np.add.reduce(rows.ravel()[offset:offset + n])
 
 
 def frame_potential_gradient(states, t):

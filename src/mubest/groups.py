@@ -13,8 +13,9 @@ A `UnitaryGroup` holds its elements as one (n, d, d) array.
 Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
 the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
 parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
-canonical forms agree.  The closure multiplies a block of a breadth-first
-level by every generator in one batched matmul, checks every product for
+canonical forms agree.  The closure writes its elements in place into one
+buffer, each breadth-first level an index range of it.  It multiplies a block
+of a level by every generator in one batched matmul, checks every product for
 unitarity, and keys the block in one pass; new keys are taken in (frontier
 element, generator) order, the order of the nested loop.  Group files have
 the bytes of json.dump of the whole document, but each distinct float (491
@@ -32,8 +33,8 @@ from .linalg import check_unitary
 KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
-_CLOSURE_CHUNK = 256  # frontier elements multiplied by the generators at a time
-_SAVE_CHUNK = 1024  # group elements formatted per write
+_CLOSURE_CHUNK = 64  # frontier elements multiplied by the generators at a time
+_SAVE_CHUNK = 256  # group elements formatted per write
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,24 +134,26 @@ class UnitaryGroup:
 def generate_group(generators, max_size, generator_labels=()):
     """Breadth-first closure of the generators under left multiplication.
 
-    Each level is multiplied by the generators `_CLOSURE_CHUNK` frontier
-    elements at a time: one stacked product g @ u over (frontier element u,
-    generator g), canonicalised and keyed in one pass.  New keys are taken in
-    that order, so the element order is that of the nested loop.  Every
-    product is checked for unitarity.  The group's elements are the levels,
-    concatenated into one array.  Raises GroupSizeError if the closure would
-    exceed max_size (a symptom of wrong generators or a broken
-    canonicalization grid).
+    The elements are written in place into one buffer of max_size elements;
+    each level is the index range of the elements the previous level found.
+    A level is multiplied by the generators `_CLOSURE_CHUNK` frontier elements
+    at a time: one stacked product g @ u over (frontier element u, generator
+    g), canonicalised and keyed in one pass.  New keys are taken in that
+    order, so the element order is that of the nested loop.  Every product is
+    checked for unitarity.  A closure that ends below max_size returns a copy
+    of its elements, not a view that pins the buffer.  Raises GroupSizeError
+    if the closure would exceed max_size (a symptom of wrong generators or a
+    broken canonicalization grid).
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     dim = gens.shape[-1]
-    frontier = np.eye(dim, dtype=complex)[None]
-    keys = {canonical_key(frontier[0]): 0}
-    levels = [frontier]
-    while len(frontier):
-        fresh = []
-        for start in range(0, len(frontier), _CLOSURE_CHUNK):
-            block = frontier[start:start + _CLOSURE_CHUNK, None]
+    elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
+    elements[0] = np.eye(dim)
+    keys = {canonical_key(elements[0]): 0}
+    start, stop = 0, 1  # the frontier level is elements[start:stop]
+    while start < stop:
+        for lo in range(start, stop, _CLOSURE_CHUNK):
+            block = elements[lo:min(lo + _CLOSURE_CHUNK, stop), None]
             products = canonicalize_phases(np.matmul(gens[None], block).reshape(-1, dim, dim))
             new = []
             for i, k in enumerate(canonical_keys(products).tolist()):
@@ -159,10 +162,11 @@ def generate_group(generators, max_size, generator_labels=()):
                         raise GroupSizeError(f"group closure exceeded max_size={max_size}")
                     keys[k] = len(keys)
                     new.append(i)
-            fresh.append(products[new])
-        frontier = np.concatenate(fresh)
-        levels.append(frontier)
-    return UnitaryGroup(np.concatenate(levels), generator_labels, keys)
+            elements[len(keys) - len(new):len(keys)] = products[new]
+        start, stop = stop, len(keys)
+    if stop < len(elements):
+        elements = elements[:stop].copy()
+    return UnitaryGroup(elements, generator_labels, keys)
 
 
 def clifford_group_2q():

@@ -145,12 +145,13 @@ def design200():
     return optimize_design(K=200, d=4, t=4, seed=0, target=0.0287)
 
 
-@pytest.mark.parametrize("rows", [2, 7, mubest.designs._GRAM_ROWS])
+@pytest.mark.parametrize("leaf", [128, 1000, mubest.designs._SUM_LEAF])
 def test_frame_potential_same_bits_as_whole_gram(design960, design200, rng, monkeypatch,
-                                                 rows):
-    monkeypatch.setattr(mubest.designs, "_GRAM_ROWS", rows)
+                                                 leaf):
+    # 128 is the smallest leaf that numpy's pairwise sum does not split
+    monkeypatch.setattr(mubest.designs, "_SUM_LEAF", leaf)
     designs = [design960, design200]
-    for K in range(1, 201):  # every remainder of the row blocks
+    for K in [*range(1, 201), 257, 961]:  # every row remainder; K^2 over several leaves
         V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
         designs.append(StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0)))
     for design in designs:
@@ -166,8 +167,8 @@ def test_frame_potential_memory_is_bounded(design960):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float K x K table plus one block of rows; the complex Gram is 2 K^2 8
-    assert peak < 1.5 * K * K * 8
+    # only the rows of one leaf; the float K x K table alone is K^2 8
+    assert peak < K * K * 8 / 4
 
 
 def test_optimizer_iterations_at_k200(design200):

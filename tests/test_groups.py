@@ -151,6 +151,17 @@ def test_generate_group_pauli_from_xz():
     group = generate_group([g["X"], g["Z"]], max_size=8)
     # projectively {I, X, Y, Z}
     assert len(group) == 4
+    assert group.elements.shape == (4, 2, 2)
+
+
+def test_closure_below_max_size_keeps_no_oversized_buffer(restricted_group):
+    g = standard_gates()
+    group = generate_group([g["H2"] @ g["CNOT12"] @ g["P1"] @ g["H2"],
+                            g["H1"] @ g["P2"] @ g["CNOT12"] @ g["H2"]], max_size=11520)
+    assert np.array_equal(group.elements.view(np.int64),
+                          restricted_group.elements.view(np.int64))
+    held = group.elements if group.elements.base is None else group.elements.base
+    assert held.nbytes <= group.elements.nbytes
 
 
 def test_stabilizer_identity_only_for_generic_state(restricted_group, rng):
@@ -246,12 +257,13 @@ def test_closure_memory_is_bounded():
     tracemalloc.start()
     try:
         group = clifford_group_2q()
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(group) == 11520
-    # stacking a whole level's products at once peaked at 24 MB
-    assert peak < 12e6
+    # stacking a whole level's products at once peaked at 24 MB, and
+    # concatenating a list of levels held a second copy of the elements, 3 MB
+    assert peak - held < 1e6
 
 
 def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
@@ -296,3 +308,13 @@ def test_clifford_group_memory_held():
         tracemalloc.stop()
     assert len(group) == 11520
     assert held < 6.5e6
+
+
+def test_save_group_peak_is_small(clifford_group, tmp_path):
+    tracemalloc.start()
+    try:
+        save_group(clifford_group, tmp_path / "clifford.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
