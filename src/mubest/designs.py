@@ -19,7 +19,6 @@ from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
 from .linalg import symmetric_dimension
 
 QUARTIC_SUM = 5.0 / 7.0
-_SUM_LEAF = 1 << 16  # table elements summed per leaf of the pairwise tree (>= 128)
 _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
 
 
@@ -141,40 +140,18 @@ def default_design():
 def frame_potential(design, t):
     """Phi_t = (1/K^2) sum_{j,k} |<psi_j|psi_k>|^{2t}, without the K x K table.
 
-    The sum has the bits of table.sum() over the whole row-major table, which
-    numpy adds pairwise: a range of n > 128 elements is split at
-    h = n//2 - (n//2 % 8) and the two halves' sums are added.  `_table_sum`
-    recurses over the flat index range the same way down to leaves of at most
-    `_SUM_LEAF` elements, fills only the table rows that cover a leaf, and
-    np.add.reduce's the leaf's slice, which numpy sums by the same tree.  The
-    leaf must hold >= 128 elements: numpy does not split shorter ranges, so
-    splitting them would add in another order.  A leaf takes at least two rows
-    unless K = 1, because a one-row product takes a vector-matrix path that
-    can round differently.  test_frame_potential_same_bits_as_whole_gram pins
-    the bits against the whole table's sum.
+    |<psi_j|psi_k>|^{2t} = |<psi_j^{x t}|psi_k^{x t}>|^2, so Phi_t is the
+    squared Frobenius norm of the frame operator R = sum_j
+    |psi_j^{x t}><psi_j^{x t}| over K^2 (Benedetto & Fickus 2003).  R lives
+    on the symmetric subspace, where it is the D_t x D_t matrix of
+    `_frame_operator`.
     """
     if design.size == 0:
         raise ValueError("frame potential of an empty design")
     if t < 1:
         raise ValueError("t must be >= 1")
-    K = design.size
-    return float(_table_sum(design.states, t, 0, K * K)) / K**2
-
-
-def _table_sum(states, t, lo, n):
-    """Pairwise sum of elements lo .. lo + n - 1 of the flat table of frame_potential."""
-    if n > _SUM_LEAF:
-        h = n // 2 - (n // 2 % 8)
-        return _table_sum(states, t, lo, h) + _table_sum(states, t, lo + h, n - h)
-    K = states.shape[1]
-    first, stop = lo // K, (lo + n - 1) // K + 1
-    if stop - first == 1 and K > 1:
-        first, stop = (first, stop + 1) if stop < K else (first - 1, stop)
-    rows = np.abs(states[:, first:stop].conj().T @ states)
-    rows **= 2
-    rows **= t
-    offset = lo - first * K
-    return np.add.reduce(rows.ravel()[offset:offset + n])
+    R = _frame_operator(design.states, t)
+    return float(np.vdot(R, R).real) / design.size**2
 
 
 def frame_potential_gradient(states, t):
@@ -185,30 +162,44 @@ def frame_potential_gradient(states, t):
     """
     K = states.shape[1]
     G = states.conj().T @ states
-    W = (np.abs(G) ** (2 * (t - 1))) * G
-    return (2 * t / K**2) * (states @ W)
+    W = np.abs(G)
+    W **= 2 * (t - 1)
+    G *= W
+    return (2 * t / K**2) * (states @ G)
+
+
+def _frame_operator(states, t):
+    """R = S^T S^* for the K x D_t type-class amplitudes S of the columns of `states`.
+
+    The symmetric subspace has one orthonormal basis vector |alpha> per type
+    class alpha (occupation numbers of the d levels), and
+    <alpha|psi^{x t}> = sqrt(t!/alpha!) prod_i psi_i^{alpha_i}: column alpha
+    of S is the product of the t columns of states.T that alpha's word names.
+    """
+    d, K = states.shape
+    words = list(itertools.combinations_with_replacement(range(d), t))
+    weights = [math.sqrt(math.factorial(t) / math.prod(math.factorial(w.count(i)) for i in set(w)))
+               for w in words]
+    words = np.array(words)  # (D_t, t) level indices
+    A = states.T
+    # C order whatever the layout of states, so R's bits do not depend on it
+    S = np.empty((K, len(words)), dtype=complex)
+    np.take(A, words[:, 0], axis=1, out=S)
+    for i in range(1, t):
+        S *= A[:, words[:, i]]
+    S *= weights
+    return S.T @ S.conj()
 
 
 def moment_operator(design, t):
     """Sum_j (|psi_j><psi_j|)^{x t} on the symmetric subspace, and its eigenvalue ratio.
 
-    The symmetric subspace has one orthonormal basis vector |alpha> per type
-    class alpha (occupation numbers of the d levels), and
-    <alpha|psi^{x t}> = sqrt(t!/alpha!) prod_i psi_i^{alpha_i}, so the K x D_t
-    matrix S of these amplitudes gives the restriction without forming
-    psi^{x t}.  Returns (R, ratio) where R = S^T S^* is the D_t x D_t
-    restriction and ratio = smallest/largest eigenvalue of R; an exact
-    t-design gives R = (K/D_t) I and ratio 1.
+    Returns (R, ratio) where R is the D_t x D_t restriction of
+    `_frame_operator`, formed without psi^{x t}, and ratio =
+    smallest/largest eigenvalue of R; an exact t-design gives R = (K/D_t) I
+    and ratio 1.
     """
-    d = design.dim
-    if d**t > 1024:
-        raise ValueError(f"d^t = {d**t} exceeds the supported size")
-    A = design.states.T  # K x d
-    S = np.empty((A.shape[0], symmetric_dimension(d, t)), dtype=complex)
-    for column, word in enumerate(itertools.combinations_with_replacement(range(d), t)):
-        weight = math.factorial(t) / math.prod(math.factorial(word.count(i)) for i in set(word))
-        S[:, column] = math.sqrt(weight) * A[:, word].prod(axis=1)
-    R = S.T @ S.conj()
+    R = _frame_operator(design.states, t)
     ws = np.linalg.eigvalsh(R)
     return R, float(ws[0] / ws[-1])
 

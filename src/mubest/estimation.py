@@ -49,7 +49,6 @@ class OutcomeTables:
 @dataclass(frozen=True)
 class EstimationReport:
     fidelity: float
-    values: np.ndarray  # (d^N,) tr(Q_o rhohat_o), ||Q_o|| for matched estimators
     estimators: OutcomeTables  # the tables whose densities are the estimators
 
 
@@ -147,7 +146,6 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
     D = symmetric_dimension(design.dim, N + 1)
     return EstimationReport(
         fidelity=float(values.sum()) / (math.factorial(N + 1) * D),
-        values=values,
         estimators=estimators,
     )
 

@@ -156,7 +156,8 @@ def _param_key(role, triple, cfg):
         params = {0: (), 1: (triple.x,), 2: (triple.y, triple.z)}[role]
     else:
         params = (triple.x, triple.y, triple.z)
-    raw = b"".join(np.float64(round(p, 12)).tobytes() for p in params)
+    # + 0.0 turns -0.0 into 0.0: equal angles, one stream
+    raw = b"".join(np.float64(round(p, 12) + 0.0).tobytes() for p in params)
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 

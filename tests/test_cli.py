@@ -175,23 +175,48 @@ def test_design_infeasible(outdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# sha256 of the design files, recorded before the frame potential was row-blocked
+# sha256 of the design files, recorded when phi_t became the squared norm of
+# the D_t x D_t frame operator
 DESIGN_FILE_SHA256 = {
-    "clifford": "81e7f720a1a99c1bc3e61feeac79bb9e4998e3e3eeff77dea0393029ec8051f4",
-    "optimize": "7c60e831bc5ccf84f04b77b26a3ba141d5762cb69c401d0601908b518a0ba8ed",
+    "clifford": "3a468e5515a0839b066e1db3c73e5c1fb7ceb78f32cb62e3bd1504be4ef074d9",
+    "optimize": "6f577f26635d6dd2b1411ace066db985dc542790f914a3fbaf3cb163c0781f3d",
 }
 
+# sha256 of the complex128 bytes of the states load_design reads from the
+# design files, and their phi_t headers, both recorded when the frame
+# potential summed the whole K x K table
+DESIGN_STATES_SHA256 = {
+    "clifford": "3b34f14e083084bcb7dd870c6acb247c418b23cdd61442476d5fb3991a2d0397",
+    "optimize": "f4194d6366c09913ab82f1994050592e2828cdff0d5b0c6a7238f02f82b894f1",
+}
+DESIGN_PHI_T = {"clifford": 0.02857142857142768, "optimize": 0.02869643018854319}
 
-@pytest.mark.parametrize("argv, stdout", [
+DESIGN_COMMANDS = [
     (["design", "clifford"], "K=960 phi4=0.0285714286 symmetric_ratio=1.000000\n"),
     (["design", "optimize", "--K", "200", "--seed", "0", "--target", "0.0287"],
      "K=200 phi4=0.0286964302 symmetric_ratio=0.782122\n"),
-])
+]
+
+
+def states_sha256(design):
+    return hashlib.sha256(np.ascontiguousarray(design.states).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, stdout", DESIGN_COMMANDS)
 def test_design_file_golden(outdir, capsys, argv, stdout):
     assert main(argv + ["--out", "d.json"]) == EXIT_OK
     assert capsys.readouterr().out == stdout
     digest = hashlib.sha256((outdir / "d.json").read_bytes()).hexdigest()
     assert digest == DESIGN_FILE_SHA256[argv[1]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in DESIGN_COMMANDS])
+def test_design_file_states_golden(outdir, argv):
+    assert main(argv + ["--out", "d.json"]) == EXIT_OK
+    design = load_design(outdir / "d.json")
+    assert states_sha256(design) == DESIGN_STATES_SHA256[argv[1]]
+    phi_t = DESIGN_PHI_T[argv[1]]
+    assert abs(design.metadata["phi_t"] - phi_t) <= 1e-15 * phi_t
 
 
 def test_design_evaluates_frame_potential_once(outdir, monkeypatch):

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mubest.designs
 from mubest.designs import (
     StateDesign,
     angles_to_bloch,
@@ -145,18 +144,30 @@ def design200():
     return optimize_design(K=200, d=4, t=4, seed=0, target=0.0287)
 
 
-@pytest.mark.parametrize("leaf", [128, 1000, mubest.designs._SUM_LEAF])
-def test_frame_potential_same_bits_as_whole_gram(design960, design200, rng, monkeypatch,
-                                                 leaf):
-    # 128 is the smallest leaf that numpy's pairwise sum does not split
-    monkeypatch.setattr(mubest.designs, "_SUM_LEAF", leaf)
+def test_frame_potential_matches_whole_gram(design960, design200, rng):
     designs = [design960, design200]
-    for K in [*range(1, 201), 257, 961]:  # every row remainder; K^2 over several leaves
+    for K in [*range(1, 201), 257, 961]:
         V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
         designs.append(StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0)))
     for design in designs:
         for t in range(1, 5):
-            assert frame_potential(design, t) == whole_gram_frame_potential(design, t)
+            expected = whole_gram_frame_potential(design, t)
+            assert abs(frame_potential(design, t) - expected) <= 1e-14 * expected
+
+
+# sha256 of moment_operator's R bytes at t = 4, recorded when S was built
+# column by column: the vectorised type-class amplitudes keep R's bits
+MOMENT_OPERATOR_SHA256 = {
+    960: "d428aa32fd17839542834e930e53b28981171a9741b77e8ec0244db13f08d1e1",
+    200: "41df035199f649035c89a5962d7a7eb3db0db6858bc93fbef3fb018575d8a6da",
+}
+
+
+def test_moment_operator_golden(design960, design200):
+    for design in (design960, design200):
+        R, _ = moment_operator(design, 4)
+        digest = hashlib.sha256(np.ascontiguousarray(R).tobytes()).hexdigest()
+        assert digest == MOMENT_OPERATOR_SHA256[design.size]
 
 
 def test_frame_potential_memory_is_bounded(design960):
@@ -167,7 +178,7 @@ def test_frame_potential_memory_is_bounded(design960):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # only the rows of one leaf; the float K x K table alone is K^2 8
+    # the K x D_t amplitudes; the float K x K table alone is K^2 8
     assert peak < K * K * 8 / 4
 
 
@@ -238,6 +249,16 @@ def test_moment_operator_ratio(design960):
     assert abs(np.trace(R).real - design960.size) <= 1e-6
 
 
+def test_moment_operator_beyond_design_strength(design960):
+    # t = 6 needs only the D_6 = 84 type classes, not the 4^6 lift
+    R, ratio = moment_operator(design960, 6)
+    K = design960.size
+    assert R.shape == (symmetric_dimension(4, 6),) * 2
+    assert abs(np.trace(R).real - K) <= 1e-9 * K
+    assert abs(np.vdot(R, R).real / K**2 - frame_potential(design960, 6)) <= 1e-15
+    assert ratio < 1 - 1e-6  # the orbit is no 6-design
+
+
 def test_frame_potential_gradient_finite_difference(rng):
     K, d, t = 12, 3, 2
     V = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
@@ -263,6 +284,29 @@ def test_frame_potential_gradient_finite_difference(rng):
             g = grad[a, j]
             analytic = 2 * g.real if delta == h else 2 * g.imag
             assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
+
+
+@pytest.mark.parametrize("K", [35, 200, 960])
+def test_frame_potential_gradient_same_bits_as_product(rng, K):
+    V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
+    V /= np.linalg.norm(V, axis=0)
+    G = V.conj().T @ V
+    for t in (1, 2, 4):
+        W = (np.abs(G) ** (2 * (t - 1))) * G  # |G|^{2(t-1)} and W held at once
+        expected = (2 * t / K**2) * (V @ W)
+        assert np.array_equal(frame_potential_gradient(V, t), expected)
+
+
+def test_frame_potential_gradient_memory_is_bounded(design960):
+    K = design960.size
+    tracemalloc.start()
+    try:
+        frame_potential_gradient(design960.states, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex Gram (K^2 16 bytes) and one float K x K weight table, 22.1 MB
+    assert peak < 24e6
 
 
 def test_optimize_small_qubit_design():

@@ -271,6 +271,20 @@ def test_shared_ab_streams_across_z(design960):
         assert not np.array_equal(c1, c2), sampler
 
 
+def test_signed_zero_angles_share_streams(design960):
+    # -0.0 and 0.0 are the same angle: same streams, same counts
+    design = StateDesign(dim=4, t=4, states=design960.states[:, :40])
+    for sampler in SAMPLERS:
+        for share in (True, False):
+            cfg = SimConfig(seed=11, m_block=50, blocks=2, sampler=sampler,
+                            share_ab_outcomes=share)
+            plus, minus = (
+                simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
+                for zero in (0.0, -0.0)
+            )
+            assert np.array_equal(plus, minus), (sampler, share)
+
+
 def test_unshared_streams_differ(design960):
     for sampler in SAMPLERS:
         shared = replace(SMALL, sampler=sampler)
