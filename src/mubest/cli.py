@@ -35,7 +35,7 @@ from .groups import (
 )
 from .mub import mub_triple
 from .simulate import (
-    SAMPLERS,
+    STREAM_VERSION,
     SimConfig,
     check_subset_request,
     check_unitary_count,
@@ -179,13 +179,12 @@ def _finish(args, argv, run, t0):
     """Print `run`'s lines; under --out write its outputs and manifest; report its error.
 
     The digest covers the parsed options; `argv` is recorded verbatim beside it,
-    with numpy's version and, for a run that samples, its sampler's stream version.
+    with numpy's version and, for a run that samples, its stream version.
     """
     for line in run.lines:
         print(line)
     if args.out:
         parameters, seed = run_parameters(args), getattr(args, "seed", None)
-        cfg = _sim_config(args)
         digest = manifest_digest(args.command, parameters, seed)
         paths = []
         for path, write in run.outputs:
@@ -200,7 +199,7 @@ def _finish(args, argv, run, t0):
             "output_sha256": {path: _file_sha256(path) for path in paths},
             "tool_version": __version__,
             "numpy_version": np.__version__,
-            "stream_version": None if cfg is None else SAMPLERS[cfg.sampler],
+            "stream_version": None if _sim_config(args) is None else STREAM_VERSION,
             "manifest_hash": digest,
             **run.fields,
             "wall_time_s": round(time.time() - t0, 3),
@@ -226,10 +225,9 @@ def _load_or_build_design(source):
 
 def _sim_config(args):
     """The run's sampling settings, or None for a run that samples nothing."""
-    if not hasattr(args, "sampler") or getattr(args, "exact", False):
+    if not hasattr(args, "blocks") or getattr(args, "exact", False):
         return None
-    return SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks,
-                     sampler=args.sampler)
+    return SimConfig(seed=args.seed, m_block=args.M, blocks=args.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +402,6 @@ def _add_sampling_options(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--M", type=int, default=10000, help="repetitions per block")
     parser.add_argument("--blocks", type=int, default=10)
-    parser.add_argument(
-        "--sampler", choices=SAMPLERS, default="counts",
-        help="'counts': chained multinomials (stream version 2); 'draws': every "
-             "shot drawn (version 1, reproduces counts of earlier versions)",
-    )
 
 
 def build_parser():

@@ -212,17 +212,20 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
     step) until Phi_t decreases; an accepted step grows the step length.
     Stops at max_iters, at `target`, or when no decrease is possible.
     """
-    Dt = symmetric_dimension(d, t)
-    if K < Dt:
-        raise InfeasibleDesignError(
-            f"K={K} < D_t={Dt}: the frame-potential bound is unreachable"
-        )
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
+    # bad arguments first: they are validation errors however small K is
+    Dt = symmetric_dimension(d, t)
+    if K < Dt:
+        raise InfeasibleDesignError(
+            f"K={K} < D_t={Dt}: the frame-potential bound is unreachable"
+        )
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
     V /= np.linalg.norm(V, axis=0)

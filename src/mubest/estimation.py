@@ -11,7 +11,7 @@ for a product effect x_i E_i, with Born weights w_j = prod_i <psi_j|E_i|psi_j>,
 
 Each measurement is an `OrthonormalBasis`, and each factor of w_j is one of
 its outcome probabilities from `mub.born_probabilities`, the function that
-also drives the samplers.  `outcome_tables` evaluates Q for all outcomes at
+also drives the sampler.  `outcome_tables` evaluates Q for all outcomes at
 once, over the Clifford orbit (an exact 4-design) in ideal mode and over a
 given design in empirical mode, where the sum is the design's stand-in Q'.
 It is the only place Q is formed.

@@ -118,7 +118,7 @@ def born_probabilities(basis, states):
     """(K, d) outcome distribution per state of the rank-1 measurement in `basis`.
 
     p[k, o] = |<v_o|psi_k>|^2 for the columns of `states`.  This arithmetic
-    fixes the seeded counts: it feeds both samplers, Q and run health.
+    fixes the seeded counts: it feeds the sampler, Q and run health.
     """
     p = np.abs(basis.vectors.conj().T @ states) ** 2  # d x K
     p = p.T

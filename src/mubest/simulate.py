@@ -11,43 +11,31 @@ design, mode, measurements (the bases) and table it was scored with;
 own estimators.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
-`simulate_protocol` allocates the table, for either sampler to fill, as
-np.min_scalar_type(M): uint8 up to M = 255, uint16 up to 65535 (the paper's
-M = 10^4), uint32 beyond.  Two-copy marginals keep that dtype, being bounded
-by M too; sums over blocks, which can reach M * blocks, accumulate in int64.
-Files written from the table are the same whatever its dtype.
+`simulate_protocol` allocates the table as np.min_scalar_type(M): uint8 up to
+M = 255, uint16 up to 65535 (the paper's M = 10^4), uint32 beyond.  Two-copy
+marginals keep that dtype, being bounded by M too; sums over blocks, which can
+reach M * blocks, accumulate in int64.  Files written from the table are the
+same whatever its dtype.
 
-Samplers.  `SimConfig.sampler` selects how the joint outcome counts are drawn.
-Both draw from `mub.born_probabilities`, the one Born function that also
-gives Q its weights and `run_health` its exact F, and key their streams on
-`_param_key`.
-
-- ``"counts"`` (the default, stream version 2).  The three measurements act
-  on separate copies, so a state's joint counts factor into three steps:
-  n_A ~ Multinomial(M, p_A); each A cell splits by Multinomial(n_a, p_B); each
-  AB cell splits by Multinomial(n_ab, p_C).  Each step is one broadcast
-  `Generator.multinomial` call over a chunk of `_STATE_CHUNK` states and all
-  blocks.  Role r (0=A, 1=B, 2=C) has one generator,
-  ``PCG64(SeedSequence(seed, spawn_key=(_COUNTS_STREAM, r, param_key)))``,
-  consumed in state order, so the counts do not depend on the chunk size.
-  numpy does not promise to keep `multinomial`'s stream across releases, so
-  the CLI records the numpy version next to the sampler.
-- ``"draws"`` (stream version 1, the only way to reproduce counts recorded
-  before version 2).  Every shot is drawn: the draws of role r for one
-  (state, block) come from their own generator, built with numpy's
-  constructors as
-  ``PCG64(SeedSequence(seed, spawn_key=(r, param_key, state, block)))``.
-  With cumulative Born probabilities c0 <= c1 <= c2 of a 4-outcome
-  measurement, a uniform u gives the outcome (u > c0) + (u > c1) + (u > c2),
-  the index searchsorted(c, u) would return; the joint outcome 16a + 4b + c
-  is accumulated in uint8 for all blocks of a state at once.
+Sampling (stream version 2).  The counts are drawn from
+`mub.born_probabilities`, the one Born function that also gives Q its weights
+and `run_health` its exact F.  The three measurements act on separate copies,
+so a state's joint counts factor into three steps: n_A ~ Multinomial(M, p_A);
+each A cell splits by Multinomial(n_a, p_B); each AB cell splits by
+Multinomial(n_ab, p_C).  Each step is one broadcast `Generator.multinomial`
+call over a chunk of `_STATE_CHUNK` states and all blocks.  Role r (0=A, 1=B,
+2=C) has one generator,
+``PCG64(SeedSequence(seed, spawn_key=(_COUNTS_STREAM, r, param_key)))``,
+consumed in state order, so the counts do not depend on the chunk size.
+numpy does not promise to keep `multinomial`'s stream across releases, so the
+CLI records the numpy version next to the stream version.
 
 `_param_key` hashes the triple's angles (x, y, z), not its bases, on purpose:
 triples with equal angles, including unitarily or controlled-phase transformed
 ones, use the same streams, which gives common random numbers across an
 equivalence scan.  With share_ab_outcomes the keys of roles A and B depend
 only on their own angles (none for A, x for B), so triples sharing those bases
-share those outcomes: the same A and AB counts under either sampler.
+share those outcomes: the same A and AB counts.
 """
 
 import hashlib
@@ -67,8 +55,8 @@ from .mub import (
 )
 
 _STATE_CHUNK = 64  # states sampled together
-_COUNTS_STREAM = 2  # spawn-key prefix of the counts sampler's streams
-SAMPLERS = {"counts": 2, "draws": 1}  # sampler: its stream version
+_COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
+STREAM_VERSION = 2  # what the CLI records for a run that samples
 
 
 @dataclass(frozen=True)
@@ -77,7 +65,6 @@ class SimConfig:
     m_block: int = 10000
     blocks: int = 10
     share_ab_outcomes: bool = True
-    sampler: str = "counts"
 
     def __post_init__(self):
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
@@ -87,9 +74,6 @@ class SimConfig:
             raise ValueError("m_block must be >= 1")
         if self.blocks < 2:
             raise ValueError("blocks must be >= 2 for a std")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"sampler must be one of {tuple(SAMPLERS)}, got {self.sampler!r}")
 
 
 @dataclass
@@ -120,7 +104,7 @@ class SimReport:
             "m_block": self.config.m_block,
             "blocks": self.config.blocks,
             "share_ab_outcomes": self.config.share_ab_outcomes,
-            "sampler": self.config.sampler,
+            "sampler": "counts",  # the stream that filled `counts`
             "triple_params": list(self.triple_params),
             "mean_fidelity": self.mean_fidelity,
             "per_block_fidelities": self.per_block_fidelities.tolist(),
@@ -198,9 +182,8 @@ def simulate_protocol(triple, design, cfg, mode="ideal"):
     f_table = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
-    sample = _multinomial_counts if cfg.sampler == "counts" else _drawn_counts
     counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
-    sample(probs, param_keys, cfg, counts)
+    _multinomial_counts(probs, param_keys, cfg, counts)
     return _scored_report(triple, cfg, design, mode, measurements, counts, f_table)
 
 
@@ -221,27 +204,6 @@ def _multinomial_counts(probs, param_keys, cfg, counts):
             pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
             n = generator.multinomial(n, pvals)
         counts[chunk] = n.reshape(-1, B, 64)
-
-
-def _drawn_counts(probs, param_keys, cfg, counts):
-    """Fill the (K, B, 64) counts from one substream per (role, state, block) (version 1)."""
-    K, B = counts.shape[:2]
-    cdfs = [np.cumsum(p, axis=1)[:, :3] for p in probs]
-    u = np.empty((B, cfg.m_block))
-    above = np.empty(u.shape, dtype=bool)
-    joint = np.empty(u.shape, dtype=np.uint8)
-    for state in range(K):
-        joint.fill(0)
-        for role, key in enumerate(param_keys):
-            for block in range(B):
-                seq = np.random.SeedSequence(cfg.seed, spawn_key=(role, key, state, block))
-                np.random.Generator(np.random.PCG64(seq)).random(out=u[block])
-            joint *= 4
-            for threshold in cdfs[role][state]:
-                np.greater(u, threshold, out=above)
-                joint += above
-        for block in range(B):
-            counts[state, block] = np.bincount(joint[block], minlength=64)
 
 
 def run_health(report):

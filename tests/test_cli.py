@@ -175,6 +175,19 @@ def test_design_infeasible(outdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--K", "0"], "K must be >= 1, got 0"),
+    (["--K", "-5"], "K must be >= 1, got -5"),
+    # a bad argument is a validation error even where K misses the bound too
+    (["--K", "10", "--iters", "0"], "max_iters must be >= 1"),
+])
+def test_design_optimize_bad_K(outdir, capsys, argv, message):
+    # no state count below 1 is a design at all: a validation error, not a missed bound
+    assert main(["design", "optimize", *argv, "--out", "d.json"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 # sha256 of the design files, recorded when phi_t became the squared norm of
 # the D_t x D_t frame operator
 DESIGN_FILE_SHA256 = {
@@ -319,26 +332,25 @@ def design100_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("design, M, blocks, sampler, counts", [
-    pytest.param("small_design_file", 30, 3, "counts", True, id="True"),
-    pytest.param("small_design_file", 30, 3, "counts", False, id="False"),
+@pytest.mark.parametrize("design, M, blocks, counts", [
+    pytest.param("small_design_file", 30, 3, True, id="True"),
+    pytest.param("small_design_file", 30, 3, False, id="False"),
     # counts in the millions: far above any table sized for small counts
-    pytest.param("small_design_file", 5_000_000, 2, "counts", True, id="large-M"),
+    pytest.param("small_design_file", 5_000_000, 2, True, id="large-M"),
     # the edges of the count table's uint8, uint16 and uint32 dtypes
-    *(pytest.param("small_design_file", M, 2, sampler, True, id=f"{sampler}-M{M}")
-      for M in (255, 256, 65535, 65536) for sampler in ("counts", "draws")),
+    *(pytest.param("small_design_file", M, 2, True, id=f"counts-M{M}")
+      for M in (255, 256, 65535, 65536)),
     # K = 100 states end the writer's runs of states with a partial one
-    pytest.param("design100_file", 30, 2, "counts", True, id="K-not-multiple-of-64"),
-    pytest.param("small_design_file", 30, 3, "draws", True, id="draws"),
+    pytest.param("design100_file", 30, 2, True, id="K-not-multiple-of-64"),
 ])
-def test_simulate_report_bytes(outdir, request, design, M, blocks, sampler, counts):
+def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     path = request.getfixturevalue(design)
     argv = ["simulate", "--design", path, "--seed", "5", "--M", str(M),
-            "--blocks", str(blocks), "--sampler", sampler, "--out", "run.json"]
+            "--blocks", str(blocks), "--out", "run.json"]
     assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
     half = math.pi / 2
     report = simulate_protocol(mub_triple(half, half, half), load_design(path),
-                               SimConfig(seed=5, m_block=M, blocks=blocks, sampler=sampler))
+                               SimConfig(seed=5, m_block=M, blocks=blocks))
     assert report.counts.dtype == np.min_scalar_type(M)
     expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
     assert (outdir / "run.json").read_text() == expected
@@ -363,24 +375,12 @@ def test_write_report_memory_is_bounded(tmp_path, rng):
     assert np.array_equal(json.loads((tmp_path / "run.json").read_text())["counts"], counts)
 
 
-def test_simulate_draws_sampler_writes_v1_counts(outdir, small_design_file):
-    argv = ["simulate", "--design", small_design_file, "--seed", "3", "--M", "40",
-            "--blocks", "2", "--sampler", "draws", "--counts", "--out", "run.json"]
-    assert main(argv) == EXIT_OK
-    half = math.pi / 2
-    v1 = simulate_protocol(mub_triple(half, half, half), load_design(small_design_file),
-                           SimConfig(seed=3, m_block=40, blocks=2, sampler="draws"))
-    report = json.loads((outdir / "run.json").read_text())
-    assert report["sampler"] == "draws"
-    assert np.array_equal(np.array(report["counts"]), v1.counts)
-
-
 def test_simulate_manifest_describes_run(outdir, small_design_file):
     argv = ["simulate", "--design", small_design_file, "--seed", "4", "--M", "50",
             "--blocks", "3", "--out", "run.json"]
     assert main(argv) == EXIT_OK
     manifest = json.loads((outdir / "run.json.manifest.json").read_text())
-    assert manifest["parameters"]["sampler"] == "counts"
+    assert "sampler" not in manifest["parameters"]
     assert manifest["numpy_version"] == np.__version__
     half = math.pi / 2
     design = load_design(small_design_file)
@@ -396,12 +396,21 @@ def test_simulate_manifest_describes_run(outdir, small_design_file):
 ])
 def test_sampler_recorded_for_sampled_commands(outdir, small_design_file, argv):
     assert main(argv + ["--design", small_design_file, "--M", "10", "--blocks", "2",
-                        "--sampler", "draws", "--out", "out.csv"]) == EXIT_OK
+                        "--out", "out.csv"]) == EXIT_OK
     manifest = json.loads((outdir / "out.csv.manifest.json").read_text())
-    assert manifest["parameters"]["sampler"] == "draws"
     # numpy does not promise to keep multinomial's stream across releases
     assert manifest["numpy_version"] == np.__version__
-    assert manifest["stream_version"] == 1
+    assert manifest["stream_version"] == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "subsets", "equivalence"])
+@pytest.mark.parametrize("sampler", ["counts", "draws"])
+def test_sampler_option_is_gone(outdir, capsys, command, sampler):
+    # one sampler is left, so the option that chose one is rejected, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--M", "10", "--blocks", "2", "--sampler", sampler])
+    assert exc.value.code == EXIT_IO
+    assert f"unrecognized arguments: --sampler {sampler}" in capsys.readouterr().err
 
 
 def test_exact_equivalence_records_no_sampler(outdir, small_design_file):
@@ -740,7 +749,7 @@ def test_every_option_changes_the_digest():
             argv = [command] + _changed_argv(command, action)
             assert _digest(argv) != base, argv
             checked += 1
-    assert checked == 51
+    assert checked == 48
 
 
 def test_run_parameters_are_the_parsed_options():
@@ -765,8 +774,6 @@ README_RUNS = [
      "--M", "10", "--blocks", "2", "--out", "run.json"],
     ["simulate", "--x", "pi/2", "--y", "pi/2", "--z", "pi/2", "--seed", "0",
      "--M", "10", "--blocks", "2", "--counts", "--out", "run_counts.json"],
-    ["simulate", "--x", "pi/2", "--y", "pi/2", "--z", "pi/2", "--seed", "0",
-     "--M", "10", "--blocks", "2", "--sampler", "draws", "--out", "run_v1.json"],
     ["equivalence", "--exact", "--phi-grid", "0:2pi:3", "--out", "phase.csv"],
     ["equivalence", "--exact", "--n-unitaries", "3", "--out", "haar.csv"],
     ["subsets", "--sizes", "240,480,720", "--trials", "3", "--M", "10", "--blocks", "2",
@@ -787,7 +794,7 @@ def test_manifests_replay(tmp_path, monkeypatch, capsys):
     second.mkdir()
     monkeypatch.setenv("MUBEST_OUTDIR", str(first))
     codes = [main(argv) for argv in README_RUNS]
-    assert codes == [EXIT_OK] * 2 + [EXIT_TARGET] + [EXIT_OK] * 8
+    assert codes == [EXIT_OK] * 2 + [EXIT_TARGET] + [EXIT_OK] * 7
     manifests = [json.loads((first / (argv[-1] + ".manifest.json")).read_text())
                  for argv in README_RUNS]
     monkeypatch.setenv("MUBEST_OUTDIR", str(second))
@@ -801,5 +808,4 @@ def test_manifests_replay(tmp_path, monkeypatch, capsys):
         assert _sha256_by_name(replay) == _sha256_by_name(manifest)
         assert all(path.startswith(str(second)) for path in replay["output_paths"])
         sampled = argv[0] in ("simulate", "subsets")
-        assert manifest["stream_version"] == (
-            {"counts": 2, "draws": 1}[manifest["parameters"]["sampler"]] if sampled else None)
+        assert manifest["stream_version"] == (2 if sampled else None)

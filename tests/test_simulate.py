@@ -18,7 +18,6 @@ from mubest.mub import (
     transform_triple,
 )
 from mubest.simulate import (
-    SAMPLERS,
     SimConfig,
     _param_key,
     _scored_report,
@@ -39,24 +38,9 @@ SMALL = SimConfig(seed=11, m_block=400, blocks=3)
 # sha256 of the counts' int64 bytes and the mean fidelity of small runs: the
 # sampled streams must never change for an existing seed.  The mean is checked to
 # 1e-12, the tolerance within which fidelities must stay, because scoring
-# arithmetic may sum in another order.  The "draws" runs pin stream version 1,
-# one SeedSequence/PCG64 substream per (role, state, block); the last one has
-# ten blocks and a seed of three 32-bit words.  The "counts" runs pin stream
-# version 2, which also depends on numpy keeping Generator.multinomial's stream.
+# arithmetic may sum in another order.  These runs pin stream version 2, which
+# also depends on numpy keeping Generator.multinomial's stream.
 GOLDEN_RUNS = [
-    (
-        (HALF, HALF, HALF),
-        SimConfig(seed=11, m_block=400, blocks=3, sampler="draws"),
-        "14cd5debbdcb2ec38953fd41f5816aea3281dba889db3b3ce0ebefcebcbba750",
-        0.5207395658426618,
-    ),
-    (
-        (HALF, HALF, HALF / 2),
-        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False,
-                  sampler="draws"),
-        "6b4173e9662b582a41e1f656c95be397729d8af106a314d40e6f4b0502cac230",
-        0.5179342483842025,
-    ),
     (
         (HALF, HALF, HALF),
         SMALL,
@@ -69,9 +53,27 @@ GOLDEN_RUNS = [
         "385c378b3067d1c3913ecf7569c3f4d1476797b81d86bff75a9983e17aad1876",
         0.5178408911946424,
     ),
+]
+
+# the same for stream version 1, which `reference_counts` states: the counts of
+# runs made before version 2; the last one has ten blocks and a seed of three
+# 32-bit words
+V1_GOLDEN_RUNS = [
+    (
+        (HALF, HALF, HALF),
+        SimConfig(seed=11, m_block=400, blocks=3),
+        "14cd5debbdcb2ec38953fd41f5816aea3281dba889db3b3ce0ebefcebcbba750",
+        0.5207395658426618,
+    ),
+    (
+        (HALF, HALF, HALF / 2),
+        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
+        "6b4173e9662b582a41e1f656c95be397729d8af106a314d40e6f4b0502cac230",
+        0.5179342483842025,
+    ),
     (
         (HALF, HALF / 2, HALF),
-        SimConfig(seed=2**64 + 13, m_block=200, blocks=10, sampler="draws"),
+        SimConfig(seed=2**64 + 13, m_block=200, blocks=10),
         "c04777567b4d58fd289c546eee2b7749553b2e66b5afcfaf9bc5de3a32b1ea05",
         0.517797336603819,
     ),
@@ -117,9 +119,8 @@ def test_config_validation():
         SimConfig(seed=0, blocks=0)
     with pytest.raises(ValueError, match="blocks must be >= 2 for a std"):
         SimConfig(seed=0, blocks=1)
-    with pytest.raises(ValueError, match="sampler"):
-        SimConfig(seed=0, sampler="x")
-    assert SimConfig(seed=0).sampler == "counts"
+    with pytest.raises(TypeError):  # one sampler is left, so nothing to choose
+        SimConfig(seed=0, sampler="counts")
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
@@ -137,9 +138,9 @@ def test_golden_counts(design960, params, cfg, counts_sha256, mean):
 
 
 def reference_counts(triple, design, cfg):
-    """The sampler's contract written plainly: one numpy-constructed substream
-    per (role, state, block) and searchsorted on the cumulative Born
-    probabilities."""
+    """Stream version 1, the per-shot sampler of earlier versions, written
+    plainly: one numpy-constructed substream per (role, state, block) and
+    searchsorted on the cumulative Born probabilities."""
     cdfs = [np.cumsum(born_probabilities(b, design.states), axis=1) for b in triple.bases]
     keys = [_param_key(role, triple, cfg) for role in range(3)]
     counts = np.zeros((design.size, cfg.blocks, 64), dtype=np.int64)
@@ -154,12 +155,14 @@ def reference_counts(triple, design, cfg):
     return counts
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_counts_match_reference(haar_triple, design960, share):
-    cfg = SimConfig(seed=2**40 + 3, m_block=50, blocks=2, share_ab_outcomes=share,
-                    sampler="draws")
-    report = simulate_protocol(haar_triple, design960, cfg)
-    assert np.array_equal(report.counts, reference_counts(haar_triple, design960, cfg))
+@pytest.mark.parametrize("params, cfg, counts_sha256, mean", V1_GOLDEN_RUNS)
+def test_v1_golden_counts(design960, params, cfg, counts_sha256, mean):
+    triple = mub_triple(*params)
+    counts = reference_counts(triple, design960, cfg)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == counts_sha256
+    report = _scored_report(triple, cfg, design960, "ideal", triple.bases, counts,
+                            estimator_tables(triple.bases, design960))
+    assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
 def reference_multinomial_counts(triple, design, cfg):
@@ -259,42 +262,36 @@ def test_std_of_mean_property(small_report):
 
 def test_shared_ab_streams_across_z(design960):
     # triples differing only in z reuse the A and B outcome streams, so the
-    # marginal counts over the C outcome agree exactly, under either sampler
-    for sampler in SAMPLERS:
-        cfg = replace(SMALL, sampler=sampler)
-        c1, c2 = (
-            simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
-            .counts.reshape(-1, cfg.blocks, 4, 4, 4)
-            for z in (HALF, HALF / 2)
-        )
-        assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4)), sampler
-        assert not np.array_equal(c1, c2), sampler
+    # marginal counts over the C outcome agree exactly
+    c1, c2 = (
+        simulate_protocol(mub_triple(HALF, HALF, z), design960, SMALL)
+        .counts.reshape(-1, SMALL.blocks, 4, 4, 4)
+        for z in (HALF, HALF / 2)
+    )
+    assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
+    assert not np.array_equal(c1, c2)
 
 
 def test_signed_zero_angles_share_streams(design960):
     # -0.0 and 0.0 are the same angle: same streams, same counts
     design = StateDesign(dim=4, t=4, states=design960.states[:, :40])
-    for sampler in SAMPLERS:
-        for share in (True, False):
-            cfg = SimConfig(seed=11, m_block=50, blocks=2, sampler=sampler,
-                            share_ab_outcomes=share)
-            plus, minus = (
-                simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
-                for zero in (0.0, -0.0)
-            )
-            assert np.array_equal(plus, minus), (sampler, share)
+    for share in (True, False):
+        cfg = SimConfig(seed=11, m_block=50, blocks=2, share_ab_outcomes=share)
+        plus, minus = (
+            simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
+            for zero in (0.0, -0.0)
+        )
+        assert np.array_equal(plus, minus), share
 
 
 def test_unshared_streams_differ(design960):
-    for sampler in SAMPLERS:
-        shared = replace(SMALL, sampler=sampler)
-        solo = replace(shared, share_ab_outcomes=False)
-        c1, c2 = (
-            simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
-            .counts.reshape(-1, cfg.blocks, 4, 4, 4)
-            for z, cfg in ((HALF, shared), (HALF / 2, solo))
-        )
-        assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4)), sampler
+    solo = replace(SMALL, share_ab_outcomes=False)
+    c1, c2 = (
+        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
+        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
+        for z, cfg in ((HALF, SMALL), (HALF / 2, solo))
+    )
+    assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
 
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
@@ -465,11 +462,10 @@ def test_random_subset_analysis(small_report, design960):
 
 # the count dtype's boundaries: uint8 holds M = 255, uint16 holds 256 and
 # 65535, uint32 holds 65536
-@pytest.mark.parametrize("sampler", list(SAMPLERS))
 @pytest.mark.parametrize("m_block", [255, 256, 65535, 65536])
-def test_count_dtype_boundaries(design960, symmetric_triple, sampler, m_block):
+def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
     design = StateDesign(dim=4, t=4, states=design960.states[:, :6])
-    cfg = SimConfig(seed=3, m_block=m_block, blocks=2, sampler=sampler)
+    cfg = SimConfig(seed=3, m_block=m_block, blocks=2)
     report = simulate_protocol(symmetric_triple, design, cfg)
     assert report.counts.dtype == np.min_scalar_type(m_block)
     assert np.all(report.counts.sum(axis=2, dtype=np.int64) == m_block)
