@@ -26,7 +26,7 @@ from .designs import (
     save_design,
 )
 from .errors import DesignFormatError, InfeasibleDesignError
-from .estimation import estimation_fidelity, fidelity_scan
+from .estimation import fidelity_scan
 from .groups import (
     clifford_group_2q,
     pauli_group_projective,
@@ -55,7 +55,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +110,6 @@ def _resolve(path):
     return os.path.join(os.environ.get("MUBEST_OUTDIR", "."), path)
 
 
-@dataclass
 class Run:
     """What a command produced; `_finish` prints it and writes it to disk.
 
@@ -120,10 +118,13 @@ class Run:
     manifest entries outside the digest; `error` is (exit code, message).
     """
 
-    lines: list
-    outputs: list = field(default_factory=list)
-    fields: dict = field(default_factory=dict)
-    error: tuple = None
+    __slots__ = ("lines", "outputs", "fields", "error")
+
+    def __init__(self, lines, outputs=(), fields=None, error=None):
+        self.lines = lines
+        self.outputs = list(outputs)
+        self.fields = {} if fields is None else fields
+        self.error = error
 
 
 def run_parameters(args):
@@ -281,18 +282,10 @@ def cmd_fidelity(args):
     y_values = parse_angle_list(args.y_list)
     z_values = parse_angle_list(args.z_list)
     design = _load_or_build_design(args.design) if args.mode == "empirical" else None
-    if args.copies == 3:
-        rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design,
-                             estimator_source=args.estimator_source)
-    else:
-        pair = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}[args.pair]
-        rows = []
-        for y in y_values:
-            for z in z_values:
-                bases = mub_triple(x, y, z).bases
-                f = estimation_fidelity([bases[i] for i in pair], args.mode, design,
-                                        args.estimator_source).fidelity
-                rows.append((x, y, z, f))
+    pairs = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
+    bases = (0, 1, 2) if args.copies == 3 else pairs[args.pair]
+    rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design,
+                         estimator_source=args.estimator_source, bases=bases)
     return Run(
         [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
         [(args.out, _csv({"mode": args.mode, "copies": args.copies},

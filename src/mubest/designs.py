@@ -292,23 +292,33 @@ def save_design(design, path, phi_t=None):
     """Write a design as JSON, or as CSV if path ends in .csv.
 
     phi_t is the design's frame potential at design.t, recorded in the
-    header; it is computed here unless the caller already has it.
+    header; it is computed here unless the caller already has it.  The JSON
+    bytes are those of json.dump(..., indent=1), but the states bypass the
+    pure-Python encoder that indent selects: their '%.17g' strings fill a
+    fixed template of '"%s"' fields in one formatting pass.
     """
     path = str(path)
     if phi_t is None:
         phi_t = frame_potential(design, design.t)
     header = _header(design, phi_t)
-    rows = [[f"{x:.17g}" for pair in zip(col.real, col.imag) for x in pair]
-            for col in design.states.T]
+    width = 2 * design.dim  # (re, im) per amplitude
+    pairs = np.ascontiguousarray(design.states.T).view(float).ravel().tolist()
+    fields = tuple(f"{x:.17g}" for x in pairs)
     with open(path, "w") as fh:
         if path.endswith(".csv"):
             fh.writelines(f"# {k}={v}\n" for k, v in header.items())
             fh.write(",".join(f"re{i},im{i}" for i in range(design.dim)) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in rows)
-        else:
-            metadata = {k: v for k, v in design.metadata.items()
-                        if isinstance(v, (int, float, str, bool, type(None)))}
-            json.dump(dict(header, metadata=metadata, states=rows), fh, indent=1)
+            fh.write((",".join(["%s"] * width) + "\n") * design.size % fields)
+            return
+        metadata = {k: v for k, v in design.metadata.items()
+                    if isinstance(v, (int, float, str, bool, type(None)))}
+        text = json.dumps(dict(header, metadata=metadata, states=[]), indent=1)
+        if not fields:
+            fh.write(text)
+            return
+        state = "\n  [\n" + ",\n".join(['   "%s"'] * width) + "\n  ]"
+        fh.write(text[:-len("[]\n}")] + "[" + ",".join([state] * design.size) % fields
+                 + "\n ]\n}")
 
 
 def load_design(path):

@@ -11,15 +11,25 @@ for a product effect x_i E_i, with Born weights w_j = prod_i <psi_j|E_i|psi_j>,
 
 Each measurement is an `OrthonormalBasis`, and each factor of w_j is one of
 its outcome probabilities from `mub.born_probabilities`, the function that
-also drives the sampler.  `outcome_tables` evaluates Q for all outcomes at
-once, over the Clifford orbit (an exact 4-design) in ideal mode and over a
-given design in empirical mode, where the sum is the design's stand-in Q'.
-It is the only place Q is formed.
+also drives the sampler.  Q is evaluated over the Clifford orbit (an exact
+4-design) in ideal mode and over a given design in empirical mode, where the
+sum is the design's stand-in Q'.  `_QStack` is the only place Q is formed:
+
+- it flattens the design's projectors once, and writes each tuple of bases'
+  Born weights into one outcome-major (d^N, K) buffer, so the product with
+  the projectors is one GEMM per tuple with no transpose and no K-sized
+  temporary;
+- `outcome_tables` takes it for one tuple and keeps Q's top eigenspaces;
+- `fidelities`, which the scans call, takes it for `_STACK_ITEMS` tuples at a
+  time and runs one batched `eigh` over their stacked Q.
+
+Every tuple's GEMM keeps its shape and `eigh` of a stack is `eigh` of each
+matrix, so a fidelity from `fidelities` has the bits of `estimation_fidelity`.
 """
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +39,11 @@ from .linalg import symmetric_dimension
 from .mub import born_probabilities, mub_triple
 
 DEGENERACY_TOL = 1e-9
+# tuples of bases whose Q share one eigh in `fidelities`: enough to amortize
+# the per-call cost, few enough that no scan's peak memory rises
+_STACK_ITEMS = 8
 
 
-@dataclass(frozen=True)
 class OutcomeTables:
     """Q and its top eigenspace for each of the d^N joint outcomes.
 
@@ -39,17 +51,30 @@ class OutcomeTables:
     measurement's outcome is the most significant digit.
     """
 
-    q: np.ndarray  # (d^N, d, d)
-    norms: np.ndarray  # (d^N,) largest eigenvalue of each Q
-    densities: np.ndarray  # (d^N, d, d) normalized top-eigenspace projectors
-    support: np.ndarray  # (d^N,) top-eigenspace dimensions
-    gaps: np.ndarray  # (d^N,) distance to the next eigenvalue, 0 if none
+    __slots__ = ("q", "norms", "densities", "support", "gaps")
+
+    def __init__(self, q, norms, densities, support, gaps):
+        self.q = q  # (d^N, d, d)
+        self.norms = norms  # (d^N,) largest eigenvalue of each Q
+        self.densities = densities  # (d^N, d, d) normalized top-eigenspace projectors
+        self.support = support  # (d^N,) top-eigenspace dimensions
+        self.gaps = gaps  # (d^N,) distance to the next eigenvalue, 0 if none
 
 
-@dataclass(frozen=True)
 class EstimationReport:
-    fidelity: float
-    estimators: OutcomeTables  # the tables whose densities are the estimators
+    __slots__ = ("fidelity", "estimators")
+
+    def __init__(self, fidelity, estimators):
+        self.fidelity = fidelity
+        self.estimators = estimators  # the tables whose densities are the estimators
+
+
+def _checked_eigh(q):
+    """eigh of a stack of Q; raises if any Q is numerically zero."""
+    w, v = np.linalg.eigh(q)
+    if np.any(w[:, -1] <= DEGENERACY_TOL):
+        raise ContractViolationError("Q operator is numerically zero")
+    return w, v
 
 
 def _top_eigenspaces(q):
@@ -58,10 +83,8 @@ def _top_eigenspaces(q):
     Eigenvalues within DEGENERACY_TOL * ||Q|| of the maximum are grouped, which
     keeps the estimator well defined at symmetric parameter points.
     """
-    w, v = np.linalg.eigh(q)
+    w, v = _checked_eigh(q)
     top = w[:, -1]
-    if np.any(top <= DEGENERACY_TOL):
-        raise ContractViolationError("Q operator is numerically zero")
     members = w >= (top - DEGENERACY_TOL * top)[:, None]
     support = members.sum(axis=1)
     vs = v * members[:, None, :]
@@ -77,13 +100,27 @@ def _state_projectors(states):
     return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
 
 
-def born_weights(measurements, states):
-    """(K, d^N) product Born weights w[j, o] = prod_i |<v_{i,o_i}|psi_j>|^2 of the bases."""
-    w = np.ones((states.shape[1], 1))
-    for basis in measurements:
-        p = born_probabilities(basis, states)
-        w = (w[:, :, None] * p[:, None, :]).reshape(len(w), -1)
-    return w
+def born_weights(measurements, states, out=None):
+    """(d^N, K) product Born weights w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2 of the bases.
+
+    Outcome-major, rows in np.ndindex order; written into `out` if given.  The
+    factors are multiplied in place in the order of the bases, so each weight
+    is ((p_1 p_2) p_3) whatever the layout.
+    """
+    d, K = states.shape
+    N = len(measurements)
+    if out is None:
+        out = np.empty((d**N, K))
+    w = out.reshape((d,) * N + (K,))
+    for i, basis in enumerate(measurements):
+        # born_probabilities returns (K, d) in Fortran order: .T is a C-ordered (d, K) view
+        axes = (1,) * i + (d,) + (1,) * (N - 1 - i) + (K,)
+        p = born_probabilities(basis, states).T.reshape(axes)
+        if i == 0:
+            w[...] = p
+        else:
+            w *= p
+    return out
 
 
 def expectations(densities, states):
@@ -93,28 +130,62 @@ def expectations(densities, states):
     return _state_projectors(states).view(float) @ flat.view(float).T
 
 
+class _QStack:
+    """Q over one design for tuples of N bases, up to `items` tuples per stack.
+
+    The projectors, the Born-weight buffer and the stack of unscaled sums are
+    allocated once; a call writes one GEMM per tuple into the stack.
+    """
+
+    def __init__(self, design, N, items):
+        if N not in (1, 2, 3):
+            raise ValueError("need 1 to 3 measurements")
+        if design.t < N + 1:
+            warnings.warn(
+                f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
+                stacklevel=3,
+            )
+        d, K = design.dim, design.size
+        self.design, self.N = design, N
+        self.scale = math.factorial(N + 1) * symmetric_dimension(d, N + 1) / K
+        # (re, im) pairs, so the real weights are never cast to a complex copy
+        self.projectors = _state_projectors(design.states).view(float)
+        self.weights = np.empty((d**N, K))
+        self.sums = np.empty((items, d**N, 2 * d * d))
+
+    def __call__(self, batch):
+        """Q of each tuple of bases in `batch`, stacked as (len(batch) d^N, d, d)."""
+        d = self.design.dim
+        for measurements, out in zip(batch, self.sums):
+            if len(measurements) != self.N:
+                raise ValueError(f"need {self.N} measurements in every tuple")
+            if any(m.dim != d for m in measurements):
+                raise DimensionMismatchError(f"measurements do not act on dimension {d}")
+            born_weights(measurements, self.design.states, self.weights)
+            np.matmul(self.weights, self.projectors, out=out)
+        return (self.scale * self.sums[:len(batch)].view(complex)).reshape(-1, d, d)
+
+
+def _validated_design(mode, design, estimator_source):
+    """The design Q is taken over in `mode`; ValueError for a bad mode or source."""
+    if mode == "ideal":
+        design = default_design()
+    elif mode != "empirical":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif design is None:
+        raise ValueError("empirical mode requires a design")
+    if estimator_source not in ("matched", "ideal"):
+        raise ValueError(f"unknown estimator source {estimator_source!r}")
+    return design
+
+
 def outcome_tables(measurements, design):
     """Q over `design` and its top eigenspaces for every joint outcome of the bases.
 
     One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
     the estimator densities, the support dimensions and the gaps.
     """
-    N = len(measurements)
-    if N not in (1, 2, 3):
-        raise ValueError("need 1 to 3 measurements")
-    d = design.dim
-    if any(m.dim != d for m in measurements):
-        raise DimensionMismatchError(f"measurements do not act on dimension {d}")
-    if design.t < N + 1:
-        warnings.warn(
-            f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
-            stacklevel=2,
-        )
-    w = born_weights(measurements, design.states)
-    scale = math.factorial(N + 1) * symmetric_dimension(d, N + 1) / design.size
-    # real weights against (re, im) pairs, so w is never cast to a complex copy
-    q = scale * (w.T @ _state_projectors(design.states).view(float)).view(complex)
-    q = q.reshape(-1, d, d)
+    q = _QStack(design, len(measurements), 1)([measurements])
     norms, densities, support, gaps = _top_eigenspaces(q)
     return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
 
@@ -129,14 +200,7 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
     comes from the ideal Q's top eigenspace but is scored against Q' (the
     "standard estimator": suboptimal, hence a slightly lower value).
     """
-    if mode == "ideal":
-        design = default_design()
-    elif mode != "empirical":
-        raise ValueError(f"unknown mode {mode!r}")
-    elif design is None:
-        raise ValueError("empirical mode requires a design")
-    if estimator_source not in ("matched", "ideal"):
-        raise ValueError(f"unknown estimator source {estimator_source!r}")
+    design = _validated_design(mode, design, estimator_source)
     tables = outcome_tables(measurements, design)
     estimators, values = tables, tables.norms
     if mode == "empirical" and estimator_source == "ideal":
@@ -160,12 +224,52 @@ def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched
     ).fidelity
 
 
+def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
+    """Estimation fidelity of each tuple of N bases in `items`, one Q pass per design.
+
+    The same value, bit for bit, as estimation_fidelity(bases, mode, design,
+    estimator_source).fidelity for each tuple, with the same checks.  `items`
+    may be any iterable; it is read `_STACK_ITEMS` tuples at a time, and each
+    such batch's Q go through one `eigh`, so memory does not grow with the
+    number of tuples.  Empirical mode with estimator_source="ideal" runs a
+    second pass over the Clifford orbit for the estimators.
+    """
+    design = _validated_design(mode, design, estimator_source)
+    items = iter(items)
+    batch = list(itertools.islice(items, _STACK_ITEMS))
+    if not batch:
+        return []
+    N = len(batch[0])
+    stack = _QStack(design, N, _STACK_ITEMS)
+    standard = None
+    if mode == "empirical" and estimator_source == "ideal":
+        standard = _QStack(default_design(), N, _STACK_ITEMS)
+    denominator = math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)
+
+    def batch_fidelities(batch):
+        # a function, so that one batch's stacks are freed before the next is formed
+        q = stack(batch)
+        values = _checked_eigh(q)[0][:, -1]
+        if standard is not None:
+            densities = _top_eigenspaces(standard(batch))[1]
+            values = np.einsum("oab,oba->o", q, densities).real
+        return [float(v.sum()) / denominator for v in values.reshape(len(batch), -1)]
+
+    result = []
+    while batch:
+        result += batch_fidelities(batch)
+        batch = list(itertools.islice(items, _STACK_ITEMS))
+    return result
+
+
 def fidelity_scan(x, y_values, z_values, mode="ideal", design=None,
-                  estimator_source="matched"):
-    """F_MUB over a (y, z) grid at fixed x.  Returns rows (x, y, z, F) in grid order."""
-    return [
-        (x, y, z, triple_fidelity(mub_triple(x, y, z), mode=mode, design=design,
-                                  estimator_source=estimator_source))
-        for y in y_values
-        for z in z_values
-    ]
+                  estimator_source="matched", bases=(0, 1, 2)):
+    """F over a (y, z) grid at fixed x, measuring the triple's `bases` (0=A, 1=B, 2=C).
+
+    The default gives F_MUB; a pair gives a two-copy fidelity.  Returns rows
+    (x, y, z, F) in grid order.
+    """
+    triples = [mub_triple(x, y, z) for y in y_values for z in z_values]
+    values = fidelities(([t.bases[i] for i in bases] for t in triples), mode, design,
+                        estimator_source)
+    return [(x, t.y, t.z, f) for t, f in zip(triples, values)]

@@ -15,12 +15,13 @@ the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
 parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
 canonical forms agree.  The closure writes its elements in place into one
 buffer, each breadth-first level an index range of it.  It multiplies a block
-of a level by every generator in one batched matmul, checks every product for
-unitarity, and keys the block in one pass; new keys are taken in (frontier
-element, generator) order, the order of the nested loop.  Group files have
-the bytes of json.dump of the whole document, but each distinct float (491
-of the Clifford group's 368,640) is formatted by repr, as json does, only
-once.
+of a level by every generator in one GEMM, (all generators' rows) @ (the
+block's elements side by side), in place of a stack of 4 x 4 products.  It
+checks every product for unitarity and keys the block in one pass; new keys
+are taken in (frontier element, generator) order, the order of the nested
+loop.  Group files have the bytes of json.dump of the whole document, but
+each distinct float (491 of the Clifford group's 368,640) is formatted by
+repr, as json does, only once.
 """
 
 import json
@@ -34,7 +35,9 @@ KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
 _CLOSURE_CHUNK = 64  # frontier elements multiplied by the generators at a time
-_SAVE_CHUNK = 256  # group elements formatted per write
+# group elements formatted per write; the Clifford group command's peak RSS
+# is reached while a chunk is formatted (128 holds it 0.3 MB below 256)
+_SAVE_CHUNK = 128
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,24 +140,32 @@ def generate_group(generators, max_size, generator_labels=()):
     The elements are written in place into one buffer of max_size elements;
     each level is the index range of the elements the previous level found.
     A level is multiplied by the generators `_CLOSURE_CHUNK` frontier elements
-    at a time: one stacked product g @ u over (frontier element u, generator
-    g), canonicalised and keyed in one pass.  New keys are taken in that
-    order, so the element order is that of the nested loop.  Every product is
-    checked for unitarity.  A closure that ends below max_size returns a copy
-    of its elements, not a view that pins the buffer.  Raises GroupSizeError
-    if the closure would exceed max_size (a symptom of wrong generators or a
-    broken canonicalization grid).
+    at a time, in one 2-D product: the generators' rows stacked, (n_gens d, d),
+    times the block's elements side by side, (d, block d).  Its (g, u) tiles
+    are the products g @ u, each from the same d-term sums as a d x d
+    product, so the elements keep their bits.  They are reordered to (frontier
+    element u, generator g), canonicalised and keyed in one pass.  New keys
+    are taken in that order, so the element order is that of the nested loop.
+    Every product is checked for unitarity.  A closure that ends below
+    max_size returns a copy of its elements, not a view that pins the buffer.
+    Raises GroupSizeError if the closure would exceed max_size (a symptom of
+    wrong generators or a broken canonicalization grid).
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
-    dim = gens.shape[-1]
+    n_gens, dim = gens.shape[:2]
+    rows = gens.reshape(n_gens * dim, dim)  # every generator's rows, stacked
     elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
     elements[0] = np.eye(dim)
     keys = {canonical_key(elements[0]): 0}
     start, stop = 0, 1  # the frontier level is elements[start:stop]
     while start < stop:
         for lo in range(start, stop, _CLOSURE_CHUNK):
-            block = elements[lo:min(lo + _CLOSURE_CHUNK, stop), None]
-            products = canonicalize_phases(np.matmul(gens[None], block).reshape(-1, dim, dim))
+            block = elements[lo:min(lo + _CLOSURE_CHUNK, stop)]
+            side = block.transpose(1, 0, 2).reshape(dim, -1)  # the block side by side
+            products = (rows @ side).reshape(n_gens, dim, len(block), dim)
+            # (generator, row, element, column) to (element, generator, row, column)
+            products = products.transpose(2, 0, 1, 3).reshape(-1, dim, dim)
+            products = canonicalize_phases(products)
             new = []
             for i, k in enumerate(canonical_keys(products).tolist()):
                 if k not in keys:

@@ -39,13 +39,14 @@ share those outcomes: the same A and AB counts.
 """
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import StateDesign
-from .estimation import born_weights, estimation_fidelity, expectations, triple_fidelity
+from .estimation import born_weights, estimation_fidelity, expectations, fidelities
 from .mub import (
     MubTriple,
     born_probabilities,
@@ -115,13 +116,15 @@ class SimReport:
         return data
 
 
-@dataclass(frozen=True)
 class DeviationSummary:
-    maximal: float
-    minimal: float
-    average: float
-    std: float
-    max_deviation: float
+    __slots__ = ("maximal", "minimal", "average", "std", "max_deviation")
+
+    def __init__(self, maximal, minimal, average, std, max_deviation):
+        self.maximal = maximal
+        self.minimal = minimal
+        self.average = average
+        self.std = std
+        self.max_deviation = max_deviation
 
 
 def estimator_tables(measurements, design, mode="ideal"):
@@ -216,7 +219,7 @@ def run_health(report):
     estimated from a few blocks is itself noisy, so this is the yardstick for
     z = (F_sim - F_exact) / sigma.
     """
-    joint = born_weights(report.measurements, report.design.states)
+    joint = np.ascontiguousarray(born_weights(report.measurements, report.design.states).T)
     mean = (joint * report.f_table).sum(axis=1)
     var = (joint * report.f_table**2).sum(axis=1) - mean**2
     cfg, K = report.config, report.design.size
@@ -257,15 +260,15 @@ def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"
 
     Returns rows (phi, exact_F, simulated_F or None, std or None).
     """
+    triples = [transform_triple(base_triple, controlled_phase(phi)) for phi in phi_grid]
+    exact = fidelities((t.bases for t in triples), mode, design)
     rows = []
-    for phi in phi_grid:
-        triple = transform_triple(base_triple, controlled_phase(phi))
-        exact = triple_fidelity(triple, mode, design)
+    for phi, triple, f in zip(phi_grid, triples, exact):
         if cfg is not None:
             rep = simulate_protocol(triple, design, cfg, mode)
-            rows.append((phi, exact, rep.mean_fidelity, rep.std_of_mean))
+            rows.append((phi, f, rep.mean_fidelity, rep.std_of_mean))
         else:
-            rows.append((phi, exact, None, None))
+            rows.append((phi, f, None, None))
     return rows
 
 
@@ -286,21 +289,25 @@ def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="id
 
     Returns (exact_summary, simulated_summary or None); deviations are with
     respect to the untransformed triple's exact fidelity in the same mode.
+    The untransformed and the transformed triples' exact values come from one
+    Q pass, which reads the transformed triples as they are generated; none
+    is stored, and a simulated scan draws the same unitaries again from the
+    seed.
     """
     check_unitary_count(n_unitaries)
-    rng = np.random.default_rng(unitary_seed)
-    reference = triple_fidelity(base_triple, mode, design)
-    exact_vals, sim_vals = [], []
-    for _ in range(n_unitaries):
-        u = haar_random_unitary(design.dim, rng)
-        triple = transform_triple(base_triple, u)
-        exact_vals.append(triple_fidelity(triple, mode, design))
-        if cfg is not None:
-            rep = simulate_protocol(triple, design, cfg, mode)
-            sim_vals.append(rep.mean_fidelity)
+
+    def transformed():
+        rng = np.random.default_rng(unitary_seed)
+        for _ in range(n_unitaries):
+            yield transform_triple(base_triple, haar_random_unitary(design.dim, rng))
+
+    reference, *exact_vals = fidelities(
+        (t.bases for t in itertools.chain([base_triple], transformed())), mode, design)
     exact_summary = _summary(exact_vals, reference)
-    sim_summary = _summary(sim_vals, reference) if sim_vals else None
-    return exact_summary, sim_summary
+    if cfg is None:
+        return exact_summary, None
+    sim_vals = [simulate_protocol(t, design, cfg, mode).mean_fidelity for t in transformed()]
+    return exact_summary, _summary(sim_vals, reference)
 
 
 def check_unitary_count(n_unitaries):

@@ -558,6 +558,44 @@ def test_equivalence_phase_exact(outdir, capsys, small_design_file):
     assert (outdir / "eq.csv").exists()
 
 
+# the README's exact scans at full size, in README order; curves_emp.csv reads
+# the K = 200 design the optimize command writes
+SCAN_COMMANDS = [
+    ["fidelity", "--x", "pi/2", "--y-list", "pi/2,0", "--out", "curves.csv"],
+    ["design", "optimize", "--K", "200", "--seed", "0", "--target", "0.0287",
+     "--out", "num200.json"],
+    ["fidelity", "--mode", "empirical", "--design", "num200.json",
+     "--out", "curves_emp.csv"],
+    ["fidelity", "--copies", "2", "--out", "pair.csv"],
+    ["equivalence", "--exact", "--phi-grid", "0:2pi:9", "--out", "phase.csv"],
+    ["equivalence", "--exact", "--n-unitaries", "100", "--seed", "0", "--out", "haar.csv"],
+]
+
+# csv_rows_sha256 of the CSVs SCAN_COMMANDS write, recorded while each scan
+# still formed Q one tuple of bases at a time
+SCAN_CSV_SHA256 = {
+    "curves.csv": "670601de426c85445d3055b1e1436f131dae8e8e88615fe09430bdfe34d8cf62",
+    "curves_emp.csv": "3a007cbb65b6dc5326fe5f8727c7ea5ca58b3ed51b778376615803fcee41b391",
+    "pair.csv": "4fe5e533eacbdd4753f4741a1d80c81cdcb1983f6c4098ebd0b798ff278bffeb",
+    "phase.csv": "6d3082b9c9a7f875694d86852404f50c2d0ab649e83cbdc06279723e3cc22ad1",
+    "haar.csv": "6b3435be7e9378656485dcc9fc65f3b8c00fed4f84dd9d5875e29167696097ec",
+}
+
+
+def csv_rows_sha256(path):
+    """sha256 of a CSV's lines other than '# manifest=', which digests the options."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(
+        b"".join(line for line in lines if not line.startswith(b"# manifest="))
+    ).hexdigest()
+
+
+def test_scan_csv_golden(outdir):
+    assert [main(argv) for argv in SCAN_COMMANDS] == [EXIT_OK] * len(SCAN_COMMANDS)
+    digests = {name: csv_rows_sha256(outdir / name) for name in SCAN_CSV_SHA256}
+    assert digests == SCAN_CSV_SHA256
+
+
 def test_subsets_command(outdir, capsys, small_design_file):
     code = main(
         ["subsets", "--design", small_design_file, "--sizes", "10,20,40",

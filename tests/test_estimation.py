@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, default_design, moment_operator
 from mubest.estimation import (
+    _STACK_ITEMS,
     _top_eigenspaces,
     estimation_fidelity,
+    fidelities,
     fidelity_scan,
     outcome_tables,
     triple_fidelity,
@@ -166,6 +169,8 @@ def test_fidelity_scan_grid_order():
     rows = fidelity_scan(HALF, ys, zs)
     assert [row[:3] for row in rows] == [(HALF, y, z) for y in ys for z in zs]
     assert rows[3][3] == triple_fidelity(mub_triple(HALF, HALF, HALF))
+    pair = fidelity_scan(HALF, ys, zs, bases=(1, 2))
+    assert pair[3][3] == estimation_fidelity(mub_triple(HALF, HALF, HALF).bases[1:]).fidelity
 
 
 @settings(max_examples=12, deadline=None)
@@ -221,3 +226,67 @@ def test_support_dims_at_symmetric_points(params):
     tables = outcome_tables(measurements, default_design())
     expected = [top_eigenspace(q_operator(e, 3, 4))[1] for e in product_effects(measurements)]
     assert tables.support.tolist() == expected
+
+
+def haar_tuples(seed, N, count):
+    """`count` Haar-transformed MUB triples' bases, cut to their first N, made lazily."""
+    rng = np.random.default_rng(seed)
+    base = mub_triple(HALF, 0.3, 1.1)
+    for _ in range(count):
+        yield transform_triple(base, haar_random_unitary(4, rng)).bases[:N]
+
+
+@pytest.fixture(scope="module")
+def partial_design(design960):
+    # every seventh orbit state: Q' differs from Q, so the two passes differ
+    return StateDesign(dim=4, t=4, states=design960.states[:, ::7])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("mode, source", [("ideal", "matched"), ("empirical", "matched"),
+                                          ("empirical", "ideal")])
+def test_fidelities_same_bits_as_estimation_fidelity(partial_design, N, mode, source):
+    items = list(haar_tuples(N, N, 101))
+    expected = [estimation_fidelity(bases, mode, partial_design, source).fidelity
+                for bases in items]
+    for count in (1, _STACK_ITEMS, _STACK_ITEMS + 1, 101):
+        got = fidelities(iter(items[:count]), mode, partial_design, source)
+        assert got == expected[:count]
+
+
+def test_fidelities_memory_does_not_grow_with_items(partial_design):
+    def peak(count):
+        tracemalloc.start()
+        try:
+            fidelities(haar_tuples(0, 3, count), "empirical", partial_design, "ideal")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(9)  # warm-up: first-call allocations inside numpy
+    # 92 more tuples may add their 92 floats to the result, not their Q or weights
+    assert peak(101) <= peak(9) + 16 * 1024
+
+
+def test_fidelities_checks(design960):
+    triple = mub_triple(HALF, HALF, HALF)
+    with pytest.raises(ValueError, match="unknown mode"):
+        fidelities([triple.bases], mode="nonsense")
+    with pytest.raises(ValueError, match="requires a design"):
+        fidelities([triple.bases], mode="empirical")
+    with pytest.raises(ValueError, match="unknown estimator source"):
+        fidelities([triple.bases], estimator_source="bogus")
+    weak = StateDesign(dim=4, t=1, states=design960.states[:, :50])
+    with pytest.warns(UserWarning, match=r"t=1 < N\+1=4"):
+        fidelities([triple.bases], mode="empirical", design=weak)
+    with pytest.raises(ValueError, match="need 3 measurements"):
+        fidelities([triple.bases, triple.bases[:2]])
+    # a single state: every outcome but one has zero weight, so its Q is zero
+    basis = OrthonormalBasis(np.eye(4, dtype=complex))
+    single = StateDesign(dim=4, t=4, states=np.eye(4, 1, dtype=complex))
+    with pytest.raises(ContractViolationError, match="numerically zero"):
+        fidelities([(basis,)], mode="empirical", design=single)
+    # Born probabilities of a state of norm 2 sum to 4
+    double = StateDesign(dim=4, t=4, states=2 * design960.states[:, :40])
+    with pytest.raises(ContractViolationError, match="do not sum to 1"):
+        fidelities([triple.bases], mode="empirical", design=double)

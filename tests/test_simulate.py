@@ -436,6 +436,20 @@ def test_equivalence_scan_random_exact_invariance(symmetric_triple, design960):
         equivalence_scan_random(0, symmetric_triple, design960)
 
 
+def test_equivalence_scan_random_memory_does_not_grow(symmetric_triple, design960):
+    # the transformed triples are generated as the Q pass reads them, not stored
+    def peak(n_unitaries):
+        tracemalloc.start()
+        try:
+            equivalence_scan_random(n_unitaries, symmetric_triple, design960)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(9)  # warm-up: first-call allocations inside numpy
+    assert peak(101) <= peak(9) + 16 * 1024
+
+
 def test_equivalence_scan_random_needs_two_unitaries(symmetric_triple, design960):
     # one unitary gives no std: a zero would claim perfect precision
     for cfg in (None, SMALL):
