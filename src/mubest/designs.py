@@ -9,12 +9,11 @@ second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DesignFormatError, InfeasibleDesignError
+from .errors import DesignFormatError, InfeasibleDesignError, ReadOnlyRecord
 from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
 from .linalg import symmetric_dimension
 
@@ -22,23 +21,24 @@ QUARTIC_SUM = 5.0 / 7.0
 _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
 
 
-@dataclass(frozen=True)
-class FiducialAngles:
-    alpha: float
-    theta: float
-    phi: float
-    branch: str
+class FiducialAngles(ReadOnlyRecord):
+    __slots__ = ("alpha", "theta", "phi", "branch")
+
+    def __init__(self, alpha, theta, phi, branch):
+        self._set(alpha=alpha, theta=theta, phi=phi, branch=branch)
 
 
-@dataclass
 class StateDesign:
     """K unit vectors in dimension d, stored as columns of `states` (d x K)."""
 
-    dim: int
-    t: int
-    states: np.ndarray
-    provenance: str = "custom"
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("dim", "t", "states", "provenance", "metadata")
+
+    def __init__(self, dim, t, states, provenance="custom", metadata=None):
+        self.dim = dim
+        self.t = t
+        self.states = states
+        self.provenance = provenance
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def size(self):

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the base of the read-only records."""
 
 
 class ContractViolationError(ValueError):
@@ -19,3 +19,33 @@ class DesignFormatError(ValueError):
 
 class InfeasibleDesignError(ValueError):
     """Requested design parameters cannot saturate the frame-potential bound."""
+
+
+class ReadOnlyRecord:
+    """Base of slotted records whose fields are set once, by `_set` in __init__;
+    they compare, hash and print as the tuple of their fields in slot order."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # pickle and copy through __init__, which the fields fill in order
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -10,27 +10,25 @@ columns.  `born_probabilities` is the one place its outcome probabilities
 are computed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, ReadOnlyRecord
 from .linalg import check_unitary
 
 UNBIASED_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
+class OrthonormalBasis(ReadOnlyRecord):
     """Columns of `vectors` (dim x dim) form the basis."""
 
-    vectors: np.ndarray
+    __slots__ = ("vectors",)
 
     @property
     def dim(self):
         return self.vectors.shape[0]
 
-    def __post_init__(self):
+    def __init__(self, vectors):
+        self._set(vectors=vectors)
         shape = self.vectors.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ContractViolationError(f"basis matrix must be square, got {shape}")
@@ -39,14 +37,11 @@ class OrthonormalBasis:
             raise ContractViolationError("basis vectors are not orthonormal")
 
 
-@dataclass(frozen=True)
-class MubTriple:
-    x: float
-    y: float
-    z: float
-    basis_a: OrthonormalBasis
-    basis_b: OrthonormalBasis
-    basis_c: OrthonormalBasis
+class MubTriple(ReadOnlyRecord):
+    __slots__ = ("x", "y", "z", "basis_a", "basis_b", "basis_c")
+
+    def __init__(self, x, y, z, basis_a, basis_b, basis_c):
+        self._set(x=x, y=y, z=z, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c)
 
     @property
     def bases(self):
@@ -104,14 +99,8 @@ def unbiasedness_report(triple):
 def transform_triple(triple, u):
     """Apply a unitary to all three bases simultaneously; overlaps are preserved."""
     u = check_unitary(u)
-    return MubTriple(
-        x=triple.x,
-        y=triple.y,
-        z=triple.z,
-        basis_a=OrthonormalBasis(u @ triple.basis_a.vectors),
-        basis_b=OrthonormalBasis(u @ triple.basis_b.vectors),
-        basis_c=OrthonormalBasis(u @ triple.basis_c.vectors),
-    )
+    return MubTriple(triple.x, triple.y, triple.z,
+                     *(OrthonormalBasis(u @ basis.vectors) for basis in triple.bases))
 
 
 def born_probabilities(basis, states):

@@ -41,55 +41,48 @@ share those outcomes: the same A and AB counts.
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import StateDesign
+from .errors import ReadOnlyRecord
 from .estimation import born_weights, estimation_fidelity, expectations, fidelities
-from .mub import (
-    MubTriple,
-    born_probabilities,
-    controlled_phase,
-    haar_random_unitary,
-    transform_triple,
-)
+from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
 _STATE_CHUNK = 64  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int
-    m_block: int = 10000
-    blocks: int = 10
-    share_ab_outcomes: bool = True
+class SimConfig(ReadOnlyRecord):
+    __slots__ = ("seed", "m_block", "blocks", "share_ab_outcomes")
 
-    def __post_init__(self):
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+    def __init__(self, seed, m_block=10000, blocks=10, share_ab_outcomes=True):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError("expected non-negative integer")
-        if self.m_block < 1:
+        if m_block < 1:
             raise ValueError("m_block must be >= 1")
-        if self.blocks < 2:
+        if blocks < 2:
             raise ValueError("blocks must be >= 2 for a std")
+        self._set(seed=seed, m_block=m_block, blocks=blocks, share_ab_outcomes=share_ab_outcomes)
 
 
-@dataclass
 class SimReport:
-    config: SimConfig
-    triple: MubTriple  # the bases the run was sampled and scored with
-    design: StateDesign  # the sampled states
-    mode: str  # which Q defined the estimators
-    measurements: tuple  # the bases whose joint outcomes `counts` records
-    f_table: np.ndarray  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
-    mean_fidelity: float
-    per_block_fidelities: np.ndarray
-    std: float  # standard deviation over blocks
-    counts: np.ndarray  # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M)
-    per_state_fidelity: np.ndarray  # (K,) per-state average of tr(rho rhohat)
+    __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table",
+                 "mean_fidelity", "per_block_fidelities", "std", "counts", "per_state_fidelity")
+
+    def __init__(self, config, triple, design, mode, measurements, f_table, mean_fidelity,
+                 per_block_fidelities, std, counts, per_state_fidelity):
+        self.config = config  # the SimConfig
+        self.triple = triple  # the MubTriple the run was sampled and scored with
+        self.design = design  # the sampled StateDesign
+        self.mode = mode  # which Q defined the estimators
+        self.measurements = measurements  # the bases whose joint outcomes `counts` records
+        self.f_table = f_table  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
+        self.mean_fidelity = mean_fidelity
+        self.per_block_fidelities = per_block_fidelities
+        self.std = std  # standard deviation over blocks
+        self.counts = counts  # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M)
+        self.per_state_fidelity = per_state_fidelity  # (K,) per-state average of tr(rho rhohat)
 
     @property
     def triple_params(self):

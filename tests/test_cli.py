@@ -581,6 +581,12 @@ SCAN_CSV_SHA256 = {
     "haar.csv": "6b3435be7e9378656485dcc9fc65f3b8c00fed4f84dd9d5875e29167696097ec",
 }
 
+# csv_rows_sha256 of the CSV this resampling run writes; SimConfig and SimReport
+# feed it, and a `subsets` that reads a recorded run must write the same rows
+SUBSETS_ARGV = ["subsets", "--seed", "3", "--subset-seed", "3", "--M", "100", "--blocks", "2",
+                "--sizes", "10,20,960", "--trials", "5", "--out", "subsets.csv"]
+SUBSETS_CSV_SHA256 = "56e8d86f380acbce0da88de64cbfc6ec679db7a70f76c71a1c486f81da68bdc5"
+
 
 def csv_rows_sha256(path):
     """sha256 of a CSV's lines other than '# manifest=', which digests the options."""
@@ -594,6 +600,11 @@ def test_scan_csv_golden(outdir):
     assert [main(argv) for argv in SCAN_COMMANDS] == [EXIT_OK] * len(SCAN_COMMANDS)
     digests = {name: csv_rows_sha256(outdir / name) for name in SCAN_CSV_SHA256}
     assert digests == SCAN_CSV_SHA256
+
+
+def test_subsets_csv_golden(outdir):
+    assert main(SUBSETS_ARGV) == EXIT_OK
+    assert csv_rows_sha256(outdir / "subsets.csv") == SUBSETS_CSV_SHA256
 
 
 def test_subsets_command(outdir, capsys, small_design_file):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mubest.designs import (
+    FiducialAngles,
     StateDesign,
     angles_to_bloch,
     bloch_to_state,
@@ -47,6 +48,13 @@ def test_fiducial_angles_alpha_one():
     assert a.theta == pytest.approx(0.5 * math.acos(math.sqrt(3.0 / 7.0)))
     half = fiducial_angles(0.5, "+")
     assert half.phi == pytest.approx(math.pi / 4)
+
+
+def test_fiducial_angles_are_read_only():
+    angles = fiducial_angles(1.0)
+    with pytest.raises(AttributeError):
+        angles.theta = 0.0
+    assert FiducialAngles(0.5, 0.1, 0.2, "-").branch == "-"
 
 
 def test_fiducial_angles_domain():
@@ -417,6 +425,17 @@ def test_validate_rejects_non_unit(tmp_path):
     with pytest.raises(DesignFormatError) as exc:
         StateDesign(dim=2, t=2, states=V).validate()
     assert "0" in str(exc.value)
+
+
+def test_state_design_fields():
+    V = np.eye(2, dtype=complex)
+    first, second = StateDesign(2, 2, V), StateDesign(dim=2, t=2, states=V)
+    assert (first.dim, first.t, first.provenance) == (2, 2, "custom")
+    assert first.states is V
+    first.metadata["k"] = 1  # each design gets its own metadata dict
+    assert second.metadata == {}
+    named = StateDesign(2, 1, V, "orbit", {"k": 2})
+    assert (named.t, named.provenance, named.metadata) == (1, "orbit", {"k": 2})
 
 
 def test_validate_rejects_nan():

@@ -6,6 +6,7 @@ import pytest
 
 from mubest.errors import ContractViolationError
 from mubest.mub import (
+    MubTriple,
     OrthonormalBasis,
     born_probabilities,
     controlled_phase,
@@ -73,6 +74,21 @@ def test_orthonormal_basis_rejects_bad_columns():
     bad[0, 1] = 0.5
     with pytest.raises(ContractViolationError):
         OrthonormalBasis(bad)
+
+
+def test_records_are_read_only(symmetric_triple):
+    for record, name in ((symmetric_triple.basis_b, "vectors"), (symmetric_triple, "x"),
+                         (symmetric_triple, "basis_c")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_records_take_fields_in_order():
+    eye = OrthonormalBasis(np.eye(4, dtype=complex))
+    assert eye.dim == 4
+    triple = MubTriple(0.1, 0.2, 0.3, eye, eye, eye)
+    assert (triple.x, triple.y, triple.z) == (0.1, 0.2, 0.3)
+    assert triple.bases == (eye, eye, eye)
 
 
 def test_nan_angles_rejected():

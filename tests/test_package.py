@@ -37,6 +37,10 @@ EXPORTS = {
 }
 LAYERS = tuple(EXPORTS)
 
+# every standard-library module that src/ imports by name
+STDLIB_IMPORTS = ("argparse", "functools", "hashlib", "importlib", "itertools", "json", "math",
+                  "os", "re", "sys", "time", "warnings")
+
 
 def _fresh(code):
     """Run code in a new interpreter after `import sys, json`; return what it
@@ -72,6 +76,16 @@ def test_cli_loads_every_layer():
     # `import mubest.cli`; a layer the CLI imported later would trace as 0 s
     loaded = set(_fresh("import mubest.cli\n" + _LOADED))
     assert {f"mubest.{layer}" for layer in LAYERS} <= loaded
+
+
+def test_cli_adds_only_mubest_modules():
+    # measured against whatever this Python and numpy load, so the test holds
+    # on any version; a new import-time dependency of the CLI fails it
+    added = _fresh(f"import numpy, {', '.join(STDLIB_IMPORTS)}\n"
+                   "before = set(sys.modules)\nimport mubest.cli\n"
+                   "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert "mubest.cli" in added
+    assert [m for m in added if m.partition(".")[0] != "mubest"] == []
 
 
 def test_all_lists_the_exports():

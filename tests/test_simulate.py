@@ -1,8 +1,8 @@
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from mubest.mub import (
 )
 from mubest.simulate import (
     SimConfig,
+    SimReport,
     _param_key,
     _scored_report,
     equivalence_scan_phase,
@@ -121,6 +122,27 @@ def test_config_validation():
         SimConfig(seed=0, blocks=1)
     with pytest.raises(TypeError):  # one sampler is left, so nothing to choose
         SimConfig(seed=0, sampler="counts")
+
+
+def test_config_is_a_value():
+    cfg = SimConfig(seed=1)
+    assert cfg == SimConfig(seed=1) and hash(cfg) == hash(SimConfig(seed=1))
+    assert cfg != SimConfig(seed=2) and cfg != SimConfig(seed=1, blocks=3)
+    assert SimConfig(1, 100, 2, False) == SimConfig(seed=1, m_block=100, blocks=2,
+                                                    share_ab_outcomes=False)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    for name in ("seed", "m_block", "blocks", "share_ab_outcomes"):
+        assert f"{name}=" in repr(cfg)
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, getattr(cfg, name))
+
+
+def test_report_takes_fields_in_order(small_report):
+    fields = ("config", "triple", "design", "mode", "measurements", "f_table",
+              "mean_fidelity", "per_block_fidelities", "std", "counts", "per_state_fidelity")
+    values = [getattr(small_report, name) for name in fields]
+    rebuilt = SimReport(*values)
+    assert all(getattr(rebuilt, name) is value for name, value in zip(fields, values))
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
@@ -285,7 +307,8 @@ def test_signed_zero_angles_share_streams(design960):
 
 
 def test_unshared_streams_differ(design960):
-    solo = replace(SMALL, share_ab_outcomes=False)
+    solo = SimConfig(seed=SMALL.seed, m_block=SMALL.m_block, blocks=SMALL.blocks,
+                     share_ab_outcomes=False)
     c1, c2 = (
         simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
         .counts.reshape(-1, cfg.blocks, 4, 4, 4)
