@@ -310,7 +310,7 @@ def cmd_simulate(args):
 
 
 def _write_report(path, report, include_counts):
-    """The bytes of json.dump(report.to_dict(include_counts), indent=1).
+    """The bytes of json.dump(report.to_dict(), indent=1), with a last "counts" key if asked.
 
     The (K, B, outcomes) counts block bypasses the pure-Python encoder that
     indent selects.  It is written a run of whole states at a time, about
@@ -336,7 +336,7 @@ def _write_report(path, report, include_counts):
 
 
 def cmd_equivalence(args):
-    grid = parse_angle_list(args.phi_grid) if args.phi_grid else None
+    grid = parse_angle_list(args.phi_grid) if args.phi_grid is not None else None
     if grid is None:
         check_unitary_count(args.n_unitaries)
     cfg = _sim_config(args)

@@ -146,10 +146,6 @@ def frame_potential(design, t):
     on the symmetric subspace, where it is the D_t x D_t matrix of
     `_frame_operator`.
     """
-    if design.size == 0:
-        raise ValueError("frame potential of an empty design")
-    if t < 1:
-        raise ValueError("t must be >= 1")
     R = _frame_operator(design.states, t)
     return float(np.vdot(R, R).real) / design.size**2
 
@@ -177,6 +173,10 @@ def _frame_operator(states, t):
     of S is the product of the t columns of states.T that alpha's word names.
     """
     d, K = states.shape
+    if K == 0:
+        raise ValueError("frame operator of an empty design")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     words = list(itertools.combinations_with_replacement(range(d), t))
     weights = [math.sqrt(math.factorial(t) / math.prod(math.factorial(w.count(i)) for i in set(w)))
                for w in words]

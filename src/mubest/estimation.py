@@ -24,7 +24,10 @@ sum is the design's stand-in Q'.  `_QStack` is the only place Q is formed:
   time and runs one batched `eigh` over their stacked Q.
 
 Every tuple's GEMM keeps its shape and `eigh` of a stack is `eigh` of each
-matrix, so a fidelity from `fidelities` has the bits of `estimation_fidelity`.
+matrix, so a fidelity from `fidelities` has the bits of `estimation_fidelity`,
+which returns that fidelity as a float for one tuple.  The estimators
+themselves are `outcome_tables(...).densities`, which `expectations` scores
+against a design's states.
 """
 
 import itertools
@@ -59,14 +62,6 @@ class OutcomeTables:
         self.densities = densities  # (d^N, d, d) normalized top-eigenspace projectors
         self.support = support  # (d^N,) top-eigenspace dimensions
         self.gaps = gaps  # (d^N,) distance to the next eigenvalue, 0 if none
-
-
-class EstimationReport:
-    __slots__ = ("fidelity", "estimators")
-
-    def __init__(self, fidelity, estimators):
-        self.fidelity = fidelity
-        self.estimators = estimators  # the tables whose densities are the estimators
 
 
 def _checked_eigh(q):
@@ -202,33 +197,25 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
     """
     design = _validated_design(mode, design, estimator_source)
     tables = outcome_tables(measurements, design)
-    estimators, values = tables, tables.norms
+    values = tables.norms
     if mode == "empirical" and estimator_source == "ideal":
-        estimators = outcome_tables(measurements, default_design())
-        values = np.einsum("oab,oba->o", tables.q, estimators.densities).real
+        densities = outcome_tables(measurements, default_design()).densities
+        values = np.einsum("oab,oba->o", tables.q, densities).real
     N = len(measurements)
     D = symmetric_dimension(design.dim, N + 1)
-    return EstimationReport(
-        fidelity=float(values.sum()) / (math.factorial(N + 1) * D),
-        estimators=estimators,
-    )
+    return float(values.sum()) / (math.factorial(N + 1) * D)
 
 
 def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched"):
     """Three-copy estimation fidelity F_MUB of a triple of bases."""
-    return estimation_fidelity(
-        triple.bases,
-        mode=mode,
-        design=design,
-        estimator_source=estimator_source,
-    ).fidelity
+    return estimation_fidelity(triple.bases, mode, design, estimator_source)
 
 
 def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
     """Estimation fidelity of each tuple of N bases in `items`, one Q pass per design.
 
     The same value, bit for bit, as estimation_fidelity(bases, mode, design,
-    estimator_source).fidelity for each tuple, with the same checks.  `items`
+    estimator_source) for each tuple, with the same checks.  `items`
     may be any iterable; it is read `_STACK_ITEMS` tuples at a time, and each
     such batch's Q go through one `eigh`, so memory does not grow with the
     number of tuples.  Empirical mode with estimator_source="ideal" runs a

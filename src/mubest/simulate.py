@@ -5,10 +5,13 @@ optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimator_tables` gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k>
-for three copies and two-copy reprocessing alike.  A `SimReport` carries the
-design, mode, measurements (the bases) and table it was scored with;
-`run_health` and `reprocess_two_copy` read them, so they always use the run's
-own estimators.
+for three copies and two-copy reprocessing alike: the densities of
+`estimation.outcome_tables` scored by `estimation.expectations`.  A
+`SimReport` is built from a run's counts and the design, mode, measurements
+(the bases) and table they were scored with, and derives its statistics
+(per-block, mean, std and per-state fidelities) from the counts and the
+table, so they cannot disagree.  `run_health` and `reprocess_two_copy` read
+the same fields, so they always use the run's own estimators.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
 `simulate_protocol` allocates the table as np.min_scalar_type(M): uint8 up to
@@ -45,7 +48,8 @@ import math
 import numpy as np
 
 from .errors import ReadOnlyRecord
-from .estimation import born_weights, estimation_fidelity, expectations, fidelities
+from .estimation import (_validated_design, born_weights, expectations, fidelities,
+                         outcome_tables)
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
 _STATE_CHUNK = 64  # states sampled together
@@ -67,46 +71,50 @@ class SimConfig(ReadOnlyRecord):
 
 
 class SimReport:
-    __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table",
-                 "mean_fidelity", "per_block_fidelities", "std", "counts", "per_state_fidelity")
+    """A sampled run: its counts, the table they were scored with, and the
+    statistics the constructor derives from the two.
 
-    def __init__(self, config, triple, design, mode, measurements, f_table, mean_fidelity,
-                 per_block_fidelities, std, counts, per_state_fidelity):
+    The integer table goes to einsum as it is: einsum casts it to float in
+    its buffered iterator, so no float copy of the whole table is made.  The
+    per-state sum over blocks is taken in int64, which holds M * blocks.
+    """
+
+    __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
+                 "per_block_fidelities", "mean_fidelity", "std", "per_state_fidelity")
+
+    def __init__(self, config, triple, design, mode, measurements, f_table, counts):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
         self.mode = mode  # which Q defined the estimators
         self.measurements = measurements  # the bases whose joint outcomes `counts` records
         self.f_table = f_table  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
-        self.mean_fidelity = mean_fidelity
-        self.per_block_fidelities = per_block_fidelities
-        self.std = std  # standard deviation over blocks
         self.counts = counts  # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M)
-        self.per_state_fidelity = per_state_fidelity  # (K,) per-state average of tr(rho rhohat)
-
-    @property
-    def triple_params(self):
-        return (self.triple.x, self.triple.y, self.triple.z)
+        per_block = np.einsum("kbo,ko->b", counts, f_table) / (len(counts) * config.m_block)
+        self.per_block_fidelities = per_block
+        self.mean_fidelity = float(per_block.mean())
+        self.std = float(per_block.std(ddof=1))  # standard deviation over blocks
+        # (K,) per-state average of tr(rho rhohat)
+        self.per_state_fidelity = ((counts.sum(axis=1, dtype=np.int64) * f_table).sum(axis=1)
+                                   / (config.m_block * config.blocks))
 
     @property
     def std_of_mean(self):
         return self.std / math.sqrt(self.config.blocks)
 
-    def to_dict(self, include_counts=False):
-        data = {
+    def to_dict(self):
+        """The run's parameters and statistics; the CLI's --counts appends the counts."""
+        return {
             "seed": self.config.seed,
             "m_block": self.config.m_block,
             "blocks": self.config.blocks,
             "share_ab_outcomes": self.config.share_ab_outcomes,
             "sampler": "counts",  # the stream that filled `counts`
-            "triple_params": list(self.triple_params),
+            "triple_params": [self.triple.x, self.triple.y, self.triple.z],
             "mean_fidelity": self.mean_fidelity,
             "per_block_fidelities": self.per_block_fidelities.tolist(),
             "std": self.std,
         }
-        if include_counts:
-            data["counts"] = self.counts.tolist()
-        return data
 
 
 class DeviationSummary:
@@ -126,8 +134,8 @@ def estimator_tables(measurements, design, mode="ideal"):
     f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
     order (o = 16 j + 4 k + l for three copies).
     """
-    report = estimation_fidelity(measurements, mode, design)
-    return expectations(report.estimators.densities, design.states)
+    q_design = _validated_design(mode, design, "matched")
+    return expectations(outcome_tables(measurements, q_design).densities, design.states)
 
 
 def _param_key(role, triple, cfg):
@@ -139,32 +147,6 @@ def _param_key(role, triple, cfg):
     # + 0.0 turns -0.0 into 0.0: equal angles, one stream
     raw = b"".join(np.float64(round(p, 12) + 0.0).tobytes() for p in params)
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
-
-
-def _scored_report(triple, cfg, design, mode, measurements, counts, f_table):
-    """Per-block and per-state fidelities of a (K, blocks, outcomes) count table.
-
-    The integer table goes to einsum as it is: einsum casts it to float in
-    its buffered iterator, so no float copy of the whole table is made.  The
-    per-state sum over blocks is taken in int64, which holds M * blocks.
-    """
-    K = counts.shape[0]
-    per_block = np.einsum("kbo,ko->b", counts, f_table) / (K * cfg.m_block)
-    per_state = ((counts.sum(axis=1, dtype=np.int64) * f_table).sum(axis=1)
-                 / (cfg.m_block * cfg.blocks))
-    return SimReport(
-        config=cfg,
-        triple=triple,
-        design=design,
-        mode=mode,
-        measurements=measurements,
-        f_table=f_table,
-        mean_fidelity=float(per_block.mean()),
-        per_block_fidelities=per_block,
-        std=float(per_block.std(ddof=1)),
-        counts=counts,
-        per_state_fidelity=per_state,
-    )
 
 
 def simulate_protocol(triple, design, cfg, mode="ideal"):
@@ -180,7 +162,7 @@ def simulate_protocol(triple, design, cfg, mode="ideal"):
     param_keys = [_param_key(role, triple, cfg) for role in range(3)]
     counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
     _multinomial_counts(probs, param_keys, cfg, counts)
-    return _scored_report(triple, cfg, design, mode, measurements, counts, f_table)
+    return SimReport(cfg, triple, design, mode, measurements, f_table, counts)
 
 
 def _multinomial_counts(probs, param_keys, cfg, counts):
@@ -244,8 +226,7 @@ def reprocess_two_copy(report, pair):
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
     counts2 = counts3.sum(axis=2 + drop_axis, dtype=report.counts.dtype)
     counts2 = counts2.reshape(design.size, cfg.blocks, 16)
-    return _scored_report(report.triple, cfg, design, report.mode, measurements,
-                          counts2, f_table)
+    return SimReport(cfg, report.triple, design, report.mode, measurements, f_table, counts2)
 
 
 def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"):

@@ -108,10 +108,10 @@ def test_criterion_04_closed_form_fidelities(symmetric_triple):
     f3 = triple_fidelity(symmetric_triple)
     ms = symmetric_triple.bases
     f2 = [
-        estimation_fidelity([ms[i], ms[j]]).fidelity
+        estimation_fidelity([ms[i], ms[j]])
         for i, j in [(0, 1), (0, 2), (1, 2)]
     ]
-    f1 = estimation_fidelity([ms[0]]).fidelity
+    f1 = estimation_fidelity([ms[0]])
     dev3 = abs(f3 - F3_SYMMETRIC)
     dev2 = max(abs(f - 7.0 / 15.0) for f in f2)
     dev1 = abs(f1 - 0.4)

@@ -34,7 +34,7 @@ from mubest.designs import (
     save_design,
 )
 from mubest.mub import mub_triple
-from mubest.simulate import SimConfig, _scored_report, run_health, simulate_protocol
+from mubest.simulate import SimConfig, SimReport, run_health, simulate_protocol
 
 
 @pytest.fixture
@@ -105,6 +105,8 @@ def test_parse_angle_list_rejects(text, message):
     ["fidelity", "--design", "clifford", "--y-list", "pi/2", "--z-list", "0"],
     ["fidelity", "--estimator-source", "ideal"],
     ["fidelity", "--copies", "2", "--mode", "ideal", "--estimator-source", "ideal"],
+    # an empty grid is a bad grid, not a request for the Haar scan
+    ["equivalence", "--exact", "--phi-grid", "", "--n-unitaries", "3"],
 ])
 def test_bad_angles_exit_validation(outdir, capsys, argv):
     assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
@@ -352,7 +354,10 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     report = simulate_protocol(mub_triple(half, half, half), load_design(path),
                                SimConfig(seed=5, m_block=M, blocks=blocks))
     assert report.counts.dtype == np.min_scalar_type(M)
-    expected = json.dumps(report.to_dict(include_counts=counts), indent=1)
+    expected = report.to_dict()
+    if counts:
+        expected["counts"] = report.counts.tolist()
+    expected = json.dumps(expected, indent=1)
     assert (outdir / "run.json").read_text() == expected
 
 
@@ -362,9 +367,8 @@ def test_write_report_memory_is_bounded(tmp_path, rng):
     counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
     half = math.pi / 2
     triple = mub_triple(half, half, half)
-    report = _scored_report(triple, SimConfig(seed=0), None, "ideal",
-                            triple.bases, counts,
-                            rng.random((240, 64)))
+    report = SimReport(SimConfig(seed=0), triple, None, "ideal", triple.bases,
+                       rng.random((240, 64)), counts)
     tracemalloc.start()
     try:
         _write_report(tmp_path / "run.json", report, include_counts=True)

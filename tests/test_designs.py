@@ -141,6 +141,19 @@ def test_frame_potential_bound_random(rng):
             assert frame_potential(d, t) >= 1.0 / symmetric_dimension(4, t) - 1e-12
 
 
+@pytest.mark.parametrize("function", [frame_potential, moment_operator])
+@pytest.mark.parametrize("K, t, message", [
+    (0, 4, "empty design"),
+    (5, 0, "t must be >= 1"),
+    (5, -1, "t must be >= 1"),
+])
+def test_frame_operator_rejects_bad_input(rng, function, K, t, message):
+    V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
+    design = StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0))
+    with pytest.raises(ValueError, match=message):
+        function(design, t)
+
+
 def whole_gram_frame_potential(design, t):
     """The frame potential from the whole complex Gram matrix at once."""
     G = np.abs(design.states.conj().T @ design.states) ** 2

@@ -91,14 +91,14 @@ def test_optimal_estimator_degenerate_top_space():
 def test_single_copy_single_basis_fidelity():
     triple = mub_triple(HALF, HALF, HALF)
     report = estimation_fidelity([triple.basis_a])
-    assert abs(report.fidelity - 0.4) <= 1e-10
+    assert abs(report - 0.4) <= 1e-10
 
 
 def test_two_copy_pair_fidelity():
     triple = mub_triple(HALF, HALF, HALF)
     ms = triple.bases
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        f = estimation_fidelity([ms[pair[0]], ms[pair[1]]]).fidelity
+        f = estimation_fidelity([ms[pair[0]], ms[pair[1]]])
         assert abs(f - 7.0 / 15.0) <= 1e-10
 
 
@@ -170,7 +170,7 @@ def test_fidelity_scan_grid_order():
     assert [row[:3] for row in rows] == [(HALF, y, z) for y in ys for z in zs]
     assert rows[3][3] == triple_fidelity(mub_triple(HALF, HALF, HALF))
     pair = fidelity_scan(HALF, ys, zs, bases=(1, 2))
-    assert pair[3][3] == estimation_fidelity(mub_triple(HALF, HALF, HALF).bases[1:]).fidelity
+    assert pair[3][3] == estimation_fidelity(mub_triple(HALF, HALF, HALF).bases[1:])
 
 
 @settings(max_examples=12, deadline=None)
@@ -204,11 +204,11 @@ def test_empirical_mode_matches_moment_operator(seed, N, K):
         ideal = top_eigenspace(q_operator(effect, N, 4))[0]
         standard += np.trace(q @ ideal).real
     scale = math.factorial(N + 1) * D
-    F = estimation_fidelity(measurements, mode="empirical", design=design).fidelity
+    F = estimation_fidelity(measurements, mode="empirical", design=design)
     assert abs(F - matched / scale) <= 1e-12
     F_std = estimation_fidelity(
         measurements, mode="empirical", design=design, estimator_source="ideal"
-    ).fidelity
+    )
     assert abs(F_std - standard / scale) <= 1e-12
 
 
@@ -247,7 +247,7 @@ def partial_design(design960):
                                           ("empirical", "ideal")])
 def test_fidelities_same_bits_as_estimation_fidelity(partial_design, N, mode, source):
     items = list(haar_tuples(N, N, 101))
-    expected = [estimation_fidelity(bases, mode, partial_design, source).fidelity
+    expected = [estimation_fidelity(bases, mode, partial_design, source)
                 for bases in items]
     for count in (1, _STACK_ITEMS, _STACK_ITEMS + 1, 101):
         got = fidelities(iter(items[:count]), mode, partial_design, source)

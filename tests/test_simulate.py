@@ -21,7 +21,6 @@ from mubest.simulate import (
     SimConfig,
     SimReport,
     _param_key,
-    _scored_report,
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
@@ -138,11 +137,15 @@ def test_config_is_a_value():
 
 
 def test_report_takes_fields_in_order(small_report):
-    fields = ("config", "triple", "design", "mode", "measurements", "f_table",
-              "mean_fidelity", "per_block_fidelities", "std", "counts", "per_state_fidelity")
+    fields = ("config", "triple", "design", "mode", "measurements", "f_table", "counts")
     values = [getattr(small_report, name) for name in fields]
     rebuilt = SimReport(*values)
     assert all(getattr(rebuilt, name) is value for name, value in zip(fields, values))
+    # the statistics are rebuilt from the counts, bit for bit
+    for name in ("mean_fidelity", "std"):
+        assert getattr(rebuilt, name) == getattr(small_report, name)
+    for name in ("per_block_fidelities", "per_state_fidelity"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(small_report, name))
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
@@ -182,8 +185,8 @@ def test_v1_golden_counts(design960, params, cfg, counts_sha256, mean):
     triple = mub_triple(*params)
     counts = reference_counts(triple, design960, cfg)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == counts_sha256
-    report = _scored_report(triple, cfg, design960, "ideal", triple.bases, counts,
-                            estimator_tables(triple.bases, design960))
+    report = SimReport(cfg, triple, design960, "ideal", triple.bases,
+                       estimator_tables(triple.bases, design960), counts)
     assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
@@ -325,6 +328,17 @@ def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960)
     assert not np.allclose(plain, moved)
 
 
+def test_unknown_mode_raises_before_sampling(monkeypatch, symmetric_triple, design960):
+    def no_draws(*args):
+        raise AssertionError("counts drawn for an unknown mode")
+
+    monkeypatch.setattr("mubest.simulate._multinomial_counts", no_draws)
+    with pytest.raises(ValueError, match="unknown mode"):
+        simulate_protocol(symmetric_triple, design960, SMALL, mode="nonsense")
+    with pytest.raises(ValueError, match="unknown mode"):
+        estimator_tables(symmetric_triple.bases, design960, mode="nonsense")
+
+
 def test_to_dict_roundtrippable(small_report):
     import json
 
@@ -344,8 +358,8 @@ def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     measurements = symmetric_triple.bases
     tracemalloc.start()
     try:
-        report = _scored_report(symmetric_triple, cfg, design960, "ideal", measurements,
-                                counts, f_table)
+        report = SimReport(cfg, symmetric_triple, design960, "ideal", measurements,
+                           f_table, counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,7 +417,7 @@ def test_empirical_health_uses_run_mode(empirical_report, symmetric_triple):
 def test_empirical_two_copy_uses_run_mode(empirical_report):
     rep2 = reprocess_two_copy(empirical_report, (0, 1))
     expected = estimation_fidelity(empirical_report.measurements[:2], "empirical",
-                                   empirical_report.design).fidelity
+                                   empirical_report.design)
     assert run_health(rep2)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
@@ -524,8 +538,8 @@ def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
     counts = np.zeros((design960.size, cfg.blocks, 64), dtype=np.uint16)
     counts[:, :, 5] = cfg.m_block
     f_table = estimator_tables(symmetric_triple.bases, design960)
-    report = _scored_report(symmetric_triple, cfg, design960, "ideal",
-                            symmetric_triple.bases, counts, f_table)
+    report = SimReport(cfg, symmetric_triple, design960, "ideal",
+                       symmetric_triple.bases, f_table, counts)
     assert np.array_equal(report.per_state_fidelity, f_table[:, 5] * (2.0 * cfg.m_block)
                           / (cfg.m_block * cfg.blocks))
 
