@@ -31,14 +31,17 @@ class FiducialAngles(ReadOnlyRecord):
 class StateDesign:
     """K unit vectors in dimension d, stored as columns of `states` (d x K)."""
 
-    __slots__ = ("dim", "t", "states", "provenance", "metadata")
+    __slots__ = ("t", "states", "provenance", "metadata")
 
-    def __init__(self, dim, t, states, provenance="custom", metadata=None):
-        self.dim = dim
+    def __init__(self, t, states, provenance="custom", metadata=None):
         self.t = t
         self.states = states
         self.provenance = provenance
         self.metadata = {} if metadata is None else metadata
+
+    @property
+    def dim(self):
+        return self.states.shape[0]
 
     @property
     def size(self):
@@ -116,7 +119,6 @@ def orbit(group, psi, t=4):
         first.setdefault(key, i)
     states = images[list(first.values())].T
     return StateDesign(
-        dim=psi.size,
         t=t,
         states=states,
         provenance="clifford_orbit",
@@ -231,7 +233,7 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
     V /= np.linalg.norm(V, axis=0)
 
     def phi(states):
-        return frame_potential(StateDesign(dim=d, t=t, states=states), t)
+        return frame_potential(StateDesign(t=t, states=states), t)
 
     f = phi(V)
     eta = step
@@ -254,7 +256,6 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
         trace.append(f)
         eta *= 1.3
     return StateDesign(
-        dim=d,
         t=t,
         states=V,
         provenance="numerical",
@@ -354,7 +355,6 @@ def load_design(path):
             fail(f"state {i}: expected {2 * dim} floats, got {len(row)}")
     table = np.array(rows)
     design = StateDesign(
-        dim=dim,
         t=t,
         states=(table[:, 0::2] + 1j * table[:, 1::2]).T,
         provenance=provenance,

@@ -8,7 +8,8 @@ separates distinct elements with huge margin while absorbing float drift.
 The grid is int32: entries of unitaries and unit vectors have modulus <= 1,
 so rint(x * 1e6) fits with room to spare, and a 4x4 key is 128 bytes.  A
 value off the int32 grid raises ContractViolationError rather than wrapping.
-A `UnitaryGroup` holds its elements as one (n, d, d) array.
+A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
+derived from them: membership keys the elements on each call.
 
 Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
 the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
@@ -24,6 +25,7 @@ each distinct float (491 of the Clifford group's 368,640) is formatted by
 repr, as json does, only once.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -90,7 +92,7 @@ def canonical_keys(stack):
     if not np.all(np.abs(scaled) <= _KEY_MAX):  # False for NaN too
         raise ContractViolationError(
             f"entries beyond the int32 key grid (|x| > {_KEY_MAX / KEY_GRID:g})")
-    flat = scaled.astype(np.int32).reshape(len(scaled), -1)
+    flat = scaled.astype(np.int32).reshape(len(scaled), np.prod(scaled.shape[1:]))
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
@@ -105,20 +107,14 @@ def canonical_key(u):
 
 
 class UnitaryGroup:
-    """An immutable set of phase-canonical unitaries with O(1) membership tests.
+    """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
-    `elements` is one (n, d, d) array.  `keys` maps canonical_key(u) to the
-    index of u; it is computed from the elements unless the caller already
-    has it.
+    Membership keys the elements on each call, O(n).
     """
 
-    def __init__(self, elements, generator_labels=(), keys=None):
+    def __init__(self, elements, generator_labels=()):
         self.elements = np.ascontiguousarray(elements)
         self.generator_labels = list(generator_labels)
-        if keys is None:
-            keys = canonical_keys(self.elements).tolist() if len(self.elements) else []
-            keys = {k: i for i, k in enumerate(keys)}
-        self._keys = keys
 
     def __len__(self):
         return len(self.elements)
@@ -127,7 +123,7 @@ class UnitaryGroup:
         return iter(self.elements)
 
     def __contains__(self, u):
-        return canonical_key(canonicalize_phase(u)) in self._keys
+        return canonical_key(canonicalize_phase(u)) in canonical_keys(self.elements).tolist()
 
     @property
     def dim(self):
@@ -177,32 +173,28 @@ def generate_group(generators, max_size, generator_labels=()):
         start, stop = stop, len(keys)
     if stop < len(elements):
         elements = elements[:stop].copy()
-    return UnitaryGroup(elements, generator_labels, keys)
+    return UnitaryGroup(elements, generator_labels)
+
+
+def _labelled_group(labels, order):
+    """Closure of the generators that `labels` name, of the given order.
+
+    A label is gate names joined by '.', multiplied left to right.
+    """
+    gates = standard_gates()
+    generators = [functools.reduce(np.matmul, [gates[name] for name in label.split(".")])
+                  for label in labels]
+    return generate_group(generators, max_size=order, generator_labels=labels)
 
 
 def clifford_group_2q():
     """The projective two-qubit Clifford group, order 11520."""
-    g = standard_gates()
-    return generate_group(
-        [g["H1"], g["H2"], g["P1"], g["P2"], g["CNOT12"], g["CNOT21"]],
-        max_size=11520,
-        generator_labels=["H1", "H2", "P1", "P2", "CNOT12", "CNOT21"],
-    )
+    return _labelled_group(["H1", "H2", "P1", "P2", "CNOT12", "CNOT21"], 11520)
 
 
 def restricted_clifford_group_2q():
-    """The order-960 restricted Clifford subgroup.
-
-    The two generators are composites of standard gates; the written gate
-    strings are matrix products read left to right (verified against the
-    expected group order).
-    """
-    g = standard_gates()
-    g1 = g["H2"] @ g["CNOT12"] @ g["P1"] @ g["H2"]
-    g2 = g["H1"] @ g["P2"] @ g["CNOT12"] @ g["H2"]
-    return generate_group(
-        [g1, g2], max_size=960, generator_labels=["H2.CNOT12.P1.H2", "H1.P2.CNOT12.H2"]
-    )
+    """The order-960 restricted Clifford subgroup, generated by two composite gates."""
+    return _labelled_group(["H2.CNOT12.P1.H2", "H1.P2.CNOT12.H2"], 960)
 
 
 def pauli_group_projective(n):
@@ -246,19 +238,23 @@ def save_group(group, path):
 
 
 def load_group(path, spot_checks=20, rng=None):
-    """Load a serialized group; verifies unitarity and closure spot-checks."""
+    """Load a serialized group; verifies unitarity, distinct elements and closure spot-checks."""
     with open(path) as fh:
         data = json.load(fh)
     pairs = np.array(data["elements"], dtype=float)
     elements = canonicalize_phases(pairs.view(complex)[..., 0])
-    group = UnitaryGroup(elements, data.get("generator_labels", ()))
-    if len(group) != data["order"]:
+    if len(elements) != data["order"]:
         raise ContractViolationError(
-            f"group order {len(group)} != recorded {data['order']}"
+            f"group order {len(elements)} != recorded {data['order']}"
         )
-    rng = np.random.default_rng(rng)
-    for _ in range(spot_checks):
-        a, b = rng.integers(len(group), size=2)
-        if group.elements[a] @ group.elements[b] not in group:
-            raise ContractViolationError("loaded group fails closure spot-check")
-    return group
+    keys = set(canonical_keys(elements).tolist())
+    if len(keys) < len(elements):
+        raise ContractViolationError(
+            f"group has {len(elements) - len(keys)} repeated element(s)")
+    rng = np.random.default_rng(rng)  # one draw per pair, all products keyed at once
+    a, b = np.array([rng.integers(len(elements), size=2) for _ in range(spot_checks)],
+                    dtype=int).reshape(-1, 2).T
+    products = canonicalize_phases(elements[a] @ elements[b])
+    if not keys.issuperset(canonical_keys(products).tolist()):
+        raise ContractViolationError("loaded group fails closure spot-check")
+    return UnitaryGroup(elements, data.get("generator_labels", ()))

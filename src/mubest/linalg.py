@@ -12,18 +12,18 @@ from .errors import ContractViolationError
 UNITARY_TOL = 1e-9
 
 
-def is_unitary(m, tol=UNITARY_TOL):
-    """max |U^dag U - I| <= tol for a square matrix, or over a stack of them."""
+def is_unitary(m):
+    """max |U^dag U - I| <= UNITARY_TOL for a square matrix, or over a (maybe empty) stack."""
     m = np.asarray(m)
     if m.shape[-1] != m.shape[-2]:
         return False
     gram = np.swapaxes(m.conj(), -1, -2) @ m
-    return np.max(np.abs(gram - np.eye(m.shape[-1]))) <= tol
+    return np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0) <= UNITARY_TOL
 
 
-def check_unitary(m, tol=UNITARY_TOL):
+def check_unitary(m):
     """m as a complex array; raises unless it (each matrix of a stack) is unitary."""
-    if not is_unitary(m, tol):
+    if not is_unitary(m):
         raise ContractViolationError("matrix is not unitary within tolerance")
     return np.asarray(m, dtype=complex)
 

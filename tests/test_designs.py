@@ -136,7 +136,7 @@ def test_frame_potential_bound_random(rng):
     for _ in range(5):
         V = rng.standard_normal((4, 50)) + 1j * rng.standard_normal((4, 50))
         V /= np.linalg.norm(V, axis=0)
-        d = StateDesign(dim=4, t=4, states=V)
+        d = StateDesign(t=4, states=V)
         for t in range(1, 5):
             assert frame_potential(d, t) >= 1.0 / symmetric_dimension(4, t) - 1e-12
 
@@ -149,7 +149,7 @@ def test_frame_potential_bound_random(rng):
 ])
 def test_frame_operator_rejects_bad_input(rng, function, K, t, message):
     V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
-    design = StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0))
+    design = StateDesign(t=4, states=V / np.linalg.norm(V, axis=0))
     with pytest.raises(ValueError, match=message):
         function(design, t)
 
@@ -169,7 +169,7 @@ def test_frame_potential_matches_whole_gram(design960, design200, rng):
     designs = [design960, design200]
     for K in [*range(1, 201), 257, 961]:
         V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
-        designs.append(StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0)))
+        designs.append(StateDesign(t=4, states=V / np.linalg.norm(V, axis=0)))
     for design in designs:
         for t in range(1, 5):
             expected = whole_gram_frame_potential(design, t)
@@ -436,24 +436,42 @@ def test_validate_rejects_non_unit(tmp_path):
     V = np.eye(2, dtype=complex)
     V[0, 0] = 2.0
     with pytest.raises(DesignFormatError) as exc:
-        StateDesign(dim=2, t=2, states=V).validate()
+        StateDesign(t=2, states=V).validate()
     assert "0" in str(exc.value)
 
 
 def test_state_design_fields():
     V = np.eye(2, dtype=complex)
-    first, second = StateDesign(2, 2, V), StateDesign(dim=2, t=2, states=V)
+    first, second = StateDesign(2, V), StateDesign(t=2, states=V)
     assert (first.dim, first.t, first.provenance) == (2, 2, "custom")
     assert first.states is V
     first.metadata["k"] = 1  # each design gets its own metadata dict
     assert second.metadata == {}
-    named = StateDesign(2, 1, V, "orbit", {"k": 2})
+    named = StateDesign(1, V, "orbit", {"k": 2})
     assert (named.t, named.provenance, named.metadata) == (1, "orbit", {"k": 2})
+
+
+def test_state_design_takes_no_dim():
+    # the dimension is the states' row count, so it cannot disagree with them
+    with pytest.raises(TypeError):
+        StateDesign(dim=4, t=4, states=np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_qubit_design_file_keeps_its_dimension(tmp_path, suffix):
+    V = np.array([[1, 0, 1, 1], [0, 1, 1, -1]], dtype=complex)
+    design = StateDesign(t=2, states=V / np.linalg.norm(V, axis=0))
+    assert design.dim == 2
+    path = tmp_path / f"qubit.{suffix}"
+    save_design(design, path)
+    loaded = load_design(path)
+    assert (loaded.dim, loaded.size) == (2, 4)
+    assert np.array_equal(loaded.states, design.states)
 
 
 def test_validate_rejects_nan():
     V = np.eye(2, dtype=complex)
     V[1, 1] = np.nan
     with pytest.raises(DesignFormatError) as exc:
-        StateDesign(dim=2, t=2, states=V).validate()
+        StateDesign(t=2, states=V).validate()
     assert "state 1" in str(exc.value)

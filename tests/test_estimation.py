@@ -148,7 +148,7 @@ def test_empirical_mode_requires_design(symmetric_triple):
 
 
 def test_q_empirical_warns_on_weak_design(design960):
-    weak = StateDesign(dim=4, t=1, states=design960.states[:, :50])
+    weak = StateDesign(t=1, states=design960.states[:, :50])
     basis_b = mub_triple(HALF, HALF, HALF).basis_b
     with pytest.warns(UserWarning):
         estimation_fidelity([basis_b], mode="empirical", design=weak)
@@ -190,7 +190,7 @@ def test_outcome_tables_match_q_operator(seed, N):
 def test_empirical_mode_matches_moment_operator(seed, N, K):
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
-    design = StateDesign(dim=4, t=4, states=V / np.linalg.norm(V, axis=0))
+    design = StateDesign(t=4, states=V / np.linalg.norm(V, axis=0))
     measurements = random_measurements(rng, N)
     M = moment_matrix(design, N + 1)
     D = symmetric_dimension(4, N + 1)
@@ -239,7 +239,7 @@ def haar_tuples(seed, N, count):
 @pytest.fixture(scope="module")
 def partial_design(design960):
     # every seventh orbit state: Q' differs from Q, so the two passes differ
-    return StateDesign(dim=4, t=4, states=design960.states[:, ::7])
+    return StateDesign(t=4, states=design960.states[:, ::7])
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -276,17 +276,17 @@ def test_fidelities_checks(design960):
         fidelities([triple.bases], mode="empirical")
     with pytest.raises(ValueError, match="unknown estimator source"):
         fidelities([triple.bases], estimator_source="bogus")
-    weak = StateDesign(dim=4, t=1, states=design960.states[:, :50])
+    weak = StateDesign(t=1, states=design960.states[:, :50])
     with pytest.warns(UserWarning, match=r"t=1 < N\+1=4"):
         fidelities([triple.bases], mode="empirical", design=weak)
     with pytest.raises(ValueError, match="need 3 measurements"):
         fidelities([triple.bases, triple.bases[:2]])
     # a single state: every outcome but one has zero weight, so its Q is zero
     basis = OrthonormalBasis(np.eye(4, dtype=complex))
-    single = StateDesign(dim=4, t=4, states=np.eye(4, 1, dtype=complex))
+    single = StateDesign(t=4, states=np.eye(4, 1, dtype=complex))
     with pytest.raises(ContractViolationError, match="numerically zero"):
         fidelities([(basis,)], mode="empirical", design=single)
     # Born probabilities of a state of norm 2 sum to 4
-    double = StateDesign(dim=4, t=4, states=2 * design960.states[:, :40])
+    double = StateDesign(t=4, states=2 * design960.states[:, :40])
     with pytest.raises(ContractViolationError, match="do not sum to 1"):
         fidelities([triple.bases], mode="empirical", design=double)

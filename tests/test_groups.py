@@ -253,6 +253,19 @@ def test_load_rejects_non_closed_group(restricted_group, tmp_path):
         load_group(path, spot_checks=50, rng=0)
 
 
+def test_load_rejects_repeated_element(restricted_group, tmp_path):
+    import json
+
+    # the order still reads 960, and every spot-check of seed 0 lands in the set
+    path = tmp_path / "repeated.json"
+    save_group(restricted_group, path)
+    data = json.loads(path.read_text())
+    data["elements"][959] = data["elements"][1]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ContractViolationError, match="repeated"):
+        load_group(path, rng=0)
+
+
 def test_closure_memory_is_bounded():
     tracemalloc.start()
     try:
@@ -262,8 +275,9 @@ def test_closure_memory_is_bounded():
         tracemalloc.stop()
     assert len(group) == 11520
     # stacking a whole level's products at once peaked at 24 MB, and
-    # concatenating a list of levels held a second copy of the elements, 3 MB
-    assert peak - held < 1e6
+    # concatenating a list of levels held a second copy of the elements, 3 MB;
+    # the ceiling is the held elements and key dict plus 1 MB
+    assert peak < 6.7e6
 
 
 def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
@@ -297,9 +311,20 @@ def test_group_from_an_element_array(restricted_group):
     assert len(UnitaryGroup(np.empty((0, 4, 4), dtype=complex))) == 0
 
 
+def test_empty_group_has_no_members():
+    assert np.eye(4) not in UnitaryGroup(np.empty((0, 4, 4), dtype=complex))
+
+
+def test_non_member(restricted_group, clifford_group):
+    # a diagonal phase gate off the Clifford lattice
+    u = np.diag([1, 1, 1, np.exp(0.1j)])
+    assert u not in restricted_group
+    assert u not in clifford_group
+
+
 def test_clifford_group_memory_held():
-    # int32 keys and one element array: 8.76 MB were held with int64 keys and
-    # a list of per-element views
+    # one element array, 2.95 MB, and no keys: 8.76 MB were held with int64
+    # keys and a list of per-element views, 5.71 MB with an int32 key dict
     tracemalloc.start()
     try:
         group = clifford_group_2q()
@@ -307,7 +332,7 @@ def test_clifford_group_memory_held():
     finally:
         tracemalloc.stop()
     assert len(group) == 11520
-    assert held < 6.5e6
+    assert held < 3.0e6
 
 
 def test_save_group_peak_is_small(clifford_group, tmp_path):

@@ -299,7 +299,7 @@ def test_shared_ab_streams_across_z(design960):
 
 def test_signed_zero_angles_share_streams(design960):
     # -0.0 and 0.0 are the same angle: same streams, same counts
-    design = StateDesign(dim=4, t=4, states=design960.states[:, :40])
+    design = StateDesign(t=4, states=design960.states[:, :40])
     for share in (True, False):
         cfg = SimConfig(seed=11, m_block=50, blocks=2, share_ab_outcomes=share)
         plus, minus = (
@@ -515,7 +515,7 @@ def test_random_subset_analysis(small_report, design960):
 # 65535, uint32 holds 65536
 @pytest.mark.parametrize("m_block", [255, 256, 65535, 65536])
 def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
-    design = StateDesign(dim=4, t=4, states=design960.states[:, :6])
+    design = StateDesign(t=4, states=design960.states[:, :6])
     cfg = SimConfig(seed=3, m_block=m_block, blocks=2)
     report = simulate_protocol(symmetric_triple, design, cfg)
     assert report.counts.dtype == np.min_scalar_type(m_block)
