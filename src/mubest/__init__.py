@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 
 # each exported name, by the module that defines it
 _EXPORTS = {
-    "designs": ("StateDesign", "clifford_design", "default_design", "fiducial_angles",
-                "fiducial_state", "frame_potential", "load_design", "moment_operator",
-                "optimize_design", "orbit", "save_design"),
+    "designs": ("StateDesign", "clifford_design", "default_design", "fiducial_state",
+                "frame_potential", "load_design", "moment_operator", "optimize_design",
+                "orbit", "save_design"),
     "estimation": ("estimation_fidelity", "fidelity_scan", "outcome_tables",
                    "triple_fidelity"),
     "groups": ("UnitaryGroup", "clifford_group_2q", "generate_group",
-               "pauli_group_projective", "restricted_clifford_group_2q"),
+               "pauli_group_2q", "restricted_clifford_group_2q"),
     "mub": ("MubTriple", "haar_random_unitary", "mub_triple", "transform_triple",
             "unbiasedness_report"),
     "simulate": ("SimConfig", "SimReport", "equivalence_scan_phase",

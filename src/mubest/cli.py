@@ -29,7 +29,7 @@ from .errors import DesignFormatError, InfeasibleDesignError
 from .estimation import fidelity_scan
 from .groups import (
     clifford_group_2q,
-    pauli_group_projective,
+    pauli_group_2q,
     restricted_clifford_group_2q,
     save_group,
 )
@@ -236,7 +236,7 @@ def _sim_config(args):
 
 def cmd_groups(args):
     build, expected = {
-        "pauli": (lambda: pauli_group_projective(2), 16),
+        "pauli": (pauli_group_2q, 16),
         "clifford": (clifford_group_2q, 11520),
         "restricted": (restricted_clifford_group_2q, 960),
     }[args.which]
@@ -354,8 +354,7 @@ def cmd_equivalence(args):
             args.n_unitaries, base, design, cfg, mode=mode,
             unitary_seed=args.seed,
         )
-        rows = [(kind, s.maximal, s.minimal, s.average, s.std, s.max_deviation)
-                for kind, s in (("exact", exact_s), ("simulated", sim_s))
+        rows = [(kind, *s) for kind, s in (("exact", exact_s), ("simulated", sim_s))
                 if s is not None]
         lines = [f"{kind}: max={mx:.6f} min={mn:.6f} avg={avg:.6f}"
                  f" std={std:.6f} max_dev={dev:.6f}"

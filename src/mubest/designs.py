@@ -3,7 +3,11 @@
 A design is a finite set of unit vectors; quality is measured by the t-th
 frame potential, whose lower bound 1/D_t is attained exactly for t-designs.
 The Clifford-orbit construction starts from a product fiducial state whose
-second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.
+second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.  That quartic
+condition makes the full-Clifford (3840-state) orbit a 4-design at every
+point of the surface, but the 960-state restricted orbit is a 4-design only
+for the alpha = 1 fiducial that `fiducial_state` pins; so the module offers
+that one fiducial and no family of fiducial angles.
 """
 
 import itertools
@@ -13,19 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DesignFormatError, InfeasibleDesignError, ReadOnlyRecord
+from .errors import DesignFormatError, InfeasibleDesignError
 from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
 from .linalg import symmetric_dimension
 
-QUARTIC_SUM = 5.0 / 7.0
 _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
-
-
-class FiducialAngles(ReadOnlyRecord):
-    __slots__ = ("alpha", "theta", "phi", "branch")
-
-    def __init__(self, alpha, theta, phi, branch):
-        self._set(alpha=alpha, theta=theta, phi=phi, branch=branch)
 
 
 class StateDesign:
@@ -53,35 +49,6 @@ class StateDesign:
         if bad.size:
             raise DesignFormatError(f"state {bad[0]} is not unit norm")
         return self
-
-
-def fiducial_angles(alpha, branch="+"):
-    """Spherical angles (theta, phi) whose Bloch vector meets the quartic condition.
-
-    cos(4 phi) = 4 alpha - 3 and
-    cos(2 theta) = (alpha - 1 +/- (2/sqrt(7)) sqrt(5 - 2 alpha)) / (alpha + 1),
-    for alpha in [1/2, 1].  Both sign branches satisfy
-    r1^4 + r2^4 + r3^4 = 5/7.
-    """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha} outside [1/2, 1]")
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    phi = math.acos(4 * alpha - 3) / 4
-    sign = 1.0 if branch == "+" else -1.0
-    c2t = (alpha - 1 + sign * (2 / math.sqrt(7)) * math.sqrt(5 - 2 * alpha)) / (
-        alpha + 1
-    )
-    if not -1.0 <= c2t <= 1.0:
-        # the '-' sign choice only defines an angle for alpha >= 5/7
-        raise ValueError(f"branch '{branch}' undefined at alpha={alpha}")
-    theta = math.acos(c2t) / 2
-    return FiducialAngles(alpha=alpha, theta=theta, phi=phi, branch=branch)
-
-
-def angles_to_bloch(angles):
-    st, ct = math.sin(angles.theta), math.cos(angles.theta)
-    return np.array([st * math.cos(angles.phi), st * math.sin(angles.phi), ct])
 
 
 def bloch_to_state(r):

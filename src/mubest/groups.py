@@ -197,16 +197,11 @@ def restricted_clifford_group_2q():
     return _labelled_group(["H2.CNOT12.P1.H2", "H1.P2.CNOT12.H2"], 960)
 
 
-def pauli_group_projective(n):
-    """The projective n-qubit Pauli group, identified with {I,X,Y,Z}^{x n}."""
-    if n not in (1, 2):
-        raise ValueError("n must be 1 or 2")
+def pauli_group_2q():
+    """The projective two-qubit Pauli group, {I,X,Y,Z} x {I,X,Y,Z}, order 16."""
     singles = [I2, X, Y, Z]
-    if n == 1:
-        elements = [canonicalize_phase(p) for p in singles]
-    else:
-        elements = [canonicalize_phase(np.kron(a, b)) for a in singles for b in singles]
-    return UnitaryGroup(elements, generator_labels=["pauli"])
+    products = np.array([np.kron(a, b) for a in singles for b in singles])
+    return UnitaryGroup(canonicalize_phases(products), generator_labels=["pauli"])
 
 
 def save_group(group, path):
@@ -238,10 +233,14 @@ def save_group(group, path):
 
 
 def load_group(path, spot_checks=20, rng=None):
-    """Load a serialized group; verifies unitarity, distinct elements and closure spot-checks."""
+    """Load a serialized group; verifies dim, order, unitarity, distinct elements and closure."""
     with open(path) as fh:
         data = json.load(fh)
     pairs = np.array(data["elements"], dtype=float)
+    dim = data.get("dim")
+    if pairs.shape[1:] != (dim, dim, 2):  # an empty list has shape (0,)
+        raise ContractViolationError(
+            f"elements of array shape {pairs.shape} are not dim={dim} matrices")
     elements = canonicalize_phases(pairs.view(complex)[..., 0])
     if len(elements) != data["order"]:
         raise ContractViolationError(

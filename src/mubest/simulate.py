@@ -117,17 +117,6 @@ class SimReport:
         }
 
 
-class DeviationSummary:
-    __slots__ = ("maximal", "minimal", "average", "std", "max_deviation")
-
-    def __init__(self, maximal, minimal, average, std, max_deviation):
-        self.maximal = maximal
-        self.minimal = minimal
-        self.average = average
-        self.std = std
-        self.max_deviation = max_deviation
-
-
 def estimator_tables(measurements, design, mode="ideal"):
     """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
 
@@ -247,21 +236,18 @@ def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"
 
 
 def _summary(values, reference):
+    """(maximal, minimal, average, std, max_deviation) of the values, the CSV's columns."""
     values = np.asarray(values, dtype=float)
-    return DeviationSummary(
-        maximal=float(values.max()),
-        minimal=float(values.min()),
-        average=float(values.mean()),
-        std=float(values.std(ddof=1)),
-        max_deviation=float(np.max(np.abs(values - reference))),
-    )
+    return (float(values.max()), float(values.min()), float(values.mean()),
+            float(values.std(ddof=1)), float(np.max(np.abs(values - reference))))
 
 
 def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="ideal",
                             unitary_seed=0):
     """Haar-random unitary transformations of the triple; Table-style statistics.
 
-    Returns (exact_summary, simulated_summary or None); deviations are with
+    Returns (exact_summary, simulated_summary or None), each the tuple
+    (maximal, minimal, average, std, max_deviation); deviations are with
     respect to the untransformed triple's exact fidelity in the same mode.
     The untransformed and the transformed triples' exact values come from one
     Q pass, which reads the transformed triples as they are generated; none

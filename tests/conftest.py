@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mubest.designs import clifford_design
-from mubest.groups import clifford_group_2q, restricted_clifford_group_2q
+from mubest.groups import clifford_group_2q, pauli_group_2q, restricted_clifford_group_2q
 from mubest.mub import mub_triple
 
 Z_GRID = [i * math.pi / 8 for i in range(9)]
@@ -19,6 +19,11 @@ IDEAL_ROW_Y_ZERO = [
 ]
 
 F3_SYMMETRIC = (46 + 5 * math.sqrt(3)) / 105  # x = y = z = pi/2
+
+
+@pytest.fixture(scope="session")
+def pauli_group():
+    return pauli_group_2q()
 
 
 @pytest.fixture(scope="session")

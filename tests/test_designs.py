@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from mubest.designs import (
-    FiducialAngles,
     StateDesign,
-    angles_to_bloch,
     bloch_to_state,
     default_design,
-    fiducial_angles,
     fiducial_bloch_second_qubit,
     fiducial_state,
     frame_potential,
@@ -32,40 +29,6 @@ def quartic_sum(r):
     return float(np.sum(np.asarray(r) ** 4))
 
 
-def test_fiducial_angles_quartic_condition():
-    # the '-' sign choice is only defined for alpha >= 5/7
-    cases = [(a, "+") for a in [0.5, 0.6, 0.75, 0.9, 1.0]]
-    cases += [(a, "-") for a in [5 / 7, 0.75, 0.9, 1.0]]
-    for alpha, branch in cases:
-        r = angles_to_bloch(fiducial_angles(alpha, branch))
-        assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
-        assert abs(quartic_sum(r) - 5.0 / 7.0) <= 1e-10
-
-
-def test_fiducial_angles_alpha_one():
-    a = fiducial_angles(1.0, "+")
-    assert a.phi == pytest.approx(0.0)
-    assert a.theta == pytest.approx(0.5 * math.acos(math.sqrt(3.0 / 7.0)))
-    half = fiducial_angles(0.5, "+")
-    assert half.phi == pytest.approx(math.pi / 4)
-
-
-def test_fiducial_angles_are_read_only():
-    angles = fiducial_angles(1.0)
-    with pytest.raises(AttributeError):
-        angles.theta = 0.0
-    assert FiducialAngles(0.5, 0.1, 0.2, "-").branch == "-"
-
-
-def test_fiducial_angles_domain():
-    with pytest.raises(ValueError):
-        fiducial_angles(0.3)
-    with pytest.raises(ValueError):
-        fiducial_angles(0.8, branch="x")
-    with pytest.raises(ValueError):
-        fiducial_angles(0.55, branch="-")
-
-
 def test_fiducial_bloch_vector():
     r = fiducial_bloch_second_qubit()
     c = math.sqrt(3.0 / 7.0)
@@ -73,6 +36,13 @@ def test_fiducial_bloch_vector():
         r, [-math.sqrt(0.5 - 0.5 * c), 0.0, math.sqrt(0.5 + 0.5 * c)]
     )
     assert abs(quartic_sum(r) - 5.0 / 7.0) <= 1e-12
+
+
+def test_full_clifford_orbit_of_the_fiducial_is_a_4_design(clifford_group):
+    # the quartic condition suffices for the 3840-state full-Clifford orbit
+    design = orbit(clifford_group, fiducial_state())
+    assert design.size == 3840
+    assert abs(frame_potential(design, 4) - 1 / 35) <= 1e-13
 
 
 def test_fiducial_state_is_product_unit_vector():

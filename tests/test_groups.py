@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from mubest.groups import (
     clifford_group_2q,
     generate_group,
     load_group,
-    pauli_group_projective,
     save_group,
     standard_gates,
     strip_phases,
@@ -31,11 +31,10 @@ def test_restricted_order(restricted_group):
     assert len(restricted_group) == 960
 
 
-def test_pauli_orders():
-    assert len(pauli_group_projective(1)) == 4
-    assert len(pauli_group_projective(2)) == 16
-    with pytest.raises(ValueError):
-        pauli_group_projective(3)
+def test_pauli_orders(pauli_group):
+    assert len(pauli_group) == 16
+    assert len(set(canonical_keys(pauli_group.elements).tolist())) == 16
+    assert pauli_group.generator_labels == ["pauli"]
 
 
 def test_restricted_is_subgroup_of_clifford(clifford_group, restricted_group, rng):
@@ -44,9 +43,53 @@ def test_restricted_is_subgroup_of_clifford(clifford_group, restricted_group, rn
         assert restricted_group.elements[i] in clifford_group
 
 
-def test_pauli_inside_restricted(restricted_group):
-    for p in pauli_group_projective(2):
+def test_pauli_inside_restricted(pauli_group, restricted_group):
+    for p in pauli_group:
         assert p in restricted_group
+
+
+# (1/|G|) sum_g |tr g|^{2t} for t = 1..4; the Haar values at d = 4 are
+# 1, 2, 6, 24, which a unitary t-design matches up to t
+@pytest.mark.parametrize("name, potentials", [
+    ("clifford", [1, 2, 6, 29]),  # a 3-design, not a 4-design
+    ("restricted", [1, 2, 9, 85]),  # only a 2-design
+])
+def test_unitary_frame_potentials(name, potentials, request):
+    group = request.getfixturevalue(f"{name}_group")
+    squared = np.abs(np.trace(group.elements, axis1=1, axis2=2)) ** 2
+    frame = [np.mean(squared ** t) for t in range(1, 5)]
+    assert np.max(np.abs(np.subtract(frame, potentials))) <= 1e-9
+
+
+def _coset_representatives(group, paulis):
+    """The first element of each coset g P of the Pauli group P, in group order."""
+    index = {k: i for i, k in enumerate(canonical_keys(group.elements).tolist())}
+    covered = np.zeros(len(group), dtype=bool)
+    reps = []
+    for i, g in enumerate(group.elements):
+        if not covered[i]:
+            reps.append(g)
+            coset = canonical_keys(strip_phases(g @ paulis.elements)).tolist()
+            covered[[index[k] for k in coset]] = True  # KeyError unless P is inside
+    return np.array(reps)
+
+
+# the order of each element of G/P: S6 = Sp(4, 2) for the Clifford group,
+# A5 = SL(2, 4) for the restricted group
+@pytest.mark.parametrize("name, census", [
+    ("clifford", {1: 1, 2: 75, 3: 80, 4: 180, 5: 144, 6: 240}),
+    ("restricted", {1: 1, 2: 15, 3: 20, 5: 24}),
+])
+def test_element_orders_modulo_paulis(name, census, request, pauli_group):
+    reps = _coset_representatives(request.getfixturevalue(f"{name}_group"), pauli_group)
+    pauli_keys = set(canonical_keys(pauli_group.elements).tolist())
+    orders = np.zeros(len(reps), dtype=int)
+    power = reps
+    for k in range(1, 7):
+        inside = [key in pauli_keys for key in canonical_keys(strip_phases(power)).tolist()]
+        orders[(orders == 0) & inside] = k
+        power = power @ reps
+    assert dict(zip(*np.unique(orders, return_counts=True))) == census
 
 
 def test_closure_and_inverses(restricted_group, rng):
@@ -181,8 +224,6 @@ def test_save_load_roundtrip(restricted_group, tmp_path):
 
 
 def test_load_rejects_corrupted_order(restricted_group, tmp_path):
-    import json
-
     path = tmp_path / "bad.json"
     save_group(restricted_group, path)
     with open(path) as fh:
@@ -194,15 +235,17 @@ def test_load_rejects_corrupted_order(restricted_group, tmp_path):
         load_group(path)
 
 
-# sha256 of save_group's output, recorded before the closure was vectorised;
-# they also pin the element order
+# sha256 of save_group's output, recorded before the closure was vectorised
+# (the Pauli group's from the one-element-at-a-time constructor); they also pin
+# the element order
 GROUP_FILE_SHA256 = {
+    "pauli": "9fa89c7f6682eb3ab2caec4c5739932f3df7f1dac5f97d12e9f2cf7ad213a505",
     "clifford": "ed2ae91b2a1cfcf670b02f2230b9a12a1f62b098e745a63dc530ea1728abd4ac",
     "restricted": "a90a516f8f0ce3ff0ddb0ba8aea4dfdc2c1e0a4bec20c0022550e45e1f573252",
 }
 
 
-@pytest.mark.parametrize("name", ["clifford", "restricted"])
+@pytest.mark.parametrize("name", ["pauli", "clifford", "restricted"])
 def test_group_file_golden(name, request, tmp_path):
     group = request.getfixturevalue(f"{name}_group")
     path = tmp_path / f"{name}.json"
@@ -211,8 +254,6 @@ def test_group_file_golden(name, request, tmp_path):
 
 
 def test_save_group_matches_json_dump(restricted_group, tmp_path):
-    import json
-
     path = tmp_path / "restricted.json"
     save_group(restricted_group, path)
     data = {
@@ -241,8 +282,6 @@ def test_clifford_save_load_roundtrip(clifford_group, tmp_path):
 
 
 def test_load_rejects_non_closed_group(restricted_group, tmp_path):
-    import json
-
     path = tmp_path / "half.json"
     save_group(restricted_group, path)
     data = json.loads(path.read_text())
@@ -254,8 +293,6 @@ def test_load_rejects_non_closed_group(restricted_group, tmp_path):
 
 
 def test_load_rejects_repeated_element(restricted_group, tmp_path):
-    import json
-
     # the order still reads 960, and every spot-check of seed 0 lands in the set
     path = tmp_path / "repeated.json"
     save_group(restricted_group, path)
@@ -264,6 +301,22 @@ def test_load_rejects_repeated_element(restricted_group, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ContractViolationError, match="repeated"):
         load_group(path, rng=0)
+
+
+IDENTITY_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+# no elements at all, a 2 x 2 identity under a header that says dim 4, and
+# a header with no dim
+@pytest.mark.parametrize("header, elements", [
+    ({"dim": 4}, []), ({"dim": 4}, [IDENTITY_2]), ({}, [IDENTITY_2]),
+], ids=["empty", "dim2", "no_dim"])
+def test_load_rejects_elements_that_do_not_match_dim(header, elements, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format_version": 1, **header, "order": len(elements),
+                                "elements": elements}))
+    with pytest.raises(ContractViolationError, match="are not dim="):
+        load_group(path)
 
 
 def test_closure_memory_is_bounded():
@@ -291,9 +344,7 @@ def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
 
 @pytest.mark.parametrize("name", ["pauli", "restricted", "clifford", "loaded"])
 def test_elements_are_one_array(name, request, restricted_group, tmp_path):
-    if name == "pauli":
-        group = pauli_group_projective(2)
-    elif name == "loaded":
+    if name == "loaded":
         save_group(restricted_group, tmp_path / "restricted.json")
         group = load_group(tmp_path / "restricted.json", spot_checks=2, rng=0)
     else:

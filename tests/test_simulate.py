@@ -466,8 +466,9 @@ def test_equivalence_scan_random_exact_invariance(symmetric_triple, design960):
     exact_s, sim_s = equivalence_scan_random(
         5, symmetric_triple, design960, unitary_seed=4
     )
-    assert exact_s.max_deviation <= 1e-10
-    assert exact_s.std <= 1e-10
+    _, _, _, std, max_deviation = exact_s
+    assert max_deviation <= 1e-10
+    assert std <= 1e-10
     assert sim_s is None
     with pytest.raises(ValueError):
         equivalence_scan_random(0, symmetric_triple, design960)
