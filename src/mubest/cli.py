@@ -378,8 +378,8 @@ def cmd_subsets(args):
         report, sizes, trials=args.trials, seed=args.subset_seed
     )
     rows = [(size, mean, std) for size, (mean, std) in results.items()]
-    health = [{"K": size, "std": std,
-               "predicted_std": predicted_subset_std(report.per_state_fidelity, size)}
+    per_state = report.per_state_fidelity
+    health = [{"K": size, "std": std, "predicted_std": predicted_subset_std(per_state, size)}
               for size, _, std in rows]
     return Run(
         [f"K={size} mean={mean:.6f} std={std:.6f}" for size, mean, std in rows],

@@ -233,10 +233,27 @@ def save_group(group, path):
 
 
 def load_group(path, spot_checks=20, rng=None):
-    """Load a serialized group; verifies dim, order, unitarity, distinct elements and closure."""
+    """Load a serialized group; verifies dim, order, unitarity, distinct elements and closure.
+
+    The header is checked before the elements are read: `format_version` must
+    be the integer 1 and `order` an integer.  Elements that do not form one
+    (order, dim, dim, 2) array of floats are a ContractViolationError too.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    pairs = np.array(data["elements"], dtype=float)
+    for key in ("format_version", "order", "elements"):
+        if key not in data:
+            raise ContractViolationError(f"group file has no field '{key}'")
+    if type(data["format_version"]) is not int or data["format_version"] != 1:
+        raise ContractViolationError(
+            f"unsupported group format_version {data['format_version']!r}")
+    if type(data["order"]) is not int:
+        raise ContractViolationError(f"group order must be an integer, got {data['order']!r}")
+    try:
+        pairs = np.array(data["elements"], dtype=float)
+    except ValueError as exc:  # ragged nesting or a non-number
+        raise ContractViolationError(
+            f"group elements are not one array of floats: {exc}") from None
     dim = data.get("dim")
     if pairs.shape[1:] != (dim, dim, 2):  # an empty list has shape (0,)
         raise ContractViolationError(

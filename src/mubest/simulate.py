@@ -13,6 +13,12 @@ for three copies and two-copy reprocessing alike: the densities of
 table, so they cannot disagree.  `run_health` and `reprocess_two_copy` read
 the same fields, so they always use the run's own estimators.
 
+Memory after the draws.  A sampled command holds the count table and the
+estimator table; nothing it computes afterwards is (K, n_outcomes) sized.
+The per-state fidelities are evaluated when read, `_STATE_CHUNK` states at a
+time, and only `subsets` reads them; `run_health` contracts the per-basis
+Born probabilities with the table in one einsum per moment, O(K) memory.
+
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
 `simulate_protocol` allocates the table as np.min_scalar_type(M): uint8 up to
 M = 255, uint16 up to 65535 (the paper's M = 10^4), uint32 beyond.  Two-copy
@@ -48,8 +54,7 @@ import math
 import numpy as np
 
 from .errors import ReadOnlyRecord
-from .estimation import (_validated_design, born_weights, expectations, fidelities,
-                         outcome_tables)
+from .estimation import _validated_design, expectations, fidelities, outcome_tables
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
 _STATE_CHUNK = 64  # states sampled together
@@ -72,7 +77,7 @@ class SimConfig(ReadOnlyRecord):
 
 class SimReport:
     """A sampled run: its counts, the table they were scored with, and the
-    statistics the constructor derives from the two.
+    statistics derived from the two.
 
     The integer table goes to einsum as it is: einsum casts it to float in
     its buffered iterator, so no float copy of the whole table is made.  The
@@ -80,7 +85,7 @@ class SimReport:
     """
 
     __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
-                 "per_block_fidelities", "mean_fidelity", "std", "per_state_fidelity")
+                 "per_block_fidelities", "mean_fidelity", "std")
 
     def __init__(self, config, triple, design, mode, measurements, f_table, counts):
         self.config = config  # the SimConfig
@@ -94,9 +99,22 @@ class SimReport:
         self.per_block_fidelities = per_block
         self.mean_fidelity = float(per_block.mean())
         self.std = float(per_block.std(ddof=1))  # standard deviation over blocks
-        # (K,) per-state average of tr(rho rhohat)
-        self.per_state_fidelity = ((counts.sum(axis=1, dtype=np.int64) * f_table).sum(axis=1)
-                                   / (config.m_block * config.blocks))
+
+    @property
+    def per_state_fidelity(self):
+        """(K,) per-state average of tr(rho rhohat), computed on each read.
+
+        `_STATE_CHUNK` states at a time: each row is the int64 sum of its
+        counts over blocks times f, summed, with the bits of the same
+        expression over the whole table.
+        """
+        counts, f_table = self.counts, self.f_table
+        sums = np.empty(len(counts))
+        for start in range(0, len(counts), _STATE_CHUNK):
+            rows = slice(start, start + _STATE_CHUNK)
+            sums[rows] = (counts[rows].sum(axis=1, dtype=np.int64) * f_table[rows]).sum(axis=1)
+        sums /= self.config.m_block * self.config.blocks
+        return sums
 
     @property
     def std_of_mean(self):
@@ -182,11 +200,18 @@ def run_health(report):
     variance is sum_k var_k / (K^2 M), and the mean averages B blocks.  A std
     estimated from a few blocks is itself noisy, so this is the yardstick for
     z = (F_sim - F_exact) / sigma.
+
+    Each per-state moment is one einsum of the N (K, d) outcome distributions
+    and the table viewed as (K, d, ..., d): no joint-weight table and no
+    product of the table's size is formed.
     """
-    joint = np.ascontiguousarray(born_weights(report.measurements, report.design.states).T)
-    mean = (joint * report.f_table).sum(axis=1)
-    var = (joint * report.f_table**2).sum(axis=1) - mean**2
-    cfg, K = report.config, report.design.size
+    cfg, K, d = report.config, report.design.size, report.design.dim
+    probs = [born_probabilities(b, report.design.states) for b in report.measurements]
+    outcomes = "abc"[:len(probs)]
+    f = report.f_table.reshape((K,) + (d,) * len(probs))
+    weighted = ",".join("k" + o for o in outcomes) + ",k" + outcomes
+    mean = np.einsum(weighted + "->k", *probs, f)
+    var = np.einsum(weighted + ",k" + outcomes + "->k", *probs, f, f) - mean**2
     exact = float(mean.sum() / K)
     sigma = math.sqrt(max(float(var.sum()), 0.0) / (K**2 * cfg.m_block * cfg.blocks))
     return {
@@ -307,21 +332,17 @@ def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
     fidelity contributions, mirroring the resampling analysis of the count
     data.  std is over the `trials` draws (0 when size equals K).
     """
-    K = report.per_state_fidelity.size
+    per_state = report.per_state_fidelity
+    K = per_state.size
     check_subset_request(subset_sizes, trials, K)
     rng = np.random.default_rng(seed)
     results = {}
     for size in subset_sizes:
         if size == K:
-            results[size] = (float(report.per_state_fidelity.mean()), 0.0)
+            results[size] = (float(per_state.mean()), 0.0)
             continue
         means = np.array(
-            [
-                report.per_state_fidelity[
-                    rng.choice(K, size=size, replace=False)
-                ].mean()
-                for _ in range(trials)
-            ]
+            [per_state[rng.choice(K, size=size, replace=False)].mean() for _ in range(trials)]
         )
         results[size] = (float(means.mean()), float(means.std(ddof=1)))
     return results

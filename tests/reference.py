@@ -3,8 +3,9 @@
 Each is built densely on the full (C^d)^{x t}, independently of the package's
 own code paths: a factor permutation as a transposed identity, the symmetric
 projector as the average over all t! permutations, Q as a partial trace of
-P_{N+1} (A x 1), the stabilizer by scanning a group, and the moment operator
-from the lifted states psi^{x t}.
+P_{N+1} (A x 1), the stabilizer by scanning a group, the moment operator
+from the lifted states psi^{x t}, and a sampled run's health from its full
+(K, d^N) table of joint Born weights.
 """
 
 import functools
@@ -83,3 +84,25 @@ def moment_matrix(design, t):
     for _ in range(t - 1):
         lifted = np.einsum("ka,kb->kab", lifted, A).reshape(len(A), -1)
     return lifted.T @ lifted.conj()
+
+
+def run_health(report):
+    """Exact F, predicted std of the mean and z of a sampled run, from joint weights.
+
+    The weights w[k, o] = prod_i |<v_{i,o_i}|psi_k>|^2 are formed for every
+    state and joint outcome; per state, mean = sum_o w f and
+    var = sum_o w f^2 - mean^2, and sigma^2 = sum_k var_k / (K^2 M B).
+    """
+    states, f, cfg = report.design.states, report.f_table, report.config
+    K = states.shape[1]
+    joint = np.ones((K, 1))
+    for basis in report.measurements:
+        p = np.abs(basis.vectors.conj().T @ states).T ** 2
+        p = p / p.sum(axis=1, keepdims=True)
+        joint = (joint[:, :, None] * p[:, None, :]).reshape(K, -1)
+    mean = (joint * f).sum(axis=1)
+    var = (joint * f**2).sum(axis=1) - mean**2
+    exact = float(mean.sum() / K)
+    sigma = math.sqrt(max(float(var.sum()), 0.0) / (K**2 * cfg.m_block * cfg.blocks))
+    return {"exact_fidelity": exact, "predicted_std_of_mean": sigma,
+            "z": (report.mean_fidelity - exact) / sigma if sigma > 0 else 0.0}

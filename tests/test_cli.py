@@ -700,7 +700,7 @@ def test_manifest_records_output_hashes(outdir, small_design_file):
     paths = manifest["output_paths"]
     assert len(paths) == 2
     assert manifest["output_sha256"] == {
-        p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths
+        p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths
     }
 
 

@@ -319,6 +319,28 @@ def test_load_rejects_elements_that_do_not_match_dim(header, elements, tmp_path)
         load_group(path)
 
 
+def _cut_to_three_rows(data):
+    data["elements"][3] = data["elements"][3][:3]
+
+
+# the header is checked before the elements are read, and ragged elements
+# are a contract violation, not numpy's "inhomogeneous shape" error
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.pop("order"), "no field 'order'"),
+    (lambda data: data.update(format_version=7), "unsupported group format_version 7"),
+    (_cut_to_three_rows, "not one array of floats"),
+    (lambda data: data.update(order="16"), "group order must be an integer, got '16'"),
+], ids=["no_order", "format_version_7", "ragged", "order_string"])
+def test_load_rejects_bad_header_and_ragged_elements(pauli_group, tmp_path, edit, message):
+    path = tmp_path / "pauli.json"
+    save_group(pauli_group, path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ContractViolationError, match=message):
+        load_group(path)
+
+
 def test_closure_memory_is_bounded():
     tracemalloc.start()
     try:

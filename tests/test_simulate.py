@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, optimize_design
 from mubest.estimation import estimation_fidelity, triple_fidelity
@@ -543,6 +544,57 @@ def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
                        symmetric_triple.bases, f_table, counts)
     assert np.array_equal(report.per_state_fidelity, f_table[:, 5] * (2.0 * cfg.m_block)
                           / (cfg.m_block * cfg.blocks))
+
+
+@pytest.fixture(scope="module")
+def sweep_report(symmetric_triple, design960):
+    # one point of the simulated z curve: K = 960, M = 100, B = 10
+    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=100,
+                                                                    blocks=10))
+
+
+def traced_peak(fn):
+    """tracemalloc's peak while fn runs, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_health_memory_is_o_of_k(sweep_report):
+    # the joint weights, or f times them, would be one (K, 64) float table
+    assert traced_peak(lambda: run_health(sweep_report)) < 960 * 64 * 8
+
+
+def test_per_state_fidelity_memory_is_one_chunk(sweep_report):
+    # the report is built from its fields and read: the per-state sums over
+    # blocks alone would be one (K, 64) int64 table
+    fields = [getattr(sweep_report, name) for name in
+              ("config", "triple", "design", "mode", "measurements", "f_table", "counts")]
+    assert traced_peak(lambda: SimReport(*fields).per_state_fidelity) < 960 * 64 * 8
+
+
+def test_per_state_fidelity_bits(sweep_report, small_report, symmetric_triple, design960):
+    # computed a chunk of states at a time, with the bits of the whole-table
+    # expression; 100 states end in a part chunk
+    part = simulate_protocol(symmetric_triple, StateDesign(t=4, states=design960.states[:, :100]),
+                             SMALL)
+    for report in (sweep_report, small_report, reprocess_two_copy(small_report, (1, 2)), part):
+        cfg = report.config
+        expected = ((report.counts.sum(axis=1, dtype=np.int64) * report.f_table).sum(axis=1)
+                    / (cfg.m_block * cfg.blocks))
+        assert np.array_equal(report.per_state_fidelity, expected)
+
+
+def test_run_health_matches_reference(sweep_report, empirical_report):
+    for report in (sweep_report, reprocess_two_copy(sweep_report, (0, 2)), empirical_report):
+        health, expected = run_health(report), reference.run_health(report)
+        assert health.keys() == expected.keys()
+        for key in health:
+            assert health[key] == pytest.approx(expected[key], rel=0, abs=1e-12), key
 
 
 def test_paper_size_table_memory(symmetric_triple, design960):
