@@ -41,7 +41,6 @@ from .simulate import (
     check_unitary_count,
     equivalence_scan_phase,
     equivalence_scan_random,
-    predicted_subset_std,
     random_subset_analysis,
     run_health,
     simulate_protocol,
@@ -377,10 +376,9 @@ def cmd_subsets(args):
     results = random_subset_analysis(
         report, sizes, trials=args.trials, seed=args.subset_seed
     )
-    rows = [(size, mean, std) for size, (mean, std) in results.items()]
-    per_state = report.per_state_fidelity
-    health = [{"K": size, "std": std, "predicted_std": predicted_subset_std(per_state, size)}
-              for size, _, std in rows]
+    rows = [(size, mean, std) for size, (mean, std, _) in results.items()]
+    health = [{"K": size, "std": std, "predicted_std": predicted}
+              for size, (_, std, predicted) in results.items()]
     return Run(
         [f"K={size} mean={mean:.6f} std={std:.6f}" for size, mean, std in rows],
         [(args.out, _csv({"x": x, "y": y, "z": z, "trials": args.trials},

@@ -15,19 +15,19 @@ also drives the sampler.  Q is evaluated over the Clifford orbit (an exact
 4-design) in ideal mode and over a given design in empirical mode, where the
 sum is the design's stand-in Q'.  `_QStack` is the only place Q is formed:
 
-- it flattens the design's projectors once, and writes each tuple of bases'
-  Born weights into one outcome-major (d^N, K) buffer, so the product with
+- it flattens the design's projectors once, and forms each tuple of bases'
+  Born weights in one outcome-major (d^N, K) buffer, so the product with
   the projectors is one GEMM per tuple with no transpose and no K-sized
   temporary;
 - `outcome_tables` takes it for one tuple and keeps Q's top eigenspaces;
-- `fidelities`, which the scans call, takes it for `_STACK_ITEMS` tuples at a
-  time and runs one batched `eigh` over their stacked Q.
+  `estimator_tables` scores their densities against a design's states with
+  `expectations`, the lookup table the sampler's counts are scored with;
+- `fidelities` is the only code that turns Q into a fidelity.  It takes Q for
+  up to `_STACK_ITEMS` tuples at a time and runs one batched `eigh` over
+  their stack; `estimation_fidelity` is `fidelities` of one tuple.
 
-Every tuple's GEMM keeps its shape and `eigh` of a stack is `eigh` of each
-matrix, so a fidelity from `fidelities` has the bits of `estimation_fidelity`,
-which returns that fidelity as a float for one tuple.  The estimators
-themselves are `outcome_tables(...).densities`, which `expectations` scores
-against a design's states.
+Batching does not change a fidelity's bits: every tuple's GEMM keeps its
+shape, and `eigh` of a stack is `eigh` of each matrix.
 """
 
 import itertools
@@ -95,29 +95,6 @@ def _state_projectors(states):
     return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
 
 
-def born_weights(measurements, states, out=None):
-    """(d^N, K) product Born weights w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2 of the bases.
-
-    Outcome-major, rows in np.ndindex order; written into `out` if given.  The
-    factors are multiplied in place in the order of the bases, so each weight
-    is ((p_1 p_2) p_3) whatever the layout.
-    """
-    d, K = states.shape
-    N = len(measurements)
-    if out is None:
-        out = np.empty((d**N, K))
-    w = out.reshape((d,) * N + (K,))
-    for i, basis in enumerate(measurements):
-        # born_probabilities returns (K, d) in Fortran order: .T is a C-ordered (d, K) view
-        axes = (1,) * i + (d,) + (1,) * (N - 1 - i) + (K,)
-        p = born_probabilities(basis, states).T.reshape(axes)
-        if i == 0:
-            w[...] = p
-        else:
-            w *= p
-    return out
-
-
 def expectations(densities, states):
     """f[k, o] = <psi_k| rho_o |psi_k> for densities (n, d, d) and columns of `states`."""
     flat = np.ascontiguousarray(densities).reshape(len(densities), -1)
@@ -150,13 +127,23 @@ class _QStack:
 
     def __call__(self, batch):
         """Q of each tuple of bases in `batch`, stacked as (len(batch) d^N, d, d)."""
-        d = self.design.dim
+        d, K, N = self.design.dim, self.design.size, self.N
+        w = self.weights.reshape((d,) * N + (K,))
         for measurements, out in zip(batch, self.sums):
-            if len(measurements) != self.N:
-                raise ValueError(f"need {self.N} measurements in every tuple")
+            if len(measurements) != N:
+                raise ValueError(f"need {N} measurements in every tuple")
             if any(m.dim != d for m in measurements):
                 raise DimensionMismatchError(f"measurements do not act on dimension {d}")
-            born_weights(measurements, self.design.states, self.weights)
+            # w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2, rows in np.ndindex order, multiplied
+            # in place in the order of the bases: ((p_1 p_2) p_3) whatever the layout
+            for i, basis in enumerate(measurements):
+                # born_probabilities returns (K, d) in Fortran order: .T is a C-ordered (d, K) view
+                axes = (1,) * i + (d,) + (1,) * (N - 1 - i) + (K,)
+                p = born_probabilities(basis, self.design.states).T.reshape(axes)
+                if i == 0:
+                    w[...] = p
+                else:
+                    w *= p
             np.matmul(self.weights, self.projectors, out=out)
         return (self.scale * self.sums[:len(batch)].view(complex)).reshape(-1, d, d)
 
@@ -185,6 +172,16 @@ def outcome_tables(measurements, design):
     return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
 
 
+def estimator_tables(measurements, design, mode="ideal"):
+    """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
+
+    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
+    order (o = 16 j + 4 k + l for three copies).
+    """
+    q_design = _validated_design(mode, design, "matched")
+    return expectations(outcome_tables(measurements, q_design).densities, design.states)
+
+
 def estimation_fidelity(measurements, mode="ideal", design=None,
                         estimator_source="matched"):
     """Estimation fidelity of a product of rank-1 projective measurements, one per basis.
@@ -195,15 +192,7 @@ def estimation_fidelity(measurements, mode="ideal", design=None,
     comes from the ideal Q's top eigenspace but is scored against Q' (the
     "standard estimator": suboptimal, hence a slightly lower value).
     """
-    design = _validated_design(mode, design, estimator_source)
-    tables = outcome_tables(measurements, design)
-    values = tables.norms
-    if mode == "empirical" and estimator_source == "ideal":
-        densities = outcome_tables(measurements, default_design()).densities
-        values = np.einsum("oab,oba->o", tables.q, densities).real
-    N = len(measurements)
-    D = symmetric_dimension(design.dim, N + 1)
-    return float(values.sum()) / (math.factorial(N + 1) * D)
+    return fidelities([measurements], mode, design, estimator_source)[0]
 
 
 def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched"):
@@ -214,23 +203,24 @@ def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched
 def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
     """Estimation fidelity of each tuple of N bases in `items`, one Q pass per design.
 
-    The same value, bit for bit, as estimation_fidelity(bases, mode, design,
-    estimator_source) for each tuple, with the same checks.  `items`
-    may be any iterable; it is read `_STACK_ITEMS` tuples at a time, and each
-    such batch's Q go through one `eigh`, so memory does not grow with the
-    number of tuples.  Empirical mode with estimator_source="ideal" runs a
-    second pass over the Clifford orbit for the estimators.
+    `items` may be any iterable; it is read `_STACK_ITEMS` tuples at a time,
+    and each such batch's Q go through one `eigh`, so memory does not grow
+    with the number of tuples.  Each value has the same bits whatever the
+    batch it falls in, because `eigh` of a stack is `eigh` of each matrix.
+    Empirical mode with estimator_source="ideal" runs a second pass over the
+    Clifford orbit for the estimators.
     """
     design = _validated_design(mode, design, estimator_source)
     items = iter(items)
     batch = list(itertools.islice(items, _STACK_ITEMS))
     if not batch:
         return []
-    N = len(batch[0])
-    stack = _QStack(design, N, _STACK_ITEMS)
+    # the first batch is full unless it is the only one, so no stack outgrows it
+    N, items_per_stack = len(batch[0]), len(batch)
+    stack = _QStack(design, N, items_per_stack)
     standard = None
     if mode == "empirical" and estimator_source == "ideal":
-        standard = _QStack(default_design(), N, _STACK_ITEMS)
+        standard = _QStack(default_design(), N, items_per_stack)
     denominator = math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)
 
     def batch_fidelities(batch):

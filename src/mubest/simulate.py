@@ -4,14 +4,14 @@ For every design state the three measurements are sampled independently, the
 optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
-`estimator_tables` gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k>
-for three copies and two-copy reprocessing alike: the densities of
-`estimation.outcome_tables` scored by `estimation.expectations`.  A
-`SimReport` is built from a run's counts and the design, mode, measurements
-(the bases) and table they were scored with, and derives its statistics
-(per-block, mean, std and per-state fidelities) from the counts and the
-table, so they cannot disagree.  `run_health` and `reprocess_two_copy` read
-the same fields, so they always use the run's own estimators.
+`estimation.estimator_tables`, beside the `outcome_tables` whose densities it
+scores, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
+copies and two-copy reprocessing alike.  A `SimReport` is built from a run's
+counts and the design, mode, measurements (the bases) and table they were
+scored with, and derives its statistics (per-block, mean, std and per-state
+fidelities) from the counts and the table, so they cannot disagree.
+`run_health` and `reprocess_two_copy` read the same fields, so they always
+use the run's own estimators.
 
 Memory after the draws.  A sampled command holds the count table and the
 estimator table; nothing it computes afterwards is (K, n_outcomes) sized.
@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .errors import ReadOnlyRecord
-from .estimation import _validated_design, expectations, fidelities, outcome_tables
+from .estimation import estimator_tables, fidelities
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
 _STATE_CHUNK = 64  # states sampled together
@@ -66,12 +66,12 @@ class SimConfig(ReadOnlyRecord):
     __slots__ = ("seed", "m_block", "blocks", "share_ab_outcomes")
 
     def __init__(self, seed, m_block=10000, blocks=10, share_ab_outcomes=True):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError("expected non-negative integer")
-        if m_block < 1:
-            raise ValueError("m_block must be >= 1")
-        if blocks < 2:
-            raise ValueError("blocks must be >= 2 for a std")
+        for value, low, message in ((seed, 0, "expected non-negative integer"),
+                                    (m_block, 1, "m_block must be an integer >= 1"),
+                                    (blocks, 2, "blocks must be >= 2 for a std, and an integer")):
+            # bool is an int; a float or bool M would pick the count table's dtype
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(message)
         self._set(seed=seed, m_block=m_block, blocks=blocks, share_ab_outcomes=share_ab_outcomes)
 
 
@@ -133,16 +133,6 @@ class SimReport:
             "per_block_fidelities": self.per_block_fidelities.tolist(),
             "std": self.std,
         }
-
-
-def estimator_tables(measurements, design, mode="ideal"):
-    """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
-
-    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
-    order (o = 16 j + 4 k + l for three copies).
-    """
-    q_design = _validated_design(mode, design, "matched")
-    return expectations(outcome_tables(measurements, q_design).densities, design.states)
 
 
 def _param_key(role, triple, cfg):
@@ -326,11 +316,12 @@ def predicted_subset_std(per_state_fidelity, size):
 
 
 def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
-    """Re-average the run over random state subsets; (mean, std) per subset size.
+    """Re-average the run over random state subsets; (mean, std, predicted_std) per size.
 
     Each trial draws `size` distinct states and averages their per-state
     fidelity contributions, mirroring the resampling analysis of the count
-    data.  std is over the `trials` draws (0 when size equals K).
+    data.  std is over the `trials` draws (0 when size equals K), and
+    predicted_std is `predicted_subset_std` of the same per-state values.
     """
     per_state = report.per_state_fidelity
     K = per_state.size
@@ -339,10 +330,11 @@ def random_subset_analysis(report, subset_sizes, trials=30, seed=0):
     results = {}
     for size in subset_sizes:
         if size == K:
-            results[size] = (float(per_state.mean()), 0.0)
+            results[size] = (float(per_state.mean()), 0.0, 0.0)
             continue
         means = np.array(
             [per_state[rng.choice(K, size=size, replace=False)].mean() for _ in range(trials)]
         )
-        results[size] = (float(means.mean()), float(means.std(ddof=1)))
+        results[size] = (float(means.mean()), float(means.std(ddof=1)),
+                         predicted_subset_std(per_state, size))
     return results

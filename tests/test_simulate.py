@@ -10,7 +10,7 @@ import pytest
 import reference
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, optimize_design
-from mubest.estimation import estimation_fidelity, triple_fidelity
+from mubest.estimation import estimation_fidelity, fidelities, triple_fidelity
 from mubest.mub import (
     born_probabilities,
     controlled_phase,
@@ -122,6 +122,13 @@ def test_config_validation():
         SimConfig(seed=0, blocks=1)
     with pytest.raises(TypeError):  # one sampler is left, so nothing to choose
         SimConfig(seed=0, sampler="counts")
+
+
+# a float or bool M would pick the count table's dtype; a float B fails late, in np.empty
+@pytest.mark.parametrize("sizes", [dict(m_block=1.5), dict(m_block=True), dict(blocks=2.5)])
+def test_config_rejects_non_integer_sizes(sizes):
+    with pytest.raises(ValueError, match="an integer"):
+        SimConfig(seed=0, **sizes)
 
 
 def test_config_is_a_value():
@@ -246,6 +253,21 @@ def test_run_health_matches_prediction(full_report, symmetric_triple, design960)
         (full_report.mean_fidelity - health["exact_fidelity"]) / sigma, rel=1e-6
     )
     assert abs(health["z"]) <= 5
+
+
+def test_run_health_exact_is_the_design_fidelity(symmetric_triple, haar_triple, design960):
+    # the sampler's Born probabilities and the Q pass give one F: the run's
+    # table averaged over its own design, whichever Q its estimators came from
+    designs = (design960, optimize_design(200, 4, 4, seed=0, target=0.0287),
+               StateDesign(t=4, states=design960.states[:, ::7]))
+    triples = (symmetric_triple, mub_triple(HALF, 0.0, math.pi / 4), haar_triple)
+    cfg = SimConfig(seed=0, m_block=10, blocks=2)
+    for design, triple, mode in itertools.product(designs, triples, ("ideal", "empirical")):
+        run = simulate_protocol(triple, design, cfg, mode)
+        for report in (run, reprocess_two_copy(run, (0, 2))):
+            source = "ideal" if report.mode == "ideal" else "matched"
+            expected = fidelities([report.measurements], "empirical", report.design, source)[0]
+            assert run_health(report)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_counts_shape_and_totals(small_report, design960):
@@ -502,6 +524,8 @@ def test_random_subset_analysis(small_report, design960):
         small_report, [K // 4, K // 2, K], trials=40, seed=2
     )
     stds = [results[s][1] for s in sorted(results)]
+    for size, (_, _, predicted) in results.items():
+        assert predicted == predicted_subset_std(small_report.per_state_fidelity, size)
     assert results[K][1] == 0.0
     assert results[K][0] == pytest.approx(
         float(small_report.per_state_fidelity.mean())
