@@ -13,24 +13,15 @@ Each measurement is an `OrthonormalBasis`, and each factor of w_j is one of
 its outcome probabilities from `mub.born_probabilities`, the function that
 also drives the sampler.  Q is evaluated over the Clifford orbit (an exact
 4-design) in ideal mode and over a given design in empirical mode, where the
-sum is the design's stand-in Q'.  `_QStack` is the only place Q is formed:
-
-- it flattens the design's projectors once, and forms each tuple of bases'
-  Born weights in one outcome-major (d^N, K) buffer, so the product with
-  the projectors is one GEMM per tuple with no transpose and no K-sized
-  temporary;
-- `outcome_tables` takes it for one tuple and keeps Q's top eigenspaces;
-  `estimator_tables` scores their densities against a design's states with
-  `expectations`, the lookup table the sampler's counts are scored with;
-- `fidelities` is the only code that turns Q into a fidelity.  It takes Q for
-  up to `_STACK_ITEMS` tuples at a time and runs one batched `eigh` over
-  their stack; `estimation_fidelity` is `fidelities` of one tuple.
-
-Batching does not change a fidelity's bits: every tuple's GEMM keeps its
-shape, and `eigh` of a stack is `eigh` of each matrix.
+sum is the design's stand-in Q'.  `_q_operators` is the only place Q is
+formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
+array, so the product with the design's projectors, formed once per design
+by the caller, is one GEMM with no transpose and no K-sized temporary.
+`outcome_tables` keeps Q's top eigenspaces, `estimator_tables` scores their
+densities against a design's states with `expectations`, and `fidelities` is
+the only code that turns Q into a fidelity.
 """
 
-import itertools
 import math
 import warnings
 
@@ -42,9 +33,6 @@ from .linalg import symmetric_dimension
 from .mub import born_probabilities, mub_triple
 
 DEGENERACY_TOL = 1e-9
-# tuples of bases whose Q share one eigh in `fidelities`: enough to amortize
-# the per-call cost, few enough that no scan's peak memory rises
-_STACK_ITEMS = 8
 
 
 class OutcomeTables:
@@ -90,62 +78,50 @@ def _top_eigenspaces(q):
 
 
 def _state_projectors(states):
-    """C-ordered rows |psi_j><psi_j|, flattened to (K, d*d), of the columns of `states`."""
+    """C-ordered rows |psi_j><psi_j| of the columns of `states`, as (K, 2 d*d) (re, im) pairs.
+
+    The float view lets real weights multiply them without a complex copy.
+    """
     v = np.ascontiguousarray(states.T)
-    return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
+    return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1).view(float)
 
 
 def expectations(densities, states):
     """f[k, o] = <psi_k| rho_o |psi_k> for densities (n, d, d) and columns of `states`."""
     flat = np.ascontiguousarray(densities).reshape(len(densities), -1)
     # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
-    return _state_projectors(states).view(float) @ flat.view(float).T
+    return _state_projectors(states) @ flat.view(float).T
 
 
-class _QStack:
-    """Q over one design for tuples of N bases, up to `items` tuples per stack.
+def _q_operators(measurements, design, projectors):
+    """Q over `design` of each joint outcome of the N bases, as (d^N, d, d).
 
-    The projectors, the Born-weight buffer and the stack of unscaled sums are
-    allocated once; a call writes one GEMM per tuple into the stack.
+    `projectors` is `_state_projectors(design.states)`.
     """
-
-    def __init__(self, design, N, items):
-        if N not in (1, 2, 3):
-            raise ValueError("need 1 to 3 measurements")
-        if design.t < N + 1:
-            warnings.warn(
-                f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
-                stacklevel=3,
-            )
-        d, K = design.dim, design.size
-        self.design, self.N = design, N
-        self.scale = math.factorial(N + 1) * symmetric_dimension(d, N + 1) / K
-        # (re, im) pairs, so the real weights are never cast to a complex copy
-        self.projectors = _state_projectors(design.states).view(float)
-        self.weights = np.empty((d**N, K))
-        self.sums = np.empty((items, d**N, 2 * d * d))
-
-    def __call__(self, batch):
-        """Q of each tuple of bases in `batch`, stacked as (len(batch) d^N, d, d)."""
-        d, K, N = self.design.dim, self.design.size, self.N
-        w = self.weights.reshape((d,) * N + (K,))
-        for measurements, out in zip(batch, self.sums):
-            if len(measurements) != N:
-                raise ValueError(f"need {N} measurements in every tuple")
-            if any(m.dim != d for m in measurements):
-                raise DimensionMismatchError(f"measurements do not act on dimension {d}")
-            # w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2, rows in np.ndindex order, multiplied
-            # in place in the order of the bases: ((p_1 p_2) p_3) whatever the layout
-            for i, basis in enumerate(measurements):
-                # born_probabilities returns (K, d) in Fortran order: .T is a C-ordered (d, K) view
-                axes = (1,) * i + (d,) + (1,) * (N - 1 - i) + (K,)
-                p = born_probabilities(basis, self.design.states).T.reshape(axes)
-                if i == 0:
-                    w[...] = p
-                else:
-                    w *= p
-            np.matmul(self.weights, self.projectors, out=out)
-        return (self.scale * self.sums[:len(batch)].view(complex)).reshape(-1, d, d)
+    N, d, K = len(measurements), design.dim, design.size
+    if N not in (1, 2, 3):
+        raise ValueError("need 1 to 3 measurements")
+    if design.t < N + 1:
+        warnings.warn(
+            f"design strength t={design.t} < N+1={N+1}; Q' may be inaccurate",
+            stacklevel=3,
+        )
+    if any(m.dim != d for m in measurements):
+        raise DimensionMismatchError(f"measurements do not act on dimension {d}")
+    # w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2, rows in np.ndindex order, multiplied
+    # in place in the order of the bases: ((p_1 p_2) p_3) whatever the layout
+    w = np.empty((d,) * N + (K,))
+    for i, basis in enumerate(measurements):
+        # born_probabilities returns (K, d) in Fortran order: .T is a C-ordered (d, K) view
+        axes = (1,) * i + (d,) + (1,) * (N - 1 - i) + (K,)
+        p = born_probabilities(basis, design.states).T.reshape(axes)
+        if i == 0:
+            w[...] = p
+        else:
+            w *= p
+    sums = w.reshape(d**N, K) @ projectors
+    scale = math.factorial(N + 1) * symmetric_dimension(d, N + 1) / K
+    return (scale * sums.view(complex)).reshape(-1, d, d)
 
 
 def _validated_design(mode, design, estimator_source):
@@ -167,7 +143,7 @@ def outcome_tables(measurements, design):
     One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
     the estimator densities, the support dimensions and the gaps.
     """
-    q = _QStack(design, len(measurements), 1)([measurements])
+    q = _q_operators(measurements, design, _state_projectors(design.states))
     norms, densities, support, gaps = _top_eigenspaces(q)
     return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
 
@@ -201,41 +177,28 @@ def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched
 
 
 def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
-    """Estimation fidelity of each tuple of N bases in `items`, one Q pass per design.
+    """Estimation fidelity of each tuple of bases in `items`, which may be any iterable.
 
-    `items` may be any iterable; it is read `_STACK_ITEMS` tuples at a time,
-    and each such batch's Q go through one `eigh`, so memory does not grow
-    with the number of tuples.  Each value has the same bits whatever the
-    batch it falls in, because `eigh` of a stack is `eigh` of each matrix.
-    Empirical mode with estimator_source="ideal" runs a second pass over the
-    Clifford orbit for the estimators.
+    The design's projectors are formed once and Q one tuple at a time, so
+    memory does not grow with the number of tuples.  Empirical mode with
+    estimator_source="ideal" also takes each tuple's Q over the Clifford
+    orbit for the estimators.
     """
     design = _validated_design(mode, design, estimator_source)
-    items = iter(items)
-    batch = list(itertools.islice(items, _STACK_ITEMS))
-    if not batch:
-        return []
-    # the first batch is full unless it is the only one, so no stack outgrows it
-    N, items_per_stack = len(batch[0]), len(batch)
-    stack = _QStack(design, N, items_per_stack)
-    standard = None
+    projectors = _state_projectors(design.states)
+    ideal = None  # the design and projectors the standard estimators come from
     if mode == "empirical" and estimator_source == "ideal":
-        standard = _QStack(default_design(), N, items_per_stack)
-    denominator = math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)
-
-    def batch_fidelities(batch):
-        # a function, so that one batch's stacks are freed before the next is formed
-        q = stack(batch)
-        values = _checked_eigh(q)[0][:, -1]
-        if standard is not None:
-            densities = _top_eigenspaces(standard(batch))[1]
-            values = np.einsum("oab,oba->o", q, densities).real
-        return [float(v.sum()) / denominator for v in values.reshape(len(batch), -1)]
-
+        ideal = default_design(), _state_projectors(default_design().states)
     result = []
-    while batch:
-        result += batch_fidelities(batch)
-        batch = list(itertools.islice(items, _STACK_ITEMS))
+    for measurements in items:
+        q = _q_operators(measurements, design, projectors)
+        values = _checked_eigh(q)[0][:, -1]
+        if ideal is not None:
+            densities = _top_eigenspaces(_q_operators(measurements, *ideal))[1]
+            values = np.einsum("oab,oba->o", q, densities).real
+        N = len(measurements)
+        result.append(float(values.sum())
+                      / (math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)))
     return result
 
 

@@ -42,9 +42,9 @@ CLI records the numpy version next to the stream version.
 `_param_key` hashes the triple's angles (x, y, z), not its bases, on purpose:
 triples with equal angles, including unitarily or controlled-phase transformed
 ones, use the same streams, which gives common random numbers across an
-equivalence scan.  With share_ab_outcomes the keys of roles A and B depend
-only on their own angles (none for A, x for B), so triples sharing those bases
-share those outcomes: the same A and AB counts.
+equivalence scan.  The keys of roles A and B depend only on their own angles
+(none for A, x for B), so triples sharing those bases share those outcomes:
+the same A and AB counts.
 """
 
 import hashlib
@@ -63,16 +63,16 @@ STREAM_VERSION = 2  # what the CLI records for a run that samples
 
 
 class SimConfig(ReadOnlyRecord):
-    __slots__ = ("seed", "m_block", "blocks", "share_ab_outcomes")
+    __slots__ = ("seed", "m_block", "blocks")
 
-    def __init__(self, seed, m_block=10000, blocks=10, share_ab_outcomes=True):
+    def __init__(self, seed, m_block=10000, blocks=10):
         for value, low, message in ((seed, 0, "expected non-negative integer"),
                                     (m_block, 1, "m_block must be an integer >= 1"),
                                     (blocks, 2, "blocks must be >= 2 for a std, and an integer")):
             # bool is an int; a float or bool M would pick the count table's dtype
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(message)
-        self._set(seed=seed, m_block=m_block, blocks=blocks, share_ab_outcomes=share_ab_outcomes)
+        self._set(seed=seed, m_block=m_block, blocks=blocks)
 
 
 class SimReport:
@@ -126,7 +126,7 @@ class SimReport:
             "seed": self.config.seed,
             "m_block": self.config.m_block,
             "blocks": self.config.blocks,
-            "share_ab_outcomes": self.config.share_ab_outcomes,
+            "share_ab_outcomes": True,  # roles A and B are keyed by their own angles
             "sampler": "counts",  # the stream that filled `counts`
             "triple_params": [self.triple.x, self.triple.y, self.triple.z],
             "mean_fidelity": self.mean_fidelity,
@@ -135,12 +135,9 @@ class SimReport:
         }
 
 
-def _param_key(role, triple, cfg):
+def _param_key(role, triple):
     # angles only, by design: see the module docstring
-    if cfg.share_ab_outcomes:
-        params = {0: (), 1: (triple.x,), 2: (triple.y, triple.z)}[role]
-    else:
-        params = (triple.x, triple.y, triple.z)
+    params = {0: (), 1: (triple.x,), 2: (triple.y, triple.z)}[role]
     # + 0.0 turns -0.0 into 0.0: equal angles, one stream
     raw = b"".join(np.float64(round(p, 12) + 0.0).tobytes() for p in params)
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
@@ -156,7 +153,7 @@ def simulate_protocol(triple, design, cfg, mode="ideal"):
     measurements = triple.bases
     f_table = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
-    param_keys = [_param_key(role, triple, cfg) for role in range(3)]
+    param_keys = [_param_key(role, triple) for role in range(3)]
     counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
     _multinomial_counts(probs, param_keys, cfg, counts)
     return SimReport(cfg, triple, design, mode, measurements, f_table, counts)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, default_design, moment_operator
 from mubest.estimation import (
-    _STACK_ITEMS,
     _top_eigenspaces,
     estimation_fidelity,
     fidelities,
@@ -249,7 +248,7 @@ def test_fidelities_same_bits_as_estimation_fidelity(partial_design, N, mode, so
     items = list(haar_tuples(N, N, 101))
     expected = [estimation_fidelity(bases, mode, partial_design, source)
                 for bases in items]
-    for count in (1, _STACK_ITEMS, _STACK_ITEMS + 1, 101):
+    for count in (1, 8, 9, 101):
         got = fidelities(iter(items[:count]), mode, partial_design, source)
         assert got == expected[:count]
 
@@ -263,9 +262,20 @@ def test_fidelities_memory_does_not_grow_with_items(partial_design):
         finally:
             tracemalloc.stop()
 
-    peak(9)  # warm-up: first-call allocations inside numpy
-    # 92 more tuples may add their 92 floats to the result, not their Q or weights
-    assert peak(101) <= peak(9) + 16 * 1024
+    peak(2)  # warm-up: first-call allocations inside numpy
+    # 99 more tuples may add their 99 floats to the result, not their Q or weights
+    assert peak(101) <= peak(2) + 16 * 1024
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("every", [1, 7])
+def test_fidelities_and_outcome_tables_share_q(design960, N, every):
+    # the fidelity is the outcome tables' norms summed, to the bit, over any design
+    design = StateDesign(t=4, states=design960.states[:, ::every])
+    denominator = math.factorial(N + 1) * symmetric_dimension(4, N + 1)
+    for bases in haar_tuples(every + N, N, 16):
+        expected = float(outcome_tables(bases, design).norms.sum()) / denominator
+        assert fidelities([bases], "empirical", design) == [expected]
 
 
 def test_fidelities_checks(design960):
@@ -279,8 +289,9 @@ def test_fidelities_checks(design960):
     weak = StateDesign(t=1, states=design960.states[:, :50])
     with pytest.warns(UserWarning, match=r"t=1 < N\+1=4"):
         fidelities([triple.bases], mode="empirical", design=weak)
-    with pytest.raises(ValueError, match="need 3 measurements"):
-        fidelities([triple.bases, triple.bases[:2]])
+    # each tuple has its own N, so a call may mix three- and two-copy tuples
+    assert fidelities([triple.bases, triple.bases[:2]]) == [
+        estimation_fidelity(triple.bases), estimation_fidelity(triple.bases[:2])]
     # a single state: every outcome but one has zero weight, so its Q is zero
     basis = OrthonormalBasis(np.eye(4, dtype=complex))
     single = StateDesign(t=4, states=np.eye(4, 1, dtype=complex))

@@ -48,12 +48,6 @@ GOLDEN_RUNS = [
         "af7fd24fbd2d0cac8857f34a0fb53a217b7734df71ae8f483ddfa7ef7802a5fc",
         0.5206869983810062,
     ),
-    (
-        (HALF, HALF, HALF / 2),
-        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
-        "385c378b3067d1c3913ecf7569c3f4d1476797b81d86bff75a9983e17aad1876",
-        0.5178408911946424,
-    ),
 ]
 
 # the same for stream version 1, which `reference_counts` states: the counts of
@@ -65,12 +59,6 @@ V1_GOLDEN_RUNS = [
         SimConfig(seed=11, m_block=400, blocks=3),
         "14cd5debbdcb2ec38953fd41f5816aea3281dba889db3b3ce0ebefcebcbba750",
         0.5207395658426618,
-    ),
-    (
-        (HALF, HALF, HALF / 2),
-        SimConfig(seed=2**33 + 1, m_block=400, blocks=3, share_ab_outcomes=False),
-        "6b4173e9662b582a41e1f656c95be397729d8af106a314d40e6f4b0502cac230",
-        0.5179342483842025,
     ),
     (
         (HALF, HALF / 2, HALF),
@@ -135,10 +123,9 @@ def test_config_is_a_value():
     cfg = SimConfig(seed=1)
     assert cfg == SimConfig(seed=1) and hash(cfg) == hash(SimConfig(seed=1))
     assert cfg != SimConfig(seed=2) and cfg != SimConfig(seed=1, blocks=3)
-    assert SimConfig(1, 100, 2, False) == SimConfig(seed=1, m_block=100, blocks=2,
-                                                    share_ab_outcomes=False)
+    assert SimConfig(1, 100, 2) == SimConfig(seed=1, m_block=100, blocks=2)
     assert pickle.loads(pickle.dumps(cfg)) == cfg
-    for name in ("seed", "m_block", "blocks", "share_ab_outcomes"):
+    for name in ("seed", "m_block", "blocks"):
         assert f"{name}=" in repr(cfg)
         with pytest.raises(AttributeError):
             setattr(cfg, name, getattr(cfg, name))
@@ -175,7 +162,7 @@ def reference_counts(triple, design, cfg):
     plainly: one numpy-constructed substream per (role, state, block) and
     searchsorted on the cumulative Born probabilities."""
     cdfs = [np.cumsum(born_probabilities(b, design.states), axis=1) for b in triple.bases]
-    keys = [_param_key(role, triple, cfg) for role in range(3)]
+    keys = [_param_key(role, triple) for role in range(3)]
     counts = np.zeros((design.size, cfg.blocks, 64), dtype=np.int64)
     for state in range(design.size):
         for block in range(cfg.blocks):
@@ -204,7 +191,7 @@ def reference_multinomial_counts(triple, design, cfg):
     blocks, each cell counted so far splitting over the role's outcomes."""
     n = np.full((design.size, cfg.blocks), cfg.m_block)
     for role, basis in enumerate(triple.bases):
-        seq = np.random.SeedSequence(cfg.seed, spawn_key=(2, role, _param_key(role, triple, cfg)))
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(2, role, _param_key(role, triple)))
         p = born_probabilities(basis, design.states)
         n = np.random.default_rng(seq).multinomial(
             n, p.reshape((design.size,) + (1,) * (n.ndim - 1) + (4,))
@@ -212,10 +199,9 @@ def reference_multinomial_counts(triple, design, cfg):
     return n.reshape(design.size, cfg.blocks, 64)
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_multinomial_counts_match_reference(haar_triple, design960, share):
+def test_multinomial_counts_match_reference(haar_triple, design960):
     # 960 states span 15 chunks, so chunking must not change the streams
-    cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=3, share_ab_outcomes=share)
+    cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=3)
     report = simulate_protocol(haar_triple, design960, cfg)
     assert np.array_equal(
         report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
@@ -323,24 +309,12 @@ def test_shared_ab_streams_across_z(design960):
 def test_signed_zero_angles_share_streams(design960):
     # -0.0 and 0.0 are the same angle: same streams, same counts
     design = StateDesign(t=4, states=design960.states[:, :40])
-    for share in (True, False):
-        cfg = SimConfig(seed=11, m_block=50, blocks=2, share_ab_outcomes=share)
-        plus, minus = (
-            simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
-            for zero in (0.0, -0.0)
-        )
-        assert np.array_equal(plus, minus), share
-
-
-def test_unshared_streams_differ(design960):
-    solo = SimConfig(seed=SMALL.seed, m_block=SMALL.m_block, blocks=SMALL.blocks,
-                     share_ab_outcomes=False)
-    c1, c2 = (
-        simulate_protocol(mub_triple(HALF, HALF, z), design960, cfg)
-        .counts.reshape(-1, cfg.blocks, 4, 4, 4)
-        for z, cfg in ((HALF, SMALL), (HALF / 2, solo))
+    cfg = SimConfig(seed=11, m_block=50, blocks=2)
+    plus, minus = (
+        simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
+        for zero in (0.0, -0.0)
     )
-    assert not np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
+    assert np.array_equal(plus, minus)
 
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
