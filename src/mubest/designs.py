@@ -260,10 +260,9 @@ def save_design(design, path, phi_t=None):
     """Write a design as JSON, or as CSV if path ends in .csv.
 
     phi_t is the design's frame potential at design.t, recorded in the
-    header; it is computed here unless the caller already has it.  The JSON
-    bytes are those of json.dump(..., indent=1), but the states bypass the
-    pure-Python encoder that indent selects: their '%.17g' strings fill a
-    fixed template of '"%s"' fields in one formatting pass.
+    header; it is computed here unless the caller already has it.  Each
+    state is a row of 2*dim '%.17g' strings: the CSV fills a template of
+    '%s' fields in one formatting pass, the JSON is json.dump(..., indent=1).
     """
     path = str(path)
     if phi_t is None:
@@ -280,13 +279,8 @@ def save_design(design, path, phi_t=None):
             return
         metadata = {k: v for k, v in design.metadata.items()
                     if isinstance(v, (int, float, str, bool, type(None)))}
-        text = json.dumps(dict(header, metadata=metadata, states=[]), indent=1)
-        if not fields:
-            fh.write(text)
-            return
-        state = "\n  [\n" + ",\n".join(['   "%s"'] * width) + "\n  ]"
-        fh.write(text[:-len("[]\n}")] + "[" + ",".join([state] * design.size) % fields
-                 + "\n ]\n}")
+        rows = [fields[i:i + width] for i in range(0, len(fields), width)]
+        json.dump(dict(header, metadata=metadata, states=rows), fh, indent=1)
 
 
 def load_design(path):

@@ -180,9 +180,11 @@ def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
     """Estimation fidelity of each tuple of bases in `items`, which may be any iterable.
 
     The design's projectors are formed once and Q one tuple at a time, so
-    memory does not grow with the number of tuples.  Empirical mode with
-    estimator_source="ideal" also takes each tuple's Q over the Clifford
-    orbit for the estimators.
+    memory does not grow with the number of tuples.  Matched estimators score
+    each outcome by Q's top eigenvalue, and a numerically zero Q raises.
+    Empirical mode with estimator_source="ideal" takes the estimators from
+    each tuple's Q over the Clifford orbit and scores them as tr(Q' rho),
+    with no eigendecomposition of Q': an outcome of zero weight adds 0.
     """
     design = _validated_design(mode, design, estimator_source)
     projectors = _state_projectors(design.states)
@@ -192,8 +194,9 @@ def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
-        values = _checked_eigh(q)[0][:, -1]
-        if ideal is not None:
+        if ideal is None:
+            values = _checked_eigh(q)[0][:, -1]
+        else:
             densities = _top_eigenspaces(_q_operators(measurements, *ideal))[1]
             values = np.einsum("oab,oba->o", q, densities).real
         N = len(measurements)

@@ -20,9 +20,8 @@ of a level by every generator in one GEMM, (all generators' rows) @ (the
 block's elements side by side), in place of a stack of 4 x 4 products.  It
 checks every product for unitarity and keys the block in one pass; new keys
 are taken in (frontier element, generator) order, the order of the nested
-loop.  Group files have the bytes of json.dump of the whole document, but
-each distinct float (491 of the Clifford group's 368,640) is formatted by
-repr, as json does, only once.
+loop.  Group files are output only; they have json.dump's bytes, each
+distinct float (491 of the Clifford group's 368,640) formatted once by repr.
 """
 
 import functools
@@ -230,47 +229,3 @@ def save_group(group, path):
             fields = tuple(map(text.__getitem__, index.tolist()))
             fh.write((", " if start else "") + ", ".join([element] * len(chunk)) % fields)
         fh.write("]}")
-
-
-def load_group(path, spot_checks=20, rng=None):
-    """Load a serialized group; verifies dim, order, unitarity, distinct elements and closure.
-
-    The header is checked before the elements are read: `format_version` must
-    be the integer 1 and `order` an integer.  Elements that do not form one
-    (order, dim, dim, 2) array of floats are a ContractViolationError too.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    for key in ("format_version", "order", "elements"):
-        if key not in data:
-            raise ContractViolationError(f"group file has no field '{key}'")
-    if type(data["format_version"]) is not int or data["format_version"] != 1:
-        raise ContractViolationError(
-            f"unsupported group format_version {data['format_version']!r}")
-    if type(data["order"]) is not int:
-        raise ContractViolationError(f"group order must be an integer, got {data['order']!r}")
-    try:
-        pairs = np.array(data["elements"], dtype=float)
-    except ValueError as exc:  # ragged nesting or a non-number
-        raise ContractViolationError(
-            f"group elements are not one array of floats: {exc}") from None
-    dim = data.get("dim")
-    if pairs.shape[1:] != (dim, dim, 2):  # an empty list has shape (0,)
-        raise ContractViolationError(
-            f"elements of array shape {pairs.shape} are not dim={dim} matrices")
-    elements = canonicalize_phases(pairs.view(complex)[..., 0])
-    if len(elements) != data["order"]:
-        raise ContractViolationError(
-            f"group order {len(elements)} != recorded {data['order']}"
-        )
-    keys = set(canonical_keys(elements).tolist())
-    if len(keys) < len(elements):
-        raise ContractViolationError(
-            f"group has {len(elements) - len(keys)} repeated element(s)")
-    rng = np.random.default_rng(rng)  # one draw per pair, all products keyed at once
-    a, b = np.array([rng.integers(len(elements), size=2) for _ in range(spot_checks)],
-                    dtype=int).reshape(-1, 2).T
-    products = canonicalize_phases(elements[a] @ elements[b])
-    if not keys.issuperset(canonical_keys(products).tolist()):
-        raise ContractViolationError("loaded group fails closure spot-check")
-    return UnitaryGroup(elements, data.get("generator_labels", ()))

@@ -256,6 +256,19 @@ def test_run_health_exact_is_the_design_fidelity(symmetric_triple, haar_triple, 
             assert run_health(report)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_standard_estimator_fidelity_of_a_one_state_design():
+    # |0> never gives A's outcomes 1..3, so 48 of the 64 Q' are zero: standard
+    # estimators score them 0, as run_health does (matched ones raise, see
+    # test_fidelities_checks)
+    triple = mub_triple(HALF, HALF, HALF)
+    single = StateDesign(t=4, states=np.eye(4, 1, dtype=complex))
+    run = simulate_protocol(triple, single, SimConfig(seed=0, m_block=10, blocks=2), "ideal")
+    exact = run_health(run)["exact_fidelity"]
+    assert exact == pytest.approx(0.6443375672974068, abs=1e-12)
+    assert fidelities([triple.bases], "empirical", single, "ideal")[0] == pytest.approx(
+        exact, abs=1e-12)
+
+
 def test_counts_shape_and_totals(small_report, design960):
     counts = small_report.counts
     assert counts.shape == (design960.size, SMALL.blocks, 64)
