@@ -283,8 +283,8 @@ def cmd_fidelity(args):
     design = _load_or_build_design(args.design) if args.mode == "empirical" else None
     pairs = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
     bases = (0, 1, 2) if args.copies == 3 else pairs[args.pair]
-    rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design,
-                         estimator_source=args.estimator_source, bases=bases)
+    mode = "ideal" if args.estimator_source == "ideal" else args.mode
+    rows = fidelity_scan(x, y_values, z_values, mode=mode, design=design, bases=bases)
     return Run(
         [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
         [(args.out, _csv({"mode": args.mode, "copies": args.copies},

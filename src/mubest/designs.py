@@ -2,12 +2,15 @@
 
 A design is a finite set of unit vectors; quality is measured by the t-th
 frame potential, whose lower bound 1/D_t is attained exactly for t-designs.
-The Clifford-orbit construction starts from a product fiducial state whose
-second-qubit Bloch vector satisfies r1^4 + r2^4 + r3^4 = 5/7.  That quartic
-condition makes the full-Clifford (3840-state) orbit a 4-design at every
-point of the surface, but the 960-state restricted orbit is a 4-design only
-for the alpha = 1 fiducial that `fiducial_state` pins; so the module offers
-that one fiducial and no family of fiducial angles.
+The Clifford-orbit construction starts from a product fiducial state.  A
+full-Clifford orbit is a 4-design exactly when its fiducial's Pauli fourth
+moment sum_P <psi|P|psi>^4 is 16/7 (Zhu, Kueng, Grassl and Gross,
+arXiv:1609.08172): (1 + sum r1^4)(1 + sum r2^4) = 16/7 for Bloch vectors r1,
+r2, which is sum r2^4 = 5/7 at r1 = (1,1,1)/sqrt(3).  The orbit has 11520
+states for a generic fiducial, 3840 for `fiducial_state`.  In that r1 family
+the 960-state restricted orbit is a 4-design only at alpha = 1, the fiducial
+`fiducial_state` pins; numerically, the product fiducials of restricted
+4-designs form a curve.  The module offers that one fiducial.
 """
 
 import itertools

@@ -23,7 +23,8 @@ class InfeasibleDesignError(ValueError):
 
 class ReadOnlyRecord:
     """Base of slotted records whose fields are set once, by `_set` in __init__;
-    they compare, hash and print as the tuple of their fields in slot order."""
+    they pickle and print as the tuple of their fields in slot order, and
+    compare by identity: a field may be an array, whose == is not a bool."""
 
     __slots__ = ()
 
@@ -36,12 +37,6 @@ class ReadOnlyRecord:
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __reduce__(self):  # pickle and copy through __init__, which the fields fill in order
         return type(self), self._fields()

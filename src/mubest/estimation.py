@@ -13,7 +13,8 @@ Each measurement is an `OrthonormalBasis`, and each factor of w_j is one of
 its outcome probabilities from `mub.born_probabilities`, the function that
 also drives the sampler.  Q is evaluated over the Clifford orbit (an exact
 4-design) in ideal mode and over a given design in empirical mode, where the
-sum is the design's stand-in Q'.  `_q_operators` is the only place Q is
+sum is the design's stand-in Q'; the design, when given, is also the set of
+states that are scored, in either mode.  `_q_operators` is the only place Q is
 formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
 array, so the product with the design's projectors, formed once per design
 by the caller, is one GEMM with no transpose and no K-sized temporary.
@@ -124,17 +125,11 @@ def _q_operators(measurements, design, projectors):
     return (scale * sums.view(complex)).reshape(-1, d, d)
 
 
-def _validated_design(mode, design, estimator_source):
-    """The design Q is taken over in `mode`; ValueError for a bad mode or source."""
-    if mode == "ideal":
-        design = default_design()
-    elif mode != "empirical":
+def _q_design(mode, design):
+    """The design Q is taken over: `design` in empirical mode, else the Clifford orbit."""
+    if mode not in ("ideal", "empirical"):
         raise ValueError(f"unknown mode {mode!r}")
-    elif design is None:
-        raise ValueError("empirical mode requires a design")
-    if estimator_source not in ("matched", "ideal"):
-        raise ValueError(f"unknown estimator source {estimator_source!r}")
-    return design
+    return default_design() if mode == "ideal" or design is None else design
 
 
 def outcome_tables(measurements, design):
@@ -152,67 +147,65 @@ def estimator_tables(measurements, design, mode="ideal"):
     """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
 
     f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
-    order (o = 16 j + 4 k + l for three copies).
+    order (o = 16 j + 4 k + l for three copies), rows `design`'s states.  The
+    estimators come from Q over the Clifford orbit (ideal) or `design` (empirical).
     """
-    q_design = _validated_design(mode, design, "matched")
-    return expectations(outcome_tables(measurements, q_design).densities, design.states)
+    return expectations(outcome_tables(measurements, _q_design(mode, design)).densities,
+                        design.states)
 
 
-def estimation_fidelity(measurements, mode="ideal", design=None,
-                        estimator_source="matched"):
+def estimation_fidelity(measurements, mode="ideal", design=None):
     """Estimation fidelity of a product of rank-1 projective measurements, one per basis.
 
-    Ideal mode takes Q over the Clifford-orbit 4-design (equal to the exact
-    symmetric-projector Q) and ignores `design`; empirical mode takes Q' over
-    `design`.  With estimator_source="ideal" in empirical mode, the estimator
-    comes from the ideal Q's top eigenspace but is scored against Q' (the
-    "standard estimator": suboptimal, hence a slightly lower value).
+    `fidelities` of one tuple.  Ideal mode with a design gives the "standard
+    estimator" value: suboptimal, hence slightly lower than empirical mode's.
     """
-    return fidelities([measurements], mode, design, estimator_source)[0]
+    return fidelities([measurements], mode, design)[0]
 
 
-def triple_fidelity(triple, mode="ideal", design=None, estimator_source="matched"):
+def triple_fidelity(triple, mode="ideal", design=None):
     """Three-copy estimation fidelity F_MUB of a triple of bases."""
-    return estimation_fidelity(triple.bases, mode, design, estimator_source)
+    return estimation_fidelity(triple.bases, mode, design)
 
 
-def fidelities(items, mode="ideal", design=None, estimator_source="matched"):
+def fidelities(items, mode="ideal", design=None):
     """Estimation fidelity of each tuple of bases in `items`, which may be any iterable.
 
-    The design's projectors are formed once and Q one tuple at a time, so
-    memory does not grow with the number of tuples.  Matched estimators score
-    each outcome by Q's top eigenvalue, and a numerically zero Q raises.
-    Empirical mode with estimator_source="ideal" takes the estimators from
-    each tuple's Q over the Clifford orbit and scores them as tr(Q' rho),
-    with no eigendecomposition of Q': an outcome of zero weight adds 0.
+    `design` is the set of states scored (None: the Clifford orbit), and
+    `mode` picks the Q the estimators come from: the Clifford orbit
+    ("ideal") or `design` ("empirical").  Projectors are formed once and Q
+    one tuple at a time, so memory does not grow with the tuples.  Q's own
+    estimators score each outcome by its top eigenvalue; a zero Q raises.
+    The standard estimators (ideal mode with a design, even the Clifford
+    orbit) come from each tuple's Clifford Q, scored as tr(Q' rho) with no
+    eigendecomposition of Q': an outcome of zero weight adds 0.
     """
-    design = _validated_design(mode, design, estimator_source)
+    q_design = _q_design(mode, design)
+    standard = mode == "ideal" and design is not None
+    design = q_design if design is None else design
     projectors = _state_projectors(design.states)
-    ideal = None  # the design and projectors the standard estimators come from
-    if mode == "empirical" and estimator_source == "ideal":
-        ideal = default_design(), _state_projectors(default_design().states)
+    q_projectors = _state_projectors(q_design.states) if standard else None
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
-        if ideal is None:
-            values = _checked_eigh(q)[0][:, -1]
-        else:
-            densities = _top_eigenspaces(_q_operators(measurements, *ideal))[1]
+        if standard:
+            densities = _top_eigenspaces(_q_operators(measurements, q_design, q_projectors))[1]
             values = np.einsum("oab,oba->o", q, densities).real
+        else:
+            values = _checked_eigh(q)[0][:, -1]
         N = len(measurements)
         result.append(float(values.sum())
                       / (math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)))
     return result
 
 
-def fidelity_scan(x, y_values, z_values, mode="ideal", design=None,
-                  estimator_source="matched", bases=(0, 1, 2)):
+def fidelity_scan(x, y_values, z_values, mode="ideal", design=None, bases=(0, 1, 2)):
     """F over a (y, z) grid at fixed x, measuring the triple's `bases` (0=A, 1=B, 2=C).
 
-    The default gives F_MUB; a pair gives a two-copy fidelity.  Returns rows
+    `mode` and `design` mean what they mean in `fidelities`.  The default
+    bases give F_MUB; a pair gives a two-copy fidelity.  Returns rows
     (x, y, z, F) in grid order.
     """
     triples = [mub_triple(x, y, z) for y in y_values for z in z_values]
-    values = fidelities(([t.bases[i] for i in bases] for t in triples), mode, design,
-                        estimator_source)
+    values = fidelities(([t.bases[i] for i in bases] for t in triples), mode, design)
     return [(x, t.y, t.z, f) for t, f in zip(triples, values)]

@@ -74,6 +74,12 @@ class SimConfig(ReadOnlyRecord):
                 raise ValueError(message)
         self._set(seed=seed, m_block=m_block, blocks=blocks)
 
+    def __eq__(self, other):  # a value: its fields are ints
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
 
 class SimReport:
     """A sampled run: its counts, the table they were scored with, and the
@@ -236,7 +242,7 @@ def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"
     Returns rows (phi, exact_F, simulated_F or None, std or None).
     """
     triples = [transform_triple(base_triple, controlled_phase(phi)) for phi in phi_grid]
-    exact = fidelities((t.bases for t in triples), mode, design)
+    exact = fidelities((t.bases for t in triples), mode, design if mode == "empirical" else None)
     rows = []
     for phi, triple, f in zip(phi_grid, triples, exact):
         if cfg is not None:
@@ -274,7 +280,8 @@ def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="id
             yield transform_triple(base_triple, haar_random_unitary(design.dim, rng))
 
     reference, *exact_vals = fidelities(
-        (t.bases for t in itertools.chain([base_triple], transformed())), mode, design)
+        (t.bases for t in itertools.chain([base_triple], transformed())), mode,
+        design if mode == "empirical" else None)
     exact_summary = _summary(exact_vals, reference)
     if cfg is None:
         return exact_summary, None

@@ -606,6 +606,19 @@ def test_scan_csv_golden(outdir):
     assert digests == SCAN_CSV_SHA256
 
 
+def test_standard_estimators_of_the_clifford_design_are_ideal(outdir):
+    # an exact 4-design has Q' = Q, so the Clifford Q's estimators scored over the
+    # Clifford design file give the ideal curves' data rows
+    assert main(["design", "clifford", "--out", "clifford.json"]) == EXIT_OK
+    for copies in ([], ["--copies", "2", "--pair", "BC"]):
+        assert main(["fidelity", *copies, "--out", "ideal.csv"]) == EXIT_OK
+        assert main(["fidelity", *copies, "--mode", "empirical", "--design", "clifford.json",
+                     "--estimator-source", "ideal", "--out", "standard.csv"]) == EXIT_OK
+        rows = [[ln for ln in (outdir / name).read_text().splitlines() if not ln.startswith("#")]
+                for name in ("standard.csv", "ideal.csv")]
+        assert rows[0] == rows[1] and len(rows[0]) == 19
+
+
 def test_subsets_csv_golden(outdir):
     assert main(SUBSETS_ARGV) == EXIT_OK
     assert csv_rows_sha256(outdir / "subsets.csv") == SUBSETS_CSV_SHA256

@@ -45,6 +45,18 @@ def test_full_clifford_orbit_of_the_fiducial_is_a_4_design(clifford_group):
     assert abs(frame_potential(design, 4) - 1 / 35) <= 1e-13
 
 
+def test_fiducial_pauli_fourth_moment_is_haar():
+    # the Clifford orbit of psi is a 4-design iff sum_P <psi|P|psi>^4 over the 16
+    # Hermitian Paulis is its Haar value 16/7 (Zhu, Kueng, Grassl and Gross,
+    # arXiv:1609.08172); for a product state it is (1 + sum r1^4)(1 + sum r2^4),
+    # and r1 = (1,1,1)/sqrt(3) turns it into the quartic condition sum r2^4 = 5/7
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    psi = fiducial_state()
+    moment = sum(np.vdot(psi, np.kron(a, b) @ psi).real ** 4
+                 for a in paulis for b in paulis)
+    assert abs(moment - 16 / 7) <= 1e-15
+
+
 def test_fiducial_state_is_product_unit_vector():
     psi = fiducial_state()
     assert psi.shape == (4,)

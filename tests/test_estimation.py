@@ -133,15 +133,14 @@ def test_empirical_standard_estimator_not_larger():
     d = optimize_design(40, 4, 4, seed=9, max_iters=400)
     triple = mub_triple(HALF, HALF, HALF)
     matched = triple_fidelity(triple, mode="empirical", design=d)
-    standard = triple_fidelity(
-        triple, mode="empirical", design=d, estimator_source="ideal"
-    )
+    standard = triple_fidelity(triple, mode="ideal", design=d)
     assert standard <= matched + 1e-12
 
 
-def test_empirical_mode_requires_design(symmetric_triple):
-    with pytest.raises(ValueError):
-        triple_fidelity(symmetric_triple, mode="empirical")
+def test_empirical_mode_without_design_is_ideal(symmetric_triple):
+    # no design means the Clifford orbit, whose Q is the ideal Q
+    assert (triple_fidelity(symmetric_triple, mode="empirical")
+            == triple_fidelity(symmetric_triple, mode="ideal"))
     with pytest.raises(ValueError):
         triple_fidelity(symmetric_triple, mode="nonsense")
 
@@ -205,9 +204,7 @@ def test_empirical_mode_matches_moment_operator(seed, N, K):
     scale = math.factorial(N + 1) * D
     F = estimation_fidelity(measurements, mode="empirical", design=design)
     assert abs(F - matched / scale) <= 1e-12
-    F_std = estimation_fidelity(
-        measurements, mode="empirical", design=design, estimator_source="ideal"
-    )
+    F_std = estimation_fidelity(measurements, mode="ideal", design=design)
     assert abs(F_std - standard / scale) <= 1e-12
 
 
@@ -242,14 +239,14 @@ def partial_design(design960):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("mode, source", [("ideal", "matched"), ("empirical", "matched"),
-                                          ("empirical", "ideal")])
-def test_fidelities_same_bits_as_estimation_fidelity(partial_design, N, mode, source):
+@pytest.mark.parametrize("with_design", [True, False], ids=["design", "no_design"])
+@pytest.mark.parametrize("mode", ["ideal", "empirical"])
+def test_fidelities_same_bits_as_estimation_fidelity(partial_design, N, with_design, mode):
+    design = partial_design if with_design else None
     items = list(haar_tuples(N, N, 101))
-    expected = [estimation_fidelity(bases, mode, partial_design, source)
-                for bases in items]
+    expected = [estimation_fidelity(bases, mode, design) for bases in items]
     for count in (1, 8, 9, 101):
-        got = fidelities(iter(items[:count]), mode, partial_design, source)
+        got = fidelities(iter(items[:count]), mode, design)
         assert got == expected[:count]
 
 
@@ -257,7 +254,7 @@ def test_fidelities_memory_does_not_grow_with_items(partial_design):
     def peak(count):
         tracemalloc.start()
         try:
-            fidelities(haar_tuples(0, 3, count), "empirical", partial_design, "ideal")
+            fidelities(haar_tuples(0, 3, count), "ideal", partial_design)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,10 +279,6 @@ def test_fidelities_checks(design960):
     triple = mub_triple(HALF, HALF, HALF)
     with pytest.raises(ValueError, match="unknown mode"):
         fidelities([triple.bases], mode="nonsense")
-    with pytest.raises(ValueError, match="requires a design"):
-        fidelities([triple.bases], mode="empirical")
-    with pytest.raises(ValueError, match="unknown estimator source"):
-        fidelities([triple.bases], estimator_source="bogus")
     weak = StateDesign(t=1, states=design960.states[:, :50])
     with pytest.warns(UserWarning, match=r"t=1 < N\+1=4"):
         fidelities([triple.bases], mode="empirical", design=weak)

@@ -60,6 +60,24 @@ def test_unitary_frame_potentials(name, potentials, request):
     assert np.max(np.abs(np.subtract(frame, potentials))) <= 1e-9
 
 
+# (1/|G|) sum_g |h_t(g)|^2, with h_t(g) the character of g on Sym^t: it is 1
+# exactly when Sym^t is irreducible, so that every orbit is a state t-design
+@pytest.mark.parametrize("name, characters", [
+    ("clifford", [1, 1, 1, 2]),  # every orbit a 3-design, not a 4-design
+    ("restricted", [1, 1, 2, 4]),  # only a 2-design
+])
+def test_symmetric_power_characters(name, characters, request):
+    group = request.getfixturevalue(f"{name}_group")
+    # Newton's identities: t h_t = sum_{k=1..t} tr(g^k) h_{t-k}, with h_0 = 1
+    traces = [np.trace(np.linalg.matrix_power(group.elements, k), axis1=1, axis2=2)
+              for k in range(1, 5)]
+    h = [np.ones(len(group), dtype=complex)]
+    for t in range(1, 5):
+        h.append(sum(traces[k - 1] * h[t - k] for k in range(1, t + 1)) / t)
+    measured = [np.mean(np.abs(h[t]) ** 2) for t in range(1, 5)]
+    assert np.max(np.abs(np.subtract(measured, characters))) <= 1e-9
+
+
 def _coset_representatives(group, paulis):
     """The first element of each coset g P of the Pauli group P, in group order."""
     index = {k: i for i, k in enumerate(canonical_keys(group.elements).tolist())}

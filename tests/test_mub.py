@@ -91,6 +91,14 @@ def test_records_take_fields_in_order():
     assert triple.bases == (eye, eye, eye)
 
 
+def test_records_of_arrays_compare_and_hash_by_identity():
+    # a basis holds an array, whose == is not a bool: equal values are distinct records
+    for make in (lambda: OrthonormalBasis(np.eye(4)), lambda: mub_triple(1, 1, 1)):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 def test_nan_angles_rejected():
     with pytest.raises(ContractViolationError):
         OrthonormalBasis(np.full((4, 4), np.nan))

@@ -251,8 +251,7 @@ def test_run_health_exact_is_the_design_fidelity(symmetric_triple, haar_triple, 
     for design, triple, mode in itertools.product(designs, triples, ("ideal", "empirical")):
         run = simulate_protocol(triple, design, cfg, mode)
         for report in (run, reprocess_two_copy(run, (0, 2))):
-            source = "ideal" if report.mode == "ideal" else "matched"
-            expected = fidelities([report.measurements], "empirical", report.design, source)[0]
+            expected = fidelities([report.measurements], report.mode, report.design)[0]
             assert run_health(report)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
@@ -265,7 +264,7 @@ def test_standard_estimator_fidelity_of_a_one_state_design():
     run = simulate_protocol(triple, single, SimConfig(seed=0, m_block=10, blocks=2), "ideal")
     exact = run_health(run)["exact_fidelity"]
     assert exact == pytest.approx(0.6443375672974068, abs=1e-12)
-    assert fidelities([triple.bases], "empirical", single, "ideal")[0] == pytest.approx(
+    assert fidelities([triple.bases], "ideal", single)[0] == pytest.approx(
         exact, abs=1e-12)
 
 
