@@ -18,9 +18,13 @@ canonical forms agree.  The closure writes its elements in place into one
 buffer, each breadth-first level an index range of it.  It multiplies a block
 of a level by every generator in one GEMM, (all generators' rows) @ (the
 block's elements side by side), in place of a stack of 4 x 4 products.  It
-checks every product for unitarity and keys the block in one pass; new keys
-are taken in (frontier element, generator) order, the order of the nested
-loop.  Group files are output only; they have json.dump's bytes, each
+keys the block in one pass and looks the keys up in an index of their
+digests, one int per element; every hit is confirmed against the key of the
+element it found, so two elements that share a digest raise rather than
+merge.  New keys are taken in (frontier element, generator) order, the order
+of the nested loop, whatever the hash seed.  Unitarity is checked on the
+elements kept, not on every product: a duplicate has the key of a checked
+element.  Group files are output only; they have json.dump's bytes, each
 distinct float (491 of the Clifford group's 368,640) formatted once by repr.
 """
 
@@ -36,8 +40,10 @@ KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
 _CLOSURE_CHUNK = 64  # frontier elements multiplied by the generators at a time
+_digest = hash  # the closure index's digest of a key's bytes; every hit is re-checked
 # group elements formatted per write; the Clifford group command's peak RSS
-# is reached while a chunk is formatted (128 holds it 0.3 MB below 256)
+# is reached in the closure, about 0.1 MB above the peak while a chunk is
+# formatted (128 holds that 0.3 MB below 256)
 _SAVE_CHUNK = 128
 
 I2 = np.eye(2, dtype=complex)
@@ -141,17 +147,23 @@ def generate_group(generators, max_size, generator_labels=()):
     product, so the elements keep their bits.  They are reordered to (frontier
     element u, generator g), canonicalised and keyed in one pass.  New keys
     are taken in that order, so the element order is that of the nested loop.
-    Every product is checked for unitarity.  A closure that ends below
-    max_size returns a copy of its elements, not a view that pins the buffer.
-    Raises GroupSizeError if the closure would exceed max_size (a symptom of
-    wrong generators or a broken canonicalization grid).
+
+    The index maps `_digest` of each element's key to its position, so it
+    holds no key bytes.  Every product's key is compared with the key of the
+    element its digest points to; a mismatch, two elements with one digest,
+    raises ContractViolationError.  The generators and each new element are
+    checked for unitarity; a product dropped as a duplicate has the key of a
+    checked element.  A closure that ends below max_size returns a copy of
+    its elements, not a view that pins the buffer.  Raises GroupSizeError if
+    the closure would exceed max_size (a symptom of wrong generators or a
+    broken canonicalization grid).
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     n_gens, dim = gens.shape[:2]
     rows = gens.reshape(n_gens * dim, dim)  # every generator's rows, stacked
     elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
     elements[0] = np.eye(dim)
-    keys = {canonical_key(elements[0]): 0}
+    index = {_digest(canonical_key(elements[0])): 0}  # key digest -> position
     start, stop = 0, 1  # the frontier level is elements[start:stop]
     while start < stop:
         for lo in range(start, stop, _CLOSURE_CHUNK):
@@ -159,17 +171,21 @@ def generate_group(generators, max_size, generator_labels=()):
             side = block.transpose(1, 0, 2).reshape(dim, -1)  # the block side by side
             products = (rows @ side).reshape(n_gens, dim, len(block), dim)
             # (generator, row, element, column) to (element, generator, row, column)
-            products = products.transpose(2, 0, 1, 3).reshape(-1, dim, dim)
-            products = canonicalize_phases(products)
-            new = []
-            for i, k in enumerate(canonical_keys(products).tolist()):
-                if k not in keys:
-                    if len(keys) >= max_size:
+            products = strip_phases(products.transpose(2, 0, 1, 3).reshape(-1, dim, dim))
+            keys = canonical_keys(products)
+            at, new = [], []  # each product's position; the products not yet indexed
+            for i, d in enumerate(map(_digest, keys.tolist())):
+                if d not in index:
+                    if len(index) >= max_size:
                         raise GroupSizeError(f"group closure exceeded max_size={max_size}")
-                    keys[k] = len(keys)
+                    index[d] = len(index)
                     new.append(i)
-            elements[len(keys) - len(new):len(keys)] = products[new]
-        start, stop = stop, len(keys)
+                at.append(index[d])
+            elements[len(index) - len(new):len(index)] = check_unitary(products[new])
+            if not np.array_equal(canonical_keys(elements[at]).view(np.int32),
+                                  keys.view(np.int32)):
+                raise ContractViolationError("two group elements share a key digest")
+        start, stop = stop, len(index)
     if stop < len(elements):
         elements = elements[:stop].copy()
     return UnitaryGroup(elements, generator_labels)

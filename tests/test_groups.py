@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mubest
+from mubest import groups
 from mubest.designs import fiducial_state, orbit
 from mubest.errors import ContractViolationError, GroupSizeError
 from mubest.groups import (
@@ -14,6 +20,7 @@ from mubest.groups import (
     canonicalize_phase,
     clifford_group_2q,
     generate_group,
+    restricted_clifford_group_2q,
     save_group,
     standard_gates,
     strip_phases,
@@ -206,6 +213,28 @@ def test_generate_group_matches_nested_loop():
     assert np.array_equal(np.array(group.elements).view(np.int64), expected.view(np.int64))
 
 
+def test_closure_rejects_a_digest_collision(monkeypatch):
+    # every key has one digest: each product finds the identity's position, and
+    # the key check must raise rather than merge the elements
+    monkeypatch.setattr(groups, "_digest", lambda key: 0)
+    with pytest.raises(ContractViolationError, match="digest"):
+        restricted_clifford_group_2q()
+
+
+def test_closure_order_does_not_depend_on_the_hash_seed(restricted_group):
+    code = ("import hashlib\n"
+            "from mubest.groups import restricted_clifford_group_2q\n"
+            "print(hashlib.sha256(restricted_clifford_group_2q().elements.tobytes()).hexdigest())")
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(mubest.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(proc.stdout.strip())
+    assert digests == {hashlib.sha256(restricted_group.elements.tobytes()).hexdigest()}
+
+
 def test_generate_group_pauli_from_xz():
     g = standard_gates()
     group = generate_group([g["X"], g["Z"]], max_size=8)
@@ -272,10 +301,12 @@ def test_closure_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(group) == 11520
-    # stacking a whole level's products at once peaked at 24 MB, and
-    # concatenating a list of levels held a second copy of the elements, 3 MB;
-    # the ceiling is the held elements and key dict plus 1 MB
-    assert peak < 6.7e6
+    # stacking a whole level's products at once peaked at 24 MB, concatenating
+    # a list of levels held a second copy of the elements, 3 MB, and a dict of
+    # 128-byte keys peaked at 6.13 MB; with the digest index the peak is 4.76 MB,
+    # the 2.95 MB of held elements, the index and one block's arrays, and the
+    # ceiling is that plus 0.5 MB
+    assert peak < 5.3e6
 
 
 def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
