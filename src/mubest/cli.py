@@ -214,7 +214,7 @@ def _finish(args, argv, run, t0):
 
 
 def _load_or_build_design(source):
-    if source in (None, "clifford"):
+    if source == "clifford":
         return default_design()
     design = load_design(_resolve(source))
     if design.dim != 4:
@@ -274,17 +274,13 @@ def cmd_design(args):
 
 
 def cmd_fidelity(args):
-    if args.mode != "empirical" and (args.design is not None
-                                     or args.estimator_source == "ideal"):
-        raise ValueError("--design and --estimator-source ideal need --mode empirical")
     x = parse_angle(args.x)
     y_values = parse_angle_list(args.y_list)
     z_values = parse_angle_list(args.z_list)
-    design = _load_or_build_design(args.design) if args.mode == "empirical" else None
+    design = None if args.design is None else _load_or_build_design(args.design)
     pairs = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
     bases = (0, 1, 2) if args.copies == 3 else pairs[args.pair]
-    mode = "ideal" if args.estimator_source == "ideal" else args.mode
-    rows = fidelity_scan(x, y_values, z_values, mode=mode, design=design, bases=bases)
+    rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design, bases=bases)
     return Run(
         [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
         [(args.out, _csv({"mode": args.mode, "copies": args.copies},
@@ -341,16 +337,15 @@ def cmd_equivalence(args):
     cfg = _sim_config(args)
     base = mub_triple(math.pi / 2, math.pi / 2, math.pi / 2)
     design = _load_or_build_design(args.design)
-    mode = args.mode or ("empirical" if args.design not in (None, "clifford") else "ideal")
     if grid is not None:
-        rows = equivalence_scan_phase(grid, base, design, cfg, mode=mode)
+        rows = equivalence_scan_phase(grid, base, design, cfg, mode=args.mode)
         lines = [f"phi={phi:.6f} exact={exact:.12g}"
                  + ("" if sim is None else f" simulated={sim:.6f} std={std:.6f}")
                  for phi, exact, sim, std in rows]
-        write = _csv({"mode": mode}, ["phi", "exact_F", "simulated_F", "std"], rows)
+        write = _csv({"mode": args.mode}, ["phi", "exact_F", "simulated_F", "std"], rows)
     else:
         exact_s, sim_s = equivalence_scan_random(
-            args.n_unitaries, base, design, cfg, mode=mode,
+            args.n_unitaries, base, design, cfg, mode=args.mode,
             unitary_seed=args.seed,
         )
         rows = [(kind, *s) for kind, s in (("exact", exact_s), ("simulated", sim_s))
@@ -359,7 +354,7 @@ def cmd_equivalence(args):
                  f" std={std:.6f} max_dev={dev:.6f}"
                  for kind, mx, mn, avg, std, dev in rows]
         write = _csv(
-            {"n_unitaries": args.n_unitaries, "mode": mode},
+            {"n_unitaries": args.n_unitaries, "mode": args.mode},
             ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
             rows,
         )
@@ -424,15 +419,13 @@ def build_parser():
     p.add_argument("--x", default="pi/2")
     p.add_argument("--y-list", default="pi/2,0")
     p.add_argument("--z-list", default=DEFAULT_Z_GRID)
-    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal")
+    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
+                   help="which Q defines the estimators: the Clifford orbit's or the design's")
     p.add_argument("--copies", type=int, choices=[2, 3], default=3)
     p.add_argument("--pair", choices=["AB", "AC", "BC"], default="AB",
                    help="measurement pair for --copies 2")
-    p.add_argument("--estimator-source", choices=["matched", "ideal"],
-                   default="matched",
-                   help="'ideal' scores the ideal-Q estimator against Q' "
-                        "(empirical mode only)")
-    p.add_argument("--design", help="design file, or 'clifford' (empirical mode)")
+    p.add_argument("--design", help="design file or 'clifford': the states scored "
+                                    "(default: the Clifford orbit)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_fidelity)
 
@@ -452,8 +445,10 @@ def build_parser():
 
     p = sub.add_parser("equivalence",
                        help="controlled-phase / random-unitary equivalence scans")
-    p.add_argument("--design", default="clifford")
-    p.add_argument("--mode", choices=["ideal", "empirical"], default=None)
+    p.add_argument("--design", default="clifford",
+                   help="design file path or 'clifford': the states scored")
+    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
+                   help="which Q defines the estimators")
     p.add_argument("--exact", action="store_true", help="skip simulation")
     p.add_argument("--phi-grid", help="phase grid start:stop:count")
     p.add_argument("--n-unitaries", type=int, default=100)

@@ -149,8 +149,8 @@ def generate_group(generators, max_size, generator_labels=()):
     are taken in that order, so the element order is that of the nested loop.
 
     The index maps `_digest` of each element's key to its position, so it
-    holds no key bytes.  Every product's key is compared with the key of the
-    element its digest points to; a mismatch, two elements with one digest,
+    holds no key bytes.  Every product found in it is compared with the key of
+    the element its digest points to; a mismatch, two elements with one digest,
     raises ContractViolationError.  The generators and each new element are
     checked for unitarity; a product dropped as a duplicate has the key of a
     checked element.  A closure that ends below max_size returns a copy of
@@ -173,17 +173,18 @@ def generate_group(generators, max_size, generator_labels=()):
             # (generator, row, element, column) to (element, generator, row, column)
             products = strip_phases(products.transpose(2, 0, 1, 3).reshape(-1, dim, dim))
             keys = canonical_keys(products)
-            at, new = [], []  # each product's position; the products not yet indexed
+            at, new = [], []  # the positions that products found; the products added
             for i, d in enumerate(map(_digest, keys.tolist())):
-                if d not in index:
+                if d in index:
+                    at.append(index[d])
+                else:
                     if len(index) >= max_size:
                         raise GroupSizeError(f"group closure exceeded max_size={max_size}")
                     index[d] = len(index)
                     new.append(i)
-                at.append(index[d])
             elements[len(index) - len(new):len(index)] = check_unitary(products[new])
             if not np.array_equal(canonical_keys(elements[at]).view(np.int32),
-                                  keys.view(np.int32)):
+                                  np.delete(keys, new).view(np.int32)):
                 raise ContractViolationError("two group elements share a key digest")
         start, stop = stop, len(index)
     if stop < len(elements):

@@ -33,6 +33,7 @@ from mubest.designs import (
     optimize_design,
     save_design,
 )
+from mubest.estimation import fidelity_scan
 from mubest.mub import mub_triple
 from mubest.simulate import SimConfig, SimReport, run_health, simulate_protocol
 
@@ -100,11 +101,6 @@ def test_parse_angle_list_rejects(text, message):
     ["fidelity", "--z-list", "0:pi:0"],
     ["fidelity", "--z-list", "0:pi"],
     ["equivalence", "--exact", "--phi-grid", "0:pi:0"],
-    # fidelity reads --design and --estimator-source ideal in empirical mode only
-    ["fidelity", "--design", "no_such_file.json"],
-    ["fidelity", "--design", "clifford", "--y-list", "pi/2", "--z-list", "0"],
-    ["fidelity", "--estimator-source", "ideal"],
-    ["fidelity", "--copies", "2", "--mode", "ideal", "--estimator-source", "ideal"],
     # an empty grid is a bad grid, not a request for the Haar scan
     ["equivalence", "--exact", "--phi-grid", "", "--n-unitaries", "3"],
 ])
@@ -283,12 +279,46 @@ def test_fidelity_threads_rejected(outdir, capsys):
 
 
 def test_fidelity_missing_design_file(outdir, capsys):
-    code = main(
-        ["fidelity", "--mode", "empirical", "--design", "no_such_file.json",
-         "--y-list", "pi/2", "--z-list", "pi/2"]
-    )
-    assert code == EXIT_IO
-    assert "error" in capsys.readouterr().err
+    # both modes read --design: it names the states scored
+    for mode in ("empirical", "ideal"):
+        code = main(
+            ["fidelity", "--mode", mode, "--design", "no_such_file.json",
+             "--y-list", "pi/2", "--z-list", "pi/2", "--out", "out.csv"]
+        )
+        assert code == EXIT_IO
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (outdir / "out.csv").exists()
+
+
+def test_fidelity_estimator_source_is_gone(outdir, capsys):
+    # the standard estimators are --mode ideal with a --design, so the option
+    # that asked for them is rejected, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--estimator-source", "ideal"])
+    assert exc.value.code == EXIT_IO
+    assert "unrecognized arguments: --estimator-source ideal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--mode", "ideal"], []])
+def test_fidelity_standard_estimators_are_the_library_scan(outdir, monkeypatch,
+                                                           small_design_file, mode):
+    # --design D with --mode ideal, the default, scores the Clifford Q's
+    # estimators over D's states: the rows fidelity_scan(..., mode="ideal", design=D)
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(fidelity_scan(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr("mubest.cli.fidelity_scan", spy)
+    assert main(["fidelity", *mode, "--design", small_design_file, "--y-list", "pi/2,0",
+                 "--z-list", "0,pi/4", "--out", "standard.csv"]) == EXIT_OK
+    expected = fidelity_scan(math.pi / 2, [math.pi / 2, 0.0], [0.0, math.pi / 4],
+                             mode="ideal", design=load_design(small_design_file))
+    assert np.array(returned[0]).tobytes() == np.array(expected).tobytes()
+    rows = [ln for ln in (outdir / "standard.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert rows == [",".join(f"{v:.12g}" for v in row) for row in expected]
 
 
 def test_relative_design_follows_outdir(tmp_path, monkeypatch, capsys):
@@ -550,6 +580,19 @@ def test_negative_seed_rejected(outdir, capsys, small_design_file, command):
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
 
+@pytest.mark.parametrize("scan", [["--phi-grid", "0:pi:3"], ["--n-unitaries", "3"]])
+def test_equivalence_mode_defaults_to_ideal(outdir, small_design_file, scan):
+    # --design names the states scored, so without --mode the estimators are
+    # the Clifford Q's, as in every other command
+    for mode, name in (([], "default.csv"), (["--mode", "ideal"], "ideal.csv")):
+        assert main(["equivalence", "--design", small_design_file, "--exact", *scan, *mode,
+                     "--out", name]) == EXIT_OK
+    default, ideal = [(outdir / name).read_text().splitlines()
+                      for name in ("default.csv", "ideal.csv")]
+    assert "# mode=ideal" in default
+    assert default[1:] == ideal[1:]
+
+
 def test_equivalence_phase_exact(outdir, capsys, small_design_file):
     code = main(
         ["equivalence", "--design", small_design_file, "--mode", "ideal",
@@ -612,8 +655,8 @@ def test_standard_estimators_of_the_clifford_design_are_ideal(outdir):
     assert main(["design", "clifford", "--out", "clifford.json"]) == EXIT_OK
     for copies in ([], ["--copies", "2", "--pair", "BC"]):
         assert main(["fidelity", *copies, "--out", "ideal.csv"]) == EXIT_OK
-        assert main(["fidelity", *copies, "--mode", "empirical", "--design", "clifford.json",
-                     "--estimator-source", "ideal", "--out", "standard.csv"]) == EXIT_OK
+        assert main(["fidelity", *copies, "--mode", "ideal", "--design", "clifford.json",
+                     "--out", "standard.csv"]) == EXIT_OK
         rows = [[ln for ln in (outdir / name).read_text().splitlines() if not ln.startswith("#")]
                 for name in ("standard.csv", "ideal.csv")]
         assert rows[0] == rows[1] and len(rows[0]) == 19
@@ -735,8 +778,8 @@ def test_manifest_digest_stable():
      ["--step", "0.01"]),
     (["fidelity", "--copies", "2", "--y-list", "pi/2", "--z-list", "0"],
      ["--pair", "AB"], ["--pair", "BC"]),
-    (["fidelity", "--mode", "empirical", "--y-list", "pi/2", "--z-list", "0"],
-     ["--estimator-source", "matched"], ["--estimator-source", "ideal"]),
+    (["fidelity", "--design", "SMALL", "--y-list", "pi/2", "--z-list", "0"],
+     ["--mode", "ideal"], ["--mode", "empirical"]),
     (["simulate", "--M", "10", "--blocks", "2"], [], ["--counts"]),
     (["subsets", "--M", "10", "--blocks", "2", "--sizes", "10", "--trials", "2"],
      ["--subset-seed", "0"], ["--subset-seed", "1"]),
@@ -746,14 +789,14 @@ def test_manifest_digest_stable():
      ["--M", "20"]),
     (["equivalence", "--phi-grid", "0:pi:2", "--M", "10"], ["--blocks", "2"],
      ["--blocks", "3"]),
-], ids=["design-step", "fidelity-pair", "fidelity-estimator-source", "simulate-counts",
+], ids=["design-step", "fidelity-pair", "fidelity-mode", "simulate-counts",
         "subsets-subset-seed", "subsets-design", "equivalence-M", "equivalence-blocks"])
 def test_manifest_records_output_options(outdir, small_design_file, argv, first, second):
     # each pair of runs writes different outputs, so it must get different digests
     digests = []
     for extra in (first, second):
-        extra = [small_design_file if arg == "SMALL" else arg for arg in extra]
-        assert main(argv + extra + ["--out", "out.csv"]) == EXIT_OK
+        command = [small_design_file if arg == "SMALL" else arg for arg in argv + extra]
+        assert main(command + ["--out", "out.csv"]) == EXIT_OK
         manifest = json.loads((outdir / "out.csv.manifest.json").read_text())
         assert manifest["manifest_hash"] == manifest_digest(
             argv[0], manifest["parameters"], manifest["seed"])
@@ -815,7 +858,7 @@ def test_every_option_changes_the_digest():
             argv = [command] + _changed_argv(command, action)
             assert _digest(argv) != base, argv
             checked += 1
-    assert checked == 48
+    assert checked == 47
 
 
 def test_run_parameters_are_the_parsed_options():

@@ -57,6 +57,43 @@ def test_fiducial_pauli_fourth_moment_is_haar():
     assert abs(moment - 16 / 7) <= 1e-15
 
 
+def _bloch_angles(r):
+    return [math.acos(r[2]), math.atan2(r[1], r[0])]
+
+
+def _product_state(angles):
+    """The product of the qubits at Bloch angles (theta1, phi1, theta2, phi2)."""
+    q1, q2 = (bloch_to_state([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+              for t, p in (angles[:2], angles[2:]))
+    return np.kron(q1, q2)
+
+
+@pytest.mark.parametrize("group, rank", [("restricted_group", 3), ("clifford_group", 1)])
+def test_design_residual_jacobian_rank(request, group, rank):
+    # The product fiducials whose orbit is a 4-design solve R/|G| - I/35 = 0, R the
+    # moment operator of all |G| images (no dedup, so K stays |G| as the fiducial
+    # moves).  The restricted group's Sym^4 commutant leaves three real conditions
+    # on the four Bloch angles, the Clifford group's one: near the fiducial the
+    # solutions form a curve and a 3-manifold.  Step and threshold are fixed in
+    # advance: central differences are good to about h^2 and eps/h.
+    group = request.getfixturevalue(group)
+    h, threshold = 1e-5, 1e-6
+
+    def residual(angles):
+        states = group.elements @ _product_state(angles)
+        R, _ = moment_operator(StateDesign(4, states.T), 4)
+        return (R / len(group) - np.eye(35) / 35).view(float).ravel()
+
+    angles = np.array(_bloch_angles(np.ones(3) / math.sqrt(3))
+                      + _bloch_angles(fiducial_bloch_second_qubit()))
+    assert np.allclose(_product_state(angles), fiducial_state(), rtol=0, atol=1e-15)
+    assert np.max(np.abs(residual(angles))) <= 1e-13
+    jacobian = np.stack([(residual(angles + h * e) - residual(angles - h * e)) / (2 * h)
+                         for e in np.eye(4)], axis=1)
+    s = np.linalg.svd(jacobian, compute_uv=False)
+    assert int(np.sum(s > threshold * s[0])) == rank
+
+
 def test_fiducial_state_is_product_unit_vector():
     psi = fiducial_state()
     assert psi.shape == (4,)

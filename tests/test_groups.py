@@ -219,6 +219,14 @@ def test_closure_rejects_a_digest_collision(monkeypatch):
     monkeypatch.setattr(groups, "_digest", lambda key: 0)
     with pytest.raises(ContractViolationError, match="digest"):
         restricted_clifford_group_2q()
+    # only I x X takes X x I's digest: the collision finds the element that an
+    # earlier product of the same block added, and that hit must be compared
+    # there; max_size=2 stops a closure that missed it at the next level
+    g = standard_gates()
+    xi, ix = canonical_key(g["X1"]), canonical_key(g["X2"])
+    monkeypatch.setattr(groups, "_digest", lambda key: hash(xi if key == ix else key))
+    with pytest.raises(ContractViolationError, match="digest"):
+        generate_group([g["X1"], g["X2"]], max_size=2)
 
 
 def test_closure_order_does_not_depend_on_the_hash_seed(restricted_group):
