@@ -249,19 +249,15 @@ def cmd_groups(args):
 
 
 def cmd_design(args):
-    if args.subcommand == "clifford":
-        design = default_design()
-    else:
-        design = optimize_design(
-            K=args.K, d=4, t=4, seed=args.seed, max_iters=args.iters,
-            step=args.step, target=args.target,
-        )
+    optimize = args.subcommand == "optimize"  # only `design optimize` has its options
+    design = (optimize_design(K=args.K, d=4, t=4, seed=args.seed, max_iters=args.iters,
+                              step=args.step, target=args.target)
+              if optimize else default_design())
     phi4 = frame_potential(design, design.t)  # both sources build t = 4 designs
     _, ratio = moment_operator(design, 4)
-    missed = (args.subcommand == "optimize" and args.target is not None
-              and phi4 > args.target)
+    missed = optimize and args.target is not None and phi4 > args.target
     health = {"phi4": phi4, "symmetric_ratio": ratio}
-    if args.subcommand == "optimize":
+    if optimize:
         health.update(iterations=design.metadata["iterations"],
                       reached_target=design.metadata["reached_target"])
     return Run(
@@ -277,13 +273,13 @@ def cmd_fidelity(args):
     x = parse_angle(args.x)
     y_values = parse_angle_list(args.y_list)
     z_values = parse_angle_list(args.z_list)
-    design = None if args.design is None else _load_or_build_design(args.design)
+    design = _load_or_build_design(args.design)
     pairs = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
     bases = (0, 1, 2) if args.copies == 3 else pairs[args.pair]
     rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design, bases=bases)
     return Run(
         [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
-        [(args.out, _csv({"mode": args.mode, "copies": args.copies},
+        [(args.out, _csv({"mode": args.mode, "design": args.design, "copies": args.copies},
                          ["x", "y", "z", "F"], rows))],
     )
 
@@ -342,7 +338,8 @@ def cmd_equivalence(args):
         lines = [f"phi={phi:.6f} exact={exact:.12g}"
                  + ("" if sim is None else f" simulated={sim:.6f} std={std:.6f}")
                  for phi, exact, sim, std in rows]
-        write = _csv({"mode": args.mode}, ["phi", "exact_F", "simulated_F", "std"], rows)
+        write = _csv({"mode": args.mode, "design": args.design},
+                     ["phi", "exact_F", "simulated_F", "std"], rows)
     else:
         exact_s, sim_s = equivalence_scan_random(
             args.n_unitaries, base, design, cfg, mode=args.mode,
@@ -354,7 +351,7 @@ def cmd_equivalence(args):
                  f" std={std:.6f} max_dev={dev:.6f}"
                  for kind, mx, mn, avg, std, dev in rows]
         write = _csv(
-            {"n_unitaries": args.n_unitaries, "mode": args.mode},
+            {"n_unitaries": args.n_unitaries, "mode": args.mode, "design": args.design},
             ["kind", "maximal", "minimal", "average", "std", "max_deviation"],
             rows,
         )
@@ -382,6 +379,14 @@ def cmd_subsets(args):
     )
 
 
+def _add_estimator_options(parser):
+    """The options every command that scores a design reads as `fidelities` does."""
+    parser.add_argument("--design", default="clifford",
+                        help="design file path or 'clifford': the states scored")
+    parser.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
+                        help="which Q gives the estimators: the Clifford orbit's or the design's")
+
+
 def _add_sampling_options(parser):
     """The options a sampling command builds its SimConfig from (`_sim_config`)."""
     parser.add_argument("--seed", type=int, default=0)
@@ -405,27 +410,27 @@ def build_parser():
     p.set_defaults(func=cmd_groups)
 
     p = sub.add_parser("design", help="build a 4-design (Clifford orbit or numerical)")
-    p.add_argument("subcommand", choices=["clifford", "optimize"])
-    p.add_argument("--K", type=int, default=200, help="number of states (optimize)")
-    p.add_argument("--seed", type=int, default=0, help="optimizer's random start")
-    p.add_argument("--iters", type=int, default=100000, help="max iterations")
-    p.add_argument("--step", type=float, default=1.0, help="initial step length")
-    p.add_argument("--target", type=float, default=None,
-                   help="stop when phi_4 reaches this value")
-    p.add_argument("--out", help="design file path (.json or .csv)")
+    kinds = p.add_subparsers(dest="subcommand", required=True)
+    kinds.add_parser("clifford", help="the 960-state restricted-Clifford orbit")
+    kind = kinds.add_parser("optimize", help="minimize phi_4 from a random start")
+    kind.add_argument("--K", type=int, default=200, help="number of states")
+    kind.add_argument("--seed", type=int, default=0, help="optimizer's random start")
+    kind.add_argument("--iters", type=int, default=100000, help="max iterations")
+    kind.add_argument("--step", type=float, default=1.0, help="initial step length")
+    kind.add_argument("--target", type=float, default=None,
+                      help="stop when phi_4 reaches this value")
+    for kind in kinds.choices.values():
+        kind.add_argument("--out", help="design file path (.json or .csv)")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fidelity", help="exact estimation-fidelity scan")
     p.add_argument("--x", default="pi/2")
     p.add_argument("--y-list", default="pi/2,0")
     p.add_argument("--z-list", default=DEFAULT_Z_GRID)
-    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
-                   help="which Q defines the estimators: the Clifford orbit's or the design's")
+    _add_estimator_options(p)
     p.add_argument("--copies", type=int, choices=[2, 3], default=3)
     p.add_argument("--pair", choices=["AB", "AC", "BC"], default="AB",
                    help="measurement pair for --copies 2")
-    p.add_argument("--design", help="design file or 'clifford': the states scored "
-                                    "(default: the Clifford orbit)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_fidelity)
 
@@ -433,10 +438,7 @@ def build_parser():
     p.add_argument("--x", default="pi/2")
     p.add_argument("--y", default="pi/2")
     p.add_argument("--z", default="pi/2")
-    p.add_argument("--design", default="clifford",
-                   help="design file path or 'clifford'")
-    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
-                   help="which Q defines the estimators")
+    _add_estimator_options(p)
     _add_sampling_options(p)
     p.add_argument("--counts", action="store_true",
                    help="include the full outcome count table in the report")
@@ -445,10 +447,7 @@ def build_parser():
 
     p = sub.add_parser("equivalence",
                        help="controlled-phase / random-unitary equivalence scans")
-    p.add_argument("--design", default="clifford",
-                   help="design file path or 'clifford': the states scored")
-    p.add_argument("--mode", choices=["ideal", "empirical"], default="ideal",
-                   help="which Q defines the estimators")
+    _add_estimator_options(p)
     p.add_argument("--exact", action="store_true", help="skip simulation")
     p.add_argument("--phi-grid", help="phase grid start:stop:count")
     p.add_argument("--n-unitaries", type=int, default=100)

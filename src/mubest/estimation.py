@@ -20,7 +20,8 @@ array, so the product with the design's projectors, formed once per design
 by the caller, is one GEMM with no transpose and no K-sized temporary.
 `outcome_tables` keeps Q's top eigenspaces, `estimator_tables` scores their
 densities against a design's states with `expectations`, and `fidelities` is
-the only code that turns Q into a fidelity.
+the only code that turns Q into a fidelity, as sum_o tr(Q'_o rhohat_o) over
+the scored states for the matched and the standard estimators alike.
 """
 
 import math
@@ -53,22 +54,17 @@ class OutcomeTables:
         self.gaps = gaps  # (d^N,) distance to the next eigenvalue, 0 if none
 
 
-def _checked_eigh(q):
-    """eigh of a stack of Q; raises if any Q is numerically zero."""
-    w, v = np.linalg.eigh(q)
-    if np.any(w[:, -1] <= DEGENERACY_TOL):
-        raise ContractViolationError("Q operator is numerically zero")
-    return w, v
-
-
 def _top_eigenspaces(q):
     """Batched top eigenvalue, estimator density, support dimension and gap.
 
     Eigenvalues within DEGENERACY_TOL * ||Q|| of the maximum are grouped, which
-    keeps the estimator well defined at symmetric parameter points.
+    keeps the estimator well defined at symmetric parameter points.  Raises if
+    any Q is numerically zero: its estimator is undefined.
     """
-    w, v = _checked_eigh(q)
+    w, v = np.linalg.eigh(q)
     top = w[:, -1]
+    if np.any(top <= DEGENERACY_TOL):
+        raise ContractViolationError("Q operator is numerically zero")
     members = w >= (top - DEGENERACY_TOL * top)[:, None]
     support = members.sum(axis=1)
     vs = v * members[:, None, :]
@@ -157,8 +153,9 @@ def estimator_tables(measurements, design, mode="ideal"):
 def estimation_fidelity(measurements, mode="ideal", design=None):
     """Estimation fidelity of a product of rank-1 projective measurements, one per basis.
 
-    `fidelities` of one tuple.  Ideal mode with a design gives the "standard
-    estimator" value: suboptimal, hence slightly lower than empirical mode's.
+    `fidelities` of one tuple.  Ideal mode with a design other than the
+    Clifford orbit scores the "standard estimators": suboptimal, hence slightly
+    lower than empirical mode's value.
     """
     return fidelities([measurements], mode, design)[0]
 
@@ -173,26 +170,23 @@ def fidelities(items, mode="ideal", design=None):
 
     `design` is the set of states scored (None: the Clifford orbit), and
     `mode` picks the Q the estimators come from: the Clifford orbit
-    ("ideal") or `design` ("empirical").  Projectors are formed once and Q
-    one tuple at a time, so memory does not grow with the tuples.  Q's own
-    estimators score each outcome by its top eigenvalue; a zero Q raises.
-    The standard estimators (ideal mode with a design, even the Clifford
-    orbit) come from each tuple's Clifford Q, scored as tr(Q' rho) with no
-    eigendecomposition of Q': an outcome of zero weight adds 0.
+    ("ideal") or `design` ("empirical").  Each tuple scores
+    sum_o tr(Q'_o rhohat_o) / ((N+1)! D_{N+1}): Q' over `design`, rhohat the
+    top-eigenspace densities of Q, which is Q' when the designs are one object.
+    The orbit's Q' is Q, so it gives the same bits implied, named or copied,
+    in either mode.  A zero Q raises; an outcome where only Q' is zero adds 0.
+    Projectors are formed once and Q one tuple at a time, so memory does not
+    grow with the tuples.
     """
     q_design = _q_design(mode, design)
-    standard = mode == "ideal" and design is not None
     design = q_design if design is None else design
     projectors = _state_projectors(design.states)
-    q_projectors = _state_projectors(q_design.states) if standard else None
+    q_projectors = projectors if q_design is design else _state_projectors(q_design.states)
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
-        if standard:
-            densities = _top_eigenspaces(_q_operators(measurements, q_design, q_projectors))[1]
-            values = np.einsum("oab,oba->o", q, densities).real
-        else:
-            values = _checked_eigh(q)[0][:, -1]
+        q_est = q if q_design is design else _q_operators(measurements, q_design, q_projectors)
+        values = np.einsum("oab,oba->o", q, _top_eigenspaces(q_est)[1]).real
         N = len(measurements)
         result.append(float(values.sum())
                       / (math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)))

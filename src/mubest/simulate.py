@@ -17,7 +17,7 @@ Memory after the draws.  A sampled command holds the count table and the
 estimator table; nothing it computes afterwards is (K, n_outcomes) sized.
 The per-state fidelities are evaluated when read, `_STATE_CHUNK` states at a
 time, and only `subsets` reads them; `run_health` contracts the per-basis
-Born probabilities with the table in one einsum per moment, O(K) memory.
+Born probabilities with the table one basis and `_STATE_CHUNK` states at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
 `simulate_protocol` allocates the table as np.min_scalar_type(M): uint8 up to
@@ -194,19 +194,25 @@ def run_health(report):
     estimated from a few blocks is itself noisy, so this is the yardstick for
     z = (F_sim - F_exact) / sigma.
 
-    Each per-state moment is one einsum of the N (K, d) outcome distributions
-    and the table viewed as (K, d, ..., d): no joint-weight table and no
-    product of the table's size is formed.
+    Both per-state moments, of the table and of its square, are taken
+    `_STATE_CHUNK` states at a time, summing out one basis's outcomes per
+    batched (n, rest, d) @ (n, d, 1) product, last basis first: no joint-weight
+    table and nothing of the table's size is formed.
     """
     cfg, K, d = report.config, report.design.size, report.design.dim
     probs = [born_probabilities(b, report.design.states) for b in report.measurements]
-    outcomes = "abc"[:len(probs)]
-    f = report.f_table.reshape((K,) + (d,) * len(probs))
-    weighted = ",".join("k" + o for o in outcomes) + ",k" + outcomes
-    mean = np.einsum(weighted + "->k", *probs, f)
-    var = np.einsum(weighted + ",k" + outcomes + "->k", *probs, f, f) - mean**2
+    moments = np.empty((K, 2))
+    for start in range(0, K, _STATE_CHUNK):
+        rows = slice(start, start + _STATE_CHUNK)
+        f = report.f_table[rows]
+        table = np.stack([f, f * f], axis=1)
+        for p in reversed(probs):
+            table = table.reshape(len(table), -1, d) @ p[rows, :, None]
+        moments[rows] = table.reshape(-1, 2)
+    mean, second = moments.T
     exact = float(mean.sum() / K)
-    sigma = math.sqrt(max(float(var.sum()), 0.0) / (K**2 * cfg.m_block * cfg.blocks))
+    sigma = math.sqrt(max(float((second - mean**2).sum()), 0.0)
+                      / (K**2 * cfg.m_block * cfg.blocks))
     return {
         "exact_fidelity": exact,
         "predicted_std_of_mean": sigma,

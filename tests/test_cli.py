@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -297,6 +298,16 @@ def test_fidelity_estimator_source_is_gone(outdir, capsys):
         main(["fidelity", "--estimator-source", "ideal"])
     assert exc.value.code == EXIT_IO
     assert "unrecognized arguments: --estimator-source ideal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--K", "--seed", "--iters", "--step", "--target"])
+def test_design_clifford_takes_only_out(outdir, capsys, option):
+    # the optimizer's options belong to `design optimize`: `design clifford` rejects them
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "clifford", option, "1", "--out", "d.json"])
+    assert exc.value.code == EXIT_IO
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not (outdir / "d.json").exists()
 
 
 @pytest.mark.parametrize("mode", [["--mode", "ideal"], []])
@@ -618,14 +629,14 @@ SCAN_COMMANDS = [
     ["equivalence", "--exact", "--n-unitaries", "100", "--seed", "0", "--out", "haar.csv"],
 ]
 
-# csv_rows_sha256 of the CSVs SCAN_COMMANDS write, recorded while each scan
-# still formed Q one tuple of bases at a time
+# csv_rows_sha256 of the CSVs SCAN_COMMANDS write, recorded once every fidelity
+# was scored as sum_o tr(Q'_o rhohat_o) and the headers named the design scored
 SCAN_CSV_SHA256 = {
-    "curves.csv": "670601de426c85445d3055b1e1436f131dae8e8e88615fe09430bdfe34d8cf62",
-    "curves_emp.csv": "3a007cbb65b6dc5326fe5f8727c7ea5ca58b3ed51b778376615803fcee41b391",
-    "pair.csv": "4fe5e533eacbdd4753f4741a1d80c81cdcb1983f6c4098ebd0b798ff278bffeb",
-    "phase.csv": "6d3082b9c9a7f875694d86852404f50c2d0ab649e83cbdc06279723e3cc22ad1",
-    "haar.csv": "6b3435be7e9378656485dcc9fc65f3b8c00fed4f84dd9d5875e29167696097ec",
+    "curves.csv": "ea0e12003b1413717889f501363420b5cfa2007006480233ccbe4eec9e7fdb30",
+    "curves_emp.csv": "ae0315af2341082096e23ca769022d53c17c58087f4e2b836c66f1a74678a555",
+    "pair.csv": "24296b200fab25e93e866037eb261d9497fe661bfd03896dcf7764331303b315",
+    "phase.csv": "e6f95fb91a07e22480283c33d21dcb1f9dcf5599759dbfeeb4e100857033ab28",
+    "haar.csv": "300467a2e2c5b4ad9ae6b4d389251d03910cf61b08b1a188548262aee29f38dd",
 }
 
 # csv_rows_sha256 of the CSV this resampling run writes; SimConfig and SimReport
@@ -823,40 +834,53 @@ def _digest(argv):
     return manifest_digest(args.command, run_parameters(args), getattr(args, "seed", None))
 
 
-# the required arguments of each subcommand; every other option keeps its default
-BASE_ARGV = {"groups": ["--which", "pauli"], "design": ["clifford"], "fidelity": [],
-             "simulate": [], "equivalence": [], "subsets": []}
+# the command words and required arguments of each leaf command; every other
+# option keeps its default
+BASE_ARGV = {("groups",): ["--which", "pauli"], ("design", "clifford"): [],
+             ("design", "optimize"): [], ("fidelity",): [], ("simulate",): [],
+             ("equivalence",): [], ("subsets",): []}
 
 
-def _changed_argv(command, action):
-    """BASE_ARGV of `command` with `action` set to a value other than its base one."""
-    base = getattr(build_parser().parse_args([command] + BASE_ARGV[command]), action.dest)
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of each command that takes no further subcommand."""
+    kinds = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not kinds:
+        yield words, parser
+        return
+    for name, sub in kinds[0].choices.items():
+        yield from _leaf_parsers(sub, words + (name,))
+
+
+def _changed_argv(words, action):
+    """The base command line of `words` with `action` set to a value other than its base one."""
+    argv = list(words) + BASE_ARGV[words]
+    base = getattr(build_parser().parse_args(argv), action.dest)
     if action.nargs == 0:  # a store_true flag
         assert base is False
-        return BASE_ARGV[command] + [action.option_strings[0]]
+        return argv + [action.option_strings[0]]
     if action.choices is not None:
         value = next(str(c) for c in action.choices if c != base)
     elif action.type in (int, float):
         value = str(1 if base is None else base + 1)
     else:
         value = f"{base}_changed"  # another angle token, grid, path or name
-    if not action.option_strings:  # the positional, which BASE_ARGV holds alone
-        return [value]
-    return BASE_ARGV[command] + [action.option_strings[0], value]
+    return argv + [action.option_strings[0], value]
 
 
 def test_every_option_changes_the_digest():
-    # parsing only: two command lines that differ in one option get different digests
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    assert set(subparsers.choices) == set(BASE_ARGV)
+    # parsing only: two command lines that differ in one option, or in the
+    # command, get different digests
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(BASE_ARGV)
+    bases = {words: _digest(list(words) + BASE_ARGV[words]) for words in leaves}
+    assert len(set(bases.values())) == len(bases)
     checked = 0
-    for command, parser in subparsers.choices.items():
-        base = _digest([command] + BASE_ARGV[command])
+    for words, parser in leaves.items():
         for action in parser._actions:
             if action.dest == "help":
                 continue
-            argv = [command] + _changed_argv(command, action)
-            assert _digest(argv) != base, argv
+            argv = _changed_argv(words, action)
+            assert _digest(argv) != bases[words], argv
             checked += 1
     assert checked == 47
 

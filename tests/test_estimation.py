@@ -267,12 +267,27 @@ def test_fidelities_memory_does_not_grow_with_items(partial_design):
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("every", [1, 7])
 def test_fidelities_and_outcome_tables_share_q(design960, N, every):
-    # the fidelity is the outcome tables' norms summed, to the bit, over any design
+    # the fidelity is sum_o tr(Q_o rhohat_o) of the outcome tables, to the bit, over any design
     design = StateDesign(t=4, states=design960.states[:, ::every])
     denominator = math.factorial(N + 1) * symmetric_dimension(4, N + 1)
     for bases in haar_tuples(every + N, N, 16):
-        expected = float(outcome_tables(bases, design).norms.sum()) / denominator
-        assert fidelities([bases], "empirical", design) == [expected]
+        tables = outcome_tables(bases, design)
+        scores = np.einsum("oab,oba->o", tables.q, tables.densities).real
+        assert fidelities([bases], "empirical", design) == [float(scores.sum()) / denominator]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_fidelities_same_bits_however_the_orbit_is_named(N):
+    # the Clifford orbit is an exact 4-design, so Q' over it is Q: implied,
+    # named, copied or taken as the empirical design, it scores the same bits
+    orbit = default_design()
+    copy = StateDesign(t=4, states=orbit.states.copy())
+    items = [mub_triple(HALF, y, z).bases[:N]
+             for y in (HALF, 0.0) for z in np.linspace(0.0, math.pi, 9)]
+    expected = fidelities(items, "ideal", None)
+    for mode, design in (("ideal", orbit), ("ideal", copy), ("empirical", copy),
+                         ("empirical", None)):
+        assert fidelities(items, mode, design) == expected, (mode, design)
 
 
 def test_fidelities_checks(design960):
