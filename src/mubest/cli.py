@@ -62,7 +62,7 @@ EXIT_IO = 2
 EXIT_TARGET = 3
 EXIT_VALIDATION = 4
 
-_WRITE_ENTRIES = 1 << 13  # counts formatted together by _write_report
+_WRITE_ENTRIES = 1 << 11  # counts formatted together by _write_report
 
 _ANGLE_RE = re.compile(r"^(?P<num>[+-]?[\d.]*)\s*pi\s*(?:/\s*(?P<den>[\d.]+))?$")
 
@@ -288,7 +288,8 @@ def cmd_simulate(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
     cfg = _sim_config(args)
     design = _load_or_build_design(args.design)
-    report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode)
+    report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode,
+                               keep_counts=args.counts)
     return Run(
         [f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
          f" (block std {report.std:.6f})"],

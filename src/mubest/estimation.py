@@ -172,7 +172,8 @@ def fidelities(items, mode="ideal", design=None):
     `mode` picks the Q the estimators come from: the Clifford orbit
     ("ideal") or `design` ("empirical").  Each tuple scores
     sum_o tr(Q'_o rhohat_o) / ((N+1)! D_{N+1}): Q' over `design`, rhohat the
-    top-eigenspace densities of Q, which is Q' when the designs are one object.
+    top-eigenspace densities of Q, which is Q' when the two designs hold equal
+    states, whether they are one object or a loaded copy.
     The orbit's Q' is Q, so it gives the same bits implied, named or copied,
     in either mode.  A zero Q raises; an outcome where only Q' is zero adds 0.
     Projectors are formed once and Q one tuple at a time, so memory does not
@@ -180,12 +181,14 @@ def fidelities(items, mode="ideal", design=None):
     """
     q_design = _q_design(mode, design)
     design = q_design if design is None else design
+    # Q depends on the states alone, so equal states give Q' = Q bit for bit
+    shared = q_design is design or np.array_equal(q_design.states, design.states)
     projectors = _state_projectors(design.states)
-    q_projectors = projectors if q_design is design else _state_projectors(q_design.states)
+    q_projectors = projectors if shared else _state_projectors(q_design.states)
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
-        q_est = q if q_design is design else _q_operators(measurements, q_design, q_projectors)
+        q_est = q if shared else _q_operators(measurements, q_design, q_projectors)
         values = np.einsum("oab,oba->o", q, _top_eigenspaces(q_est)[1]).real
         N = len(measurements)
         result.append(float(values.sum())

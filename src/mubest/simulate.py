@@ -6,21 +6,24 @@ averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimation.estimator_tables`, beside the `outcome_tables` whose densities it
 scores, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
-copies and two-copy reprocessing alike.  A `SimReport` is built from a run's
-counts and the design, mode, measurements (the bases) and table they were
-scored with, and derives its statistics (per-block, mean, std and per-state
-fidelities) from the counts and the table, so they cannot disagree.
-`run_health` and `reprocess_two_copy` read the same fields, so they always
-use the run's own estimators.
+copies and two-copy reprocessing alike.  A `SimReport` holds a run's design,
+mode, measurements (the bases) and table, the scores of its counts against
+that table, and, when one was kept, its count table; its statistics
+(per-block, mean, std and per-state fidelities) all derive from the scores,
+which `_score_counts` takes from the sampler's chunks and from a whole table
+alike, so they cannot disagree.  `run_health` and `reprocess_two_copy` read
+the same fields, so they always use the run's own estimators.
 
-Memory after the draws.  A sampled command holds the count table and the
-estimator table; nothing it computes afterwards is (K, n_outcomes) sized.
-The per-state fidelities are evaluated when read, `_STATE_CHUNK` states at a
-time, and only `subsets` reads them; `run_health` contracts the per-basis
-Born probabilities with the table one basis and `_STATE_CHUNK` states at a time.
+Memory after the draws.  A sampled command holds the estimator table, the
+(K, blocks) scores and the (K,) per-state sums; the (K, blocks, 64) count
+table is kept only where it is read, by `simulate --counts` and two-copy
+reprocessing.  Each chunk of `_STATE_CHUNK` states is scored as soon as it is
+drawn, so a run without the table holds one chunk's counts at a time.
+`run_health` contracts the per-basis Born probabilities with the table one
+basis and `_STATE_CHUNK` states at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
-`simulate_protocol` allocates the table as np.min_scalar_type(M): uint8 up to
+`simulate_protocol` allocates a kept table as np.min_scalar_type(M): uint8 up to
 M = 255, uint16 up to 65535 (the paper's M = 10^4), uint32 beyond.  Two-copy
 marginals keep that dtype, being bounded by M too; sums over blocks, which can
 reach M * blocks, accumulate in int64.  Files written from the table are the
@@ -57,7 +60,7 @@ from .errors import ReadOnlyRecord
 from .estimation import estimator_tables, fidelities
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
-_STATE_CHUNK = 64  # states sampled together
+_STATE_CHUNK = 32  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
 
@@ -82,45 +85,41 @@ class SimConfig(ReadOnlyRecord):
 
 
 class SimReport:
-    """A sampled run: its counts, the table they were scored with, and the
-    statistics derived from the two.
+    """A sampled run: the table it was scored with, its scores, the statistics
+    derived from them, and its count table when one was kept.
 
-    The integer table goes to einsum as it is: einsum casts it to float in
-    its buffered iterator, so no float copy of the whole table is made.  The
-    per-state sum over blocks is taken in int64, which holds M * blocks.
+    `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o] and
+    `state_sums` the (K,) per-state sums sum_o (sum_b n[k, b, o]) f[k, o];
+    without them both are computed from `counts` by `_score_counts`, so a
+    report built from a whole table has the bits of the sampler's.  The
+    per-block F is S summed over states over K M.
     """
 
     __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
-                 "per_block_fidelities", "mean_fidelity", "std")
+                 "state_sums", "per_block_fidelities", "mean_fidelity", "std")
 
-    def __init__(self, config, triple, design, mode, measurements, f_table, counts):
+    def __init__(self, config, triple, design, mode, measurements, f_table, counts,
+                 scores=None, state_sums=None):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
         self.mode = mode  # which Q defined the estimators
-        self.measurements = measurements  # the bases whose joint outcomes `counts` records
+        self.measurements = measurements  # the bases whose joint outcomes were counted
         self.f_table = f_table  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
-        self.counts = counts  # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M)
-        per_block = np.einsum("kbo,ko->b", counts, f_table) / (len(counts) * config.m_block)
+        # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M), or None
+        self.counts = counts
+        if scores is None:
+            scores, state_sums = _score_counts(counts, f_table)
+        self.state_sums = state_sums
+        per_block = scores.sum(axis=0) / (len(scores) * config.m_block)
         self.per_block_fidelities = per_block
         self.mean_fidelity = float(per_block.mean())
         self.std = float(per_block.std(ddof=1))  # standard deviation over blocks
 
     @property
     def per_state_fidelity(self):
-        """(K,) per-state average of tr(rho rhohat), computed on each read.
-
-        `_STATE_CHUNK` states at a time: each row is the int64 sum of its
-        counts over blocks times f, summed, with the bits of the same
-        expression over the whole table.
-        """
-        counts, f_table = self.counts, self.f_table
-        sums = np.empty(len(counts))
-        for start in range(0, len(counts), _STATE_CHUNK):
-            rows = slice(start, start + _STATE_CHUNK)
-            sums[rows] = (counts[rows].sum(axis=1, dtype=np.int64) * f_table[rows]).sum(axis=1)
-        sums /= self.config.m_block * self.config.blocks
-        return sums
+        """(K,) per-state average of tr(rho rhohat), a new array on each read."""
+        return self.state_sums / (self.config.m_block * self.config.blocks)
 
     @property
     def std_of_mean(self):
@@ -149,25 +148,34 @@ def _param_key(role, triple):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def simulate_protocol(triple, design, cfg, mode="ideal"):
+def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False):
     """Run the sampled three-copy protocol and average per Eq.-(6)-style weights.
 
-    Returns per-block and overall estimation fidelities plus the full joint
-    outcome count table, which downstream reprocessing (two-copy, random
-    subsets) reuses without fresh sampling.
+    Returns per-block and overall estimation fidelities.  Each chunk of states
+    is scored as soon as it is drawn; the (K, blocks, 64) joint outcome count
+    table, which two-copy reprocessing and `simulate --counts` read, is kept
+    only if `keep_counts`.
     """
     measurements = triple.bases
     f_table = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple) for role in range(3)]
-    counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
-    _multinomial_counts(probs, param_keys, cfg, counts)
-    return SimReport(cfg, triple, design, mode, measurements, f_table, counts)
+    counts = (np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
+              if keep_counts else None)
+    scores, state_sums = _multinomial_counts(probs, param_keys, cfg, f_table, counts)
+    return SimReport(cfg, triple, design, mode, measurements, f_table, counts,
+                     scores, state_sums)
 
 
-def _multinomial_counts(probs, param_keys, cfg, counts):
-    """Fill the (K, B, 64) counts from three chained multinomials (stream version 2)."""
-    K, B = counts.shape[:2]
+def _multinomial_counts(probs, param_keys, cfg, f_table, counts):
+    """Draw the counts from three chained multinomials (stream version 2) and score them.
+
+    Returns `_score_counts` of the (K, B, 64) counts, one chunk of
+    `_STATE_CHUNK` states scored as soon as it is drawn; `counts`, unless
+    None, is filled with the table.
+    """
+    K, B = len(f_table), cfg.blocks
+    scores, state_sums = np.empty((K, B)), np.empty(K)
     generators = [
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed, spawn_key=(_COUNTS_STREAM, role, key))
@@ -181,7 +189,30 @@ def _multinomial_counts(probs, param_keys, cfg, counts):
             # each cell counted so far splits over this role's four outcomes
             pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
             n = generator.multinomial(n, pvals)
-        counts[chunk] = n.reshape(-1, B, 64)
+        n = n.reshape(-1, B, 64)
+        scores[chunk], state_sums[chunk] = _score_counts(n, f_table[chunk])
+        if counts is not None:
+            counts[chunk] = n
+    return scores, state_sums
+
+
+def _score_counts(counts, f_table):
+    """(K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] and (K,) per-state sums.
+
+    A state's sum is the int64 sum of its counts over blocks times f, summed
+    over outcomes.  Both are taken `_STATE_CHUNK` states at a time and row by
+    row, so the sampler's chunks and a whole table give the same bits.  The
+    integer counts go to einsum as they are: einsum casts them to float in its
+    buffered iterator, so no float copy of the table is made.
+    """
+    K, B = counts.shape[:2]
+    scores, state_sums = np.empty((K, B)), np.empty(K)
+    for start in range(0, K, _STATE_CHUNK):
+        rows = slice(start, start + _STATE_CHUNK)
+        n, f = counts[rows], f_table[rows]
+        scores[rows] = np.einsum("kbo,ko->kb", n, f)
+        state_sums[rows] = (n.sum(axis=1, dtype=np.int64) * f).sum(axis=1)
+    return scores, state_sums
 
 
 def run_health(report):
@@ -221,13 +252,15 @@ def run_health(report):
 
 
 def reprocess_two_copy(report, pair):
-    """Two-copy estimation fidelity from an existing three-copy run's counts.
+    """Two-copy estimation fidelity from an existing three-copy run's count table.
 
     `pair` selects two of the three measurements by index (0=A, 1=B, 2=C);
     counts are marginalized over the third measurement, then scored against
     the two-copy optimal estimators from Q on the chosen product effects, in
     the run's own design and mode.
     """
+    if report.counts is None:
+        raise ValueError("the run kept no count table: simulate it with keep_counts=True")
     i1, i2 = pair
     if len(report.measurements) != 3 or not (0 <= i1 < i2 <= 2):
         raise ValueError("pair must be two distinct measurement indices of a "

@@ -393,7 +393,7 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
     half = math.pi / 2
     report = simulate_protocol(mub_triple(half, half, half), load_design(path),
-                               SimConfig(seed=5, m_block=M, blocks=blocks))
+                               SimConfig(seed=5, m_block=M, blocks=blocks), keep_counts=True)
     assert report.counts.dtype == np.min_scalar_type(M)
     expected = report.to_dict()
     if counts:

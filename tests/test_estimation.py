@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import F3_SYMMETRIC
-from mubest.designs import StateDesign, default_design, moment_operator
+from mubest import estimation
+from mubest.designs import StateDesign, default_design, load_design, moment_operator, save_design
 from mubest.estimation import (
     _top_eigenspaces,
     estimation_fidelity,
@@ -288,6 +289,25 @@ def test_fidelities_same_bits_however_the_orbit_is_named(N):
     for mode, design in (("ideal", orbit), ("ideal", copy), ("empirical", copy),
                          ("empirical", None)):
         assert fidelities(items, mode, design) == expected, (mode, design)
+
+
+def test_fidelities_form_q_once_for_equal_states(monkeypatch, tmp_path):
+    # a loaded copy of the orbit holds the orbit's states, so its Q' is Q:
+    # ideal mode over it forms one Q per tuple, as over the orbit itself
+    save_design(default_design(), tmp_path / "clifford.json")
+    loaded = load_design(tmp_path / "clifford.json")
+    part = StateDesign(t=4, states=loaded.states[:, :100])
+    items = [mub_triple(HALF, y, HALF).bases for y in (HALF, 0.0, 1.0)]
+    expected = fidelities(items, "ideal", None)
+    calls = []
+    q_operators = estimation._q_operators
+    monkeypatch.setattr(estimation, "_q_operators",
+                        lambda *args: calls.append(args[1]) or q_operators(*args))
+    assert fidelities(items, "ideal", loaded) == expected
+    assert calls == [loaded] * len(items)
+    calls.clear()
+    fidelities(items, "ideal", part)  # other states: Q over the orbit, Q' over the part
+    assert len(calls) == 2 * len(items) and calls.count(part) == len(items)
 
 
 def test_fidelities_checks(design960):

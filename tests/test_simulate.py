@@ -93,12 +93,12 @@ SCAN = SimConfig(seed=0, m_block=500, blocks=2)
 
 @pytest.fixture(scope="module")
 def haar_report(haar_triple, design960):
-    return simulate_protocol(haar_triple, design960, SCAN)
+    return simulate_protocol(haar_triple, design960, SCAN, keep_counts=True)
 
 
 @pytest.fixture(scope="module")
 def small_report(symmetric_triple, design960):
-    return simulate_protocol(symmetric_triple, design960, SMALL)
+    return simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True)
 
 
 def test_config_validation():
@@ -151,7 +151,7 @@ def test_config_rejects_bad_seed(seed):
 
 @pytest.mark.parametrize("params, cfg, counts_sha256, mean", GOLDEN_RUNS)
 def test_golden_counts(design960, params, cfg, counts_sha256, mean):
-    report = simulate_protocol(mub_triple(*params), design960, cfg)
+    report = simulate_protocol(mub_triple(*params), design960, cfg, keep_counts=True)
     # the table is held in the narrowest unsigned dtype that holds M
     assert hashlib.sha256(report.counts.astype(np.int64).tobytes()).hexdigest() == counts_sha256
     assert abs(report.mean_fidelity - mean) <= 1e-12
@@ -202,7 +202,7 @@ def reference_multinomial_counts(triple, design, cfg):
 def test_multinomial_counts_match_reference(haar_triple, design960):
     # 960 states span 15 chunks, so chunking must not change the streams
     cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=3)
-    report = simulate_protocol(haar_triple, design960, cfg)
+    report = simulate_protocol(haar_triple, design960, cfg, keep_counts=True)
     assert np.array_equal(
         report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
     )
@@ -210,7 +210,7 @@ def test_multinomial_counts_match_reference(haar_triple, design960):
 
 @pytest.fixture(scope="module")
 def full_report(symmetric_triple, design960):
-    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=5))
+    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=5), keep_counts=True)
 
 
 def test_counts_goodness_of_fit(full_report, symmetric_triple, design960):
@@ -249,7 +249,7 @@ def test_run_health_exact_is_the_design_fidelity(symmetric_triple, haar_triple, 
     triples = (symmetric_triple, mub_triple(HALF, 0.0, math.pi / 4), haar_triple)
     cfg = SimConfig(seed=0, m_block=10, blocks=2)
     for design, triple, mode in itertools.product(designs, triples, ("ideal", "empirical")):
-        run = simulate_protocol(triple, design, cfg, mode)
+        run = simulate_protocol(triple, design, cfg, mode, keep_counts=True)
         for report in (run, reprocess_two_copy(run, (0, 2))):
             expected = fidelities([report.measurements], report.mode, report.design)[0]
             assert run_health(report)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
@@ -277,14 +277,15 @@ def test_counts_shape_and_totals(small_report, design960):
 
 
 def test_seed_reproducibility(symmetric_triple, design960, small_report):
-    again = simulate_protocol(symmetric_triple, design960, SMALL)
+    again = simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True)
     assert np.array_equal(again.counts, small_report.counts)
     assert again.mean_fidelity == small_report.mean_fidelity
 
 
 def test_different_seed_differs(symmetric_triple, design960, small_report):
     other = simulate_protocol(
-        symmetric_triple, design960, SimConfig(seed=12, m_block=400, blocks=3)
+        symmetric_triple, design960, SimConfig(seed=12, m_block=400, blocks=3),
+        keep_counts=True,
     )
     assert not np.array_equal(other.counts, small_report.counts)
 
@@ -310,7 +311,7 @@ def test_shared_ab_streams_across_z(design960):
     # triples differing only in z reuse the A and B outcome streams, so the
     # marginal counts over the C outcome agree exactly
     c1, c2 = (
-        simulate_protocol(mub_triple(HALF, HALF, z), design960, SMALL)
+        simulate_protocol(mub_triple(HALF, HALF, z), design960, SMALL, keep_counts=True)
         .counts.reshape(-1, SMALL.blocks, 4, 4, 4)
         for z in (HALF, HALF / 2)
     )
@@ -323,7 +324,7 @@ def test_signed_zero_angles_share_streams(design960):
     design = StateDesign(t=4, states=design960.states[:, :40])
     cfg = SimConfig(seed=11, m_block=50, blocks=2)
     plus, minus = (
-        simulate_protocol(mub_triple(zero, HALF, zero), design, cfg).counts
+        simulate_protocol(mub_triple(zero, HALF, zero), design, cfg, keep_counts=True).counts
         for zero in (0.0, -0.0)
     )
     assert np.array_equal(plus, minus)
@@ -388,6 +389,12 @@ def test_reprocess_two_copy(small_report, design960):
         reprocess_two_copy(small_report, (1, 0))
     with pytest.raises(ValueError):
         reprocess_two_copy(rep2, (0, 1))  # a two-copy run has no third count axis
+    # a run scored without keeping its table has nothing to marginalize
+    design = StateDesign(t=4, states=design960.states[:, :6])
+    scored_only = simulate_protocol(small_report.triple, design, SMALL)
+    assert scored_only.counts is None
+    with pytest.raises(ValueError, match="kept no count table"):
+        reprocess_two_copy(scored_only, (0, 1))
 
 
 def test_reprocess_pairs_marginalize_consistently(small_report):
@@ -411,7 +418,8 @@ def test_two_copy_health(small_report):
 def empirical_report(symmetric_triple):
     design = optimize_design(40, 4, 4, seed=1, max_iters=400)
     return simulate_protocol(symmetric_triple, design,
-                             SimConfig(seed=1, m_block=2000, blocks=4), mode="empirical")
+                             SimConfig(seed=1, m_block=2000, blocks=4), mode="empirical",
+                             keep_counts=True)
 
 
 def test_empirical_health_uses_run_mode(empirical_report, symmetric_triple):
@@ -529,7 +537,7 @@ def test_random_subset_analysis(small_report, design960):
 def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
     design = StateDesign(t=4, states=design960.states[:, :6])
     cfg = SimConfig(seed=3, m_block=m_block, blocks=2)
-    report = simulate_protocol(symmetric_triple, design, cfg)
+    report = simulate_protocol(symmetric_triple, design, cfg, keep_counts=True)
     assert report.counts.dtype == np.min_scalar_type(m_block)
     assert np.all(report.counts.sum(axis=2, dtype=np.int64) == m_block)
     for pair in [(0, 1), (0, 2), (1, 2)]:
@@ -559,8 +567,8 @@ def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
 @pytest.fixture(scope="module")
 def sweep_report(symmetric_triple, design960):
     # one point of the simulated z curve: K = 960, M = 100, B = 10
-    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=100,
-                                                                    blocks=10))
+    return simulate_protocol(symmetric_triple, design960,
+                             SimConfig(seed=0, m_block=100, blocks=10), keep_counts=True)
 
 
 def traced_peak(fn):
@@ -591,7 +599,7 @@ def test_per_state_fidelity_bits(sweep_report, small_report, symmetric_triple, d
     # computed a chunk of states at a time, with the bits of the whole-table
     # expression; 100 states end in a part chunk
     part = simulate_protocol(symmetric_triple, StateDesign(t=4, states=design960.states[:, :100]),
-                             SMALL)
+                             SMALL, keep_counts=True)
     for report in (sweep_report, small_report, reprocess_two_copy(small_report, (1, 2)), part):
         cfg = report.config
         expected = ((report.counts.sum(axis=1, dtype=np.int64) * report.f_table).sum(axis=1)
@@ -613,12 +621,46 @@ def test_paper_size_table_memory(symmetric_triple, design960):
     simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=10, blocks=2))
     tracemalloc.start()
     try:
-        report = simulate_protocol(symmetric_triple, design960, SimConfig(seed=0))
+        report = simulate_protocol(symmetric_triple, design960, SimConfig(seed=0),
+                                   keep_counts=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.counts.nbytes == 960 * 10 * 64 * 2
     assert peak < 960 * 10 * 64 * 8
+
+
+# uint8 and uint16 counts, a 100-state design that ends in a part chunk, and
+# empirical mode over it
+@pytest.mark.parametrize("n_states, m_block, mode", [
+    (960, 100, "ideal"), (100, 10_000, "ideal"), (100, 300, "empirical")])
+def test_kept_table_does_not_change_the_run(symmetric_triple, design960, n_states, m_block,
+                                            mode):
+    design = StateDesign(t=4, states=design960.states[:, :n_states])
+    cfg = SimConfig(seed=4, m_block=m_block, blocks=3)
+    kept = simulate_protocol(symmetric_triple, design, cfg, mode, keep_counts=True)
+    scored = simulate_protocol(symmetric_triple, design, cfg, mode)
+    assert kept.counts.dtype == np.min_scalar_type(m_block) and scored.counts is None
+    # the sampler's chunk scores, and the scores of the whole kept table, bit for bit
+    rebuilt = SimReport(cfg, kept.triple, design, mode, kept.measurements, kept.f_table,
+                        kept.counts)
+    for report in (scored, rebuilt):
+        assert np.array_equal(report.per_block_fidelities, kept.per_block_fidelities)
+        assert np.array_equal(report.per_state_fidelity, kept.per_state_fidelity)
+        assert (report.mean_fidelity, report.std) == (kept.mean_fidelity, kept.std)
+        assert run_health(report) == run_health(kept)
+
+
+def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design960):
+    # one point of the simulated z curve: K = 960, M = 100, B = 10, whose uint8
+    # table is 614,400 bytes.  The estimator table is built beforehand: its Q
+    # pass has its own peak, which does not depend on the counts
+    cfg = SimConfig(seed=0, m_block=100, blocks=10)
+    f_table = estimator_tables(symmetric_triple.bases, design960)
+    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: f_table)
+    table_bytes = design960.size * cfg.blocks * 64
+    peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design960, cfg))
+    assert peak < table_bytes
 
 
 def test_predicted_subset_std_is_exact():
