@@ -6,7 +6,7 @@ JSON run manifest adjacent to the outputs.  The manifest describes the run by
 its parsed command line: every option as typed, and argv verbatim.
 Angles accept plain radians or pi-fraction tokens like pi/2 or 3pi/8;
 grids use start:stop:count.  Exit codes: 0 ok, 2 usage/I-O, 3 numerical
-target not reached, 4 validation failure.
+target not reached, 4 validation failure or an allocation the machine refuses.
 """
 
 # The layers are imported first, before the standard library, in the order
@@ -485,7 +485,7 @@ def main(argv=None):
     except InfeasibleDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: numpy's "Unable to allocate"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

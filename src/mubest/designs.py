@@ -274,7 +274,7 @@ def save_design(design, path, phi_t=None):
     width = 2 * design.dim  # (re, im) per amplitude
     pairs = np.ascontiguousarray(design.states.T).view(float).ravel().tolist()
     fields = tuple(f"{x:.17g}" for x in pairs)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if path.endswith(".csv"):
             fh.writelines(f"# {k}={v}\n" for k, v in header.items())
             fh.write(",".join(f"re{i},im{i}" for i in range(design.dim)) + "\n")
@@ -289,10 +289,14 @@ def save_design(design, path, phi_t=None):
 def load_design(path):
     """Read a design file written by save_design and check it against the schema."""
     path = str(path)
-    header, metadata, rows = (_read_csv if path.endswith(".csv") else _read_json)(path)
 
     def fail(message):
         raise DesignFormatError(f"{path}: {message}")
+
+    try:
+        header, metadata, rows = (_read_csv if path.endswith(".csv") else _read_json)(path)
+    except UnicodeDecodeError as exc:
+        fail(f"not UTF-8 text: {exc.reason}")
 
     for key in ("format_version", "dim", "t", "K"):
         if key not in header:
@@ -332,7 +336,7 @@ def load_design(path):
 
 def _read_json(path):
     """(header, metadata, rows) of a JSON design file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -367,7 +371,7 @@ def _read_csv(path):
     """
     header = {}
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

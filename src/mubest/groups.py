@@ -11,8 +11,8 @@ value off the int32 grid raises ContractViolationError rather than wrapping.
 A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
 derived from them: membership keys the elements on each call.
 
-Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`;
-the single-matrix forms wrap them).  The pivot's modulus is np.hypot of its
+Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`);
+a single matrix is a one-element stack.  The pivot's modulus is np.hypot of its
 parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
 canonical forms agree.  The closure writes its elements in place into one
 buffer, each breadth-first level an index range of it.  It multiplies a block
@@ -101,16 +101,6 @@ def canonical_keys(stack):
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
-def canonicalize_phase(u):
-    """Strip the global phase of one unitary (see canonicalize_phases)."""
-    return canonicalize_phases(np.asarray(u)[None])[0]
-
-
-def canonical_key(u):
-    """Hashable key of one phase-canonical unitary (see canonical_keys)."""
-    return canonical_keys(np.asarray(u)[None])[0].tobytes()
-
-
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
@@ -128,7 +118,8 @@ class UnitaryGroup:
         return iter(self.elements)
 
     def __contains__(self, u):
-        return canonical_key(canonicalize_phase(u)) in canonical_keys(self.elements).tolist()
+        key = canonical_keys(canonicalize_phases(np.asarray(u)[None])).tolist()[0]
+        return key in canonical_keys(self.elements).tolist()
 
     @property
     def dim(self):
@@ -163,7 +154,7 @@ def generate_group(generators, max_size, generator_labels=()):
     rows = gens.reshape(n_gens * dim, dim)  # every generator's rows, stacked
     elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
     elements[0] = np.eye(dim)
-    index = {_digest(canonical_key(elements[0])): 0}  # key digest -> position
+    index = {_digest(canonical_keys(elements[:1]).tolist()[0]): 0}  # key digest -> position
     start, stop = 0, 1  # the frontier level is elements[start:stop]
     while start < stop:
         for lo in range(start, stop, _CLOSURE_CHUNK):

@@ -278,10 +278,12 @@ def reprocess_two_copy(report, pair):
 def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"):
     """Controlled-phase family: exact (and optionally simulated) F for each phase.
 
-    Returns rows (phi, exact_F, simulated_F or None, std or None).
+    Returns rows (phi, exact_F, simulated_F or None, std or None).  exact_F is
+    `fidelities` over `design` in `mode`, the infinite-M limit of the row's
+    sampled run (its `run_health` exact F): the same states and estimators.
     """
     triples = [transform_triple(base_triple, controlled_phase(phi)) for phi in phi_grid]
-    exact = fidelities((t.bases for t in triples), mode, design if mode == "empirical" else None)
+    exact = fidelities((t.bases for t in triples), mode, design)
     rows = []
     for phi, triple, f in zip(phi_grid, triples, exact):
         if cfg is not None:
@@ -305,7 +307,8 @@ def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="id
 
     Returns (exact_summary, simulated_summary or None), each the tuple
     (maximal, minimal, average, std, max_deviation); deviations are with
-    respect to the untransformed triple's exact fidelity in the same mode.
+    respect to the untransformed triple's exact fidelity over the same design
+    in the same mode; over a design that is not a 4-design, F moves with the unitary.
     The untransformed and the transformed triples' exact values come from one
     Q pass, which reads the transformed triples as they are generated; none
     is stored, and a simulated scan draws the same unitaries again from the
@@ -319,8 +322,7 @@ def equivalence_scan_random(n_unitaries, base_triple, design, cfg=None, mode="id
             yield transform_triple(base_triple, haar_random_unitary(design.dim, rng))
 
     reference, *exact_vals = fidelities(
-        (t.bases for t in itertools.chain([base_triple], transformed())), mode,
-        design if mode == "empirical" else None)
+        (t.bases for t in itertools.chain([base_triple], transformed())), mode, design)
     exact_summary = _summary(exact_vals, reference)
     if cfg is None:
         return exact_summary, None

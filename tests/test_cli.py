@@ -36,7 +36,13 @@ from mubest.designs import (
 )
 from mubest.estimation import fidelity_scan
 from mubest.mub import mub_triple
-from mubest.simulate import SimConfig, SimReport, run_health, simulate_protocol
+from mubest.simulate import (
+    SimConfig,
+    SimReport,
+    equivalence_scan_phase,
+    run_health,
+    simulate_protocol,
+)
 
 
 @pytest.fixture
@@ -310,18 +316,24 @@ def test_design_clifford_takes_only_out(outdir, capsys, option):
     assert not (outdir / "d.json").exists()
 
 
+def _spy(monkeypatch, name, function):
+    """Replace the CLI's `name` by `function`, recording each value it returns."""
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(function(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(f"mubest.cli.{name}", spy)
+    return returned
+
+
 @pytest.mark.parametrize("mode", [["--mode", "ideal"], []])
 def test_fidelity_standard_estimators_are_the_library_scan(outdir, monkeypatch,
                                                            small_design_file, mode):
     # --design D with --mode ideal, the default, scores the Clifford Q's
     # estimators over D's states: the rows fidelity_scan(..., mode="ideal", design=D)
-    returned = []
-
-    def spy(*args, **kwargs):
-        returned.append(fidelity_scan(*args, **kwargs))
-        return returned[-1]
-
-    monkeypatch.setattr("mubest.cli.fidelity_scan", spy)
+    returned = _spy(monkeypatch, "fidelity_scan", fidelity_scan)
     assert main(["fidelity", *mode, "--design", small_design_file, "--y-list", "pi/2,0",
                  "--z-list", "0,pi/4", "--out", "standard.csv"]) == EXIT_OK
     expected = fidelity_scan(math.pi / 2, [math.pi / 2, 0.0], [0.0, math.pi / 4],
@@ -485,6 +497,31 @@ def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     assert "not unit norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, suffix", [
+    pytest.param(["fidelity"], "json", id="fidelity-json"),
+    pytest.param(["simulate", "--M", "10", "--blocks", "2"], "csv", id="simulate-csv"),
+])
+def test_design_file_not_utf8_exits_io(outdir, capsys, argv, suffix):
+    path = outdir / f"bad.{suffix}"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(argv + ["--design", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_refused_allocation_exits_validation(outdir, capsys, monkeypatch):
+    # numpy raises MemoryError for an array the machine will not give, such as
+    # the scores of an enormous --blocks; the layer call stands in for it here
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 768. GiB for an array with shape "
+                          "(960, 100000000) and data type float64")
+
+    monkeypatch.setattr("mubest.cli.simulate_protocol", refuse)
+    assert main(["simulate", "--blocks", "100000000", "--out", "r.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: Unable to allocate 768. GiB for an array with "
+                                       "shape (960, 100000000) and data type float64\n")
+    assert not (outdir / "r.json").exists()
+
+
 def _both_renderings(cases):
     """Each "both" case as a .json case in place and a .csv case appended, its
     '# field=' line spelling the value as the JSON literal; None deletes the field."""
@@ -604,15 +641,27 @@ def test_equivalence_mode_defaults_to_ideal(outdir, small_design_file, scan):
     assert default[1:] == ideal[1:]
 
 
-def test_equivalence_phase_exact(outdir, capsys, small_design_file):
-    code = main(
-        ["equivalence", "--design", small_design_file, "--mode", "ideal",
-         "--exact", "--phi-grid", "0:pi:3", "--out", "eq.csv"]
-    )
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    values = [float(ln.split("exact=")[1]) for ln in out.splitlines()]
-    assert max(values) - min(values) <= 1e-10
+def test_equivalence_phase_exact(outdir, monkeypatch):
+    # the exact column scores the design it is given, in either mode: over the
+    # orbit, named or as a file copy, the controlled phase leaves F unchanged;
+    # over CI's 40-state design the phi = 0 row is `fidelity --design`'s F at
+    # (pi/2, pi/2, pi/2), bit for bit
+    assert main(["design", "clifford", "--out", "orbit.json"]) == EXIT_OK
+    assert main(["design", "optimize", "--K", "40", "--seed", "0", "--iters", "5",
+                 "--out", "d40.csv"]) == EXIT_OK
+    scans = _spy(monkeypatch, "equivalence_scan_phase", equivalence_scan_phase)
+    curves = _spy(monkeypatch, "fidelity_scan", fidelity_scan)
+    for mode in ("ideal", "empirical"):
+        for design in ("clifford", "orbit.json"):
+            assert main(["equivalence", "--design", design, "--mode", mode, "--exact",
+                         "--phi-grid", "0:pi:3", "--out", "eq.csv"]) == EXIT_OK
+            values = [exact for _, exact, _, _ in scans[-1]]
+            assert max(values) - min(values) <= 1e-10
+        assert main(["equivalence", "--design", "d40.csv", "--mode", mode, "--exact",
+                     "--phi-grid", "0:0:1", "--out", "eq.csv"]) == EXIT_OK
+        assert main(["fidelity", "--design", "d40.csv", "--mode", mode, "--y-list", "pi/2",
+                     "--z-list", "pi/2", "--out", "f.csv"]) == EXIT_OK
+        assert scans[-1][0][1] == curves[-1][0][3]
     assert (outdir / "eq.csv").exists()
 
 

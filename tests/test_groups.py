@@ -15,9 +15,8 @@ from mubest.designs import fiducial_state, orbit
 from mubest.errors import ContractViolationError, GroupSizeError
 from mubest.groups import (
     UnitaryGroup,
-    canonical_key,
     canonical_keys,
-    canonicalize_phase,
+    canonicalize_phases,
     clifford_group_2q,
     generate_group,
     restricted_clifford_group_2q,
@@ -127,26 +126,22 @@ def test_closure_and_inverses(restricted_group, rng):
 
 
 def test_elements_unitary_and_distinct(restricted_group):
-    keys = set()
     for u in restricted_group:
         assert is_unitary(u)
-        keys.add(canonical_key(u))
-    assert len(keys) == len(restricted_group)
+    assert len(set(canonical_keys(restricted_group.elements).tolist())) == len(restricted_group)
 
 
 def test_canonicalize_phase_invariance(rng):
     g = standard_gates()
     u = g["H1"] @ g["CNOT12"] @ g["P2"]
-    for _ in range(5):
-        phase = np.exp(2j * np.pi * rng.random())
-        assert canonical_key(canonicalize_phase(phase * u)) == canonical_key(
-            canonicalize_phase(u)
-        )
+    phases = np.exp(2j * np.pi * rng.random(5))
+    keys = canonical_keys(canonicalize_phases(np.concatenate([[u], phases[:, None, None] * u])))
+    assert len(set(keys.tolist())) == 1
 
 
 def test_canonicalize_pivot_positive_real():
     g = standard_gates()
-    u = canonicalize_phase(1j * g["CNOT12"])
+    u = canonicalize_phases((1j * g["CNOT12"])[None])[0]
     flat = u.ravel()
     pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
     assert abs(pivot.imag) < 1e-12 and pivot.real > 0
@@ -195,15 +190,19 @@ def test_generate_group_matches_nested_loop():
     g = standard_gates()
     gens = [canonical(g["H2"] @ g["CNOT12"] @ g["P1"] @ g["H2"]),
             canonical(g["H1"] @ g["P2"] @ g["CNOT12"] @ g["H2"])]
+
+    def key(u):
+        return canonical_keys(u[None]).tolist()[0]
+
     identity = np.eye(4, dtype=complex)
-    elements = {canonical_key(identity): identity}
+    elements = {key(identity): identity}
     frontier = [identity]
     while frontier:
         fresh = []
         for u in frontier:
             for h in gens:
                 v = canonical(h @ u)
-                k = canonical_key(v)
+                k = key(v)
                 if k not in elements:
                     elements[k] = v
                     fresh.append(v)
@@ -223,7 +222,7 @@ def test_closure_rejects_a_digest_collision(monkeypatch):
     # earlier product of the same block added, and that hit must be compared
     # there; max_size=2 stops a closure that missed it at the next level
     g = standard_gates()
-    xi, ix = canonical_key(g["X1"]), canonical_key(g["X2"])
+    xi, ix = canonical_keys(np.array([g["X1"], g["X2"]])).tolist()
     monkeypatch.setattr(groups, "_digest", lambda key: hash(xi if key == ix else key))
     with pytest.raises(ContractViolationError, match="digest"):
         generate_group([g["X1"], g["X2"]], max_size=2)
@@ -323,7 +322,7 @@ def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
         orbit(restricted_group, 1e4 * fiducial_state())
     with pytest.raises(ContractViolationError, match="int32"):
         canonical_keys(np.full((1, 4), np.nan + 0j))
-    assert len(canonical_key(np.eye(4, dtype=complex))) == 128
+    assert canonical_keys(np.eye(4, dtype=complex)[None]).dtype.itemsize == 128
 
 
 @pytest.mark.parametrize("name", ["pauli", "restricted", "clifford"])

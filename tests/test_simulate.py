@@ -438,17 +438,39 @@ def test_empirical_two_copy_uses_run_mode(empirical_report):
     assert run_health(rep2)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
 
-def test_ideal_phase_scan_reports_ideal_fidelity(empirical_report, symmetric_triple):
-    # over a design that is not the Clifford orbit, an ideal-mode run's health F
-    # averages the ideal table over that design and so is not the ideal F; a
-    # sampled scan's exact_F must still be the ideal F
-    design = empirical_report.design
-    rows = equivalence_scan_phase([0.0, HALF], symmetric_triple, design, SMALL, mode="ideal")
+@pytest.fixture(scope="module")
+def design40():
+    # `design optimize --K 40 --seed 0 --iters 5`, the design CI scores: not a 4-design
+    return optimize_design(40, 4, 4, seed=0, max_iters=5)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "empirical"])
+def test_phase_scan_exact_is_the_limit_of_its_runs(design40, symmetric_triple, mode):
+    # the exact cell scores the design the scan is given, in its mode: the bits of
+    # `fidelities` of the row's bases, and its sampled run's exact F within 1e-12
+    rows = equivalence_scan_phase([0.0, HALF], symmetric_triple, design40, SMALL, mode=mode)
     for phi, exact, sim, std in rows:
         triple = transform_triple(symmetric_triple, controlled_phase(phi))
-        assert exact == triple_fidelity(triple, "ideal")
-        health = run_health(simulate_protocol(triple, design, SMALL, mode="ideal"))
-        assert abs(health["exact_fidelity"] - exact) > 1e-5
+        assert exact == fidelities([triple.bases], mode, design40)[0]
+        health = run_health(simulate_protocol(triple, design40, SMALL, mode=mode))
+        assert abs(health["exact_fidelity"] - exact) <= 1e-12
+        assert abs(exact - F3_SYMMETRIC) > 1e-4  # so the orbit's value would not pass
+
+
+@pytest.mark.parametrize("mode", ["ideal", "empirical"])
+def test_random_scan_exact_scores_its_design(design40, symmetric_triple, mode):
+    # deviations are taken from the base triple's F over the same design and mode,
+    # and over a design that is not a 4-design F moves with the unitary
+    exact_s, _ = equivalence_scan_random(4, symmetric_triple, design40, mode=mode,
+                                         unitary_seed=2)
+    rng = np.random.default_rng(2)
+    triples = [transform_triple(symmetric_triple, haar_random_unitary(4, rng))
+               for _ in range(4)]
+    reference = fidelities([symmetric_triple.bases], mode, design40)[0]
+    values = np.array(fidelities([t.bases for t in triples], mode, design40))
+    assert exact_s == (values.max(), values.min(), values.mean(), values.std(ddof=1),
+                       np.abs(values - reference).max())
+    assert exact_s[3] > 1e-4
 
 
 def test_equivalence_scan_phase_exact_invariance(symmetric_triple, design960):
