@@ -15,8 +15,7 @@ _EXPORTS = {
     "designs": ("StateDesign", "clifford_design", "default_design", "fiducial_state",
                 "frame_potential", "load_design", "moment_operator", "optimize_design",
                 "orbit", "save_design"),
-    "estimation": ("estimation_fidelity", "fidelity_scan", "outcome_tables",
-                   "triple_fidelity"),
+    "estimation": ("estimation_fidelity", "fidelity_scan", "triple_fidelity"),
     "groups": ("UnitaryGroup", "clifford_group_2q", "generate_group",
                "pauli_group_2q", "restricted_clifford_group_2q"),
     "mub": ("MubTriple", "haar_random_unitary", "mub_triple", "transform_triple",

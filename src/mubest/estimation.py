@@ -18,10 +18,11 @@ states that are scored, in either mode.  `_q_operators` is the only place Q is
 formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
 array, so the product with the design's projectors, formed once per design
 by the caller, is one GEMM with no transpose and no K-sized temporary.
-`outcome_tables` keeps Q's top eigenspaces, `estimator_tables` scores their
-densities against a design's states with `expectations`, and `fidelities` is
-the only code that turns Q into a fidelity, as sum_o tr(Q'_o rhohat_o) over
-the scored states for the matched and the standard estimators alike.
+`_top_eigenspaces` turns a Q stack into its estimators rhohat_o, the
+normalized top-eigenspace projectors; `estimator_tables` scores them against a
+design's states for the sampler, and `fidelities` is the only code that turns Q
+into a fidelity, as sum_o tr(Q'_o rhohat_o) over the scored states for the
+matched and the standard estimators alike.
 """
 
 import math
@@ -37,25 +38,8 @@ from .mub import born_probabilities, mub_triple
 DEGENERACY_TOL = 1e-9
 
 
-class OutcomeTables:
-    """Q and its top eigenspace for each of the d^N joint outcomes.
-
-    Outcomes are in np.ndindex order over the measurements, so the first
-    measurement's outcome is the most significant digit.
-    """
-
-    __slots__ = ("q", "norms", "densities", "support", "gaps")
-
-    def __init__(self, q, norms, densities, support, gaps):
-        self.q = q  # (d^N, d, d)
-        self.norms = norms  # (d^N,) largest eigenvalue of each Q
-        self.densities = densities  # (d^N, d, d) normalized top-eigenspace projectors
-        self.support = support  # (d^N,) top-eigenspace dimensions
-        self.gaps = gaps  # (d^N,) distance to the next eigenvalue, 0 if none
-
-
 def _top_eigenspaces(q):
-    """Batched top eigenvalue, estimator density, support dimension and gap.
+    """The (n, d, d) estimator densities: each Q's normalized top-eigenspace projector.
 
     Eigenvalues within DEGENERACY_TOL * ||Q|| of the maximum are grouped, which
     keeps the estimator well defined at symmetric parameter points.  Raises if
@@ -66,12 +50,8 @@ def _top_eigenspaces(q):
     if np.any(top <= DEGENERACY_TOL):
         raise ContractViolationError("Q operator is numerically zero")
     members = w >= (top - DEGENERACY_TOL * top)[:, None]
-    support = members.sum(axis=1)
     vs = v * members[:, None, :]
-    densities = vs @ vs.conj().swapaxes(1, 2) / support[:, None, None]
-    below = np.where(members, -np.inf, w).max(axis=1)
-    gaps = np.where(support < w.shape[1], top - below, 0.0)
-    return top, densities, support, gaps
+    return vs @ vs.conj().swapaxes(1, 2) / members.sum(axis=1)[:, None, None]
 
 
 def _state_projectors(states):
@@ -81,13 +61,6 @@ def _state_projectors(states):
     """
     v = np.ascontiguousarray(states.T)
     return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1).view(float)
-
-
-def expectations(densities, states):
-    """f[k, o] = <psi_k| rho_o |psi_k> for densities (n, d, d) and columns of `states`."""
-    flat = np.ascontiguousarray(densities).reshape(len(densities), -1)
-    # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
-    return _state_projectors(states) @ flat.view(float).T
 
 
 def _q_operators(measurements, design, projectors):
@@ -128,17 +101,6 @@ def _q_design(mode, design):
     return default_design() if mode == "ideal" or design is None else design
 
 
-def outcome_tables(measurements, design):
-    """Q over `design` and its top eigenspaces for every joint outcome of the bases.
-
-    One batched eigendecomposition of the (d^N, d, d) stack gives the norms,
-    the estimator densities, the support dimensions and the gaps.
-    """
-    q = _q_operators(measurements, design, _state_projectors(design.states))
-    norms, densities, support, gaps = _top_eigenspaces(q)
-    return OutcomeTables(q=q, norms=norms, densities=densities, support=support, gaps=gaps)
-
-
 def estimator_tables(measurements, design, mode="ideal"):
     """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
 
@@ -146,8 +108,11 @@ def estimator_tables(measurements, design, mode="ideal"):
     order (o = 16 j + 4 k + l for three copies), rows `design`'s states.  The
     estimators come from Q over the Clifford orbit (ideal) or `design` (empirical).
     """
-    return expectations(outcome_tables(measurements, _q_design(mode, design)).densities,
-                        design.states)
+    q_design = _q_design(mode, design)
+    q = _q_operators(measurements, q_design, _state_projectors(q_design.states))
+    flat = _top_eigenspaces(q).reshape(len(q), -1)
+    # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
+    return _state_projectors(design.states) @ flat.view(float).T
 
 
 def estimation_fidelity(measurements, mode="ideal", design=None):
@@ -189,7 +154,7 @@ def fidelities(items, mode="ideal", design=None):
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
         q_est = q if shared else _q_operators(measurements, q_design, q_projectors)
-        values = np.einsum("oab,oba->o", q, _top_eigenspaces(q_est)[1]).real
+        values = np.einsum("oab,oba->o", q, _top_eigenspaces(q_est)).real
         N = len(measurements)
         result.append(float(values.sum())
                       / (math.factorial(N + 1) * symmetric_dimension(design.dim, N + 1)))

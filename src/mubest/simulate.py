@@ -4,8 +4,8 @@ For every design state the three measurements are sampled independently, the
 optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
-`estimation.estimator_tables`, beside the `outcome_tables` whose densities it
-scores, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
+`estimation.estimator_tables`, which reaches Q's densities as `fidelities`
+does, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
 copies and two-copy reprocessing alike.  A `SimReport` holds a run's design,
 mode, measurements (the bases) and table, the scores of its counts against
 that table, and, when one was kept, its count table; its statistics

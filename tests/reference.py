@@ -47,18 +47,15 @@ def q_operator(effect, N, d):
 
 
 def top_eigenspace(q, tol=1e-9):
-    """(density, dimension, gap) of Q's top eigenspace.
+    """(density, dimension) of Q's top eigenspace.
 
     Eigenvalues within tol * ||Q|| of the largest count as top; the density is
-    the normalized projector onto them and the gap the distance to the next
-    eigenvalue, 0 if there is none.
+    the normalized projector onto them.
     """
     w, v = np.linalg.eigh(q)
     members = w >= w[-1] - tol * w[-1]
     top = v[:, members]
-    rest = w[~members]
-    gap = float(w[-1] - rest[-1]) if rest.size else 0.0
-    return top @ top.conj().T / members.sum(), int(members.sum()), gap
+    return top @ top.conj().T / members.sum(), int(members.sum())
 
 
 def product_effects(bases):

@@ -23,9 +23,10 @@ from mubest.designs import (
     fiducial_state,
 )
 from mubest.estimation import (
+    _q_operators,
+    _state_projectors,
     estimation_fidelity,
     fidelity_scan,
-    outcome_tables,
     triple_fidelity,
 )
 from mubest.groups import (
@@ -233,12 +234,14 @@ def test_criterion_10_oracle_equivalence(rng):
     # the production Q (a sum over the Clifford-orbit design) against the
     # permutation-sum reference, for every outcome of random product measurements
     d = 4
+    design = default_design()
+    projectors = _state_projectors(design.states)
     worst_q = 0.0
     for i in range(20):
         N = 1 + (i % 2)
         measurements = [OrthonormalBasis(haar_random_unitary(d, rng)) for _ in range(N)]
-        tables = outcome_tables(measurements, default_design())
-        for q_lib, effect in zip(tables.q, product_effects(measurements)):
+        q_stack = _q_operators(measurements, design, projectors)
+        for q_lib, effect in zip(q_stack, product_effects(measurements)):
             q_ref = q_operator(effect, N, d)
             worst_q = max(worst_q, float(np.max(np.abs(q_lib - q_ref))))
 

@@ -10,11 +10,12 @@ from conftest import F3_SYMMETRIC
 from mubest import estimation
 from mubest.designs import StateDesign, default_design, load_design, moment_operator, save_design
 from mubest.estimation import (
+    _q_operators,
+    _state_projectors,
     _top_eigenspaces,
     estimation_fidelity,
     fidelities,
     fidelity_scan,
-    outcome_tables,
     triple_fidelity,
 )
 from mubest.errors import ContractViolationError, DimensionMismatchError
@@ -37,15 +38,22 @@ def random_measurements(rng, N):
     return [OrthonormalBasis(haar_random_unitary(4, rng)) for _ in range(N)]
 
 
+def q_stack(measurements, design=None):
+    """The (d^N, d, d) Q over `design` (default: the Clifford orbit), as the library forms it."""
+    design = default_design() if design is None else design
+    return _q_operators(measurements, design, _state_projectors(design.states))
+
+
 def test_q_operator_shape_and_hermiticity(rng):
     for N in (1, 2):
-        tables = outcome_tables(random_measurements(rng, N), default_design())
-        assert tables.q.shape == (4**N, 4, 4)
-        for q, norm in zip(tables.q, tables.norms):
+        qs = q_stack(random_measurements(rng, N))
+        assert qs.shape == (4**N, 4, 4)
+        for q in qs:
             assert np.allclose(q, q.conj().T)
             w = np.linalg.eigvalsh(q)
             assert w[0] >= -1e-10  # positive semidefinite
-            assert abs(norm - w[-1]) <= 1e-12
+            # so its operator norm is its largest eigenvalue
+            assert abs(np.linalg.norm(q, 2) - w[-1]) <= 1e-12 * w[-1]
 
 
 def test_q_operator_resolution_of_identity(rng):
@@ -53,7 +61,7 @@ def test_q_operator_resolution_of_identity(rng):
     # (N+1)! tr_{1..N}[P_{N+1}], a multiple of the identity
     d, N = 4, 1
     triple = mub_triple(HALF, HALF, HALF)
-    total = outcome_tables([triple.basis_b], default_design()).q.sum(axis=0)
+    total = q_stack([triple.basis_b]).sum(axis=0)
     D = symmetric_dimension(d, N + 1)
     expected = math.factorial(N + 1) * D / d
     assert np.allclose(total, expected * np.eye(d), atol=1e-10)
@@ -62,14 +70,15 @@ def test_q_operator_resolution_of_identity(rng):
 def test_q_operator_input_checks(rng):
     qubit = OrthonormalBasis(haar_random_unitary(2, rng))
     with pytest.raises(DimensionMismatchError):
-        outcome_tables([qubit], default_design())
+        q_stack([qubit])
     with pytest.raises(ValueError):
-        outcome_tables([], default_design())
+        q_stack([])
 
 
 def test_optimal_estimator_properties(rng):
-    tables = outcome_tables(random_measurements(rng, 2), default_design())
-    for q, norm, rho in zip(tables.q, tables.norms, tables.densities):
+    qs = q_stack(random_measurements(rng, 2))
+    for q, rho in zip(qs, _top_eigenspaces(qs)):
+        norm = np.linalg.eigvalsh(q)[-1]
         assert np.allclose(rho, rho.conj().T)
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
@@ -81,11 +90,12 @@ def test_optimal_estimator_degenerate_top_space():
     # a Q that is a multiple of the identity: the whole space is the top
     # eigenspace and the estimator is maximally mixed
     q = np.array([c * np.eye(4, dtype=complex) for c in (0.5, 1.0, 3.0)])
-    norms, densities, support, gaps = _top_eigenspaces(q)
-    assert np.allclose(norms, [0.5, 1.0, 3.0], rtol=1e-12)
-    assert support.tolist() == [4, 4, 4]
+    densities = _top_eigenspaces(q)
+    assert densities.shape == (3, 4, 4)
     assert np.allclose(densities, np.eye(4) / 4, atol=1e-12)
-    assert gaps.tolist() == [0.0, 0.0, 0.0]
+    # each estimator spans all 4 dimensions and attains its Q's norm
+    assert np.allclose(np.einsum("oab,oba->o", densities, densities).real, 1 / 4, atol=1e-12)
+    assert np.allclose(np.einsum("oab,oba->o", q, densities).real, [0.5, 1.0, 3.0], rtol=1e-12)
 
 
 def test_single_copy_single_basis_fidelity():
@@ -113,7 +123,7 @@ def test_three_copy_sample_grid_points():
 
 
 def test_empirical_projector_of_exact_design(design960):
-    # the design identity behind outcome_tables: (D_4/K) sum_j (|psi_j><psi_j|)^{x4} = P_4,
+    # the design identity behind _q_operators: (D_4/K) sum_j (|psi_j><psi_j|)^{x4} = P_4,
     # that is, the sum restricted to the symmetric subspace is (K/D_4) I
     R, _ = moment_operator(design960, 4)
     D = symmetric_dimension(4, 4)
@@ -174,14 +184,15 @@ def test_fidelity_scan_grid_order():
 
 @settings(max_examples=12, deadline=None)
 @given(seed=SEEDS, N=COPIES)
-def test_outcome_tables_match_q_operator(seed, N):
+def test_q_operators_match_reference(seed, N):
     measurements = random_measurements(np.random.default_rng(seed), N)
-    tables = outcome_tables(measurements, default_design())
+    qs = q_stack(measurements)
+    densities = _top_eigenspaces(qs)
     for o, effect in enumerate(product_effects(measurements)):
         q = q_operator(effect, N, 4)
-        assert np.max(np.abs(tables.q[o] - q)) <= 1e-12
-        assert abs(tables.norms[o] - np.linalg.eigvalsh(q)[-1]) <= 1e-12
-        assert np.max(np.abs(tables.densities[o] - top_eigenspace(q)[0])) <= 1e-10
+        assert np.max(np.abs(qs[o] - q)) <= 1e-12
+        assert abs(np.linalg.eigvalsh(qs[o])[-1] - np.linalg.eigvalsh(q)[-1]) <= 1e-12
+        assert np.max(np.abs(densities[o] - top_eigenspace(q)[0])) <= 1e-10
 
 
 @settings(max_examples=12, deadline=None)
@@ -194,11 +205,11 @@ def test_empirical_mode_matches_moment_operator(seed, N, K):
     M = moment_matrix(design, N + 1)
     D = symmetric_dimension(4, N + 1)
     Pp = (D / K * M).reshape(4**N, 4, 4**N, 4)
-    tables = outcome_tables(measurements, design)
+    qs = q_stack(measurements, design)
     matched = standard = 0.0
     for o, effect in enumerate(product_effects(measurements)):
         q = math.factorial(N + 1) * np.einsum("xayb,yx->ab", Pp, effect)
-        assert np.max(np.abs(tables.q[o] - q)) <= 1e-12
+        assert np.max(np.abs(qs[o] - q)) <= 1e-12
         matched += np.linalg.eigvalsh(q)[-1]
         ideal = top_eigenspace(q_operator(effect, N, 4))[0]
         standard += np.trace(q @ ideal).real
@@ -219,10 +230,17 @@ def test_fidelity_unitarily_invariant(x, y, z, seed):
 
 @pytest.mark.parametrize("params", [(HALF, HALF, HALF), (HALF, 0.0, 0.0)])
 def test_support_dims_at_symmetric_points(params):
+    # the estimators are the reference's top-eigenspace projectors; at (pi/2, 0, 0)
+    # 16 outcomes have a 2-dimensional top eigenspace, which must be grouped
     measurements = mub_triple(*params).bases
-    tables = outcome_tables(measurements, default_design())
-    expected = [top_eigenspace(q_operator(e, 3, 4))[1] for e in product_effects(measurements)]
-    assert tables.support.tolist() == expected
+    densities = _top_eigenspaces(q_stack(measurements))
+    reference = [top_eigenspace(q_operator(e, 3, 4)) for e in product_effects(measurements)]
+    degenerate = {(HALF, HALF, HALF): 0, (HALF, 0.0, 0.0): 16}[params]
+    assert sum(support > 1 for _, support in reference) == degenerate
+    for rho, (expected, support) in zip(densities, reference):
+        assert np.max(np.abs(rho - expected)) <= 1e-10
+        # a normalized projector of rank `support` has purity 1 / support
+        assert abs(np.trace(rho @ rho).real - 1 / support) <= 1e-10
 
 
 def haar_tuples(seed, N, count):
@@ -268,12 +286,13 @@ def test_fidelities_memory_does_not_grow_with_items(partial_design):
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("every", [1, 7])
 def test_fidelities_and_outcome_tables_share_q(design960, N, every):
-    # the fidelity is sum_o tr(Q_o rhohat_o) of the outcome tables, to the bit, over any design
+    # the fidelity is sum_o tr(Q_o rhohat_o) of each outcome's Q and density, to the bit,
+    # over any design
     design = StateDesign(t=4, states=design960.states[:, ::every])
     denominator = math.factorial(N + 1) * symmetric_dimension(4, N + 1)
     for bases in haar_tuples(every + N, N, 16):
-        tables = outcome_tables(bases, design)
-        scores = np.einsum("oab,oba->o", tables.q, tables.densities).real
+        q = q_stack(bases, design)
+        scores = np.einsum("oab,oba->o", q, _top_eigenspaces(q)).real
         assert fidelities([bases], "empirical", design) == [float(scores.sum()) / denominator]
 
 

@@ -20,7 +20,7 @@ EXPORTS = {
         "save_design",
     ],
     "estimation": [
-        "estimation_fidelity", "fidelity_scan", "outcome_tables", "triple_fidelity",
+        "estimation_fidelity", "fidelity_scan", "triple_fidelity",
     ],
     "groups": [
         "UnitaryGroup", "clifford_group_2q", "generate_group", "pauli_group_2q",
@@ -90,7 +90,7 @@ def test_cli_adds_only_mubest_modules():
 
 def test_all_lists_the_exports():
     assert mubest.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(mubest.__all__) == 31
+    assert len(mubest.__all__) == 30
 
 
 @pytest.mark.parametrize("layer", LAYERS)

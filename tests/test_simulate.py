@@ -9,7 +9,7 @@ import pytest
 
 import reference
 from conftest import F3_SYMMETRIC
-from mubest.designs import StateDesign, optimize_design
+from mubest.designs import StateDesign, default_design, load_design, optimize_design, save_design
 from mubest.estimation import estimation_fidelity, fidelities, triple_fidelity
 from mubest.mub import (
     born_probabilities,
@@ -336,6 +336,27 @@ def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960)
     moved = estimator_tables(haar_triple.bases, design960)
     assert plain.shape == moved.shape == (design960.size, 64)
     assert not np.allclose(plain, moved)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "empirical"])
+def test_tables_depend_on_the_states_not_the_orbits_name(mode, tmp_path):
+    # the orbit, an in-memory copy and its JSON and CSV round trips hold the same
+    # states, so they give the same table, and a run over each the same scores
+    orbit = default_design()
+    copies = [StateDesign(t=orbit.t, states=orbit.states.copy())]
+    for suffix in ("json", "csv"):
+        save_design(orbit, tmp_path / f"clifford.{suffix}")
+        copies.append(load_design(tmp_path / f"clifford.{suffix}"))
+    triple = mub_triple(HALF, 0.3, 1.1)
+    cfg = SimConfig(seed=37, m_block=20, blocks=2)
+    table = estimator_tables(triple.bases, orbit, mode)
+    run = simulate_protocol(triple, orbit, cfg, mode)
+    for design in copies:
+        assert np.array_equal(design.states, orbit.states)
+        assert estimator_tables(triple.bases, design, mode).tobytes() == table.tobytes()
+        other = simulate_protocol(triple, design, cfg, mode)
+        assert other.per_block_fidelities.tobytes() == run.per_block_fidelities.tobytes()
+        assert other.per_state_fidelity.tobytes() == run.per_state_fidelity.tobytes()
 
 
 def test_unknown_mode_raises_before_sampling(monkeypatch, symmetric_triple, design960):
