@@ -234,18 +234,9 @@ def _sim_config(args):
 # commands
 
 def cmd_groups(args):
-    build, expected = {
-        "pauli": (pauli_group_2q, 16),
-        "clifford": (clifford_group_2q, 11520),
-        "restricted": (restricted_clifford_group_2q, 960),
-    }[args.which]
-    group = build()
-    return Run(
-        [f"order={len(group)}"],
-        [(args.out, lambda path, digest: save_group(group, path))],
-        error=None if len(group) == expected else
-        (EXIT_VALIDATION, f"expected order {expected}"),
-    )
+    group = {"pauli": pauli_group_2q, "clifford": clifford_group_2q,
+             "restricted": restricted_clifford_group_2q}[args.which]()  # closures check orders
+    return Run([f"order={len(group)}"], [(args.out, lambda path, digest: save_group(group, path))])
 
 
 def cmd_design(args):

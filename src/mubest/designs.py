@@ -341,6 +341,10 @@ def _read_json(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DesignFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:  # an integer beyond Python's int-string digit cap
+            raise DesignFormatError(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise DesignFormatError(f"{path}: JSON nested too deeply") from exc
     if not (isinstance(data, dict) and isinstance(data.get("states"), list)
@@ -357,7 +361,7 @@ def _json_row(path, i, record):
     try:
         if isinstance(record, list) and not any(isinstance(x, bool) for x in record):
             return [float(x) for x in record]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         pass
     raise DesignFormatError(f"{path}: state {i} is not a list of floats")
 

@@ -16,8 +16,8 @@ also drives the sampler.  Q is evaluated over the Clifford orbit (an exact
 sum is the design's stand-in Q'; the design, when given, is also the set of
 states that are scored, in either mode.  `_q_operators` is the only place Q is
 formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
-array, so the product with the design's projectors, formed once per design
-by the caller, is one GEMM with no transpose and no K-sized temporary.
+array, so the product with the design's projectors, formed once per set of
+states by `_design_pair`, is one GEMM with no transpose and no K-sized temporary.
 `_top_eigenspaces` turns a Q stack into its estimators rhohat_o, the
 normalized top-eigenspace projectors; `estimator_tables` scores them against a
 design's states for the sampler, and `fidelities` is the only code that turns Q
@@ -94,11 +94,20 @@ def _q_operators(measurements, design, projectors):
     return (scale * sums.view(complex)).reshape(-1, d, d)
 
 
-def _q_design(mode, design):
-    """The design Q is taken over: `design` in empirical mode, else the Clifford orbit."""
+def _design_pair(mode, design):
+    """(scored design, its projectors, Q's design, its projectors); each state set projected once.
+
+    Q depends on the states alone: Q's design is the scored design itself when
+    their states are equal, one object or a loaded copy, and then Q' = Q bit for bit.
+    """
     if mode not in ("ideal", "empirical"):
         raise ValueError(f"unknown mode {mode!r}")
-    return default_design() if mode == "ideal" or design is None else design
+    q_design = default_design() if mode == "ideal" or design is None else design
+    design = q_design if design is None else design
+    projectors = _state_projectors(design.states)
+    if q_design is design or np.array_equal(q_design.states, design.states):
+        return design, projectors, design, projectors
+    return design, projectors, q_design, _state_projectors(q_design.states)
 
 
 def estimator_tables(measurements, design, mode="ideal"):
@@ -108,11 +117,11 @@ def estimator_tables(measurements, design, mode="ideal"):
     order (o = 16 j + 4 k + l for three copies), rows `design`'s states.  The
     estimators come from Q over the Clifford orbit (ideal) or `design` (empirical).
     """
-    q_design = _q_design(mode, design)
-    q = _q_operators(measurements, q_design, _state_projectors(q_design.states))
+    design, projectors, q_design, q_projectors = _design_pair(mode, design)
+    q = _q_operators(measurements, q_design, q_projectors)
     flat = _top_eigenspaces(q).reshape(len(q), -1)
     # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
-    return _state_projectors(design.states) @ flat.view(float).T
+    return projectors @ flat.view(float).T
 
 
 def estimation_fidelity(measurements, mode="ideal", design=None):
@@ -137,23 +146,17 @@ def fidelities(items, mode="ideal", design=None):
     `mode` picks the Q the estimators come from: the Clifford orbit
     ("ideal") or `design` ("empirical").  Each tuple scores
     sum_o tr(Q'_o rhohat_o) / ((N+1)! D_{N+1}): Q' over `design`, rhohat the
-    top-eigenspace densities of Q, which is Q' when the two designs hold equal
-    states, whether they are one object or a loaded copy.
+    top-eigenspace densities of Q, which is Q' when the designs hold equal states.
     The orbit's Q' is Q, so it gives the same bits implied, named or copied,
     in either mode.  A zero Q raises; an outcome where only Q' is zero adds 0.
     Projectors are formed once and Q one tuple at a time, so memory does not
     grow with the tuples.
     """
-    q_design = _q_design(mode, design)
-    design = q_design if design is None else design
-    # Q depends on the states alone, so equal states give Q' = Q bit for bit
-    shared = q_design is design or np.array_equal(q_design.states, design.states)
-    projectors = _state_projectors(design.states)
-    q_projectors = projectors if shared else _state_projectors(q_design.states)
+    design, projectors, q_design, q_projectors = _design_pair(mode, design)
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)
-        q_est = q if shared else _q_operators(measurements, q_design, q_projectors)
+        q_est = q if q_design is design else _q_operators(measurements, q_design, q_projectors)
         values = np.einsum("oab,oba->o", q, _top_eigenspaces(q_est)).real
         N = len(measurements)
         result.append(float(values.sum())

@@ -25,7 +25,7 @@ merge.  New keys are taken in (frontier element, generator) order, the order
 of the nested loop, whatever the hash seed.  Unitarity is checked on the
 elements kept, not on every product: a duplicate has the key of a checked
 element.  Group files are output only; they have json.dump's bytes, each
-distinct float (491 of the Clifford group's 368,640) formatted once by repr.
+distinct float of a chunk of `_SAVE_CHUNK` elements formatted once by repr.
 """
 
 import functools
@@ -184,14 +184,17 @@ def generate_group(generators, max_size, generator_labels=()):
 
 
 def _labelled_group(labels, order):
-    """Closure of the generators that `labels` name, of the given order.
+    """Closure of the generators that `labels` name; raises unless it has the given order.
 
     A label is gate names joined by '.', multiplied left to right.
     """
     gates = standard_gates()
     generators = [functools.reduce(np.matmul, [gates[name] for name in label.split(".")])
                   for label in labels]
-    return generate_group(generators, max_size=order, generator_labels=labels)
+    group = generate_group(generators, max_size=order, generator_labels=labels)
+    if len(group) < order:  # past `order`, generate_group raises GroupSizeError
+        raise ContractViolationError(f"closure of {labels}: order {len(group)}, not {order}")
+    return group
 
 
 def clifford_group_2q():

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 
-UNITARY_TOL = 1e-9
+UNITARY_TOL = 1e-10
 
 
 def is_unitary(m):

@@ -32,9 +32,7 @@ class OrthonormalBasis(ReadOnlyRecord):
         shape = self.vectors.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ContractViolationError(f"basis matrix must be square, got {shape}")
-        g = self.vectors.conj().T @ self.vectors
-        if not np.max(np.abs(g - np.eye(self.dim))) <= UNBIASED_TOL:
-            raise ContractViolationError("basis vectors are not orthonormal")
+        check_unitary(self.vectors)  # orthonormal columns
 
 
 class MubTriple(ReadOnlyRecord):

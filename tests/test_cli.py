@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mubest
+from mubest import groups
 from mubest.cli import (
     DEFAULT_Z_GRID,
     EXIT_IO,
@@ -34,6 +38,7 @@ from mubest.designs import (
     optimize_design,
     save_design,
 )
+from mubest.errors import DesignFormatError
 from mubest.estimation import fidelity_scan
 from mubest.mub import mub_triple
 from mubest.simulate import (
@@ -123,6 +128,16 @@ def test_groups_command(outdir, capsys):
     assert "order=16" in capsys.readouterr().out
     assert (outdir / "pauli.json").exists()
     assert (outdir / "pauli.json.manifest.json").exists()
+
+
+def test_groups_command_short_closure_exits_validation(outdir, capsys, monkeypatch):
+    # without the two CNOTs the Clifford generators close on the 576 local Cliffords
+    gates = groups.standard_gates()
+    monkeypatch.setattr(groups, "standard_gates",
+                        lambda: dict(gates, CNOT12=np.eye(4), CNOT21=np.eye(4)))
+    assert main(["groups", "--which", "clifford", "--out", "clifford.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.endswith("order 576, not 11520\n")
+    assert not (outdir / "clifford.json").exists()
 
 
 def test_design_optimize_command(outdir, capsys):
@@ -522,6 +537,9 @@ def test_refused_allocation_exits_validation(outdir, capsys, monkeypatch):
     assert not (outdir / "r.json").exists()
 
 
+_INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+
+
 def _both_renderings(cases):
     """Each "both" case as a .json case in place and a .csv case appended, its
     '# field=' line spelling the value as the JSON literal; None deletes the field."""
@@ -560,6 +578,11 @@ def _both_renderings(cases):
     ("csv", "phi_t", "nan", "'phi_t' must be a finite number, got nan"),
     ("csv", "phi_t", "inf", "'phi_t' must be a finite number, got inf"),
     ("csv", "phi_t", "-inf", "'phi_t' must be a finite number, got -inf"),
+    # an integer literal beyond float range, and one beyond the digit cap of
+    # Python's int parsing (4300 by default; without a cap it is beyond float range)
+    ("json", "state", "<401 digits>", "state 3 is not a list of floats"),
+    ("json", "state", "<4301 digits>", "invalid JSON: Exceeds the limit"
+     if 0 < _INT_DIGIT_CAP < 4301 else "state 3 is not a list of floats"),
 ]))
 def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, field,
                                   value, message):
@@ -574,7 +597,8 @@ def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, fie
             del data[field]
         else:
             data[field] = value
-        path.write_text(json.dumps(data))
+        # "<n digits>" stands for an integer literal of n digits
+        path.write_text(re.sub(r'"<(\d+) digits>"', lambda m: "9" * int(m[1]), json.dumps(data)))
     else:
         save_design(load_design(small_design_file), path)
         lines = path.read_text().splitlines()
@@ -587,6 +611,97 @@ def test_bad_design_file_exits_io(outdir, capsys, small_design_file, suffix, fie
     assert main(["fidelity", "--mode", "empirical", "--design", str(path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and message in err
+
+
+def _json_text(value):
+    """json.dumps of `value`, whose integers may pass the int-to-str digit cap."""
+    if not _INT_DIGIT_CAP:
+        return json.dumps(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value)
+    finally:
+        sys.set_int_max_str_digits(_INT_DIGIT_CAP)
+
+
+# generated design files, so that every check of load_design is reached: any
+# JSON value, including integers beyond float range and beyond the digit cap
+_TEXT = st.text("0123456789.+-eEinfatyINF_ #=,\"[]{}é\u2028\x00", max_size=8)
+_HUGE = st.integers(400, 4400).map(lambda n: 10**n)
+_VALUES = st.recursive(
+    st.one_of(st.integers(), _HUGE, st.floats(), _TEXT, st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def _design_parts(draw, value, entry):
+    """(header, rows) of a design file: each header field mostly valid, else
+    missing or a drawn `value`; each row mostly 8 floats, else `entry`s of any width."""
+    rows = draw(st.lists(st.one_of(*3 * [st.lists(st.floats(-1, 1), min_size=8, max_size=8)],
+                                   st.lists(entry, max_size=10)), min_size=1, max_size=3))
+    header = {}
+    for key, valid in (("format_version", 1), ("dim", 4), ("t", 4), ("K", len(rows)),
+                       ("provenance", "file"), ("phi_t", 0.1)):
+        kind = draw(st.sampled_from(["valid"] * 6 + ["missing", "drawn"]))
+        if kind != "missing":
+            header[key] = valid if kind == "valid" else draw(value)
+    return header, rows
+
+
+@st.composite
+def _json_documents(draw):
+    """Mostly design objects; else any value, or a design with any metadata."""
+    kind = draw(st.sampled_from(["design"] * 6 + ["value", "metadata"]))
+    if kind == "value":
+        return draw(_VALUES)
+    header, rows = draw(_design_parts(_VALUES, st.floats(-1, 1) | _HUGE | _VALUES))
+    doc = dict(header, states=rows)
+    if kind == "metadata":
+        doc["metadata"] = draw(_VALUES)
+    return doc
+
+
+_CSV_DOCUMENTS = st.builds(
+    lambda parts: "\n".join([f"# {k}={v}" for k, v in parts[0].items()]
+                            + [",".join(map(str, row)) for row in parts[1]]),
+    _design_parts(_VALUES.map(_json_text) | _TEXT, st.floats(-1, 1).map(repr) | _TEXT))
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+def _check_boundary(path, content):
+    """load_design rejects a malformed file only with DesignFormatError or OSError,
+    and the CLI exits 2 on it."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    try:
+        load_design(path)
+    except (DesignFormatError, OSError):
+        assert main(["fidelity", "--mode", "empirical", "--design", str(path)]) == EXIT_IO
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(doc=_json_documents())
+def test_generated_json_design_files_exit_io(boundary_dir, doc):
+    _check_boundary(boundary_dir / "design.json", _json_text(doc))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(text=_CSV_DOCUMENTS)
+def test_generated_csv_design_files_exit_io(boundary_dir, text):
+    _check_boundary(boundary_dir / "design.csv", text)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(suffix=st.sampled_from(["json", "csv"]), data=st.binary(max_size=40))
+def test_design_files_of_any_bytes_exit_io(boundary_dir, suffix, data):
+    _check_boundary(boundary_dir / f"bytes.{suffix}", data)
 
 
 @pytest.mark.parametrize("argv", [

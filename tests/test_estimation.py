@@ -329,6 +329,27 @@ def test_fidelities_form_q_once_for_equal_states(monkeypatch, tmp_path):
     assert len(calls) == 2 * len(items) and calls.count(part) == len(items)
 
 
+@pytest.mark.parametrize("function", ["estimator_tables", "fidelities"])
+def test_projectors_formed_once_per_state_set(function, monkeypatch, tmp_path, partial_design):
+    # both functions set up their designs alike: each distinct set of states, the
+    # scored design's and Q's, is projected once per call, whatever the design's name
+    save_design(default_design(), tmp_path / "clifford.json")
+    loaded = load_design(tmp_path / "clifford.json")
+    bases = mub_triple(HALF, 0.3, 1.1).bases
+    calls = []
+    projectors = estimation._state_projectors
+    monkeypatch.setattr(estimation, "_state_projectors",
+                        lambda states: calls.append(states) or projectors(states))
+    for mode, design, count in (("ideal", default_design(), 1), ("empirical", partial_design, 1),
+                                ("ideal", partial_design, 2), ("ideal", loaded, 1)):
+        calls.clear()
+        if function == "fidelities":
+            fidelities([bases, bases[:2]], mode, design)
+        else:
+            estimation.estimator_tables(bases, design, mode)
+        assert len(calls) == count, (mode, design.size)
+
+
 def test_fidelities_checks(design960):
     triple = mub_triple(HALF, HALF, HALF)
     with pytest.raises(ValueError, match="unknown mode"):

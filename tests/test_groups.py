@@ -42,15 +42,16 @@ def test_pauli_orders(pauli_group):
     assert pauli_group.generator_labels == ["pauli"]
 
 
-def test_restricted_is_subgroup_of_clifford(clifford_group, restricted_group, rng):
-    idx = rng.choice(len(restricted_group), size=50, replace=False)
-    for i in idx:
-        assert restricted_group.elements[i] in clifford_group
+def key_set(elements):
+    return set(canonical_keys(elements).tolist())
+
+
+def test_restricted_is_subgroup_of_clifford(clifford_group, restricted_group):
+    assert key_set(restricted_group.elements) <= key_set(clifford_group.elements)
 
 
 def test_pauli_inside_restricted(pauli_group, restricted_group):
-    for p in pauli_group:
-        assert p in restricted_group
+    assert key_set(pauli_group.elements) <= key_set(restricted_group.elements)
 
 
 # (1/|G|) sum_g |tr g|^{2t} for t = 1..4; the Haar values at d = 4 are
@@ -115,14 +116,15 @@ def test_element_orders_modulo_paulis(name, census, request, pauli_group):
     assert dict(zip(*np.unique(orders, return_counts=True))) == census
 
 
-def test_closure_and_inverses(restricted_group, rng):
-    # random products and inverses stay in the group
+def test_closure_and_inverses(restricted_group, clifford_group, rng):
+    # random products stay in the group, and the inverses of all elements are the group
     n = len(restricted_group)
     for _ in range(30):
         a, b = rng.integers(n, size=2)
-        u, v = restricted_group.elements[a], restricted_group.elements[b]
-        assert u @ v in restricted_group
-        assert u.conj().T in restricted_group
+        assert restricted_group.elements[a] @ restricted_group.elements[b] in restricted_group
+    for group in (restricted_group, clifford_group):
+        inverses = canonicalize_phases(group.elements.conj().swapaxes(1, 2))
+        assert key_set(inverses) == key_set(group.elements)
 
 
 def test_elements_unitary_and_distinct(restricted_group):
@@ -160,11 +162,17 @@ def test_generate_group_rejects_non_unitary_generator():
 
 
 def test_generate_group_checks_every_product():
-    # each generator passes the 1e-9 unitarity check, their products do not
+    # each generator passes the 1e-10 unitarity check, their products do not
     g = standard_gates()
-    scale = 1 + 4e-10
+    scale = 1 + 4e-11
     with pytest.raises(ContractViolationError):
         generate_group([scale * g["H1"], scale * g["P2"]], max_size=11520)
+
+
+def test_closure_short_of_its_order_raises():
+    # H1 alone generates {I, H1}
+    with pytest.raises(ContractViolationError, match=r"order 2, not 11520"):
+        groups._labelled_group(["H1"], 11520)
 
 
 def test_strip_phases_matches_scalar_pivot(restricted_group, rng):

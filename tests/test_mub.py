@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mubest.errors import ContractViolationError
+from mubest.linalg import is_unitary
 from mubest.mub import (
     MubTriple,
     OrthonormalBasis,
@@ -74,6 +75,21 @@ def test_orthonormal_basis_rejects_bad_columns():
     bad[0, 1] = 0.5
     with pytest.raises(ContractViolationError):
         OrthonormalBasis(bad)
+
+
+@pytest.mark.parametrize("deviation, unitary", [(5e-11, True), (5e-10, False)])
+def test_orthonormal_basis_checks_unitarity(rng, deviation, unitary):
+    # the basis checks its columns through linalg's unitarity test: the two
+    # accept and reject the same matrices
+    for u in (np.eye(4, dtype=complex), hadamard_b(0.3), haar_random_unitary(4, rng)):
+        m = math.sqrt(1 + deviation) * u
+        assert abs(np.max(np.abs(m.conj().T @ m - np.eye(4))) - deviation) <= 1e-15
+        assert bool(is_unitary(m)) is unitary
+        if unitary:
+            assert OrthonormalBasis(m).vectors is m
+        else:
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                OrthonormalBasis(m)
 
 
 def test_records_are_read_only(symmetric_triple):
