@@ -95,7 +95,11 @@ def parse_angle_list(text):
         count = int(fields[2])
         if count < 1:
             raise ValueError(f"grid {text!r} has count {count} < 1")
-        return list(np.linspace(start, stop, count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(start, stop, count)
+        if not np.isfinite(grid).all():
+            raise ValueError(f"grid {text!r} spans more than a float: its points are not finite")
+        return list(grid)
     return [parse_angle(tok) for tok in text.split(",")]
 
 

@@ -7,27 +7,28 @@ triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimation.estimator_tables`, which reaches Q's densities as `fidelities`
 does, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
 copies and two-copy reprocessing alike.  A `SimReport` holds a run's design,
-mode, measurements (the bases) and table, the scores of its counts against
-that table, and, when one was kept, its count table; its statistics
-(per-block, mean, std and per-state fidelities) all derive from the scores,
-which `_score_counts` takes from the sampler's chunks and from a whole table
-alike, so they cannot disagree.  `run_health` and `reprocess_two_copy` read
+mode, measurements (the bases) and table, when one was kept its count table,
+and the statistics of its (K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o]:
+the per-block and per-state fidelities are S's two marginals.  `_scores` is the
+one contraction that gives S, from the sampler's chunks and from a whole table
+alike, so the two cannot disagree.  `run_health` and `reprocess_two_copy` read
 the same fields, so they always use the run's own estimators.
 
 Memory after the draws.  A sampled command holds the estimator table, the
-(K, blocks) scores and the (K,) per-state sums; the (K, blocks, 64) count
+(K, blocks) scores and the (K,) per-state fidelities; the (K, blocks, 64) count
 table is kept only where it is read, by `simulate --counts` and two-copy
 reprocessing.  Each chunk of `_STATE_CHUNK` states is scored as soon as it is
-drawn, so a run without the table holds one chunk's counts at a time.
-`run_health` contracts the per-basis Born probabilities with the table one
-basis and `_STATE_CHUNK` states at a time.
+drawn, so a run without the table holds one chunk's counts at a time.  Scoring
+a whole table makes no float copy of it: einsum casts the integer counts in
+its buffered iterator.  `run_health` contracts the per-basis Born
+probabilities with the table one basis and `_STATE_CHUNK` states at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
 `simulate_protocol` allocates a kept table as np.min_scalar_type(M): uint8 up to
 M = 255, uint16 up to 65535 (the paper's M = 10^4), uint32 beyond.  Two-copy
-marginals keep that dtype, being bounded by M too; sums over blocks, which can
-reach M * blocks, accumulate in int64.  Files written from the table are the
-same whatever its dtype.
+marginals keep that dtype, being bounded by M too; sums over blocks are sums of
+the float scores, so none can wrap.  Files written from the table are the same
+whatever its dtype.
 
 Sampling (stream version 2).  The counts are drawn from
 `mub.born_probabilities`, the one Born function that also gives Q its weights
@@ -85,21 +86,20 @@ class SimConfig(ReadOnlyRecord):
 
 
 class SimReport:
-    """A sampled run: the table it was scored with, its scores, the statistics
-    derived from them, and its count table when one was kept.
+    """A sampled run: the table it was scored with, the statistics of its
+    scores, and its count table when one was kept.
 
-    `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o] and
-    `state_sums` the (K,) per-state sums sum_o (sum_b n[k, b, o]) f[k, o];
-    without them both are computed from `counts` by `_score_counts`, so a
-    report built from a whole table has the bits of the sampler's.  The
-    per-block F is S summed over states over K M.
+    `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o];
+    without it, `_scores` takes S from `counts`, so a report built from a
+    whole table has the bits of the sampler's.  The per-block F is S summed
+    over states over K M; the (K,) per-state F is S summed over blocks over M B.
     """
 
     __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
-                 "state_sums", "per_block_fidelities", "mean_fidelity", "std")
+                 "per_state_fidelity", "per_block_fidelities", "mean_fidelity", "std")
 
     def __init__(self, config, triple, design, mode, measurements, f_table, counts,
-                 scores=None, state_sums=None):
+                 scores=None):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
@@ -109,17 +109,12 @@ class SimReport:
         # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M), or None
         self.counts = counts
         if scores is None:
-            scores, state_sums = _score_counts(counts, f_table)
-        self.state_sums = state_sums
+            scores = _scores(counts, f_table)
+        self.per_state_fidelity = scores.sum(axis=1) / (config.m_block * config.blocks)
         per_block = scores.sum(axis=0) / (len(scores) * config.m_block)
         self.per_block_fidelities = per_block
         self.mean_fidelity = float(per_block.mean())
         self.std = float(per_block.std(ddof=1))  # standard deviation over blocks
-
-    @property
-    def per_state_fidelity(self):
-        """(K,) per-state average of tr(rho rhohat), a new array on each read."""
-        return self.state_sums / (self.config.m_block * self.config.blocks)
 
     @property
     def std_of_mean(self):
@@ -162,20 +157,19 @@ def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False):
     param_keys = [_param_key(role, triple) for role in range(3)]
     counts = (np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
               if keep_counts else None)
-    scores, state_sums = _multinomial_counts(probs, param_keys, cfg, f_table, counts)
-    return SimReport(cfg, triple, design, mode, measurements, f_table, counts,
-                     scores, state_sums)
+    scores = _multinomial_counts(probs, param_keys, cfg, f_table, counts)
+    return SimReport(cfg, triple, design, mode, measurements, f_table, counts, scores)
 
 
 def _multinomial_counts(probs, param_keys, cfg, f_table, counts):
     """Draw the counts from three chained multinomials (stream version 2) and score them.
 
-    Returns `_score_counts` of the (K, B, 64) counts, one chunk of
+    Returns the (K, B) `_scores` of the (K, B, 64) counts, one chunk of
     `_STATE_CHUNK` states scored as soon as it is drawn; `counts`, unless
     None, is filled with the table.
     """
     K, B = len(f_table), cfg.blocks
-    scores, state_sums = np.empty((K, B)), np.empty(K)
+    scores = np.empty((K, B))
     generators = [
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed, spawn_key=(_COUNTS_STREAM, role, key))
@@ -190,29 +184,19 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, counts):
             pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
             n = generator.multinomial(n, pvals)
         n = n.reshape(-1, B, 64)
-        scores[chunk], state_sums[chunk] = _score_counts(n, f_table[chunk])
+        scores[chunk] = _scores(n, f_table[chunk])
         if counts is not None:
             counts[chunk] = n
-    return scores, state_sums
+    return scores
 
 
-def _score_counts(counts, f_table):
-    """(K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] and (K,) per-state sums.
+def _scores(counts, f_table):
+    """(K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] of any number of states.
 
-    A state's sum is the int64 sum of its counts over blocks times f, summed
-    over outcomes.  Both are taken `_STATE_CHUNK` states at a time and row by
-    row, so the sampler's chunks and a whole table give the same bits.  The
-    integer counts go to einsum as they are: einsum casts them to float in its
-    buffered iterator, so no float copy of the table is made.
+    Each score is one row's sum over outcomes, so a chunk of states and a
+    whole table give the same bits.
     """
-    K, B = counts.shape[:2]
-    scores, state_sums = np.empty((K, B)), np.empty(K)
-    for start in range(0, K, _STATE_CHUNK):
-        rows = slice(start, start + _STATE_CHUNK)
-        n, f = counts[rows], f_table[rows]
-        scores[rows] = np.einsum("kbo,ko->kb", n, f)
-        state_sums[rows] = (n.sum(axis=1, dtype=np.int64) * f).sum(axis=1)
-    return scores, state_sums
+    return np.einsum("kbo,ko->kb", counts, f_table)
 
 
 def run_health(report):

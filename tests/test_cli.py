@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,10 +102,89 @@ def test_parse_angle_rejects(token, message):
     ("0:pi", "not start:stop:count"),
     ("0:pi:3:4", "not start:stop:count"),
     ("0:nan:3", "not finite"),
+    # finite endpoints whose span overflows
+    ("-1e308:1e308:3", "grid '-1e308:1e308:3' spans more than a float"),
 ])
 def test_parse_angle_list_rejects(text, message):
     with pytest.raises(ValueError, match=message):
         parse_angle_list(text)
+
+
+def test_overflowing_grid_exits_validation(outdir, capsys):
+    # rejected at the boundary, with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["fidelity", "--z-list=-1e308:1e308:3", "--out", "out.csv"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: grid '-1e308:1e308:3' spans more than a float: its points are not finite\n")
+    assert not (outdir / "out.csv").exists()
+
+
+# tokens near the parser's grammar: pi fractions, float literals, and strings of
+# the characters either is made of
+_ANGLE_TOKENS = (
+    st.builds(lambda num, den: f"{num}pi" + (f"/{den}" if den else ""),
+              st.sampled_from(["", "+", "-", "."]) | st.floats().map(repr)
+              | st.integers(-10**400, 10**400).map(str),
+              st.sampled_from(["", "0", "0.0", "."]) | st.integers(0, 10**400).map(str)
+              | st.floats(0, allow_infinity=False).map(repr))
+    | st.floats().map(repr)
+    | st.text("0123456789.+-einfapπ/ ", max_size=12)
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_GRIDS = st.builds(lambda start, stop, count: f"{start!r}:{stop!r}:{count}",
+                   _FINITE, _FINITE, st.integers(-2, 40))
+
+
+def _parsed(parse, text):
+    """parse(text) under RuntimeWarnings made errors, or None if it raised ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return parse(text)
+        except ValueError:
+            return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(token=_ANGLE_TOKENS)
+def test_parse_angle_is_finite_or_rejects(token):
+    value = _parsed(parse_angle, token)
+    assert value is None or (type(value) is float and math.isfinite(value))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=_GRIDS | st.lists(_ANGLE_TOKENS, min_size=1, max_size=4).map(",".join))
+def test_parse_angle_list_is_finite_or_rejects(text):
+    values = _parsed(parse_angle_list, text)
+    assert values is None or all(math.isfinite(v) for v in values)
+    if values is not None and ":" in text:
+        assert len(values) == int(text.rsplit(":", 1)[1])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(num=st.integers(-10**6, 10**6), den=st.integers(1, 10**6))
+def test_pi_fractions_round_trip(num, den):
+    assert parse_angle(f"{num}pi/{den}") == num * math.pi / den
+    assert parse_angle(f"{num}π/{den}") == num * math.pi / den
+
+
+@pytest.fixture(scope="module")
+def rejected_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("rejected")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(token=_ANGLE_TOKENS, grid=_GRIDS)
+def test_main_exits_validation_on_rejected_angles(rejected_dir, token, grid):
+    # every token the parsers reject is an exit 4, before anything is written
+    out = str(rejected_dir / "out.csv")
+    if _parsed(parse_angle, token) is None:
+        assert main(["fidelity", f"--x={token}", "--out", out]) == EXIT_VALIDATION
+    if _parsed(parse_angle_list, grid) is None:
+        assert main(["fidelity", f"--z-list={grid}", "--out", out]) == EXIT_VALIDATION
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [

@@ -587,12 +587,12 @@ def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
         counts2 = reprocess_two_copy(report, pair).counts
         assert counts2.dtype == report.counts.dtype, pair
         assert np.all(counts2.sum(axis=2, dtype=np.int64) == m_block), pair
-    if m_block == 65535:
-        # per-state F are those of the float table; test_per_state_sum_does_not_wrap
-        # gives the sum over blocks a cell beyond uint16
-        expected = ((report.counts.astype(float).sum(axis=1) * report.f_table).sum(axis=1)
-                    / (m_block * cfg.blocks))
-        assert np.array_equal(report.per_state_fidelity, expected)
+    # the whole kept table, in its dtype, scores the bits of the sampler's chunks
+    rebuilt = SimReport(cfg, report.triple, design, report.mode, report.measurements,
+                        report.f_table, report.counts)
+    for name in ("per_block_fidelities", "per_state_fidelity"):
+        assert getattr(rebuilt, name).tobytes() == getattr(report, name).tobytes(), name
+    assert (rebuilt.mean_fidelity, rebuilt.std) == (report.mean_fidelity, report.std)
 
 
 def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
@@ -631,21 +631,22 @@ def test_run_health_memory_is_o_of_k(sweep_report):
 
 
 def test_per_state_fidelity_memory_is_one_chunk(sweep_report):
-    # the report is built from its fields and read: the per-state sums over
-    # blocks alone would be one (K, 64) int64 table
+    # the report is built from its fields and read: scoring the whole table
+    # holds O(K B) floats, where a float copy of the counts summed over blocks
+    # would alone be one (K, 64) table
     fields = [getattr(sweep_report, name) for name in
               ("config", "triple", "design", "mode", "measurements", "f_table", "counts")]
     assert traced_peak(lambda: SimReport(*fields).per_state_fidelity) < 960 * 64 * 8
 
 
 def test_per_state_fidelity_bits(sweep_report, small_report, symmetric_triple, design960):
-    # computed a chunk of states at a time, with the bits of the whole-table
-    # expression; 100 states end in a part chunk
+    # scored a chunk of states at a time, with the bits of the whole-table
+    # scores summed over blocks; 100 states end in a part chunk
     part = simulate_protocol(symmetric_triple, StateDesign(t=4, states=design960.states[:, :100]),
                              SMALL, keep_counts=True)
     for report in (sweep_report, small_report, reprocess_two_copy(small_report, (1, 2)), part):
         cfg = report.config
-        expected = ((report.counts.sum(axis=1, dtype=np.int64) * report.f_table).sum(axis=1)
+        expected = (np.einsum("kbo,ko->kb", report.counts, report.f_table).sum(axis=1)
                     / (cfg.m_block * cfg.blocks))
         assert np.array_equal(report.per_state_fidelity, expected)
 
