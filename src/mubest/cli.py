@@ -95,11 +95,14 @@ def parse_angle_list(text):
         count = int(fields[2])
         if count < 1:
             raise ValueError(f"grid {text!r} has count {count} < 1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = np.linspace(start, stop, count)
-        if not np.isfinite(grid).all():
-            raise ValueError(f"grid {text!r} spans more than a float: its points are not finite")
-        return list(grid)
+        try:  # np.linspace's bits wherever its arithmetic stays finite
+            with np.errstate(over="raise", invalid="raise"):
+                return list(np.linspace(start, stop, count))
+        except FloatingPointError:  # the span overflows; at a quarter scale no partial sum
+            # passes 3/4 of the float range (at half scale -max:max:4 still overflows)
+            grid = 4 * np.linspace(start / 4, stop / 4, count)
+            grid[-1], grid[0] = stop, start  # quartering loses subnormal bits; 1 point: start
+            return list(grid)
     return [parse_angle(tok) for tok in text.split(",")]
 
 

@@ -1,16 +1,8 @@
-"""Shared exception types and the base of the read-only records."""
+"""Exception types, one per CLI exit code, and the base of the read-only records."""
 
 
 class ContractViolationError(ValueError):
-    """An input failed a mathematical precondition (non-Hermitian, non-unitary, ...)."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operand dimensions are incompatible."""
-
-
-class GroupSizeError(RuntimeError):
-    """Group closure exceeded the requested size bound."""
+    """An input failed a mathematical precondition (non-unitary, wrong dimension, ...)."""
 
 
 class DesignFormatError(ValueError):

@@ -31,7 +31,7 @@ import warnings
 import numpy as np
 
 from .designs import default_design
-from .errors import ContractViolationError, DimensionMismatchError
+from .errors import ContractViolationError
 from .linalg import symmetric_dimension
 from .mub import born_probabilities, mub_triple
 
@@ -77,7 +77,7 @@ def _q_operators(measurements, design, projectors):
             stacklevel=3,
         )
     if any(m.dim != d for m in measurements):
-        raise DimensionMismatchError(f"measurements do not act on dimension {d}")
+        raise ContractViolationError(f"measurements do not act on dimension {d}")
     # w[o, j] = prod_i |<v_{i,o_i}|psi_j>|^2, rows in np.ndindex order, multiplied
     # in place in the order of the bases: ((p_1 p_2) p_3) whatever the layout
     w = np.empty((d,) * N + (K,))

@@ -33,7 +33,7 @@ import json
 
 import numpy as np
 
-from .errors import ContractViolationError, GroupSizeError
+from .errors import ContractViolationError
 from .linalg import check_unitary
 
 KEY_GRID = 1e6
@@ -145,9 +145,9 @@ def generate_group(generators, max_size, generator_labels=()):
     raises ContractViolationError.  The generators and each new element are
     checked for unitarity; a product dropped as a duplicate has the key of a
     checked element.  A closure that ends below max_size returns a copy of
-    its elements, not a view that pins the buffer.  Raises GroupSizeError if
-    the closure would exceed max_size (a symptom of wrong generators or a
-    broken canonicalization grid).
+    its elements, not a view that pins the buffer.  Raises
+    ContractViolationError if the closure would exceed max_size (a symptom of
+    wrong generators or a broken canonicalization grid).
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     n_gens, dim = gens.shape[:2]
@@ -170,7 +170,7 @@ def generate_group(generators, max_size, generator_labels=()):
                     at.append(index[d])
                 else:
                     if len(index) >= max_size:
-                        raise GroupSizeError(f"group closure exceeded max_size={max_size}")
+                        raise ContractViolationError(f"group closure exceeded max_size={max_size}")
                     index[d] = len(index)
                     new.append(i)
             elements[len(index) - len(new):len(index)] = check_unitary(products[new])
@@ -192,7 +192,7 @@ def _labelled_group(labels, order):
     generators = [functools.reduce(np.matmul, [gates[name] for name in label.split(".")])
                   for label in labels]
     group = generate_group(generators, max_size=order, generator_labels=labels)
-    if len(group) < order:  # past `order`, generate_group raises GroupSizeError
+    if len(group) < order:  # past `order`, generate_group raises
         raise ContractViolationError(f"closure of {labels}: order {len(group)}, not {order}")
     return group
 

@@ -70,11 +70,14 @@ class SimConfig(ReadOnlyRecord):
     __slots__ = ("seed", "m_block", "blocks")
 
     def __init__(self, seed, m_block=10000, blocks=10):
-        for value, low, message in ((seed, 0, "expected non-negative integer"),
-                                    (m_block, 1, "m_block must be an integer >= 1"),
-                                    (blocks, 2, "blocks must be >= 2 for a std, and an integer")):
+        # the sampler splits int64 counts, so M stops at the largest int64
+        for value, low, high, message in (
+                (seed, 0, math.inf, "expected non-negative integer"),
+                (m_block, 1, 2**63 - 1, "m_block must be an integer from 1 to 2**63 - 1"),
+                (blocks, 2, math.inf, "blocks must be >= 2 for a std, and an integer")):
             # bool is an int; a float or bool M would pick the count table's dtype
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or not low <= value <= high):
                 raise ValueError(message)
         self._set(seed=seed, m_block=m_block, blocks=blocks)
 

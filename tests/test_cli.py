@@ -33,6 +33,7 @@ from mubest.cli import (
     run_parameters,
 )
 from mubest.designs import (
+    StateDesign,
     default_design,
     frame_potential,
     load_design,
@@ -45,6 +46,7 @@ from mubest.mub import mub_triple
 from mubest.simulate import (
     SimConfig,
     SimReport,
+    check_subset_request,
     equivalence_scan_phase,
     run_health,
     simulate_protocol,
@@ -102,23 +104,39 @@ def test_parse_angle_rejects(token, message):
     ("0:pi", "not start:stop:count"),
     ("0:pi:3:4", "not start:stop:count"),
     ("0:nan:3", "not finite"),
-    # finite endpoints whose span overflows
-    ("-1e308:1e308:3", "grid '-1e308:1e308:3' spans more than a float"),
 ])
 def test_parse_angle_list_rejects(text, message):
     with pytest.raises(ValueError, match=message):
         parse_angle_list(text)
 
 
-def test_overflowing_grid_exits_validation(outdir, capsys):
-    # rejected at the boundary, with no numpy RuntimeWarning on the way
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("text, expected", [
+    # finite endpoints whose span overflows a float
+    ("-1e308:1e308:1", [-1e308]),
+    ("-1e308:1e308:2", [-1e308, 1e308]),
+    ("-1e308:1e308:3", [-1e308, 0.0, 1e308]),
+])
+def test_grids_spanning_more_than_a_float(text, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_angle_list(text) == expected
+
+
+def test_overflowing_grid_scores(outdir, capsys):
+    # the grid's points are finite, so the curve is scored with no numpy RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["fidelity", "--z-list=-1e308:1e308:3", "--out", "out.csv"])
-    assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "error: grid '-1e308:1e308:3' spans more than a float: its points are not finite\n")
-    assert not (outdir / "out.csv").exists()
+        code = main(["fidelity", "--y-list", "pi/2", "--z-list=-1e308:1e308:3",
+                     "--out", "out.csv"])
+    assert code == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    rows = [line for line in (outdir / "out.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "x,y,z,F" and [row.split(",")[2] for row in rows[1:]] == [
+        "-1e+308", "0", "1e+308"]
 
 
 # tokens near the parser's grammar: pi fractions, float literals, and strings of
@@ -161,6 +179,28 @@ def test_parse_angle_list_is_finite_or_rejects(text):
     assert values is None or all(math.isfinite(v) for v in values)
     if values is not None and ":" in text:
         assert len(values) == int(text.rsplit(":", 1)[1])
+
+
+# endpoints near the float range's edges, where np.linspace's span or its
+# partial sums overflow, and subnormal ones, which scaling by 4 does not keep
+_ENDPOINTS = _FINITE | st.sampled_from([_MAX, -_MAX, _MAX / 2, -_MAX / 2, 1e308, -1e308,
+                                        5e-324, -5e-324, 0.0, -0.0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(start=_ENDPOINTS, stop=_ENDPOINTS, count=st.integers(1, 50))
+def test_grids_are_finite_and_keep_linspace_bits(start, stop, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = parse_angle_list(f"{start!r}:{stop!r}:{count}")
+    assert len(grid) == count and all(math.isfinite(v) for v in grid)
+    assert grid[0] == start and (count == 1 or grid[-1] == stop)
+    try:
+        with np.errstate(all="raise"):
+            expected = np.linspace(start, stop, count)
+    except FloatingPointError:
+        return
+    assert np.array(grid).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -218,6 +258,16 @@ def test_groups_command_short_closure_exits_validation(outdir, capsys, monkeypat
     assert main(["groups", "--which", "clifford", "--out", "clifford.json"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.endswith("order 576, not 11520\n")
     assert not (outdir / "clifford.json").exists()
+
+
+def test_groups_command_long_closure_exits_validation(outdir, capsys, monkeypatch):
+    # a T gate in place of the phase gate generates no finite group
+    gates = groups.standard_gates()
+    t_gate = np.kron(np.diag([1, np.exp(1j * math.pi / 4)]), np.eye(2))
+    monkeypatch.setattr(groups, "standard_gates", lambda: dict(gates, P1=t_gate))
+    assert main(["groups", "--which", "restricted", "--out", "g.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: group closure exceeded max_size=960\n"
+    assert not (outdir / "g.json").exists()
 
 
 def test_design_optimize_command(outdir, capsys):
@@ -583,6 +633,59 @@ def nan_design_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def three_state_design(tmp_path_factory):
+    """Three basis states of C^4: a design file each accepted run samples in milliseconds."""
+    path = tmp_path_factory.mktemp("three") / "three.json"
+    save_design(StateDesign(t=4, states=np.eye(4, 3, dtype=complex)), path)
+    return str(path)
+
+
+_SIZE_TOKENS = st.integers(-2, 5).map(str) | st.text("0123456789+-_ .e", max_size=4)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tokens=st.lists(_SIZE_TOKENS, min_size=1, max_size=4))
+def test_subset_sizes_exit_ok_or_validation(boundary_dir, three_state_design, tokens):
+    # int and check_subset_request reject a size list only with ValueError, which exits 4
+    text = ",".join(tokens)
+    try:
+        check_subset_request([int(s) for s in text.split(",")], 2, 3)
+        expected = EXIT_OK
+    except ValueError:
+        expected = EXIT_VALIDATION
+    assert main(["subsets", "--design", three_state_design, f"--sizes={text}", "--trials", "2",
+                 "--M", "2", "--blocks", "2", "--out", str(boundary_dir / "s.csv")]) == expected
+
+
+_SMALL = st.integers(-1, 4)
+
+
+@st.composite
+def _integer_options(draw):
+    """argv of a command with its integer options drawn: --M past 2**64, since M sizes
+    no array, and the options that size arrays within a few units."""
+    command = draw(st.sampled_from(["simulate", "subsets", "equivalence", "optimize"]))
+    if command == "optimize":
+        return ["design", "optimize", "--K", str(draw(st.integers(-1, 6))),
+                "--iters", str(draw(_SMALL))]
+    m_block = draw(st.integers(-1, 2**65) | st.sampled_from([2**63 - 1, 2**63]))
+    argv = [command, "--M", str(m_block), "--blocks", str(draw(_SMALL))]
+    if command == "subsets":
+        argv += ["--sizes", "2", "--trials", str(draw(_SMALL))]
+    if command == "equivalence":
+        argv += ["--n-unitaries", str(draw(_SMALL))]
+    return argv
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=_integer_options())
+def test_integer_options_exit_ok_target_or_validation(boundary_dir, three_state_design, argv):
+    design = [] if argv[0] == "design" else ["--design", three_state_design]
+    out = str(boundary_dir / "int.out")
+    assert main(argv + design + ["--out", out]) in (EXIT_OK, EXIT_TARGET, EXIT_VALIDATION)
+
+
 @pytest.mark.parametrize("argv", [
     ["fidelity", "--mode", "empirical"],
     ["simulate", "--M", "10", "--blocks", "2"],
@@ -813,6 +916,17 @@ def test_simulate_invalid_blocks(outdir, capsys):
     # one block gives no std: a zero error bar would claim perfect precision
     assert main(["simulate", "--blocks", "1", "--M", "5"]) == EXIT_VALIDATION
     assert "blocks must be >= 2 for a std" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design", ["clifford", "missing.json"])
+@pytest.mark.parametrize("command", ["simulate", "subsets", "equivalence"])
+def test_m_past_int64_exits_validation(outdir, capsys, command, design):
+    # the sampler splits int64 counts; the bound is checked before a design is read,
+    # so a missing design file still exits 4
+    argv = [command, "--design", design, "--M", str(2**63), "--blocks", "2", "--out", "r.out"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: m_block must be an integer from 1 to 2**63 - 1\n"
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "subsets"])

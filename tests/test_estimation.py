@@ -18,7 +18,7 @@ from mubest.estimation import (
     fidelity_scan,
     triple_fidelity,
 )
-from mubest.errors import ContractViolationError, DimensionMismatchError
+from mubest.errors import ContractViolationError
 from mubest.linalg import symmetric_dimension
 from mubest.mub import (
     OrthonormalBasis,
@@ -69,10 +69,22 @@ def test_q_operator_resolution_of_identity(rng):
 
 def test_q_operator_input_checks(rng):
     qubit = OrthonormalBasis(haar_random_unitary(2, rng))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ContractViolationError, match="dimension 4"):
         q_stack([qubit])
     with pytest.raises(ValueError):
         q_stack([])
+
+
+@pytest.mark.parametrize("mode", ["ideal", "empirical"])
+def test_bases_of_another_dimension_rejected(mode):
+    # four-dimensional bases over a qubit design: Q's dimension check, not a shape error
+    triple = mub_triple(HALF, HALF, HALF)
+    qubits = StateDesign(t=4, states=np.eye(2, dtype=complex))
+    with pytest.raises(ContractViolationError, match="do not act on dimension 2"):
+        fidelities([triple.bases], mode, qubits)
+    if mode == "empirical":  # ideal mode's table forms Q over the orbit, of dimension 4
+        with pytest.raises(ContractViolationError, match="do not act on dimension 2"):
+            estimation.estimator_tables(triple.bases, qubits, mode)
 
 
 def test_optimal_estimator_properties(rng):

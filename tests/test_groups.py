@@ -12,7 +12,7 @@ import pytest
 import mubest
 from mubest import groups
 from mubest.designs import fiducial_state, orbit
-from mubest.errors import ContractViolationError, GroupSizeError
+from mubest.errors import ContractViolationError
 from mubest.groups import (
     UnitaryGroup,
     canonical_keys,
@@ -151,7 +151,7 @@ def test_canonicalize_pivot_positive_real():
 
 def test_generate_group_size_guard():
     g = standard_gates()
-    with pytest.raises(GroupSizeError):
+    with pytest.raises(ContractViolationError, match="exceeded max_size=100"):
         generate_group([g["H1"], g["H2"], g["P1"], g["P2"], g["CNOT12"]], max_size=100)
 
 

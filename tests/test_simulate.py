@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,11 @@ def test_config_validation():
         SimConfig(seed=0, blocks=1)
     with pytest.raises(TypeError):  # one sampler is left, so nothing to choose
         SimConfig(seed=0, sampler="counts")
+    # the sampler splits int64 counts: M stops at the largest int64
+    assert SimConfig(0, 2**63 - 1, 2).m_block == 2**63 - 1
+    for m_block in (2**63, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=re.escape("from 1 to 2**63 - 1")):
+            SimConfig(seed=0, m_block=m_block)
 
 
 # a float or bool M would pick the count table's dtype; a float B fails late, in np.empty
