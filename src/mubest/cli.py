@@ -9,8 +9,7 @@ grids use start:stop:count.  Exit codes: 0 ok, 2 usage/I-O, 3 numerical
 target not reached, 4 validation failure or an allocation the machine refuses.
 """
 
-# The layers are imported first, before the standard library, in the order
-# the eager package __init__ used to import them:
+# The layers are imported first, before the standard library:
 # - all of them here, not per command: bench/trace_cmd.py wraps layer functions
 #   only in the modules loaded by `import mubest.cli`, so a layer that a
 #   command imported later would trace as 0 s;
@@ -43,6 +42,7 @@ from .simulate import (
     equivalence_scan_random,
     random_subset_analysis,
     run_health,
+    save_report,
     simulate_protocol,
 )
 
@@ -61,8 +61,6 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_TARGET = 3
 EXIT_VALIDATION = 4
-
-_WRITE_ENTRIES = 1 << 11  # counts formatted together by _write_report
 
 _ANGLE_RE = re.compile(r"^(?P<num>[+-]?[\d.]*)\s*pi\s*(?:/\s*(?P<den>[\d.]+))?$")
 
@@ -249,11 +247,12 @@ def cmd_groups(args):
 def cmd_design(args):
     optimize = args.subcommand == "optimize"  # only `design optimize` has its options
     design = (optimize_design(K=args.K, d=4, t=4, seed=args.seed, max_iters=args.iters,
-                              step=args.step, target=args.target)
+                              target=args.target)
               if optimize else default_design())
     phi4 = frame_potential(design, design.t)  # both sources build t = 4 designs
     _, ratio = moment_operator(design, 4)
-    missed = optimize and args.target is not None and phi4 > args.target
+    # the optimizer's own verdict; without a target there is none to miss
+    missed = optimize and args.target is not None and not design.metadata["reached_target"]
     health = {"phi4": phi4, "symmetric_ratio": ratio}
     if optimize:
         health.update(iterations=design.metadata["iterations"],
@@ -276,7 +275,7 @@ def cmd_fidelity(args):
     bases = (0, 1, 2) if args.copies == 3 else pairs[args.pair]
     rows = fidelity_scan(x, y_values, z_values, mode=args.mode, design=design, bases=bases)
     return Run(
-        [f"x={x:.6f} y={y:.6f} z={z:.6f} F={f:.12g}" for _, y, z, f in rows],
+        [f"x={x:.12g} y={y:.12g} z={z:.12g} F={f:.12g}" for _, y, z, f in rows],
         [(args.out, _csv({"mode": args.mode, "design": args.design, "copies": args.copies},
                          ["x", "y", "z", "F"], rows))],
     )
@@ -291,38 +290,12 @@ def cmd_simulate(args):
     return Run(
         [f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
          f" (block std {report.std:.6f})"],
-        [(args.out, lambda path, digest: _write_report(path, report, args.counts)),
+        [(args.out, lambda path, digest: save_report(report, path)),
          (f"{args.out}.blocks.csv",
           _csv({"x": x, "y": y, "z": z}, ["block", "fidelity"],
                [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)]))],
         {"health": run_health(report)},
     )
-
-
-def _write_report(path, report, include_counts):
-    """The bytes of json.dump(report.to_dict(), indent=1), with a last "counts" key if asked.
-
-    The (K, B, outcomes) counts block bypasses the pure-Python encoder that
-    indent selects.  It is written a run of whole states at a time, about
-    `_WRITE_ENTRIES` counts: the run's ints fill a fixed template of `%d`
-    fields in one formatting pass, which gives json's text for each int.  No
-    temporary grows with M or with the whole table.
-    """
-    text = json.dumps(report.to_dict(), indent=1)
-    with open(path, "w") as fh:
-        if not include_counts:
-            fh.write(text)
-            return
-        fh.write(text[:-2] + ',\n "counts": [')
-        K, blocks, outcomes = report.counts.shape
-        block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
-        state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
-        step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
-        for start in range(0, K, step):
-            chunk = report.counts[start:start + step]
-            template = ",".join([state] * len(chunk))
-            fh.write(("," if start else "") + template % tuple(chunk.ravel().tolist()))
-        fh.write("\n ]\n}")
 
 
 def cmd_equivalence(args):
@@ -334,7 +307,7 @@ def cmd_equivalence(args):
     design = _load_or_build_design(args.design)
     if grid is not None:
         rows = equivalence_scan_phase(grid, base, design, cfg, mode=args.mode)
-        lines = [f"phi={phi:.6f} exact={exact:.12g}"
+        lines = [f"phi={phi:.12g} exact={exact:.12g}"
                  + ("" if sim is None else f" simulated={sim:.6f} std={std:.6f}")
                  for phi, exact, sim, std in rows]
         write = _csv({"mode": args.mode, "design": args.design},
@@ -415,7 +388,6 @@ def build_parser():
     kind.add_argument("--K", type=int, default=200, help="number of states")
     kind.add_argument("--seed", type=int, default=0, help="optimizer's random start")
     kind.add_argument("--iters", type=int, default=100000, help="max iterations")
-    kind.add_argument("--step", type=float, default=1.0, help="initial step length")
     kind.add_argument("--target", type=float, default=None,
                       help="stop when phi_4 reaches this value")
     for kind in kinds.choices.values():

@@ -176,20 +176,18 @@ def moment_operator(design, t):
     return R, float(ws[0] / ws[-1])
 
 
-def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
+def optimize_design(K, d, t, seed, max_iters=100000, target=None):
     """Minimize Phi_t over K unit vectors by projected gradient descent.
 
     States start Haar-random from the seeded generator.  Each step moves
     against the conjugate gradient, renormalizes, and backtracks (halving the
-    step) until Phi_t decreases; an accepted step grows the step length.
+    step, 1 at first) until Phi_t decreases; an accepted step grows the step length.
     Stops at max_iters, at `target`, or when no decrease is possible.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     # bad arguments first: they are validation errors however small K is
@@ -206,7 +204,7 @@ def optimize_design(K, d, t, seed, max_iters=100000, step=1.0, target=None):
         return frame_potential(StateDesign(t=t, states=states), t)
 
     f = phi(V)
-    eta = step
+    eta = 1.0
     iters = 0
     trace = [f]
     goal = -np.inf if target is None else target

@@ -99,11 +99,14 @@ def _design_pair(mode, design):
 
     Q depends on the states alone: Q's design is the scored design itself when
     their states are equal, one object or a loaded copy, and then Q' = Q bit for bit.
+    A scored design of another dimension than Q's fits no measurements: it is rejected.
     """
     if mode not in ("ideal", "empirical"):
         raise ValueError(f"unknown mode {mode!r}")
     q_design = default_design() if mode == "ideal" or design is None else design
     design = q_design if design is None else design
+    if design.dim != q_design.dim:
+        raise ContractViolationError(f"measurements do not act on dimension {design.dim}")
     projectors = _state_projectors(design.states)
     if q_design is design or np.array_equal(q_design.states, design.states):
         return design, projectors, design, projectors

@@ -12,7 +12,8 @@ and the statistics of its (K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o]:
 the per-block and per-state fidelities are S's two marginals.  `_scores` is the
 one contraction that gives S, from the sampler's chunks and from a whole table
 alike, so the two cannot disagree.  `run_health` and `reprocess_two_copy` read
-the same fields, so they always use the run's own estimators.
+the same fields, so they always use the run's own estimators.  `save_report`
+writes a report's file, with its count table whenever the run kept one.
 
 Memory after the draws.  A sampled command holds the estimator table, the
 (K, blocks) scores and the (K,) per-state fidelities; the (K, blocks, 64) count
@@ -53,6 +54,7 @@ the same A and AB counts.
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -64,6 +66,7 @@ from .mub import born_probabilities, controlled_phase, haar_random_unitary, tran
 _STATE_CHUNK = 32  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
+_WRITE_ENTRIES = 1 << 11  # counts formatted together by save_report
 
 
 class SimConfig(ReadOnlyRecord):
@@ -123,19 +126,41 @@ class SimReport:
     def std_of_mean(self):
         return self.std / math.sqrt(self.config.blocks)
 
-    def to_dict(self):
-        """The run's parameters and statistics; the CLI's --counts appends the counts."""
-        return {
-            "seed": self.config.seed,
-            "m_block": self.config.m_block,
-            "blocks": self.config.blocks,
-            "share_ab_outcomes": True,  # roles A and B are keyed by their own angles
-            "sampler": "counts",  # the stream that filled `counts`
-            "triple_params": [self.triple.x, self.triple.y, self.triple.z],
-            "mean_fidelity": self.mean_fidelity,
-            "per_block_fidelities": self.per_block_fidelities.tolist(),
-            "std": self.std,
-        }
+
+def save_report(report, path):
+    """Write a run's report: json.dump of its settings and statistics, indent=1,
+    with a last "counts" key when the run kept its count table.
+
+    The (K, B, outcomes) counts block bypasses the pure-Python encoder that
+    indent selects.  It is written a run of whole states at a time, about
+    `_WRITE_ENTRIES` counts: the run's ints fill a fixed template of `%d`
+    fields in one formatting pass, which gives json's text for each int.  No
+    temporary grows with M or with the whole table.
+    """
+    cfg = report.config
+    text = json.dumps({
+        "seed": cfg.seed, "m_block": cfg.m_block, "blocks": cfg.blocks,
+        "share_ab_outcomes": True,  # roles A and B are keyed by their own angles
+        "sampler": "counts",  # the stream that filled `counts`
+        "triple_params": [report.triple.x, report.triple.y, report.triple.z],
+        "mean_fidelity": report.mean_fidelity,
+        "per_block_fidelities": report.per_block_fidelities.tolist(),
+        "std": report.std,
+    }, indent=1)
+    with open(path, "w") as fh:
+        if report.counts is None:
+            fh.write(text)
+            return
+        fh.write(text[:-2] + ',\n "counts": [')
+        K, blocks, outcomes = report.counts.shape
+        block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
+        state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
+        step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
+        for start in range(0, K, step):
+            chunk = report.counts[start:start + step]
+            template = ",".join([state] * len(chunk))
+            fh.write(("," if start else "") + template % tuple(chunk.ravel().tolist()))
+        fh.write("\n ]\n}")
 
 
 def _param_key(role, triple):

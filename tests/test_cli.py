@@ -24,7 +24,6 @@ from mubest.cli import (
     EXIT_OK,
     EXIT_TARGET,
     EXIT_VALIDATION,
-    _write_report,
     build_parser,
     main,
     manifest_digest,
@@ -49,6 +48,7 @@ from mubest.simulate import (
     check_subset_request,
     equivalence_scan_phase,
     run_health,
+    save_report,
     simulate_protocol,
 )
 
@@ -132,7 +132,10 @@ def test_overflowing_grid_scores(outdir, capsys):
         code = main(["fidelity", "--y-list", "pi/2", "--z-list=-1e308:1e308:3",
                      "--out", "out.csv"])
     assert code == EXIT_OK
-    assert len(capsys.readouterr().out.splitlines()) == 3
+    # stdout prints the angles as the CSV does: short lines that name the same points
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(len(line) < 80 for line in lines)
+    assert "z=-1e+308 " in lines[0] and "z=1e+308 " in lines[2]
     rows = [line for line in (outdir / "out.csv").read_text().splitlines()
             if not line.startswith("#")]
     assert rows[0] == "x,y,z,F" and [row.split(",")[2] for row in rows[1:]] == [
@@ -301,12 +304,26 @@ def test_design_optimize_target_miss(outdir, capsys):
     assert "target" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "-1"),
-    ("--target", "nan"), ("--target", "inf"),
-])
+def test_design_optimize_exit_is_the_optimizers_verdict(outdir, capsys):
+    # a target equal to the Phi that 5 iterations reach is reached; the next float
+    # below it is not, and the design is written all the same
+    argv = ["design", "optimize", "--K", "40", "--iters", "5", "--out", "d.json"]
+    assert main(argv) == EXIT_OK
+    phi4 = json.loads((outdir / "d.json.manifest.json").read_text())["health"]["phi4"]
+    for target, code, reached in ((phi4, EXIT_OK, True),
+                                  (float(np.nextafter(phi4, 0)), EXIT_TARGET, False)):
+        (outdir / "d.json").unlink()
+        capsys.readouterr()
+        assert main(argv + ["--target", repr(target)]) == code
+        health = json.loads((outdir / "d.json.manifest.json").read_text())["health"]
+        assert health["phi4"] == phi4 and health["reached_target"] is reached
+        assert ("did not reach target" in capsys.readouterr().err) is not reached
+        assert (outdir / "d.json").exists()
+
+
+@pytest.mark.parametrize("option, value", [("--target", "nan"), ("--target", "inf")])
 def test_design_optimize_bad_step_or_target(tmp_path, option, value):
-    # a separate process with a timeout: a non-finite step once looped forever
+    # a separate process with a timeout, should a bad value loop forever
     env = dict(os.environ, MUBEST_OUTDIR=str(tmp_path),
                PYTHONPATH=str(Path(mubest.__file__).parents[1]))
     proc = subprocess.run(
@@ -552,14 +569,20 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     report = simulate_protocol(mub_triple(half, half, half), load_design(path),
                                SimConfig(seed=5, m_block=M, blocks=blocks), keep_counts=True)
     assert report.counts.dtype == np.min_scalar_type(M)
-    expected = report.to_dict()
+    # the report's layout, spelled out here rather than taken from src/
+    expected = {
+        "seed": 5, "m_block": M, "blocks": blocks, "share_ab_outcomes": True,
+        "sampler": "counts", "triple_params": [half, half, half],
+        "mean_fidelity": report.mean_fidelity,
+        "per_block_fidelities": report.per_block_fidelities.tolist(), "std": report.std,
+    }
     if counts:
         expected["counts"] = report.counts.tolist()
     expected = json.dumps(expected, indent=1)
     assert (outdir / "run.json").read_text() == expected
 
 
-def test_write_report_memory_is_bounded(tmp_path, rng):
+def test_save_report_memory_is_bounded(tmp_path, rng):
     # a quarter of the paper's table (K = 960, B = 10, M = 10^4): under
     # tracemalloc every formatted count is a traced allocation
     counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
@@ -569,7 +592,7 @@ def test_write_report_memory_is_bounded(tmp_path, rng):
                        rng.random((240, 64)), counts)
     tracemalloc.start()
     try:
-        _write_report(tmp_path / "run.json", report, include_counts=True)
+        save_report(report, tmp_path / "run.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1143,8 +1166,6 @@ def test_manifest_digest_stable():
 
 
 @pytest.mark.parametrize("argv, first, second", [
-    (["design", "optimize", "--K", "40", "--iters", "20"], ["--step", "1"],
-     ["--step", "0.01"]),
     (["fidelity", "--copies", "2", "--y-list", "pi/2", "--z-list", "0"],
      ["--pair", "AB"], ["--pair", "BC"]),
     (["fidelity", "--design", "SMALL", "--y-list", "pi/2", "--z-list", "0"],
@@ -1158,7 +1179,7 @@ def test_manifest_digest_stable():
      ["--M", "20"]),
     (["equivalence", "--phi-grid", "0:pi:2", "--M", "10"], ["--blocks", "2"],
      ["--blocks", "3"]),
-], ids=["design-step", "fidelity-pair", "fidelity-mode", "simulate-counts",
+], ids=["fidelity-pair", "fidelity-mode", "simulate-counts",
         "subsets-subset-seed", "subsets-design", "equivalence-M", "equivalence-blocks"])
 def test_manifest_records_output_options(outdir, small_design_file, argv, first, second):
     # each pair of runs writes different outputs, so it must get different digests
@@ -1240,7 +1261,7 @@ def test_every_option_changes_the_digest():
             argv = _changed_argv(words, action)
             assert _digest(argv) != bases[words], argv
             checked += 1
-    assert checked == 47
+    assert checked == 46
 
 
 def test_run_parameters_are_the_parsed_options():

@@ -30,6 +30,7 @@ from mubest.simulate import (
     random_subset_analysis,
     reprocess_two_copy,
     run_health,
+    save_report,
     simulate_protocol,
 )
 
@@ -376,13 +377,12 @@ def test_unknown_mode_raises_before_sampling(monkeypatch, symmetric_triple, desi
         estimator_tables(symmetric_triple.bases, design960, mode="nonsense")
 
 
-def test_to_dict_roundtrippable(small_report):
+def test_to_dict_roundtrippable(small_report, tmp_path):
     import json
 
-    data = small_report.to_dict()
-    assert "counts" not in data
-    text = json.dumps(data)
-    back = json.loads(text)
+    save_report(small_report, tmp_path / "run.json")
+    back = json.loads((tmp_path / "run.json").read_text())
+    assert np.array_equal(back["counts"], small_report.counts)
     assert back["mean_fidelity"] == small_report.mean_fidelity
     assert len(back["per_block_fidelities"]) == SMALL.blocks
 
