@@ -285,12 +285,31 @@ def cmd_simulate(args):
     x, y, z = parse_angle(args.x), parse_angle(args.y), parse_angle(args.z)
     cfg = _sim_config(args)
     design = _load_or_build_design(args.design)
-    report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode,
-                               keep_counts=args.counts)
+    spill = None  # only a written report reads the counts
+    if args.counts and args.out:
+        import tempfile  # here: at module level it adds 15 modules to every command's start
+        # the counts' report text, written as each chunk is drawn; a missing
+        # directory fails here, before any state is sampled
+        spill = tempfile.TemporaryFile("w+", dir=os.path.dirname(_resolve(args.out)))
+    try:
+        report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode,
+                                   counts_text=spill)
+    except BaseException:
+        if spill is not None:
+            spill.close()
+        raise
+
+    def write_report(path, digest):
+        try:
+            save_report(report, path)
+        finally:
+            if spill is not None:
+                spill.close()
+
     return Run(
         [f"F = {report.mean_fidelity:.6f} +- {report.std_of_mean:.6f}"
          f" (block std {report.std:.6f})"],
-        [(args.out, lambda path, digest: save_report(report, path)),
+        [(args.out, write_report),
          (f"{args.out}.blocks.csv",
           _csv({"x": x, "y": y, "z": z}, ["block", "fidelity"],
                [(b, float(f)) for b, f in enumerate(report.per_block_fidelities)]))],

@@ -173,9 +173,12 @@ def generate_group(generators, max_size, generator_labels=()):
                         raise ContractViolationError(f"group closure exceeded max_size={max_size}")
                     index[d] = len(index)
                     new.append(i)
+            new = np.array(new, dtype=np.intp)  # one conversion serves both indexings
             elements[len(index) - len(new):len(index)] = check_unitary(products[new])
+            found = np.ones(len(keys), dtype=bool)
+            found[new] = False
             if not np.array_equal(canonical_keys(elements[at]).view(np.int32),
-                                  np.delete(keys, new).view(np.int32)):
+                                  keys[found].view(np.int32)):
                 raise ContractViolationError("two group elements share a key digest")
         start, stop = stop, len(index)
     if stop < len(elements):

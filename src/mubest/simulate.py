@@ -7,21 +7,24 @@ triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimation.estimator_tables`, which reaches Q's densities as `fidelities`
 does, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
 copies and two-copy reprocessing alike.  A `SimReport` holds a run's design,
-mode, measurements (the bases) and table, when one was kept its count table,
-and the statistics of its (K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o]:
-the per-block and per-state fidelities are S's two marginals.  `_scores` is the
-one contraction that gives S, from the sampler's chunks and from a whole table
-alike, so the two cannot disagree.  `run_health` and `reprocess_two_copy` read
-the same fields, so they always use the run's own estimators.  `save_report`
-writes a report's file, with its count table whenever the run kept one.
+mode, measurements (the bases) and table, its count table or its counts' report
+text when either was kept, and the statistics of its (K, blocks) scores
+S[k, b] = sum_o n[k, b, o] f[k, o]: the per-block and per-state fidelities are
+S's two marginals.  `_scores` is the one contraction that gives S, from the
+sampler's chunks and from a whole table alike, so the two cannot disagree.
+`run_health` and `reprocess_two_copy` read the same fields, so they always use
+the run's own estimators.  `save_report` writes a report's file, with its
+counts whenever the run kept them.
 
 Memory after the draws.  A sampled command holds the estimator table, the
-(K, blocks) scores and the (K,) per-state fidelities; the (K, blocks, 64) count
-table is kept only where it is read, by `simulate --counts` and two-copy
-reprocessing.  Each chunk of `_STATE_CHUNK` states is scored as soon as it is
-drawn, so a run without the table holds one chunk's counts at a time.  Scoring
-a whole table makes no float copy of it: einsum casts the integer counts in
-its buffered iterator.  `run_health` contracts the per-basis Born
+(K, blocks) scores and the (K,) per-state fidelities.  Each chunk of
+`_STATE_CHUNK` states is scored as soon as it is drawn and then handed to at
+most one sink: the kept (K, blocks, 64) count table, which only the library's
+`keep_counts=True` (two-copy reprocessing, the tests) allocates, or the report's
+counts formatter, which `simulate --counts --out` points at a temporary file
+that `save_report` copies.  So no command holds more than one chunk's counts.
+Scoring a whole table makes no float copy of it: einsum casts the integer
+counts in its buffered iterator.  `run_health` contracts the per-basis Born
 probabilities with the table one basis and `_STATE_CHUNK` states at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
@@ -66,7 +69,7 @@ from .mub import born_probabilities, controlled_phase, haar_random_unitary, tran
 _STATE_CHUNK = 32  # states sampled together
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
-_WRITE_ENTRIES = 1 << 11  # counts formatted together by save_report
+_WRITE_ENTRIES = 1 << 11  # counts formatted together by _counts_writer
 
 
 class SimConfig(ReadOnlyRecord):
@@ -93,7 +96,7 @@ class SimConfig(ReadOnlyRecord):
 
 class SimReport:
     """A sampled run: the table it was scored with, the statistics of its
-    scores, and its count table when one was kept.
+    scores, and its count table or its counts' report text when one was kept.
 
     `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o];
     without it, `_scores` takes S from `counts`, so a report built from a
@@ -102,10 +105,11 @@ class SimReport:
     """
 
     __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
-                 "per_state_fidelity", "per_block_fidelities", "mean_fidelity", "std")
+                 "counts_text", "per_state_fidelity", "per_block_fidelities",
+                 "mean_fidelity", "std")
 
     def __init__(self, config, triple, design, mode, measurements, f_table, counts,
-                 scores=None):
+                 scores=None, counts_text=None):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
@@ -114,6 +118,7 @@ class SimReport:
         self.f_table = f_table  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
         # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M), or None
         self.counts = counts
+        self.counts_text = counts_text  # a file holding the counts' report text, or None
         if scores is None:
             scores = _scores(counts, f_table)
         self.per_state_fidelity = scores.sum(axis=1) / (config.m_block * config.blocks)
@@ -129,13 +134,12 @@ class SimReport:
 
 def save_report(report, path):
     """Write a run's report: json.dump of its settings and statistics, indent=1,
-    with a last "counts" key when the run kept its count table.
+    with a last "counts" key when the run kept its counts.
 
-    The (K, B, outcomes) counts block bypasses the pure-Python encoder that
-    indent selects.  It is written a run of whole states at a time, about
-    `_WRITE_ENTRIES` counts: the run's ints fill a fixed template of `%d`
-    fields in one formatting pass, which gives json's text for each int.  No
-    temporary grows with M or with the whole table.
+    A kept count table goes through `_counts_writer`, as the sampler's chunks
+    do when they stream into `counts_text`; that file's text is copied as it
+    stands.  Either way the counts block bypasses json's pure-Python encoder,
+    and no temporary grows with M or with the whole table.
     """
     cfg = report.config
     text = json.dumps({
@@ -147,20 +151,42 @@ def save_report(report, path):
         "per_block_fidelities": report.per_block_fidelities.tolist(),
         "std": report.std,
     }, indent=1)
+    counts, spill = report.counts, report.counts_text
     with open(path, "w") as fh:
-        if report.counts is None:
+        if counts is None and spill is None:
             fh.write(text)
             return
         fh.write(text[:-2] + ',\n "counts": [')
-        K, blocks, outcomes = report.counts.shape
-        block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
-        state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
-        step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
-        for start in range(0, K, step):
-            chunk = report.counts[start:start + step]
-            template = ",".join([state] * len(chunk))
-            fh.write(("," if start else "") + template % tuple(chunk.ravel().tolist()))
+        if counts is not None:
+            _counts_writer(fh, *counts.shape[1:])(slice(0, len(counts)), counts)
+        else:
+            spill.seek(0)
+            for piece in iter(lambda: spill.read(1 << 16), ""):
+                fh.write(piece)
         fh.write("\n ]\n}")
+
+
+def _counts_writer(fh, blocks, outcomes):
+    """The sink `write(rows, counts)` that writes to `fh` the report's text of
+    the (states, blocks, outcomes) counts of the run's states at `rows`, a slice.
+
+    A chunk is written a run of whole states at a time, about `_WRITE_ENTRIES`
+    counts: the run's ints fill a fixed template of `%d` fields in one
+    formatting pass, which gives json's text for each int.  Every state but
+    the run's first follows a comma, so any split of the table writes the
+    same text.
+    """
+    block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
+    state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
+    step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
+
+    def write(rows, counts):
+        for start in range(0, len(counts), step):
+            run = counts[start:start + step]
+            template = ",".join([state] * len(run))
+            fh.write(("," if rows.start + start else "") + template % tuple(run.ravel().tolist()))
+
+    return write
 
 
 def _param_key(role, triple):
@@ -171,30 +197,40 @@ def _param_key(role, triple):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False):
+def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False, counts_text=None):
     """Run the sampled three-copy protocol and average per Eq.-(6)-style weights.
 
     Returns per-block and overall estimation fidelities.  Each chunk of states
-    is scored as soon as it is drawn; the (K, blocks, 64) joint outcome count
-    table, which two-copy reprocessing and `simulate --counts` read, is kept
-    only if `keep_counts`.
+    is scored as soon as it is drawn.  With `keep_counts`, the chunks fill the
+    (K, blocks, 64) joint outcome count table that two-copy reprocessing
+    reads.  With `counts_text`, a text file open for writing and reading, they
+    are written into it as the report's counts block, for `save_report` to
+    copy; the run then holds one chunk's counts at a time.  A run keeps its
+    counts one way or not at all.
     """
+    if keep_counts and counts_text is not None:
+        raise ValueError("keep_counts and counts_text both keep the counts: pass one")
     measurements = triple.bases
     f_table = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple) for role in range(3)]
-    counts = (np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
-              if keep_counts else None)
-    scores = _multinomial_counts(probs, param_keys, cfg, f_table, counts)
-    return SimReport(cfg, triple, design, mode, measurements, f_table, counts, scores)
+    counts, sink = None, None
+    if keep_counts:
+        counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
+        sink = counts.__setitem__
+    elif counts_text is not None:
+        sink = _counts_writer(counts_text, cfg.blocks, 64)
+    scores = _multinomial_counts(probs, param_keys, cfg, f_table, sink)
+    return SimReport(cfg, triple, design, mode, measurements, f_table, counts, scores,
+                     counts_text)
 
 
-def _multinomial_counts(probs, param_keys, cfg, f_table, counts):
+def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
     """Draw the counts from three chained multinomials (stream version 2) and score them.
 
     Returns the (K, B) `_scores` of the (K, B, 64) counts, one chunk of
-    `_STATE_CHUNK` states scored as soon as it is drawn; `counts`, unless
-    None, is filled with the table.
+    `_STATE_CHUNK` states scored as soon as it is drawn; `sink`, unless None,
+    is then called with the chunk's rows (a slice of the K states) and counts.
     """
     K, B = len(f_table), cfg.blocks
     scores = np.empty((K, B))
@@ -213,8 +249,8 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, counts):
             n = generator.multinomial(n, pvals)
         n = n.reshape(-1, B, 64)
         scores[chunk] = _scores(n, f_table[chunk])
-        if counts is not None:
-            counts[chunk] = n
+        if sink is not None:
+            sink(chunk, n)
     return scores
 
 

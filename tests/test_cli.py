@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -559,6 +560,9 @@ def design100_file(tmp_path_factory):
       for M in (255, 256, 65535, 65536)),
     # K = 100 states end the writer's runs of states with a partial one
     pytest.param("design100_file", 30, 2, True, id="K-not-multiple-of-64"),
+    # at B = 3 the writer's runs are 10 states, so the kept table's runs
+    # straddle the sampler's 32-state chunks, from which --counts writes its runs
+    pytest.param("design100_file", 30, 3, True, id="runs-straddle-chunks"),
 ])
 def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     path = request.getfixturevalue(design)
@@ -598,6 +602,51 @@ def test_save_report_memory_is_bounded(tmp_path, rng):
         tracemalloc.stop()
     assert peak < counts.nbytes / 2
     assert np.array_equal(json.loads((tmp_path / "run.json").read_text())["counts"], counts)
+
+
+def test_streamed_counts_memory_is_bounded(outdir):
+    # the paper's run (K = 960, M = 10^4, B = 10): --counts --out writes the
+    # counts as they are drawn, so it peaks where the same run without --counts
+    # does, not 1.23 MB higher with a (K, B, 64) uint16 table
+    argv = ["simulate", "--M", "10000", "--blocks", "10", "--out", "run.json"]
+    assert main(argv) == EXIT_OK  # builds the cached default design outside the trace
+    peaks = []
+    for extra in ([], ["--counts"]):
+        tracemalloc.start()
+        try:
+            assert main(argv + extra) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 100_000
+    assert len(json.loads((outdir / "run.json").read_text())["counts"]) == 960
+
+
+def test_counts_without_out_keep_nothing(outdir, monkeypatch, small_design_file):
+    # nothing reads the counts of a report that is not written: no table, no spill
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spill file was opened")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    returned = _spy(monkeypatch, "simulate_protocol", simulate_protocol)
+    assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
+                 "--counts"]) == EXIT_OK
+    (report,) = returned
+    assert report.counts is None and report.counts_text is None
+    assert list(outdir.iterdir()) == []
+
+
+def test_counts_into_missing_directory_fail_before_drawing(outdir, monkeypatch, capsys,
+                                                           small_design_file):
+    # the spill opens in --out's directory before the draws, so a missing one
+    # exits 2 having sampled nothing and written nothing
+    returned = _spy(monkeypatch, "simulate_protocol", simulate_protocol)
+    out = outdir / "no_such_dir" / "run.json"
+    assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
+                 "--counts", "--out", str(out)]) == EXIT_IO
+    assert "No such file or directory" in capsys.readouterr().err
+    assert returned == []
+    assert list(outdir.iterdir()) == []
 
 
 def test_simulate_manifest_describes_run(outdir, small_design_file):

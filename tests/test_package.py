@@ -4,6 +4,7 @@ its names is first used, while `mubest.cli` loads every layer up front."""
 import importlib
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +45,19 @@ STDLIB_IMPORTS = ("argparse", "functools", "hashlib", "importlib", "itertools", 
 
 def _fresh(code):
     """Run code in a new interpreter after `import sys, json`; return what it
-    prints as JSON on its last line."""
+    prints as JSON on its last line.
+
+    The child runs with -S: a site directory's .pth file can import modules at
+    start-up (tempfile, shutil and random, where one loads certifi), which
+    would hide an import that a clean interpreter makes.  The package's parent
+    and the site directories are on its PYTHONPATH instead, so numpy is found.
+    """
+    path = [str(Path(mubest.__file__).parents[1]), *site.getsitepackages()]
+    if site.ENABLE_USER_SITE:
+        path.append(site.getusersitepackages())
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code],
-        env=dict(os.environ, PYTHONPATH=str(Path(mubest.__file__).parents[1])),
+        [sys.executable, "-S", "-c", "import json, sys\n" + code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

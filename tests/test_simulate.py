@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import math
 import pickle
@@ -684,21 +685,33 @@ def test_paper_size_table_memory(symmetric_triple, design960):
 # empirical mode over it
 @pytest.mark.parametrize("n_states, m_block, mode", [
     (960, 100, "ideal"), (100, 10_000, "ideal"), (100, 300, "empirical")])
-def test_kept_table_does_not_change_the_run(symmetric_triple, design960, n_states, m_block,
-                                            mode):
+def test_kept_table_does_not_change_the_run(tmp_path, symmetric_triple, design960, n_states,
+                                            m_block, mode):
     design = StateDesign(t=4, states=design960.states[:, :n_states])
     cfg = SimConfig(seed=4, m_block=m_block, blocks=3)
     kept = simulate_protocol(symmetric_triple, design, cfg, mode, keep_counts=True)
     scored = simulate_protocol(symmetric_triple, design, cfg, mode)
-    assert kept.counts.dtype == np.min_scalar_type(m_block) and scored.counts is None
+    streamed = simulate_protocol(symmetric_triple, design, cfg, mode, counts_text=io.StringIO())
+    assert kept.counts.dtype == np.min_scalar_type(m_block)
+    assert scored.counts is None and streamed.counts is None
     # the sampler's chunk scores, and the scores of the whole kept table, bit for bit
     rebuilt = SimReport(cfg, kept.triple, design, mode, kept.measurements, kept.f_table,
                         kept.counts)
-    for report in (scored, rebuilt):
+    for report in (scored, rebuilt, streamed):
         assert np.array_equal(report.per_block_fidelities, kept.per_block_fidelities)
         assert np.array_equal(report.per_state_fidelity, kept.per_state_fidelity)
         assert (report.mean_fidelity, report.std) == (kept.mean_fidelity, kept.std)
         assert run_health(report) == run_health(kept)
+    # the counts written as they were drawn, and the kept table's, in one file's bytes
+    save_report(kept, tmp_path / "kept.json")
+    save_report(streamed, tmp_path / "streamed.json")
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "kept.json").read_bytes()
+
+
+def test_counts_are_kept_one_way(symmetric_triple, design960):
+    with pytest.raises(ValueError, match="pass one"):
+        simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True,
+                          counts_text=io.StringIO())
 
 
 def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design960):
