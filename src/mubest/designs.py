@@ -11,20 +11,27 @@ states for a generic fiducial, 3840 for `fiducial_state`.  In that r1 family
 the 960-state restricted orbit is a 4-design only at alpha = 1, the fiducial
 `fiducial_state` pins; numerically, the product fiducials of restricted
 4-designs form a curve.  The module offers that one fiducial.
+
+That orbit is a constant: `default_design` reads its states from
+`default_design.npy`, the copy of `clifford_design(
+restricted_clifford_group_2q()).states` that np.save wrote in their own
+(Fortran) layout, and builds no group.  `design clifford` writes those states.
 """
 
 import itertools
 import json
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DesignFormatError, InfeasibleDesignError
-from .groups import canonical_keys, restricted_clifford_group_2q, strip_phases
+from .groups import canonical_keys, strip_phases
 from .linalg import symmetric_dimension
 
 _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
+_PINNED_ORBIT = os.path.join(os.path.dirname(__file__), "default_design.npy")
 
 
 class StateDesign:
@@ -103,10 +110,23 @@ def clifford_design(restricted_group):
 
 @lru_cache(maxsize=None)
 def default_design():
-    """The Clifford-orbit 4-design, built once on first use; its states are read-only."""
-    design = clifford_design(restricted_clifford_group_2q())
-    design.states.flags.writeable = False
-    return design
+    """The Clifford-orbit 4-design, read once on first use; its states are read-only.
+
+    They are `clifford_design(restricted_clifford_group_2q())`'s states, read
+    from the pinned copy in the orbit's (16, 64)-strided layout, so products
+    over them keep the built orbit's bits; no BLAS kernel runs a closure for
+    them.  A truncated or foreign copy raises DesignFormatError.
+    """
+    try:
+        states = np.load(_PINNED_ORBIT, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not a whole .npy file
+        raise DesignFormatError(f"{_PINNED_ORBIT}: {exc}") from exc
+    if states.shape != (4, 960) or states.dtype != np.complex128:
+        raise DesignFormatError(f"{_PINNED_ORBIT}: expected (4, 960) complex128 states,"
+                                f" got {states.shape} {states.dtype}")
+    states.flags.writeable = False
+    return StateDesign(t=4, states=states, provenance="clifford_orbit",
+                       metadata={"group_order": 960, "orbit_length": 960}).validate()
 
 
 def frame_potential(design, t):

@@ -17,12 +17,15 @@ the run's own estimators.  `save_report` writes a report's file, with its
 counts whenever the run kept them.
 
 Memory after the draws.  A sampled command holds the estimator table, the
-(K, blocks) scores and the (K,) per-state fidelities.  Each chunk of
-`_STATE_CHUNK` states is scored as soon as it is drawn and then handed to at
-most one sink: the kept (K, blocks, 64) count table, which only the library's
-`keep_counts=True` (two-copy reprocessing, the tests) allocates, or the report's
-counts formatter, which `simulate --counts --out` points at a temporary file
-that `save_report` copies.  So no command holds more than one chunk's counts.
+(K, blocks) scores and the (K,) per-state fidelities.  The sampler draws
+max(1, `_CHUNK_CELLS` // blocks) states at a time (32 at 10 blocks), so a
+chunk's int64 counts and `multinomial`'s intermediates do not grow with the
+number of blocks.  Each chunk is scored as soon as it is drawn and then handed
+to at most one sink: the kept (K, blocks, 64) count table, which only the
+library's `keep_counts=True` (two-copy reprocessing, the tests) allocates, or
+the report's counts formatter, which `simulate --counts --out` points at a
+temporary file that `save_report` copies.  So no command holds more than one
+chunk's counts.
 Scoring a whole table makes no float copy of it: einsum casts the integer
 counts in its buffered iterator.  `run_health` contracts the per-basis Born
 probabilities with the table one basis and `_STATE_CHUNK` states at a time.
@@ -40,8 +43,8 @@ and `run_health` its exact F.  The three measurements act on separate copies,
 so a state's joint counts factor into three steps: n_A ~ Multinomial(M, p_A);
 each A cell splits by Multinomial(n_a, p_B); each AB cell splits by
 Multinomial(n_ab, p_C).  Each step is one broadcast `Generator.multinomial`
-call over a chunk of `_STATE_CHUNK` states and all blocks.  Role r (0=A, 1=B,
-2=C) has one generator,
+call over a chunk of states and all blocks.  Role r (0=A, 1=B, 2=C) has one
+generator,
 ``PCG64(SeedSequence(seed, spawn_key=(_COUNTS_STREAM, r, param_key)))``,
 consumed in state order, so the counts do not depend on the chunk size.
 numpy does not promise to keep `multinomial`'s stream across releases, so the
@@ -66,7 +69,8 @@ from .errors import ReadOnlyRecord
 from .estimation import estimator_tables, fidelities
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
-_STATE_CHUNK = 32  # states sampled together
+_CHUNK_CELLS = 320  # (state, block) cells sampled together
+_STATE_CHUNK = 32  # states whose moments run_health takes together
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
 _WRITE_ENTRIES = 1 << 11  # counts formatted together by _counts_writer
@@ -229,10 +233,12 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
     """Draw the counts from three chained multinomials (stream version 2) and score them.
 
     Returns the (K, B) `_scores` of the (K, B, 64) counts, one chunk of
-    `_STATE_CHUNK` states scored as soon as it is drawn; `sink`, unless None,
-    is then called with the chunk's rows (a slice of the K states) and counts.
+    max(1, `_CHUNK_CELLS` // B) states scored as soon as it is drawn; `sink`,
+    unless None, is then called with the chunk's rows (a slice of the K
+    states) and counts.
     """
     K, B = len(f_table), cfg.blocks
+    step = max(1, _CHUNK_CELLS // B)
     scores = np.empty((K, B))
     generators = [
         np.random.Generator(np.random.PCG64(
@@ -240,8 +246,8 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
         ))
         for role, key in enumerate(param_keys)
     ]
-    for start in range(0, K, _STATE_CHUNK):
-        chunk = slice(start, min(start + _STATE_CHUNK, K))
+    for start in range(0, K, step):
+        chunk = slice(start, min(start + step, K))
         n = np.full((chunk.stop - start, B), cfg.m_block, dtype=np.int64)
         for generator, p in zip(generators, probs):
             # each cell counted so far splits over this role's four outcomes

@@ -137,6 +137,48 @@ def test_default_design_golden():
     assert hashlib.sha256(states.tobytes()).hexdigest() == DEFAULT_DESIGN_SHA256
 
 
+def test_default_design_is_the_orbit(design960):
+    # the pinned copy is the built orbit: its bits, its layout (a GEMM over
+    # another layout can give other bits), and the same record around it
+    design = default_design()
+    assert design.states.tobytes() == design960.states.tobytes()
+    assert design.states.strides == design960.states.strides == (16, 64)
+    assert not design.states.flags.writeable
+    assert (design.t, design.provenance, design.metadata) == (
+        design960.t, design960.provenance, design960.metadata)
+
+
+@pytest.fixture
+def uncached_default_design():
+    default_design.cache_clear()
+    yield default_design
+    default_design.cache_clear()
+
+
+def test_default_design_builds_no_group(monkeypatch, uncached_default_design):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group closure ran")
+
+    monkeypatch.setattr("mubest.groups.generate_group", refuse)
+    assert uncached_default_design().size == 960
+
+
+@pytest.mark.parametrize("damage", ["truncated", "another_shape", "not_unit_norm"])
+def test_default_design_rejects_a_damaged_copy(tmp_path, monkeypatch, uncached_default_design,
+                                               damage):
+    path = tmp_path / "default_design.npy"
+    states = default_design().states
+    if damage == "truncated":
+        np.save(path, states)
+        path.write_bytes(path.read_bytes()[:40_000])
+    else:
+        np.save(path, states[:, :40] if damage == "another_shape" else 2 * states)
+    monkeypatch.setattr("mubest.designs._PINNED_ORBIT", str(path))
+    uncached_default_design.cache_clear()
+    with pytest.raises(DesignFormatError):
+        uncached_default_design()
+
+
 @pytest.mark.parametrize("which", ["fiducial", "basis"])
 def test_orbit_keeps_first_occurrences(restricted_group, which):
     psi = fiducial_state() if which == "fiducial" else np.eye(4, dtype=complex)[0]

@@ -98,6 +98,14 @@ def test_cli_adds_only_mubest_modules():
     assert [m for m in added if m.partition(".")[0] != "mubest"] == []
 
 
+def test_default_design_adds_no_module():
+    # the pinned orbit is read by np.load, which numpy has already loaded
+    added = _fresh("import mubest.cli\nbefore = set(sys.modules)\n"
+                   "assert mubest.cli.default_design().size == 960\n"
+                   "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert added == []
+
+
 def test_all_lists_the_exports():
     assert mubest.__all__ == [name for names in EXPORTS.values() for name in names]
     assert len(mubest.__all__) == 30

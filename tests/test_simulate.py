@@ -208,12 +208,14 @@ def reference_multinomial_counts(triple, design, cfg):
 
 
 def test_multinomial_counts_match_reference(haar_triple, design960):
-    # 960 states span 15 chunks, so chunking must not change the streams
-    cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=3)
-    report = simulate_protocol(haar_triple, design960, cfg, keep_counts=True)
-    assert np.array_equal(
-        report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
-    )
+    # 960 states span 10 chunks of 106 at B = 3 and 138 of 7 at B = 45, the last
+    # one part full, so chunking must not change the streams
+    for blocks in (3, 45):
+        cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=blocks)
+        report = simulate_protocol(haar_triple, design960, cfg, keep_counts=True)
+        assert np.array_equal(
+            report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
+        ), blocks
 
 
 @pytest.fixture(scope="module")
@@ -724,6 +726,20 @@ def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design9
     table_bytes = design960.size * cfg.blocks * 64
     peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design960, cfg))
     assert peak < table_bytes
+
+
+def test_sampler_memory_does_not_grow_with_blocks(monkeypatch, symmetric_triple, design960):
+    # a chunk holds about _CHUNK_CELLS (state, block) cells whatever B is, so
+    # beyond the (K, B) scores the draws peak alike at 10 and 160 blocks, where
+    # 32-state chunks of int64 counts would hold 2.6 MB at B = 160
+    f_table = estimator_tables(symmetric_triple.bases, design960)
+    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: f_table)
+    beyond_scores = []
+    for blocks in (10, 160):
+        cfg = SimConfig(seed=0, m_block=100, blocks=blocks)
+        peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design960, cfg))
+        beyond_scores.append(peak - design960.size * blocks * 8)
+    assert beyond_scores[1] <= beyond_scores[0] + 100_000
 
 
 def test_predicted_subset_std_is_exact():
