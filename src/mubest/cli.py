@@ -9,12 +9,25 @@ grids use start:stop:count.  Exit codes: 0 ok, 2 usage/I-O, 3 numerical
 target not reached, 4 validation failure or an allocation the machine refuses.
 """
 
-# The layers are imported first, before the standard library:
-# - all of them here, not per command: bench/trace_cmd.py wraps layer functions
-#   only in the modules loaded by `import mubest.cli`, so a layer that a
-#   command imported later would trace as 0 s;
-# - first: with the standard library first, the benchmark's exact workload took
-#   3-4% more CPU time, with up to 1.6x the minor page faults in one command.
+# Import order:
+# - `_hashlib` is marked missing first, so hashlib (the manifests' sha256, the
+#   stream keys' blake2b) and hmac (numpy.random imports it through secrets)
+#   use CPython's own digests: the same bytes without OpenSSL's libcrypto, and
+#   3.4 MB less peak RSS per command.  Only on a build with CPython's module for
+#   every digest hashlib defines (else hashlib logs a traceback per missing
+#   one), and never over an `_hashlib` already loaded.
+# - Then every layer, before the rest of the standard library: bench/trace_cmd.py
+#   wraps layer functions only in the modules `import mubest.cli` loads (a layer
+#   imported per command would trace as 0 s), and with the standard library
+#   first the exact workload took 3-4% more CPU time, with up to 1.6x the minor
+#   page faults in one command.
+import sys
+from importlib.util import find_spec
+
+_SHA2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+if all(find_spec(name) for name in ("_md5", "_sha1", *_SHA2, "_blake2", "_sha3")):
+    sys.modules.setdefault("_hashlib", None)
+
 from . import __version__
 from .designs import (
     default_design,
@@ -52,7 +65,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 
 import numpy as np

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mubest.designs import clifford_design
+from mubest.designs import clifford_design, default_design
 from mubest.groups import clifford_group_2q, pauli_group_2q, restricted_clifford_group_2q
 from mubest.mub import mub_triple
 
@@ -37,7 +37,15 @@ def clifford_group():
 
 
 @pytest.fixture(scope="session")
-def design960(restricted_group):
+def design960():
+    # the pinned orbit that every command scores and samples: goldens over it
+    # do not also test the closure's bits on this BLAS kernel
+    return default_design()
+
+
+@pytest.fixture(scope="session")
+def orbit960(restricted_group):
+    # the orbit as the closure builds it, for the tests of that construction
     return clifford_design(restricted_group)
 
 

@@ -112,10 +112,10 @@ def test_bloch_to_state_poles_and_equator():
         bloch_to_state([0.5, 0, 0])
 
 
-def test_orbit_length_restricted(design960):
-    assert design960.size == 960
-    assert design960.dim == 4
-    norms = np.linalg.norm(design960.states, axis=0)
+def test_orbit_length_restricted(orbit960):
+    assert orbit960.size == 960
+    assert orbit960.dim == 4
+    norms = np.linalg.norm(orbit960.states, axis=0)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
 
@@ -137,15 +137,15 @@ def test_default_design_golden():
     assert hashlib.sha256(states.tobytes()).hexdigest() == DEFAULT_DESIGN_SHA256
 
 
-def test_default_design_is_the_orbit(design960):
+def test_default_design_is_the_orbit(orbit960):
     # the pinned copy is the built orbit: its bits, its layout (a GEMM over
     # another layout can give other bits), and the same record around it
     design = default_design()
-    assert design.states.tobytes() == design960.states.tobytes()
-    assert design.states.strides == design960.states.strides == (16, 64)
+    assert design.states.tobytes() == orbit960.states.tobytes()
+    assert design.states.strides == orbit960.states.strides == (16, 64)
     assert not design.states.flags.writeable
     assert (design.t, design.provenance, design.metadata) == (
-        design960.t, design960.provenance, design960.metadata)
+        orbit960.t, orbit960.provenance, orbit960.metadata)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The package's lazy exports: `import mubest` loads a layer only when one of
 its names is first used, while `mubest.cli` loads every layer up front."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -39,8 +40,8 @@ EXPORTS = {
 LAYERS = tuple(EXPORTS)
 
 # every standard-library module that src/ imports by name
-STDLIB_IMPORTS = ("argparse", "functools", "hashlib", "importlib", "itertools", "json", "math",
-                  "os", "re", "sys", "time", "warnings")
+STDLIB_IMPORTS = ("argparse", "functools", "hashlib", "importlib", "importlib.util", "itertools",
+                  "json", "math", "os", "re", "sys", "time", "warnings")
 
 
 def _fresh(code):
@@ -96,6 +97,72 @@ def test_cli_adds_only_mubest_modules():
                    "print(json.dumps(sorted(set(sys.modules) - before)))")
     assert "mubest.cli" in added
     assert [m for m in added if m.partition(".")[0] != "mubest"] == []
+
+
+def test_cli_process_loads_no_libcrypto(tmp_path):
+    # hashlib and numpy.random's hmac use CPython's own digests in a CLI process,
+    # so OpenSSL's libcrypto is never mapped; test_cli_adds_only_mubest_modules
+    # imports hashlib first and cannot see this
+    out = str(tmp_path / "run.json")
+    loaded = _fresh(
+        "import mubest.cli, numpy.random\n"
+        "numpy.random.default_rng(0).random()\n"
+        f"assert mubest.cli.main(['simulate', '--M', '10', '--blocks', '2', '--out', {out!r}]) == 0\n"
+        "try:\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        libcrypto = 'libcrypto' in fh.read()\n"
+        "except OSError:\n"
+        "    libcrypto = None\n"
+        "print(json.dumps([sys.modules.get('_hashlib') is None, libcrypto]))")
+    assert loaded[0] is True
+    if loaded[1] is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert loaded[1] is False
+
+
+def test_cli_keeps_openssl_without_builtin_sha256():
+    # on a Python built without CPython's own sha256, blocking OpenSSL would leave
+    # hashlib with no sha256 and a logged traceback; the CLI keeps OpenSSL there
+    pytest.importorskip("_hashlib")
+    sha256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    result = _fresh(f"import io\nsys.modules[{sha256!r}] = None\nsys.stderr = io.StringIO()\n"
+                    "import mubest.cli, hashlib\n"
+                    "print(json.dumps([sys.modules.get('_hashlib') is not None,"
+                    " hashlib.sha256(b'mubest').hexdigest(), sys.stderr.getvalue()]))")
+    assert result == [True, hashlib.sha256(b"mubest").hexdigest(), ""]
+
+
+def test_cli_process_digests_are_unchanged(tmp_path, monkeypatch):
+    # the CLI process hashes with CPython's own sha256 and blake2b (the stream
+    # keys), this test process through hashlib as imported above, with OpenSSL
+    # where this Python has it: the report and every digest of its manifest agree
+    argv = ["simulate", "--seed", "3", "--M", "100", "--blocks", "2", "--counts",
+            "--out", "run.json"]
+    cli_dir, in_process = tmp_path / "cli", tmp_path / "in_process"
+    cli_dir.mkdir()
+    in_process.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "MUBEST_OUTDIR"}
+    env["PYTHONPATH"] = str(Path(mubest.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "mubest.cli", *argv], cwd=cli_dir, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    from mubest.cli import main
+    monkeypatch.chdir(in_process)
+    monkeypatch.delenv("MUBEST_OUTDIR", raising=False)
+    assert main(argv) == 0
+    manifests = [json.loads((d / "run.json.manifest.json").read_text()) for d in (cli_dir, in_process)]
+    for manifest in manifests:
+        del manifest["wall_time_s"]
+    assert manifests[0] == manifests[1]
+    manifest = manifests[0]
+    assert sorted(manifest["output_sha256"]) == ["./run.json", "./run.json.blocks.csv"]
+    for path, digest in manifest["output_sha256"].items():
+        output = (cli_dir / path).read_bytes()
+        assert output == (in_process / path).read_bytes()
+        assert digest == hashlib.sha256(output).hexdigest()
+    payload = json.dumps({k: manifest[k] for k in ("command", "parameters", "seed", "tool_version")},
+                         sort_keys=True)
+    assert manifest["manifest_hash"] == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def test_default_design_adds_no_module():
