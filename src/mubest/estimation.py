@@ -19,10 +19,11 @@ formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
 array, so the product with the design's projectors, formed once per set of
 states by `_design_pair`, is one GEMM with no transpose and no K-sized temporary.
 `_top_eigenspaces` turns a Q stack into its estimators rhohat_o, the
-normalized top-eigenspace projectors; `estimator_tables` scores them against a
-design's states for the sampler, and `fidelities` is the only code that turns Q
-into a fidelity, as sum_o tr(Q'_o rhohat_o) over the scored states for the
-matched and the standard estimators alike.
+normalized top-eigenspace projectors; `estimator_tables` hands them to the
+sampler as real (re, im) rows, which it scores against `_state_projectors` of
+the states it draws, and `fidelities` is the only code that turns Q into a
+fidelity, as sum_o tr(Q'_o rhohat_o) over the scored states for the matched
+and the standard estimators alike.
 """
 
 import math
@@ -114,17 +115,18 @@ def _design_pair(mode, design):
 
 
 def estimator_tables(measurements, design, mode="ideal"):
-    """(K, d^N) fidelity lookup table of the optimal estimators of N bases.
+    """The optimal estimators of N bases, as a (d^N, 2 d*d) float array.
 
-    f_table[i, o] = <psi_i| rhohat_o |psi_i> for joint outcome o in np.ndindex
-    order (o = 16 j + 4 k + l for three copies), rows `design`'s states.  The
-    estimators come from Q over the Clifford orbit (ideal) or `design` (empirical).
+    Row o holds rhohat_o for joint outcome o in np.ndindex order (o = 16 j + 4 k + l
+    for three copies) as the (re, im) pairs of its C-ordered entries, so a row
+    of `_state_projectors` times it is Re tr(rho rhohat_o) = <psi| rhohat_o |psi>
+    with no complex temporary.  The estimators come from Q over the Clifford
+    orbit (ideal) or `design` (empirical); `design` is checked as `fidelities`
+    checks it.
     """
     design, projectors, q_design, q_projectors = _design_pair(mode, design)
     q = _q_operators(measurements, q_design, q_projectors)
-    flat = _top_eigenspaces(q).reshape(len(q), -1)
-    # Re tr(rho P) as one real product over (re, im) pairs: no complex (K, n) temporary
-    return projectors @ flat.view(float).T
+    return _top_eigenspaces(q).reshape(len(q), -1).view(float)
 
 
 def estimation_fidelity(measurements, mode="ideal", design=None):

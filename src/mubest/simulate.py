@@ -5,19 +5,24 @@ optimal estimator for the joint outcome is looked up, and tr(rho rhohat) is
 averaged over states and repetitions.  Estimators always come from the
 triple's own bases, so a unitarily transformed triple is scored correctly.
 `estimation.estimator_tables`, which reaches Q's densities as `fidelities`
-does, gives the lookup table f[k, o] = <psi_k| rhohat_o |psi_k> for three
-copies and two-copy reprocessing alike.  A `SimReport` holds a run's design,
-mode, measurements (the bases) and table, its count table or its counts' report
-text when either was kept, and the statistics of its (K, blocks) scores
-S[k, b] = sum_o n[k, b, o] f[k, o]: the per-block and per-state fidelities are
-S's two marginals.  `_scores` is the one contraction that gives S, from the
-sampler's chunks and from a whole table alike, so the two cannot disagree.
-`run_health` and `reprocess_two_copy` read the same fields, so they always use
-the run's own estimators.  `save_report` writes a report's file, with its
-counts whenever the run kept them.
+does, gives the estimators rhohat_o for three copies and two-copy reprocessing
+alike.  `_estimator_rows` is the only code that forms their lookup rows
+f[k, o] = <psi_k| rhohat_o |psi_k>, each from the aligned `_STATE_CHUNK` block
+of states that holds it, so every path gives a state the same row bits.  A
+`SimReport` holds a run's design, mode, measurements (the bases) and
+estimators, its count table or its counts' report text when either was kept,
+and the statistics of its (K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o]:
+the per-block and per-state fidelities are S's two marginals.  `_scores` is the
+one contraction that gives S, from the sampler's chunks and from a whole table
+alike, so the two cannot disagree.  `run_health` and `reprocess_two_copy` read
+the same fields, so they always use the run's own estimators.  `save_report`
+writes a report's file, with its counts whenever the run kept them.
 
-Memory after the draws.  A sampled command holds the estimator table, the
-(K, blocks) scores and the (K,) per-state fidelities.  The sampler draws
+Memory after the draws.  A sampled command holds the d^N estimators (16 KB
+for three copies), the (K, blocks) scores and the (K,) per-state fidelities;
+no (K, d^N) table of f is formed, only the rows of the states being scored.
+`simulate_protocol` rejects a run whose float scores would pass
+`_MAX_SCORE_BYTES` before it forms any estimators.  The sampler draws
 max(1, `_CHUNK_CELLS` // blocks) states at a time (32 at 10 blocks), so a
 chunk's int64 counts and `multinomial`'s intermediates do not grow with the
 number of blocks.  Each chunk is scored as soon as it is drawn and then handed
@@ -27,8 +32,9 @@ the report's counts formatter, which `simulate --counts --out` points at a
 temporary file that `save_report` copies.  So no command holds more than one
 chunk's counts.
 Scoring a whole table makes no float copy of it: einsum casts the integer
-counts in its buffered iterator.  `run_health` contracts the per-basis Born
-probabilities with the table one basis and `_STATE_CHUNK` states at a time.
+counts in its buffered iterator, `_STATE_CHUNK` states at a time.  `run_health`
+contracts the per-basis Born probabilities with f's rows one basis and
+`_STATE_CHUNK` states at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
 `simulate_protocol` allocates a kept table as np.min_scalar_type(M): uint8 up to
@@ -66,11 +72,12 @@ import math
 import numpy as np
 
 from .errors import ReadOnlyRecord
-from .estimation import estimator_tables, fidelities
+from .estimation import _state_projectors, estimator_tables, fidelities
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
 _CHUNK_CELLS = 320  # (state, block) cells sampled together
-_STATE_CHUNK = 32  # states whose moments run_health takes together
+_STATE_CHUNK = 32  # states whose f rows are formed together
+_MAX_SCORE_BYTES = 1 << 30  # largest (K, blocks) float64 score table a run allocates
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
 _WRITE_ENTRIES = 1 << 11  # counts formatted together by _counts_writer
@@ -99,7 +106,7 @@ class SimConfig(ReadOnlyRecord):
 
 
 class SimReport:
-    """A sampled run: the table it was scored with, the statistics of its
+    """A sampled run: the estimators it was scored with, the statistics of its
     scores, and its count table or its counts' report text when one was kept.
 
     `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o];
@@ -108,23 +115,23 @@ class SimReport:
     over states over K M; the (K,) per-state F is S summed over blocks over M B.
     """
 
-    __slots__ = ("config", "triple", "design", "mode", "measurements", "f_table", "counts",
+    __slots__ = ("config", "triple", "design", "mode", "measurements", "estimators", "counts",
                  "counts_text", "per_state_fidelity", "per_block_fidelities",
                  "mean_fidelity", "std")
 
-    def __init__(self, config, triple, design, mode, measurements, f_table, counts,
+    def __init__(self, config, triple, design, mode, measurements, estimators, counts,
                  scores=None, counts_text=None):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
         self.mode = mode  # which Q defined the estimators
         self.measurements = measurements  # the bases whose joint outcomes were counted
-        self.f_table = f_table  # (K, n_outcomes) tr(rho rhohat) the counts were scored with
+        self.estimators = estimators  # (n_outcomes, 2 d*d) `estimator_tables` of the measurements
         # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M), or None
         self.counts = counts
         self.counts_text = counts_text  # a file holding the counts' report text, or None
         if scores is None:
-            scores = _scores(counts, f_table)
+            scores = _scores(counts, design.states, estimators, slice(0, len(counts)))
         self.per_state_fidelity = scores.sum(axis=1) / (config.m_block * config.blocks)
         per_block = scores.sum(axis=0) / (len(scores) * config.m_block)
         self.per_block_fidelities = per_block
@@ -210,12 +217,16 @@ def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False, coun
     reads.  With `counts_text`, a text file open for writing and reading, they
     are written into it as the report's counts block, for `save_report` to
     copy; the run then holds one chunk's counts at a time.  A run keeps its
-    counts one way or not at all.
+    counts one way or not at all.  A run whose (K, blocks) float scores would
+    pass `_MAX_SCORE_BYTES` raises ValueError before anything is formed.
     """
     if keep_counts and counts_text is not None:
         raise ValueError("keep_counts and counts_text both keep the counts: pass one")
+    if design.size * cfg.blocks * 8 > _MAX_SCORE_BYTES:
+        raise ValueError(f"blocks={cfg.blocks} over {design.size} states needs more than "
+                         f"{_MAX_SCORE_BYTES} bytes of float64 scores")
     measurements = triple.bases
-    f_table = estimator_tables(measurements, design, mode)
+    estimators = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple) for role in range(3)]
     counts, sink = None, None
@@ -224,12 +235,12 @@ def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False, coun
         sink = counts.__setitem__
     elif counts_text is not None:
         sink = _counts_writer(counts_text, cfg.blocks, 64)
-    scores = _multinomial_counts(probs, param_keys, cfg, f_table, sink)
-    return SimReport(cfg, triple, design, mode, measurements, f_table, counts, scores,
+    scores = _multinomial_counts(probs, param_keys, cfg, design.states, estimators, sink)
+    return SimReport(cfg, triple, design, mode, measurements, estimators, counts, scores,
                      counts_text)
 
 
-def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
+def _multinomial_counts(probs, param_keys, cfg, states, estimators, sink):
     """Draw the counts from three chained multinomials (stream version 2) and score them.
 
     Returns the (K, B) `_scores` of the (K, B, 64) counts, one chunk of
@@ -237,7 +248,7 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
     unless None, is then called with the chunk's rows (a slice of the K
     states) and counts.
     """
-    K, B = len(f_table), cfg.blocks
+    K, B = states.shape[1], cfg.blocks
     step = max(1, _CHUNK_CELLS // B)
     scores = np.empty((K, B))
     generators = [
@@ -254,42 +265,59 @@ def _multinomial_counts(probs, param_keys, cfg, f_table, sink):
             pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
             n = generator.multinomial(n, pvals)
         n = n.reshape(-1, B, 64)
-        scores[chunk] = _scores(n, f_table[chunk])
+        scores[chunk] = _scores(n, states, estimators, chunk)
         if sink is not None:
             sink(chunk, n)
     return scores
 
 
-def _scores(counts, f_table):
-    """(K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] of any number of states.
+def _estimator_rows(states, estimators, rows):
+    """Yield (piece, f) over `rows`, a slice of the states' columns: f[k, o] =
+    <psi_k| rhohat_o |psi_k> of the states at `piece`, as (states, outcomes).
 
-    Each score is one row's sum over outcomes, so a chunk of states and a
-    whole table give the same bits.
+    The pieces are the aligned `_STATE_CHUNK` blocks of states clipped to
+    `rows`, and each f is sliced from the product over its whole block, so a
+    state's row has the same bits whichever rows are asked for.
     """
-    return np.einsum("kbo,ko->kb", counts, f_table)
+    for start in range(rows.start - rows.start % _STATE_CHUNK, rows.stop, _STATE_CHUNK):
+        block = _state_projectors(states[:, start:start + _STATE_CHUNK])
+        piece = slice(max(start, rows.start), min(start + _STATE_CHUNK, rows.stop))
+        yield piece, (block @ estimators.T)[piece.start - start:piece.stop - start]
+
+
+def _scores(counts, states, estimators, rows):
+    """(states, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] of the states at `rows`.
+
+    Each score is one row's sum over outcomes, and f's rows come from
+    `_estimator_rows`, so a chunk of states and a whole table give the same bits.
+    """
+    scores = np.empty(counts.shape[:2])
+    for piece, f in _estimator_rows(states, estimators, rows):
+        at = slice(piece.start - rows.start, piece.stop - rows.start)
+        scores[at] = np.einsum("kbo,ko->kb", counts[at], f)
+    return scores
 
 
 def run_health(report):
     """How far a run's mean lies from the exact F, in predicted standard deviations.
 
-    The exact F is the infinite-M limit of the run: its own table weighted by
+    The exact F is the infinite-M limit of the run: its own f rows weighted by
     the exact Born probabilities of its measurements on its design.  One
     shot's variance per state follows from the same weights, one block's
     variance is sum_k var_k / (K^2 M), and the mean averages B blocks.  A std
     estimated from a few blocks is itself noisy, so this is the yardstick for
     z = (F_sim - F_exact) / sigma.
 
-    Both per-state moments, of the table and of its square, are taken
-    `_STATE_CHUNK` states at a time, summing out one basis's outcomes per
-    batched (n, rest, d) @ (n, d, 1) product, last basis first: no joint-weight
-    table and nothing of the table's size is formed.
+    Both per-state moments, of f and of its square, are taken for one
+    `_estimator_rows` piece of states at a time, summing out one basis's
+    outcomes per batched (n, rest, d) @ (n, d, 1) product, last basis first: no
+    joint-weight table and no (K, outcomes) table is formed.
     """
     cfg, K, d = report.config, report.design.size, report.design.dim
-    probs = [born_probabilities(b, report.design.states) for b in report.measurements]
+    states = report.design.states
+    probs = [born_probabilities(b, states) for b in report.measurements]
     moments = np.empty((K, 2))
-    for start in range(0, K, _STATE_CHUNK):
-        rows = slice(start, start + _STATE_CHUNK)
-        f = report.f_table[rows]
+    for rows, f in _estimator_rows(states, report.estimators, slice(0, K)):
         table = np.stack([f, f * f], axis=1)
         for p in reversed(probs):
             table = table.reshape(len(table), -1, d) @ p[rows, :, None]
@@ -321,12 +349,13 @@ def reprocess_two_copy(report, pair):
                          "three-copy run, in order")
     measurements = (report.measurements[i1], report.measurements[i2])
     design, cfg = report.design, report.config
-    f_table = estimator_tables(measurements, design, report.mode)
+    estimators = estimator_tables(measurements, design, report.mode)
     counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
     counts2 = counts3.sum(axis=2 + drop_axis, dtype=report.counts.dtype)
     counts2 = counts2.reshape(design.size, cfg.blocks, 16)
-    return SimReport(cfg, report.triple, design, report.mode, measurements, f_table, counts2)
+    return SimReport(cfg, report.triple, design, report.mode, measurements, estimators,
+                     counts2)
 
 
 def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"):

@@ -83,6 +83,17 @@ def moment_matrix(design, t):
     return lifted.T @ lifted.conj()
 
 
+def estimator_table(estimators, states):
+    """f[k, o] = <psi_k| rhohat_o |psi_k> as a whole (K, outcomes) table, in complex arithmetic.
+
+    `estimators` is `estimator_tables`' (outcomes, 2 d*d) float array, `states`
+    holds the psi_k as columns.
+    """
+    d = states.shape[0]
+    rho = estimators.view(complex).reshape(-1, d, d)
+    return np.einsum("ak,oab,bk->ko", states.conj(), rho, states).real
+
+
 def run_health(report):
     """Exact F, predicted std of the mean and z of a sampled run, from joint weights.
 
@@ -90,7 +101,8 @@ def run_health(report):
     state and joint outcome; per state, mean = sum_o w f and
     var = sum_o w f^2 - mean^2, and sigma^2 = sum_k var_k / (K^2 M B).
     """
-    states, f, cfg = report.design.states, report.f_table, report.config
+    states, cfg = report.design.states, report.config
+    f = estimator_table(report.estimators, states)
     K = states.shape[1]
     joint = np.ones((K, 1))
     for basis in report.measurements:

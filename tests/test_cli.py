@@ -41,7 +41,7 @@ from mubest.designs import (
     save_design,
 )
 from mubest.errors import DesignFormatError
-from mubest.estimation import fidelity_scan
+from mubest.estimation import estimator_tables, fidelity_scan
 from mubest.mub import mub_triple
 from mubest.simulate import (
     SimConfig,
@@ -592,8 +592,9 @@ def test_save_report_memory_is_bounded(tmp_path, rng):
     counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
     half = math.pi / 2
     triple = mub_triple(half, half, half)
-    report = SimReport(SimConfig(seed=0), triple, None, "ideal", triple.bases,
-                       rng.random((240, 64)), counts)
+    design = StateDesign(t=4, states=default_design().states[:, :240])
+    report = SimReport(SimConfig(seed=0), triple, design, "ideal", triple.bases,
+                       estimator_tables(triple.bases, design), counts)
     tracemalloc.start()
     try:
         save_report(report, tmp_path / "run.json")
@@ -778,9 +779,24 @@ def test_design_file_not_utf8_exits_io(outdir, capsys, argv, suffix):
     assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", ["simulate", "subsets", "equivalence"])
+def test_blocks_past_the_score_bound_exit_validation(outdir, capsys, monkeypatch, command):
+    # 139,811 blocks of the 960 states need more than 2**30 bytes of float64
+    # scores: rejected before any estimator is formed or array allocated
+    def no_estimators(*args):
+        raise AssertionError("estimators formed past the bound")
+
+    monkeypatch.setattr("mubest.simulate.estimator_tables", no_estimators)
+    argv = [command, "--M", "10", "--blocks", "139811", "--out", "r.out"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: blocks=139811 over 960 states needs more than "
+                                       "1073741824 bytes of float64 scores\n")
+    assert not (outdir / "r.out").exists()
+
+
 def test_refused_allocation_exits_validation(outdir, capsys, monkeypatch):
-    # numpy raises MemoryError for an array the machine will not give, such as
-    # the scores of an enormous --blocks; the layer call stands in for it here
+    # numpy raises MemoryError for an array the machine will not give; the
+    # layer call stands in for it here
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 768. GiB for an array with shape "
                           "(960, 100000000) and data type float64")

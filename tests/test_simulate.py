@@ -12,7 +12,7 @@ import pytest
 import reference
 from conftest import F3_SYMMETRIC
 from mubest.designs import StateDesign, default_design, load_design, optimize_design, save_design
-from mubest.estimation import estimation_fidelity, fidelities, triple_fidelity
+from mubest.estimation import _state_projectors, estimation_fidelity, fidelities, triple_fidelity
 from mubest.mub import (
     born_probabilities,
     controlled_phase,
@@ -23,6 +23,8 @@ from mubest.mub import (
 from mubest.simulate import (
     SimConfig,
     SimReport,
+    _CHUNK_CELLS,
+    _estimator_rows,
     _param_key,
     equivalence_scan_phase,
     equivalence_scan_random,
@@ -80,9 +82,15 @@ def predicted_std_of_mean(triple, design, cfg):
     ~1e-6), so sampling checks use this instead."""
     probs = [np.abs(b.vectors.conj().T @ design.states).T ** 2 for b in triple.bases]
     joint = np.einsum("ka,kb,kc->kabc", *probs).reshape(design.size, 64)
-    f = estimator_tables(triple.bases, design)
+    f = reference.estimator_table(estimator_tables(triple.bases, design), design.states)
     var = ((joint * f**2).sum(axis=1) - (joint * f).sum(axis=1) ** 2).sum()
     return math.sqrt(var / (design.size**2 * cfg.m_block * cfg.blocks))
+
+
+def f_rows(states, estimators):
+    """The (K, outcomes) f table whose rows scoring a whole count table reads."""
+    return np.concatenate([f for _, f in _estimator_rows(states, estimators,
+                                                         slice(0, states.shape[1]))])
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +148,7 @@ def test_config_is_a_value():
 
 
 def test_report_takes_fields_in_order(small_report):
-    fields = ("config", "triple", "design", "mode", "measurements", "f_table", "counts")
+    fields = ("config", "triple", "design", "mode", "measurements", "estimators", "counts")
     values = [getattr(small_report, name) for name in fields]
     rebuilt = SimReport(*values)
     assert all(getattr(rebuilt, name) is value for name, value in zip(fields, values))
@@ -341,11 +349,12 @@ def test_signed_zero_angles_share_streams(design960):
 
 
 def test_estimator_tables_follow_bases(symmetric_triple, haar_triple, design960):
-    # same (x, y, z), different bases: the tables must differ
+    # same (x, y, z), different bases: the estimators must differ, and so their rows
     plain = estimator_tables(symmetric_triple.bases, design960)
     moved = estimator_tables(haar_triple.bases, design960)
-    assert plain.shape == moved.shape == (design960.size, 64)
+    assert plain.shape == moved.shape == (64, 32)  # 64 densities' (re, im) entries
     assert not np.allclose(plain, moved)
+    assert not np.allclose(f_rows(design960.states, plain), f_rows(design960.states, moved))
 
 
 @pytest.mark.parametrize("mode", ["ideal", "empirical"])
@@ -394,17 +403,18 @@ def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     # the paper's table: K = 960 states, B = 10 blocks, M = 10^4
     cfg = SimConfig(seed=0)
     counts = rng.multinomial(cfg.m_block, np.full(64, 1 / 64), size=(960, cfg.blocks))
-    f_table = rng.random((960, 64))
     measurements = symmetric_triple.bases
+    estimators = estimator_tables(measurements, design960)
     tracemalloc.start()
     try:
         report = SimReport(cfg, symmetric_triple, design960, "ideal", measurements,
-                           f_table, counts)
+                           estimators, counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < counts.nbytes / 4  # a float copy of the table is counts.nbytes
     # and the scores are those of the float table, bit for bit
+    f_table = f_rows(design960.states, estimators)
     expected = np.einsum("kbo,ko->b", counts.astype(float), f_table) / (960 * cfg.m_block)
     assert np.array_equal(report.per_block_fidelities, expected)
 
@@ -598,7 +608,7 @@ def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
         assert np.all(counts2.sum(axis=2, dtype=np.int64) == m_block), pair
     # the whole kept table, in its dtype, scores the bits of the sampler's chunks
     rebuilt = SimReport(cfg, report.triple, design, report.mode, report.measurements,
-                        report.f_table, report.counts)
+                        report.estimators, report.counts)
     for name in ("per_block_fidelities", "per_state_fidelity"):
         assert getattr(rebuilt, name).tobytes() == getattr(report, name).tobytes(), name
     assert (rebuilt.mean_fidelity, rebuilt.std) == (report.mean_fidelity, report.std)
@@ -609,9 +619,10 @@ def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
     cfg = SimConfig(seed=0, m_block=65535, blocks=2)
     counts = np.zeros((design960.size, cfg.blocks, 64), dtype=np.uint16)
     counts[:, :, 5] = cfg.m_block
-    f_table = estimator_tables(symmetric_triple.bases, design960)
+    estimators = estimator_tables(symmetric_triple.bases, design960)
+    f_table = f_rows(design960.states, estimators)
     report = SimReport(cfg, symmetric_triple, design960, "ideal",
-                       symmetric_triple.bases, f_table, counts)
+                       symmetric_triple.bases, estimators, counts)
     assert np.array_equal(report.per_state_fidelity, f_table[:, 5] * (2.0 * cfg.m_block)
                           / (cfg.m_block * cfg.blocks))
 
@@ -644,7 +655,7 @@ def test_per_state_fidelity_memory_is_one_chunk(sweep_report):
     # holds O(K B) floats, where a float copy of the counts summed over blocks
     # would alone be one (K, 64) table
     fields = [getattr(sweep_report, name) for name in
-              ("config", "triple", "design", "mode", "measurements", "f_table", "counts")]
+              ("config", "triple", "design", "mode", "measurements", "estimators", "counts")]
     assert traced_peak(lambda: SimReport(*fields).per_state_fidelity) < 960 * 64 * 8
 
 
@@ -655,7 +666,8 @@ def test_per_state_fidelity_bits(sweep_report, small_report, symmetric_triple, d
                              SMALL, keep_counts=True)
     for report in (sweep_report, small_report, reprocess_two_copy(small_report, (1, 2)), part):
         cfg = report.config
-        expected = (np.einsum("kbo,ko->kb", report.counts, report.f_table).sum(axis=1)
+        f_table = f_rows(report.design.states, report.estimators)
+        expected = (np.einsum("kbo,ko->kb", report.counts, f_table).sum(axis=1)
                     / (cfg.m_block * cfg.blocks))
         assert np.array_equal(report.per_state_fidelity, expected)
 
@@ -684,20 +696,25 @@ def test_paper_size_table_memory(symmetric_triple, design960):
 
 
 # uint8 and uint16 counts, a 100-state design that ends in a part chunk, and
-# empirical mode over it
-@pytest.mark.parametrize("n_states, m_block, mode", [
-    (960, 100, "ideal"), (100, 10_000, "ideal"), (100, 300, "empirical")])
+# empirical mode over it; at B = 45 the sampler's 7-state chunks straddle the
+# 32-state blocks of f's rows, and 960 states end in a 1-state chunk
+@pytest.mark.parametrize("n_states, m_block, mode, blocks", [
+    pytest.param(960, 100, "ideal", 3, id="960-100-ideal"),
+    pytest.param(100, 10_000, "ideal", 3, id="100-10000-ideal"),
+    pytest.param(100, 300, "empirical", 3, id="100-300-empirical"),
+    pytest.param(960, 100, "ideal", 45, id="960-100-ideal-B45"),
+    pytest.param(100, 300, "empirical", 45, id="100-300-empirical-B45")])
 def test_kept_table_does_not_change_the_run(tmp_path, symmetric_triple, design960, n_states,
-                                            m_block, mode):
+                                            m_block, mode, blocks):
     design = StateDesign(t=4, states=design960.states[:, :n_states])
-    cfg = SimConfig(seed=4, m_block=m_block, blocks=3)
+    cfg = SimConfig(seed=4, m_block=m_block, blocks=blocks)
     kept = simulate_protocol(symmetric_triple, design, cfg, mode, keep_counts=True)
     scored = simulate_protocol(symmetric_triple, design, cfg, mode)
     streamed = simulate_protocol(symmetric_triple, design, cfg, mode, counts_text=io.StringIO())
     assert kept.counts.dtype == np.min_scalar_type(m_block)
     assert scored.counts is None and streamed.counts is None
     # the sampler's chunk scores, and the scores of the whole kept table, bit for bit
-    rebuilt = SimReport(cfg, kept.triple, design, mode, kept.measurements, kept.f_table,
+    rebuilt = SimReport(cfg, kept.triple, design, mode, kept.measurements, kept.estimators,
                         kept.counts)
     for report in (scored, rebuilt, streamed):
         assert np.array_equal(report.per_block_fidelities, kept.per_block_fidelities)
@@ -718,11 +735,11 @@ def test_counts_are_kept_one_way(symmetric_triple, design960):
 
 def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design960):
     # one point of the simulated z curve: K = 960, M = 100, B = 10, whose uint8
-    # table is 614,400 bytes.  The estimator table is built beforehand: its Q
+    # table is 614,400 bytes.  The estimators are built beforehand: their Q
     # pass has its own peak, which does not depend on the counts
     cfg = SimConfig(seed=0, m_block=100, blocks=10)
-    f_table = estimator_tables(symmetric_triple.bases, design960)
-    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: f_table)
+    estimators = estimator_tables(symmetric_triple.bases, design960)
+    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: estimators)
     table_bytes = design960.size * cfg.blocks * 64
     peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design960, cfg))
     assert peak < table_bytes
@@ -732,14 +749,78 @@ def test_sampler_memory_does_not_grow_with_blocks(monkeypatch, symmetric_triple,
     # a chunk holds about _CHUNK_CELLS (state, block) cells whatever B is, so
     # beyond the (K, B) scores the draws peak alike at 10 and 160 blocks, where
     # 32-state chunks of int64 counts would hold 2.6 MB at B = 160
-    f_table = estimator_tables(symmetric_triple.bases, design960)
-    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: f_table)
+    estimators = estimator_tables(symmetric_triple.bases, design960)
+    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: estimators)
     beyond_scores = []
     for blocks in (10, 160):
         cfg = SimConfig(seed=0, m_block=100, blocks=blocks)
         peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design960, cfg))
         beyond_scores.append(peak - design960.size * blocks * 8)
     assert beyond_scores[1] <= beyond_scores[0] + 100_000
+
+
+# the sampler's chunks at each B: 160 states at B = 2, 106 at 3, 32 at 10, 7 at
+# 45 and 2 at 160; 100 states end in a 4-state block of f's rows
+@pytest.mark.parametrize("n_states", [960, 100])
+def test_estimator_rows_do_not_depend_on_chunks(symmetric_triple, haar_triple, design960,
+                                                n_states):
+    states = design960.states[:, :n_states]
+    for triple, bases in itertools.product((symmetric_triple, haar_triple),
+                                           ((0, 1, 2), (0, 1), (0, 2), (1, 2))):
+        estimators = estimator_tables([triple.bases[i] for i in bases], design960)
+        # each row comes from the product over the 32-state block that holds it,
+        # and is <psi_k| rhohat_o |psi_k>
+        rows = np.concatenate([_state_projectors(states[:, start:start + 32]) @ estimators.T
+                               for start in range(0, n_states, 32)])
+        assert np.allclose(rows, reference.estimator_table(estimators, states),
+                           rtol=0, atol=1e-14)
+        # the whole table's rows, which run_health's chunks and a kept table's scores read
+        assert f_rows(states, estimators).tobytes() == rows.tobytes()
+        for blocks in (2, 3, 10, 45, 160):
+            step = max(1, _CHUNK_CELLS // blocks)
+            chunked = np.concatenate([
+                f for start in range(0, n_states, step)
+                for _, f in _estimator_rows(states, estimators,
+                                            slice(start, min(start + step, n_states)))])
+            assert chunked.tobytes() == rows.tobytes(), (bases, blocks)
+
+
+def test_run_memory_does_not_grow_with_states(monkeypatch, symmetric_triple, design960):
+    # beyond its K-sized outputs (the (K, B) scores, the three (K, 4) Born arrays
+    # and the per-state F), a run holds the same at K = 960 and K = 1920: no
+    # (K, 64) float table of f, which alone would be 491,520 bytes at K = 960
+    estimators = estimator_tables(symmetric_triple.bases, design960)
+    monkeypatch.setattr("mubest.simulate.estimator_tables", lambda *args: estimators)
+    cfg = SimConfig(seed=0, m_block=100, blocks=10)
+    beyond_outputs = []
+    for copies in (1, 2):
+        design = StateDesign(t=4, states=np.concatenate([design960.states] * copies, axis=1))
+        peak = traced_peak(lambda: simulate_protocol(symmetric_triple, design, cfg))
+        beyond_outputs.append(peak - design.size * (cfg.blocks + 3 * 4 + 1) * 8)
+    assert abs(beyond_outputs[1] - beyond_outputs[0]) <= 50_000
+
+
+def test_blocks_bounded_by_score_bytes(monkeypatch, symmetric_triple, design960):
+    # the (K, B) float64 scores may take 2**30 bytes and no more: a run over 32
+    # states may have 2**22 blocks, not one more; the check comes before the
+    # estimators are formed, so neither side allocates anything here
+    class Reached(Exception):
+        pass
+
+    def no_estimators(*args):
+        raise Reached
+
+    monkeypatch.setattr("mubest.simulate.estimator_tables", no_estimators)
+    design = StateDesign(t=4, states=design960.states[:, :32])
+    with pytest.raises(Reached):
+        simulate_protocol(symmetric_triple, design, SimConfig(seed=0, blocks=2**22))
+    with pytest.raises(ValueError, match="bytes of float64 scores"):
+        simulate_protocol(symmetric_triple, design, SimConfig(seed=0, blocks=2**22 + 1))
+    # the paper's 960 states: 139,810 blocks fit, 139,811 do not
+    with pytest.raises(Reached):
+        simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, blocks=139_810))
+    with pytest.raises(ValueError, match="bytes of float64 scores"):
+        simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, blocks=139_811))
 
 
 def test_predicted_subset_std_is_exact():
