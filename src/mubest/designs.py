@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DesignFormatError, InfeasibleDesignError
+from .errors import DesignFormatError, InfeasibleDesignError, ReadOnlyRecord
 from .groups import canonical_keys, strip_phases
 from .linalg import symmetric_dimension
 
@@ -34,16 +34,14 @@ _NONFINITE_SPELLINGS = ("inf", "-inf", "nan")  # str() of the non-finite floats
 _PINNED_ORBIT = os.path.join(os.path.dirname(__file__), "default_design.npy")
 
 
-class StateDesign:
-    """K unit vectors in dimension d, stored as columns of `states` (d x K)."""
+class StateDesign(ReadOnlyRecord):
+    """K unit vectors in dimension d, stored as columns of `states` (d x K); its fields are set once."""
 
     __slots__ = ("t", "states", "provenance", "metadata")
 
     def __init__(self, t, states, provenance="custom", metadata=None):
-        self.t = t
-        self.states = states
-        self.provenance = provenance
-        self.metadata = {} if metadata is None else metadata
+        self._set(t=t, states=states, provenance=provenance,
+                  metadata={} if metadata is None else metadata)
 
     @property
     def dim(self):

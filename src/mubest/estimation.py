@@ -17,7 +17,7 @@ sum is the design's stand-in Q'; the design, when given, is also the set of
 states that are scored, in either mode.  `_q_operators` is the only place Q is
 formed: one tuple of bases' Born weights go into an outcome-major (d^N, K)
 array, so the product with the design's projectors, formed once per set of
-states by `_design_pair`, is one GEMM with no transpose and no K-sized temporary.
+states that a call needs, is one GEMM with no transpose and no K-sized temporary.
 `_top_eigenspaces` turns a Q stack into its estimators rhohat_o, the
 normalized top-eigenspace projectors; `estimator_tables` hands them to the
 sampler as real (re, im) rows, which it scores against `_state_projectors` of
@@ -95,8 +95,8 @@ def _q_operators(measurements, design, projectors):
     return (scale * sums.view(complex)).reshape(-1, d, d)
 
 
-def _design_pair(mode, design):
-    """(scored design, its projectors, Q's design, its projectors); each state set projected once.
+def _designs(mode, design):
+    """(scored design, Q's design) of a call's mode and design.
 
     Q depends on the states alone: Q's design is the scored design itself when
     their states are equal, one object or a loaded copy, and then Q' = Q bit for bit.
@@ -108,10 +108,9 @@ def _design_pair(mode, design):
     design = q_design if design is None else design
     if design.dim != q_design.dim:
         raise ContractViolationError(f"measurements do not act on dimension {design.dim}")
-    projectors = _state_projectors(design.states)
-    if q_design is design or np.array_equal(q_design.states, design.states):
-        return design, projectors, design, projectors
-    return design, projectors, q_design, _state_projectors(q_design.states)
+    if q_design is not design and np.array_equal(q_design.states, design.states):
+        q_design = design
+    return design, q_design
 
 
 def estimator_tables(measurements, design, mode="ideal"):
@@ -122,10 +121,10 @@ def estimator_tables(measurements, design, mode="ideal"):
     of `_state_projectors` times it is Re tr(rho rhohat_o) = <psi| rhohat_o |psi>
     with no complex temporary.  The estimators come from Q over the Clifford
     orbit (ideal) or `design` (empirical); `design` is checked as `fidelities`
-    checks it.
+    checks it, and only Q's design is projected.
     """
-    design, projectors, q_design, q_projectors = _design_pair(mode, design)
-    q = _q_operators(measurements, q_design, q_projectors)
+    _, q_design = _designs(mode, design)
+    q = _q_operators(measurements, q_design, _state_projectors(q_design.states))
     return _top_eigenspaces(q).reshape(len(q), -1).view(float)
 
 
@@ -157,7 +156,9 @@ def fidelities(items, mode="ideal", design=None):
     Projectors are formed once and Q one tuple at a time, so memory does not
     grow with the tuples.
     """
-    design, projectors, q_design, q_projectors = _design_pair(mode, design)
+    design, q_design = _designs(mode, design)
+    projectors = _state_projectors(design.states)  # each set of states projected once
+    q_projectors = projectors if q_design is design else _state_projectors(q_design.states)
     result = []
     for measurements in items:
         q = _q_operators(measurements, design, projectors)

@@ -1,49 +1,53 @@
 """Exact generation of the two-qubit Pauli, Clifford, and restricted Clifford groups.
 
-Group elements are 4x4 unitaries stored modulo global phase in a canonical
-form: the first entry of non-negligible modulus (row-major scan) is made
-positive real, and entries rounded to a 1e-6 grid serve as the deduplication
-key.  Clifford entries live on a lattice with spacing >= 2^-4, so the grid
-separates distinct elements with huge margin while absorbing float drift.
-The grid is int32: entries of unitaries and unit vectors have modulus <= 1,
-so rint(x * 1e6) fits with room to spare, and a 4x4 key is 128 bytes.  A
-value off the int32 grid raises ContractViolationError rather than wrapping.
-A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
-derived from them: membership keys the elements on each call.
+Group elements are d x d unitaries stored modulo global phase: the first
+entry of non-negligible modulus (row-major scan) is made positive real.  A
+Clifford element is fixed, up to that phase, by how it conjugates the Paulis,
+u P u^dag = +-P' (Dehaene and De Moor, PRA 68, 042318, 2003; Aaronson and
+Gottesman, arXiv:quant-ph/0406196), so its tableau, the images of X_1, Z_1,
+..., X_n, Z_n, is an exact key.  A Pauli's label is the kron-ordered code of
+its qubits, 0 = I, 1 = X, 2 = Z, 3 = Y (x + 2z): the GF(2) vector (x_1, z_1,
+..., x_n, z_n), first qubit high, so a product of Paulis has the XOR of their
+labels.  A field is 2 * label + sign for (-1)^sign P_label, and a key is a
+tableau's 2n fields side by side in one int: 20 bits for two qubits, 42 for
+three, the most it holds.
 
-Canonicalisation and keys work on stacks (`strip_phases`, `canonical_keys`);
-a single matrix is a one-element stack.  The pivot's modulus is np.hypot of its
-parts, which equals the scalar abs bit for bit, so stacked and one-at-a-time
-canonical forms agree.  The closure writes its elements in place into one
-buffer, each breadth-first level an index range of it.  It multiplies a block
-of a level by every generator in one GEMM, (all generators' rows) @ (the
-block's elements side by side), in place of a stack of 4 x 4 products.  It
-keys the block in one pass and looks the keys up in an index of their
-digests, one int per element; every hit is confirmed against the key of the
-element it found, so two elements that share a digest raise rather than
-merge.  New keys are taken in (frontier element, generator) order, the order
-of the nested loop, whatever the hash seed.  Unitarity is checked on the
-elements kept, not on every product: a duplicate has the key of a checked
-element.  Group files are output only; they have json.dump's bytes, each
-distinct float of a chunk of `_SAVE_CHUNK` elements formatted once by repr.
+The closure reads each generator's table, field -> field of g P g^dag, once
+from the float generator, whose Pauli coefficients must round to exactly +-1
+and zeros: a generator that is not Clifford raises before any product is
+formed.  From then on no key needs a float: the key of g u is u's fields
+through g's table.  The index is a set of int keys, filled in (frontier
+element, generator) order, the order of the nested loop.  The elements are
+written in place into one buffer, each breadth-first level an index range of
+it; only products with new keys are canonicalised and checked for unitarity.
+A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
+derived from them: membership keys them by their tableaux on each call.
+
+`canonical_keys` encodes phase-canonical vectors on a 1e-6 int32 grid for
+`designs.orbit`: Clifford images of the fiducial live on a lattice with
+spacing >= 2^-4, which the grid separates with huge margin while absorbing
+float drift, and a value off the grid raises ContractViolationError.  Group
+files are output only; they have json.dump's bytes, each distinct float of a
+chunk of `_SAVE_CHUNK` elements formatted once by repr.
 """
 
 import functools
+import itertools
 import json
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import check_unitary
+from .linalg import UNITARY_TOL, check_unitary
 
 KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
 _CLOSURE_CHUNK = 64  # frontier elements multiplied by the generators at a time
-_digest = hash  # the closure index's digest of a key's bytes; every hit is re-checked
-# group elements formatted per write; the Clifford group command's peak RSS
-# is reached in the closure, about 0.1 MB above the peak while a chunk is
-# formatted (128 holds that 0.3 MB below 256)
+_TABLEAU_CHUNK = 1024  # unitaries keyed by `tableaux` at a time: about 5 MB of products
+# group elements formatted per write; in the Clifford group command the
+# formatting of a 128-element chunk reaches the closure's peak RSS but adds
+# nothing to it, where 256 would add 0.3 MB
 _SAVE_CHUNK = 128
 
 I2 = np.eye(2, dtype=complex)
@@ -101,10 +105,68 @@ def canonical_keys(stack):
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
+def _paulis(dim):
+    """The dim**2 Hermitian Paulis on n = log2(dim) qubits, 1 <= n <= 3, as (dim**2, dim, dim) by label."""
+    if dim not in (2, 4, 8):
+        raise ContractViolationError(f"tableau keys need 1 to 3 qubits, not dimension {dim}")
+    codes = itertools.product([I2, X, Z, Y], repeat=dim.bit_length() - 1)  # first qubit high
+    return np.array([functools.reduce(np.kron, code) for code in codes])
+
+
+def _tableau_labels(dim):
+    """The labels of X_1, Z_1, ..., X_n, Z_n: each a single bit of GF(2)^(2n)."""
+    n = dim.bit_length() - 1
+    return [code << 2 * (n - 1 - i) for i in range(n) for code in (1, 2)]
+
+
+def _pauli_images(us, labels):
+    """The field of u P u^dag for each u of a stack and each labelled Pauli P, as (len(us), len(labels)).
+
+    The coefficients tr(P' u P u^dag) / d must round to one +-1 and zeros,
+    within UNITARY_TOL; where they do not, the field is -1.
+    """
+    n, dim = len(us), us.shape[-1]
+    paulis = _paulis(dim)
+    # every u P in one GEMM, (n d, d) @ (d, L d), then each u's L products times u^dag at once
+    products = us.reshape(-1, dim) @ paulis[labels].transpose(1, 0, 2).reshape(dim, -1)
+    products = products.reshape(n, dim, len(labels), dim).transpose(0, 2, 1, 3).reshape(n, -1, dim)
+    images = products @ us.conj().swapaxes(1, 2)
+    # tr(P' M) pairs M[b, a] with P'[a, b] = conj(P')[b, a], P' being Hermitian
+    coeffs = images.reshape(-1, dim * dim) @ paulis.conj().reshape(dim * dim, -1).T / dim
+    rounded = np.rint(coeffs.real)
+    label = np.argmax(np.abs(rounded), axis=1)
+    exact = ((np.max(np.abs(coeffs - rounded), axis=1) <= UNITARY_TOL)
+             & (np.abs(rounded).sum(axis=1) == 1))
+    sign = rounded[np.arange(len(label)), label] < 0
+    return np.where(exact, 2 * label + sign, -1).reshape(len(us), len(labels))
+
+
+def tableaux(us):
+    """Each unitary's tableau: the fields of its images of X_1, Z_1, ..., X_n, Z_n, as (len(us), 2n).
+
+    A field is 2 * label + sign, for u P u^dag = (-1)^sign P_label.  The row
+    of a u that is not Clifford is -1.  Raises unless d = 2^n, 1 <= n <= 3.
+    """
+    us = np.asarray(us, dtype=complex)
+    labels = _tableau_labels(us.shape[-1])
+    fields = np.empty((len(us), len(labels)), dtype=np.int64)
+    for lo in range(0, len(us), _TABLEAU_CHUNK):
+        fields[lo:lo + _TABLEAU_CHUNK] = _pauli_images(us[lo:lo + _TABLEAU_CHUNK], labels)
+    fields[(fields < 0).any(axis=1)] = -1
+    return fields
+
+
+def _keys(fields):
+    """One int per tableau, its 2n fields of 2n + 1 bits side by side; negative for a row of -1."""
+    n_fields = fields.shape[1]
+    return fields.astype(np.int64) @ (1 << (n_fields + 1) * np.arange(n_fields, dtype=np.int64))
+
+
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
-    Membership keys the elements on each call, O(n).
+    Membership keys u and the elements by their tableaux on each call, O(n);
+    a u that is not Clifford is no member.
     """
 
     def __init__(self, elements, generator_labels=()):
@@ -118,68 +180,83 @@ class UnitaryGroup:
         return iter(self.elements)
 
     def __contains__(self, u):
-        key = canonical_keys(canonicalize_phases(np.asarray(u)[None])).tolist()[0]
-        return key in canonical_keys(self.elements).tolist()
+        u = check_unitary(np.asarray(u))
+        if u.shape != self.elements.shape[1:]:
+            return False
+        key = _keys(tableaux(u[None]))[0]
+        return key >= 0 and bool(np.any(_keys(tableaux(self.elements)) == key))
 
     @property
     def dim(self):
         return self.elements.shape[-1]
 
 
+def _generator_tables(gens, generator_labels):
+    """(n_gens, 2 d**2) uint8: row g maps each field to the field of g P g^dag.
+
+    Raises ContractViolationError, naming the generator, unless every
+    generator maps every Pauli to +-1 times a Pauli.
+    """
+    dim = gens.shape[-1]
+    images = _pauli_images(gens, np.arange(dim * dim))
+    bad = np.flatnonzero((images < 0).any(axis=1))
+    if bad.size:
+        name = generator_labels[bad[0]] if generator_labels else int(bad[0])
+        raise ContractViolationError(
+            f"generator {name!r} is not Clifford: it maps a Pauli to no +-1 multiple of a Pauli")
+    # the field 2 label + sign goes to the image of the label, its sign flipped by sign
+    return np.stack([images, images ^ 1], axis=2).reshape(len(gens), -1).astype(np.uint8)
+
+
 def generate_group(generators, max_size, generator_labels=()):
-    """Breadth-first closure of the generators under left multiplication.
+    """Breadth-first closure of Clifford generators on 1 to 3 qubits under left multiplication.
 
-    The elements are written in place into one buffer of max_size elements;
-    each level is the index range of the elements the previous level found.
-    A level is multiplied by the generators `_CLOSURE_CHUNK` frontier elements
-    at a time, in one 2-D product: the generators' rows stacked, (n_gens d, d),
-    times the block's elements side by side, (d, block d).  Its (g, u) tiles
-    are the products g @ u, each from the same d-term sums as a d x d
-    product, so the elements keep their bits.  They are reordered to (frontier
-    element u, generator g), canonicalised and keyed in one pass.  New keys
-    are taken in that order, so the element order is that of the nested loop.
-
-    The index maps `_digest` of each element's key to its position, so it
-    holds no key bytes.  Every product found in it is compared with the key of
-    the element its digest points to; a mismatch, two elements with one digest,
-    raises ContractViolationError.  The generators and each new element are
-    checked for unitarity; a product dropped as a duplicate has the key of a
-    checked element.  A closure that ends below max_size returns a copy of
-    its elements, not a view that pins the buffer.  Raises
-    ContractViolationError if the closure would exceed max_size (a symptom of
-    wrong generators or a broken canonicalization grid).
+    The generators are checked for unitarity and read into their tables; one
+    that is not Clifford raises ContractViolationError before any product is
+    formed.  The elements are written in place into one buffer of max_size
+    elements; each level is the index range of the elements the previous
+    level found.  A level is keyed and multiplied `_CLOSURE_CHUNK` frontier
+    elements at a time, new keys taken in (frontier element u, generator g)
+    order.  The products come from one 2-D product, the generators' rows
+    stacked, (n_gens d, d), times the block's elements side by side, (d,
+    block d): its (g, u) tiles are the products g @ u, each from the same
+    d-term sums as a d x d product, so the elements keep their bits.  A block
+    with no new key skips the product.  A closure that ends below max_size
+    returns a copy of its elements, not a view that pins the buffer.  Raises
+    ContractViolationError if the closure would exceed max_size.
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     n_gens, dim = gens.shape[:2]
+    tables = _generator_tables(gens, list(generator_labels))
     rows = gens.reshape(n_gens * dim, dim)  # every generator's rows, stacked
     elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
     elements[0] = np.eye(dim)
-    index = {_digest(canonical_keys(elements[:1]).tolist()[0]): 0}  # key digest -> position
+    labels = _tableau_labels(dim)
+    fields = np.empty((len(elements), len(labels)), dtype=np.uint8)
+    fields[0] = 2 * np.array(labels)  # the identity's: each Pauli to itself, sign +
+    index = set(_keys(fields[:1]).tolist())
     start, stop = 0, 1  # the frontier level is elements[start:stop]
     while start < stop:
         for lo in range(start, stop, _CLOSURE_CHUNK):
-            block = elements[lo:min(lo + _CLOSURE_CHUNK, stop)]
-            side = block.transpose(1, 0, 2).reshape(dim, -1)  # the block side by side
-            products = (rows @ side).reshape(n_gens, dim, len(block), dim)
-            # (generator, row, element, column) to (element, generator, row, column)
-            products = strip_phases(products.transpose(2, 0, 1, 3).reshape(-1, dim, dim))
-            keys = canonical_keys(products)
-            at, new = [], []  # the positions that products found; the products added
-            for i, d in enumerate(map(_digest, keys.tolist())):
-                if d in index:
-                    at.append(index[d])
-                else:
+            hi = min(lo + _CLOSURE_CHUNK, stop)
+            # (generator, element, field) to (element, generator, field)
+            images = tables[:, fields[lo:hi]].transpose(1, 0, 2).reshape(-1, fields.shape[1])
+            new = []  # the (element, generator) positions of the new keys
+            for i, key in enumerate(_keys(images).tolist()):
+                if key not in index:
                     if len(index) >= max_size:
                         raise ContractViolationError(f"group closure exceeded max_size={max_size}")
-                    index[d] = len(index)
+                    index.add(key)
                     new.append(i)
+            if not new:
+                continue
             new = np.array(new, dtype=np.intp)  # one conversion serves both indexings
-            elements[len(index) - len(new):len(index)] = check_unitary(products[new])
-            found = np.ones(len(keys), dtype=bool)
-            found[new] = False
-            if not np.array_equal(canonical_keys(elements[at]).view(np.int32),
-                                  keys[found].view(np.int32)):
-                raise ContractViolationError("two group elements share a key digest")
+            side = elements[lo:hi].transpose(1, 0, 2).reshape(dim, -1)  # the block side by side
+            products = (rows @ side).reshape(n_gens, dim, hi - lo, dim)
+            u, g = np.divmod(new, n_gens)
+            first = len(index) - len(new)
+            elements[first:len(index)] = check_unitary(strip_phases(products[g, :, u, :]))
+            fields[first:len(index)] = images[new]
         start, stop = stop, len(index)
     if stop < len(elements):
         elements = elements[:stop].copy()

@@ -265,12 +265,14 @@ def test_groups_command_short_closure_exits_validation(outdir, capsys, monkeypat
 
 
 def test_groups_command_long_closure_exits_validation(outdir, capsys, monkeypatch):
-    # a T gate in place of the phase gate generates no finite group
+    # a T gate in place of the phase gate generates no finite group: the closure
+    # rejects the first generator that holds it before forming any product
     gates = groups.standard_gates()
     t_gate = np.kron(np.diag([1, np.exp(1j * math.pi / 4)]), np.eye(2))
     monkeypatch.setattr(groups, "standard_gates", lambda: dict(gates, P1=t_gate))
     assert main(["groups", "--which", "restricted", "--out", "g.json"]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: group closure exceeded max_size=960\n"
+    assert capsys.readouterr().err == ("error: generator 'H2.CNOT12.P1.H2' is not Clifford:"
+                                       " it maps a Pauli to no +-1 multiple of a Pauli\n")
     assert not (outdir / "g.json").exists()
 
 

@@ -512,6 +512,18 @@ def test_state_design_fields():
     assert (named.t, named.provenance, named.metadata) == (1, "orbit", {"k": 2})
 
 
+@pytest.mark.parametrize("field", ["t", "states", "provenance", "metadata"])
+def test_state_design_fields_are_read_only(field):
+    # the cached default design is shared by every caller in the process: a
+    # reassigned t = 2 made every later ideal-mode fidelity warn
+    design = default_design()
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(design, field, 2)
+    assert (default_design().t, default_design().provenance) == (4, "clifford_orbit")
+    with pytest.raises(AttributeError):
+        StateDesign(2, np.eye(2, dtype=complex)).t = 4
+
+
 def test_state_design_takes_no_dim():
     # the dimension is the states' row count, so it cannot disagree with them
     with pytest.raises(TypeError):

@@ -342,8 +342,9 @@ def test_fidelities_form_q_once_for_equal_states(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("function", ["estimator_tables", "fidelities"])
 def test_projectors_formed_once_per_state_set(function, monkeypatch, tmp_path, partial_design):
-    # both functions set up their designs alike: each distinct set of states, the
-    # scored design's and Q's, is projected once per call, whatever the design's name
+    # both functions set up their designs alike: each distinct set of states that a
+    # call needs is projected once, whatever the design's name; `fidelities` needs the
+    # scored design's and Q's, `estimator_tables` only Q's
     save_design(default_design(), tmp_path / "clifford.json")
     loaded = load_design(tmp_path / "clifford.json")
     bases = mub_triple(HALF, 0.3, 1.1).bases
@@ -351,14 +352,18 @@ def test_projectors_formed_once_per_state_set(function, monkeypatch, tmp_path, p
     projectors = estimation._state_projectors
     monkeypatch.setattr(estimation, "_state_projectors",
                         lambda states: calls.append(states) or projectors(states))
-    for mode, design, count in (("ideal", default_design(), 1), ("empirical", partial_design, 1),
-                                ("ideal", partial_design, 2), ("ideal", loaded, 1)):
+    # (mode, scored design, its Q's design, projections by `fidelities`)
+    for mode, design, q_design, count in (
+            ("ideal", default_design(), default_design(), 1),
+            ("empirical", partial_design, partial_design, 1),
+            ("ideal", partial_design, default_design(), 2), ("ideal", loaded, loaded, 1)):
         calls.clear()
         if function == "fidelities":
             fidelities([bases, bases[:2]], mode, design)
+            assert len(calls) == count, (mode, design.size)
         else:
             estimation.estimator_tables(bases, design, mode)
-        assert len(calls) == count, (mode, design.size)
+            assert len(calls) == 1 and calls[0] is q_design.states, (mode, design.size)
 
 
 def test_fidelities_checks(design960):

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +16,8 @@ from mubest import groups
 from mubest.designs import fiducial_state, orbit
 from mubest.errors import ContractViolationError
 from mubest.groups import (
+    X,
+    Z,
     UnitaryGroup,
     canonical_keys,
     canonicalize_phases,
@@ -23,6 +27,7 @@ from mubest.groups import (
     save_group,
     standard_gates,
     strip_phases,
+    tableaux,
 )
 from mubest.linalg import is_unitary
 from reference import stabilizer
@@ -114,6 +119,77 @@ def test_element_orders_modulo_paulis(name, census, request, pauli_group):
         orders[(orders == 0) & inside] = k
         power = power @ reps
     assert dict(zip(*np.unique(orders, return_counts=True))) == census
+
+
+def _symplectic_parts(group):
+    """Each element's tableau with its sign bits masked: the labels of its images of X1, Z1, X2, Z2."""
+    fields = tableaux(group.elements)
+    assert np.all(fields >= 0)  # every element is Clifford
+    return fields >> 1
+
+
+def _anticommute(a, b):
+    # a label's qubits are (x, z) bit pairs, so <a, b> pairs each x bit of a with
+    # the z bit of b and each z bit with the x bit: swap a's pairs, AND, take parity
+    swapped = ((a & 0b0101) << 1) | ((a & 0b1010) >> 1)
+    return bin(swapped & b).count("1") % 2 == 1
+
+
+def _anticommuting_sets(size):
+    return [s for s in itertools.combinations(range(1, 16), size)
+            if all(_anticommute(a, b) for a, b in itertools.combinations(s, 2))]
+
+
+# |Sp(4, 2)| = 720 and |SL(2, 4)| = 60: the images of the Paulis up to sign; in
+# each group the 16 elements that fix every Pauli up to sign are the Paulis
+@pytest.mark.parametrize("name, parts", [("clifford", 720), ("restricted", 60)])
+def test_symplectic_parts(name, parts, request, pauli_group):
+    group = request.getfixturevalue(f"{name}_group")
+    symplectic = _symplectic_parts(group)
+    assert len(set(map(tuple, symplectic.tolist()))) == parts
+    fixes_paulis = np.all(symplectic == tableaux(np.eye(4)[None]) >> 1, axis=1)
+    assert key_set(group.elements[fixes_paulis]) == key_set(pauli_group.elements)
+
+
+def test_six_maximal_anticommuting_sets():
+    assert len(_anticommuting_sets(5)) == 6
+    assert _anticommuting_sets(6) == []  # so each 5-set is maximal
+
+
+# G / P acts on the six sets of five pairwise anticommuting Paulis: faithfully
+# (its kernel is the Paulis), as all of S6 for the Clifford group, and as 60
+# even permutations, transitive, for the restricted group: Sp(4, 2) = S6 and SL(2, 4) = A5
+@pytest.mark.parametrize("name, permutations, odd", [("clifford", 720, 360), ("restricted", 60, 0)])
+def test_action_on_the_six_anticommuting_sets(name, permutations, odd, request, pauli_group):
+    group = request.getfixturevalue(f"{name}_group")
+    symplectic = _symplectic_parts(group)
+    # the image of a label is the XOR of the images of its bits, the labels of X1, Z1, X2, Z2
+    bits = (tableaux(np.eye(4)[None]) >> 1)[0]
+    images = np.zeros((len(group), 16), dtype=int)
+    for label in range(16):
+        for j, bit in enumerate(bits):
+            if label & bit:
+                images[:, label] ^= symplectic[:, j]
+    sets = _anticommuting_sets(5)
+    position = {s: i for i, s in enumerate(sets)}
+    actions = [tuple(position[tuple(sorted(row[list(s)]))] for s in sets) for row in images]
+    distinct = set(actions)
+    assert len(distinct) == permutations
+
+    def parity(perm):
+        cycles, seen = 0, set()
+        for i in range(len(perm)):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+        return (len(perm) - cycles) % 2
+
+    assert sum(map(parity, distinct)) == odd
+    assert {perm[0] for perm in distinct} == set(range(6))  # transitive
+    kernel = [perm == tuple(range(6)) for perm in actions]
+    assert key_set(group.elements[kernel]) == key_set(pauli_group.elements)
 
 
 def test_closure_and_inverses(restricted_group, clifford_group, rng):
@@ -220,20 +296,31 @@ def test_generate_group_matches_nested_loop():
     assert np.array_equal(np.array(group.elements).view(np.int64), expected.view(np.int64))
 
 
-def test_closure_rejects_a_digest_collision(monkeypatch):
-    # every key has one digest: each product finds the identity's position, and
-    # the key check must raise rather than merge the elements
-    monkeypatch.setattr(groups, "_digest", lambda key: 0)
-    with pytest.raises(ContractViolationError, match="digest"):
-        restricted_clifford_group_2q()
-    # only I x X takes X x I's digest: the collision finds the element that an
-    # earlier product of the same block added, and that hit must be compared
-    # there; max_size=2 stops a closure that missed it at the next level
+def test_non_clifford_generator_raises_before_any_product(monkeypatch):
+    # a T gate maps X to (X + Y)/sqrt(2): its table fails, so no product is formed,
+    # canonicalised or kept (max_size=1 would stop a closure at its first new element)
     g = standard_gates()
-    xi, ix = canonical_keys(np.array([g["X1"], g["X2"]])).tolist()
-    monkeypatch.setattr(groups, "_digest", lambda key: hash(xi if key == ix else key))
-    with pytest.raises(ContractViolationError, match="digest"):
-        generate_group([g["X1"], g["X2"]], max_size=2)
+    t_gate = np.kron(np.diag([1, np.exp(1j * np.pi / 4)]), np.eye(2))
+    canonicalised = []
+    strip = groups.strip_phases
+    monkeypatch.setattr(groups, "strip_phases",
+                        lambda stack: canonicalised.append(len(stack)) or strip(stack))
+    with pytest.raises(ContractViolationError, match="generator 'T1' is not Clifford"):
+        generate_group([g["H1"], t_gate], max_size=1, generator_labels=["H1", "T1"])
+    with pytest.raises(ContractViolationError, match="generator 1 is not Clifford"):
+        generate_group([g["H1"], t_gate], max_size=1)
+    assert canonicalised == [2, 2]  # the two generators, once per call
+
+
+def test_generate_group_takes_one_to_three_qubits():
+    # the six single-qubit X and Z of three qubits generate the 64 Paulis
+    single = {"X": X, "Z": Z}
+    gens = [functools.reduce(np.kron, [single[p] if q == i else np.eye(2) for q in range(3)])
+            for i in range(3) for p in "XZ"]
+    assert len(generate_group(gens, max_size=64)) == 64
+    for dim in (3, 16):
+        with pytest.raises(ContractViolationError, match=f"1 to 3 qubits, not dimension {dim}"):
+            generate_group([np.eye(dim)], max_size=2)
 
 
 def test_closure_order_does_not_depend_on_the_hash_seed(restricted_group):
@@ -317,11 +404,11 @@ def test_closure_memory_is_bounded():
         tracemalloc.stop()
     assert len(group) == 11520
     # stacking a whole level's products at once peaked at 24 MB, concatenating
-    # a list of levels held a second copy of the elements, 3 MB, and a dict of
-    # 128-byte keys peaked at 6.13 MB; with the digest index the peak is 4.76 MB,
-    # the 2.95 MB of held elements, the index and one block's arrays, and the
-    # ceiling is that plus 0.5 MB
-    assert peak < 5.3e6
+    # a list of levels held a second copy of the elements, 3 MB, a dict of
+    # 128-byte keys peaked at 6.13 MB and an index of their digests at 4.76 MB;
+    # with a set of tableau keys the peak is 4.12 MB, the 2.95 MB of held
+    # elements, the index and one block's arrays, and the ceiling is that plus 0.3 MB
+    assert peak < 4.42e6
 
 
 def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
