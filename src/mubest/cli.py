@@ -51,6 +51,7 @@ from .simulate import (
     SimConfig,
     check_subset_request,
     check_unitary_count,
+    counts_writer,
     equivalence_scan_phase,
     equivalence_scan_random,
     random_subset_analysis,
@@ -303,9 +304,9 @@ def cmd_simulate(args):
         # the counts' report text, written as each chunk is drawn; a missing
         # directory fails here, before any state is sampled
         spill = tempfile.TemporaryFile("w+", dir=os.path.dirname(_resolve(args.out)))
+    sink = None if spill is None else counts_writer(spill, cfg.blocks)
     try:
-        report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode,
-                                   counts_text=spill)
+        report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode, sink=sink)
     except BaseException:
         if spill is not None:
             spill.close()
@@ -313,7 +314,7 @@ def cmd_simulate(args):
 
     def write_report(path, digest):
         try:
-            save_report(report, path)
+            save_report(report, path, spill)
         finally:
             if spill is not None:
                 spill.close()
@@ -461,7 +462,9 @@ def build_parser():
     p.add_argument("--x", default="pi/2")
     p.add_argument("--y", default="pi/2")
     p.add_argument("--z", default="pi/2")
-    p.add_argument("--design", default="clifford")
+    p.add_argument("--design", default="clifford",
+                   help="design file path or 'clifford': the states sampled, always scored"
+                        " with the Clifford orbit's estimators (there is no --mode)")
     p.add_argument("--sizes", default="240,480,720")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--subset-seed", type=int, default=0)

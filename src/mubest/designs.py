@@ -23,6 +23,7 @@ import json
 import math
 import os
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,13 +36,20 @@ _PINNED_ORBIT = os.path.join(os.path.dirname(__file__), "default_design.npy")
 
 
 class StateDesign(ReadOnlyRecord):
-    """K unit vectors in dimension d, stored as columns of `states` (d x K); its fields are set once."""
+    """K unit vectors in dimension d, stored as columns of `states` (d x K); its fields are set once.
+
+    `metadata` is a read-only view of a copy of the mapping given, so no
+    caller of a cached design can change it under the others.
+    """
 
     __slots__ = ("t", "states", "provenance", "metadata")
 
     def __init__(self, t, states, provenance="custom", metadata=None):
         self._set(t=t, states=states, provenance=provenance,
-                  metadata={} if metadata is None else metadata)
+                  metadata=MappingProxyType(dict(metadata or {})))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: pass its dict
+        return type(self), (self.t, self.states, self.provenance, dict(self.metadata))
 
     @property
     def dim(self):

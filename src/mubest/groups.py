@@ -21,7 +21,7 @@ element, generator) order, the order of the nested loop.  The elements are
 written in place into one buffer, each breadth-first level an index range of
 it; only products with new keys are canonicalised and checked for unitarity.
 A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
-derived from them: membership keys them by their tableaux on each call.
+derived from them: membership keys only the candidate by its tableau.
 
 `canonical_keys` encodes phase-canonical vectors on a 1e-6 int32 grid for
 `designs.orbit`: Clifford images of the fiducial live on a lattice with
@@ -165,8 +165,9 @@ def _keys(fields):
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
-    Membership keys u and the elements by their tableaux on each call, O(n);
-    a u that is not Clifford is no member.
+    Membership keys only u by its tableau, so a u that is not Clifford is no
+    member, then compares u's phase-canonical form with the elements within
+    UNITARY_TOL, O(n): distinct canonical Cliffords differ by far more.
     """
 
     def __init__(self, elements, generator_labels=()):
@@ -183,8 +184,10 @@ class UnitaryGroup:
         u = check_unitary(np.asarray(u))
         if u.shape != self.elements.shape[1:]:
             return False
-        key = _keys(tableaux(u[None]))[0]
-        return key >= 0 and bool(np.any(_keys(tableaux(self.elements)) == key))
+        if tableaux(u[None])[0, 0] < 0:
+            return False
+        gaps = np.abs(self.elements - strip_phases(u[None])).max(axis=(1, 2))
+        return bool(np.any(gaps <= UNITARY_TOL))
 
     @property
     def dim(self):

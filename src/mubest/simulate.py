@@ -10,13 +10,13 @@ alike.  `_estimator_rows` is the only code that forms their lookup rows
 f[k, o] = <psi_k| rhohat_o |psi_k>, each from the aligned `_STATE_CHUNK` block
 of states that holds it, so every path gives a state the same row bits.  A
 `SimReport` holds a run's design, mode, measurements (the bases) and
-estimators, its count table or its counts' report text when either was kept,
-and the statistics of its (K, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o]:
-the per-block and per-state fidelities are S's two marginals.  `_scores` is the
-one contraction that gives S, from the sampler's chunks and from a whole table
-alike, so the two cannot disagree.  `run_health` and `reprocess_two_copy` read
-the same fields, so they always use the run's own estimators.  `save_report`
-writes a report's file, with its counts whenever the run kept them.
+estimators, and the statistics of its (K, blocks) scores
+S[k, b] = sum_o n[k, b, o] f[k, o]: the per-block and per-state fidelities
+are S's two marginals.  `_scores` is the one contraction that gives S, from
+the sampler's chunks and from a whole table alike, so the two cannot
+disagree.  `run_health` and `reprocess_two_copy` read the same fields, so they
+always use the run's own estimators.  `save_report` writes a report's file,
+with the counts text that `counts_writer` spilled when there is one.
 
 Memory after the draws.  A sampled command holds the d^N estimators (16 KB
 for three copies), the (K, blocks) scores and the (K,) per-state fidelities;
@@ -26,21 +26,21 @@ no (K, d^N) table of f is formed, only the rows of the states being scored.
 max(1, `_CHUNK_CELLS` // blocks) states at a time (32 at 10 blocks), so a
 chunk's int64 counts and `multinomial`'s intermediates do not grow with the
 number of blocks.  Each chunk is scored as soon as it is drawn and then handed
-to at most one sink: the kept (K, blocks, 64) count table, which only the
-library's `keep_counts=True` (two-copy reprocessing, the tests) allocates, or
-the report's counts formatter, which `simulate --counts --out` points at a
-temporary file that `save_report` copies.  So no command holds more than one
-chunk's counts.
+to the caller's `sink`, if any; the library keeps no counts.  A caller that
+wants the (K, blocks, 64) table allocates it and passes its `__setitem__`;
+`simulate --counts --out` passes `counts_writer` of a temporary file that
+`save_report` copies, so no command holds more than one chunk's counts.
 Scoring a whole table makes no float copy of it: einsum casts the integer
 counts in its buffered iterator, `_STATE_CHUNK` states at a time.  `run_health`
 contracts the per-basis Born probabilities with f's rows one basis and
 `_STATE_CHUNK` states at a time.
 
-Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so
-`simulate_protocol` allocates a kept table as np.min_scalar_type(M): uint8 up to
-M = 255, uint16 up to 65535 (the paper's M = 10^4), uint32 beyond.  Two-copy
-marginals keep that dtype, being bounded by M too; sums over blocks are sums of
-the float scores, so none can wrap.  Files written from the table are the same
+Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so a
+caller may keep it in np.min_scalar_type(M): uint8 up to M = 255, uint16 up
+to 65535 (the paper's M = 10^4), uint32 beyond; the sampler's int64 chunks
+cast into it on assignment.  `reprocess_two_copy` marginalizes in the table's
+dtype, its marginals being bounded by M too; sums over blocks are sums of the
+float scores, so none can wrap.  The report text of a chunk is the same
 whatever its dtype.
 
 Sampling (stream version 2).  The counts are drawn from
@@ -80,7 +80,7 @@ _STATE_CHUNK = 32  # states whose f rows are formed together
 _MAX_SCORE_BYTES = 1 << 30  # largest (K, blocks) float64 score table a run allocates
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
 STREAM_VERSION = 2  # what the CLI records for a run that samples
-_WRITE_ENTRIES = 1 << 11  # counts formatted together by _counts_writer
+_WRITE_ENTRIES = 1 << 11  # counts formatted together by counts_writer
 
 
 class SimConfig(ReadOnlyRecord):
@@ -106,32 +106,23 @@ class SimConfig(ReadOnlyRecord):
 
 
 class SimReport:
-    """A sampled run: the estimators it was scored with, the statistics of its
-    scores, and its count table or its counts' report text when one was kept.
+    """A sampled run: the estimators it was scored with and the statistics of its scores.
 
-    `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o];
-    without it, `_scores` takes S from `counts`, so a report built from a
-    whole table has the bits of the sampler's.  The per-block F is S summed
-    over states over K M; the (K,) per-state F is S summed over blocks over M B.
+    `scores` is the (K, blocks) table S[k, b] = sum_o n[k, b, o] f[k, o].
+    The per-block F is S summed over states over K M; the (K,) per-state F
+    is S summed over blocks over M B.
     """
 
-    __slots__ = ("config", "triple", "design", "mode", "measurements", "estimators", "counts",
-                 "counts_text", "per_state_fidelity", "per_block_fidelities",
-                 "mean_fidelity", "std")
+    __slots__ = ("config", "triple", "design", "mode", "measurements", "estimators",
+                 "per_state_fidelity", "per_block_fidelities", "mean_fidelity", "std")
 
-    def __init__(self, config, triple, design, mode, measurements, estimators, counts,
-                 scores=None, counts_text=None):
+    def __init__(self, config, triple, design, mode, measurements, estimators, scores):
         self.config = config  # the SimConfig
         self.triple = triple  # the MubTriple the run was sampled and scored with
         self.design = design  # the sampled StateDesign
         self.mode = mode  # which Q defined the estimators
         self.measurements = measurements  # the bases whose joint outcomes were counted
         self.estimators = estimators  # (n_outcomes, 2 d*d) `estimator_tables` of the measurements
-        # (K, blocks, n_outcomes) joint outcome counts, min_scalar_type(M), or None
-        self.counts = counts
-        self.counts_text = counts_text  # a file holding the counts' report text, or None
-        if scores is None:
-            scores = _scores(counts, design.states, estimators, slice(0, len(counts)))
         self.per_state_fidelity = scores.sum(axis=1) / (config.m_block * config.blocks)
         per_block = scores.sum(axis=0) / (len(scores) * config.m_block)
         self.per_block_fidelities = per_block
@@ -143,43 +134,38 @@ class SimReport:
         return self.std / math.sqrt(self.config.blocks)
 
 
-def save_report(report, path):
+def save_report(report, path, counts_text=None):
     """Write a run's report: json.dump of its settings and statistics, indent=1,
-    with a last "counts" key when the run kept its counts.
+    with a last "counts" key when `counts_text` is given.
 
-    A kept count table goes through `_counts_writer`, as the sampler's chunks
-    do when they stream into `counts_text`; that file's text is copied as it
-    stands.  Either way the counts block bypasses json's pure-Python encoder,
-    and no temporary grows with M or with the whole table.
+    `counts_text` is a file that `counts_writer` filled with the run's counts;
+    its text is copied as it stands, so the counts block bypasses json's
+    pure-Python encoder and no temporary grows with M or with the table.
     """
     cfg = report.config
     text = json.dumps({
         "seed": cfg.seed, "m_block": cfg.m_block, "blocks": cfg.blocks,
         "share_ab_outcomes": True,  # roles A and B are keyed by their own angles
-        "sampler": "counts",  # the stream that filled `counts`
+        "sampler": "counts",  # the stream that drew the counts
         "triple_params": [report.triple.x, report.triple.y, report.triple.z],
         "mean_fidelity": report.mean_fidelity,
         "per_block_fidelities": report.per_block_fidelities.tolist(),
         "std": report.std,
     }, indent=1)
-    counts, spill = report.counts, report.counts_text
     with open(path, "w") as fh:
-        if counts is None and spill is None:
+        if counts_text is None:
             fh.write(text)
             return
         fh.write(text[:-2] + ',\n "counts": [')
-        if counts is not None:
-            _counts_writer(fh, *counts.shape[1:])(slice(0, len(counts)), counts)
-        else:
-            spill.seek(0)
-            for piece in iter(lambda: spill.read(1 << 16), ""):
-                fh.write(piece)
+        counts_text.seek(0)
+        for piece in iter(lambda: counts_text.read(1 << 16), ""):
+            fh.write(piece)
         fh.write("\n ]\n}")
 
 
-def _counts_writer(fh, blocks, outcomes):
+def counts_writer(fh, blocks):
     """The sink `write(rows, counts)` that writes to `fh` the report's text of
-    the (states, blocks, outcomes) counts of the run's states at `rows`, a slice.
+    the (states, blocks, 64) counts of the run's states at `rows`, a slice.
 
     A chunk is written a run of whole states at a time, about `_WRITE_ENTRIES`
     counts: the run's ints fill a fixed template of `%d` fields in one
@@ -187,9 +173,9 @@ def _counts_writer(fh, blocks, outcomes):
     the run's first follows a comma, so any split of the table writes the
     same text.
     """
-    block = "   [\n    " + ",\n    ".join(["%d"] * outcomes) + "\n   ]"
+    block = "   [\n    " + ",\n    ".join(["%d"] * 64) + "\n   ]"
     state = "\n  [\n" + ",\n".join([block] * blocks) + "\n  ]"
-    step = max(1, _WRITE_ENTRIES // (blocks * outcomes))
+    step = max(1, _WRITE_ENTRIES // (blocks * 64))
 
     def write(rows, counts):
         for start in range(0, len(counts), step):
@@ -208,20 +194,16 @@ def _param_key(role, triple):
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "big")
 
 
-def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False, counts_text=None):
+def simulate_protocol(triple, design, cfg, mode="ideal", sink=None):
     """Run the sampled three-copy protocol and average per Eq.-(6)-style weights.
 
     Returns per-block and overall estimation fidelities.  Each chunk of states
-    is scored as soon as it is drawn.  With `keep_counts`, the chunks fill the
-    (K, blocks, 64) joint outcome count table that two-copy reprocessing
-    reads.  With `counts_text`, a text file open for writing and reading, they
-    are written into it as the report's counts block, for `save_report` to
-    copy; the run then holds one chunk's counts at a time.  A run keeps its
-    counts one way or not at all.  A run whose (K, blocks) float scores would
-    pass `_MAX_SCORE_BYTES` raises ValueError before anything is formed.
+    is scored as soon as it is drawn, then handed to `sink(rows, counts)`
+    unless `sink` is None: `rows` is the chunk's slice of the K states and
+    `counts` its (states, blocks, 64) int64 joint outcome counts, the chunks
+    in state order.  A run whose (K, blocks) float scores would pass
+    `_MAX_SCORE_BYTES` raises ValueError before anything is formed.
     """
-    if keep_counts and counts_text is not None:
-        raise ValueError("keep_counts and counts_text both keep the counts: pass one")
     if design.size * cfg.blocks * 8 > _MAX_SCORE_BYTES:
         raise ValueError(f"blocks={cfg.blocks} over {design.size} states needs more than "
                          f"{_MAX_SCORE_BYTES} bytes of float64 scores")
@@ -229,15 +211,8 @@ def simulate_protocol(triple, design, cfg, mode="ideal", keep_counts=False, coun
     estimators = estimator_tables(measurements, design, mode)
     probs = [born_probabilities(b, design.states) for b in measurements]
     param_keys = [_param_key(role, triple) for role in range(3)]
-    counts, sink = None, None
-    if keep_counts:
-        counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
-        sink = counts.__setitem__
-    elif counts_text is not None:
-        sink = _counts_writer(counts_text, cfg.blocks, 64)
     scores = _multinomial_counts(probs, param_keys, cfg, design.states, estimators, sink)
-    return SimReport(cfg, triple, design, mode, measurements, estimators, counts, scores,
-                     counts_text)
+    return SimReport(cfg, triple, design, mode, measurements, estimators, scores)
 
 
 def _multinomial_counts(probs, param_keys, cfg, states, estimators, sink):
@@ -333,29 +308,27 @@ def run_health(report):
     }
 
 
-def reprocess_two_copy(report, pair):
-    """Two-copy estimation fidelity from an existing three-copy run's count table.
+def reprocess_two_copy(report, counts, pair):
+    """Two-copy estimation fidelity from a three-copy run and its (K, blocks, 64) count table.
 
     `pair` selects two of the three measurements by index (0=A, 1=B, 2=C);
-    counts are marginalized over the third measurement, then scored against
-    the two-copy optimal estimators from Q on the chosen product effects, in
-    the run's own design and mode.
+    `counts`, the table the caller kept of the run, is marginalized over the
+    third measurement in its own dtype, then scored against the two-copy
+    optimal estimators from Q on the chosen product effects, in the run's own
+    design and mode.
     """
-    if report.counts is None:
-        raise ValueError("the run kept no count table: simulate it with keep_counts=True")
     i1, i2 = pair
     if len(report.measurements) != 3 or not (0 <= i1 < i2 <= 2):
         raise ValueError("pair must be two distinct measurement indices of a "
                          "three-copy run, in order")
     measurements = (report.measurements[i1], report.measurements[i2])
     design, cfg = report.design, report.config
+    K, B = design.size, cfg.blocks
     estimators = estimator_tables(measurements, design, report.mode)
-    counts3 = report.counts.reshape(design.size, cfg.blocks, 4, 4, 4)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
-    counts2 = counts3.sum(axis=2 + drop_axis, dtype=report.counts.dtype)
-    counts2 = counts2.reshape(design.size, cfg.blocks, 16)
-    return SimReport(cfg, report.triple, design, report.mode, measurements, estimators,
-                     counts2)
+    counts2 = counts.reshape(K, B, 4, 4, 4).sum(axis=2 + drop_axis, dtype=counts.dtype)
+    scores = _scores(counts2.reshape(K, B, 16), design.states, estimators, slice(0, K))
+    return SimReport(cfg, report.triple, design, report.mode, measurements, estimators, scores)
 
 
 def equivalence_scan_phase(phi_grid, base_triple, design, cfg=None, mode="ideal"):

@@ -6,6 +6,7 @@ import pytest
 from mubest.designs import clifford_design, default_design
 from mubest.groups import clifford_group_2q, pauli_group_2q, restricted_clifford_group_2q
 from mubest.mub import mub_triple
+from mubest.simulate import simulate_protocol
 
 Z_GRID = [i * math.pi / 8 for i in range(9)]
 
@@ -19,6 +20,13 @@ IDEAL_ROW_Y_ZERO = [
 ]
 
 F3_SYMMETRIC = (46 + 5 * math.sqrt(3)) / 105  # x = y = z = pi/2
+
+
+def kept_run(triple, design, cfg, mode="ideal"):
+    """(report, counts) of a sampled run whose chunks fill a (K, blocks, 64)
+    table in the narrowest unsigned dtype that holds M."""
+    counts = np.empty((design.size, cfg.blocks, 64), dtype=np.min_scalar_type(cfg.m_block))
+    return simulate_protocol(triple, design, cfg, mode, sink=counts.__setitem__), counts
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mubest
+from conftest import kept_run
 from mubest import groups
 from mubest.cli import (
     DEFAULT_Z_GRID,
@@ -41,12 +42,12 @@ from mubest.designs import (
     save_design,
 )
 from mubest.errors import DesignFormatError
-from mubest.estimation import estimator_tables, fidelity_scan
+from mubest.estimation import fidelity_scan
 from mubest.mub import mub_triple
 from mubest.simulate import (
     SimConfig,
-    SimReport,
     check_subset_request,
+    counts_writer,
     equivalence_scan_phase,
     run_health,
     save_report,
@@ -572,9 +573,8 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
             "--blocks", str(blocks), "--out", "run.json"]
     assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
     half = math.pi / 2
-    report = simulate_protocol(mub_triple(half, half, half), load_design(path),
-                               SimConfig(seed=5, m_block=M, blocks=blocks), keep_counts=True)
-    assert report.counts.dtype == np.min_scalar_type(M)
+    report, table = kept_run(mub_triple(half, half, half), load_design(path),
+                             SimConfig(seed=5, m_block=M, blocks=blocks))
     # the report's layout, spelled out here rather than taken from src/
     expected = {
         "seed": 5, "m_block": M, "blocks": blocks, "share_ab_outcomes": True,
@@ -583,26 +583,28 @@ def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
         "per_block_fidelities": report.per_block_fidelities.tolist(), "std": report.std,
     }
     if counts:
-        expected["counts"] = report.counts.tolist()
+        expected["counts"] = table.tolist()
     expected = json.dumps(expected, indent=1)
     assert (outdir / "run.json").read_text() == expected
 
 
 def test_save_report_memory_is_bounded(tmp_path, rng):
-    # a quarter of the paper's table (K = 960, B = 10, M = 10^4): under
-    # tracemalloc every formatted count is a traced allocation
+    # a quarter of the paper's table (K = 960, B = 10, M = 10^4), fed whole to
+    # the report's writer and copied into the report: under tracemalloc every
+    # formatted count is a traced allocation
     counts = rng.multinomial(10_000, np.full(64, 1 / 64), size=(240, 10))
     half = math.pi / 2
-    triple = mub_triple(half, half, half)
     design = StateDesign(t=4, states=default_design().states[:, :240])
-    report = SimReport(SimConfig(seed=0), triple, design, "ideal", triple.bases,
-                       estimator_tables(triple.bases, design), counts)
-    tracemalloc.start()
-    try:
-        save_report(report, tmp_path / "run.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report = simulate_protocol(mub_triple(half, half, half), design,
+                               SimConfig(seed=0, m_block=10, blocks=10))
+    with open(tmp_path / "counts.txt", "w+") as spill:
+        tracemalloc.start()
+        try:
+            counts_writer(spill, 10)(slice(0, len(counts)), counts)
+            save_report(report, tmp_path / "run.json", spill)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < counts.nbytes / 2
     assert np.array_equal(json.loads((tmp_path / "run.json").read_text())["counts"], counts)
 
@@ -626,16 +628,16 @@ def test_streamed_counts_memory_is_bounded(outdir):
 
 
 def test_counts_without_out_keep_nothing(outdir, monkeypatch, small_design_file):
-    # nothing reads the counts of a report that is not written: no table, no spill
+    # nothing reads the counts of a report that is not written: no sink, no spill
     def refuse(*args, **kwargs):
-        raise AssertionError("a spill file was opened")
+        raise AssertionError("a spill file was opened or a counts writer built")
 
     monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr("mubest.cli.counts_writer", refuse)
     returned = _spy(monkeypatch, "simulate_protocol", simulate_protocol)
     assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
                  "--counts"]) == EXIT_OK
-    (report,) = returned
-    assert report.counts is None and report.counts_text is None
+    assert len(returned) == 1
     assert list(outdir.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -506,9 +507,12 @@ def test_state_design_fields():
     first, second = StateDesign(2, V), StateDesign(t=2, states=V)
     assert (first.dim, first.t, first.provenance) == (2, 2, "custom")
     assert first.states is V
-    first.metadata["k"] = 1  # each design gets its own metadata dict
+    with pytest.raises(TypeError):  # metadata is a read-only mapping
+        first.metadata["k"] = 1
     assert second.metadata == {}
-    named = StateDesign(1, V, "orbit", {"k": 2})
+    given = {"k": 2}
+    named = StateDesign(1, V, "orbit", given)
+    given["k"] = 3  # the design holds a copy of the mapping it was given
     assert (named.t, named.provenance, named.metadata) == (1, "orbit", {"k": 2})
 
 
@@ -522,6 +526,16 @@ def test_state_design_fields_are_read_only(field):
     assert (default_design().t, default_design().provenance) == (4, "clifford_orbit")
     with pytest.raises(AttributeError):
         StateDesign(2, np.eye(2, dtype=complex)).t = 4
+    # nor can its metadata change under later callers
+    with pytest.raises(TypeError):
+        design.metadata["orbit_length"] = 1
+    assert default_design().metadata == {"group_order": 960, "orbit_length": 960}
+    # a design still pickles, its metadata read-only on the way back
+    back = pickle.loads(pickle.dumps(design))
+    assert np.array_equal(back.states, design.states)
+    assert (back.t, back.provenance, back.metadata) == (4, "clifford_orbit", design.metadata)
+    with pytest.raises(TypeError):
+        back.metadata["orbit_length"] = 1
 
 
 def test_state_design_takes_no_dim():

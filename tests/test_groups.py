@@ -441,10 +441,16 @@ def test_empty_group_has_no_members():
 
 
 def test_non_member(restricted_group, clifford_group):
-    # a diagonal phase gate off the Clifford lattice
+    # a diagonal phase gate off the Clifford lattice has no tableau
     u = np.diag([1, 1, 1, np.exp(0.1j)])
     assert u not in restricted_group
     assert u not in clifford_group
+    # H1 has one and is a Clifford, not in the restricted group: there only the
+    # comparison with the elements rejects it, at any global phase
+    h1 = standard_gates()["H1"]
+    for phase in (1, np.exp(0.7j)):
+        assert phase * h1 not in restricted_group
+        assert phase * h1 in clifford_group
 
 
 def test_clifford_group_memory_held():

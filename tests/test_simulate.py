@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import F3_SYMMETRIC
+from conftest import F3_SYMMETRIC, kept_run
 from mubest.designs import StateDesign, default_design, load_design, optimize_design, save_design
 from mubest.estimation import _state_projectors, estimation_fidelity, fidelities, triple_fidelity
 from mubest.mub import (
@@ -26,6 +26,8 @@ from mubest.simulate import (
     _CHUNK_CELLS,
     _estimator_rows,
     _param_key,
+    _scores,
+    counts_writer,
     equivalence_scan_phase,
     equivalence_scan_random,
     estimator_tables,
@@ -87,6 +89,27 @@ def predicted_std_of_mean(triple, design, cfg):
     return math.sqrt(var / (design.size**2 * cfg.m_block * cfg.blocks))
 
 
+def table_report(cfg, triple, design, mode, measurements, estimators, counts):
+    """The SimReport of a whole (K, blocks, outcomes) count table, scored by one `_scores` call."""
+    return SimReport(cfg, triple, design, mode, measurements, estimators,
+                     _scores(counts, design.states, estimators, slice(0, design.size)))
+
+
+def scored_marginals(report, counts, pair):
+    """(`reprocess_two_copy` of the run's table, the (K, blocks, 16) marginals it scored)."""
+    seen = []
+
+    def spy(table, *args):
+        seen.append(table)
+        return _scores(table, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("mubest.simulate._scores", spy)
+        report2 = reprocess_two_copy(report, counts, pair)
+    (marginals,) = seen
+    return report2, marginals
+
+
 def f_rows(states, estimators):
     """The (K, outcomes) f table whose rows scoring a whole count table reads."""
     return np.concatenate([f for _, f in _estimator_rows(states, estimators,
@@ -103,13 +126,18 @@ SCAN = SimConfig(seed=0, m_block=500, blocks=2)
 
 
 @pytest.fixture(scope="module")
-def haar_report(haar_triple, design960):
-    return simulate_protocol(haar_triple, design960, SCAN, keep_counts=True)
+def haar_run(haar_triple, design960):
+    return kept_run(haar_triple, design960, SCAN)
 
 
 @pytest.fixture(scope="module")
-def small_report(symmetric_triple, design960):
-    return simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True)
+def small_run(symmetric_triple, design960):
+    return kept_run(symmetric_triple, design960, SMALL)
+
+
+@pytest.fixture(scope="module")
+def small_report(small_run):
+    return small_run[0]
 
 
 def test_config_validation():
@@ -147,12 +175,13 @@ def test_config_is_a_value():
             setattr(cfg, name, getattr(cfg, name))
 
 
-def test_report_takes_fields_in_order(small_report):
-    fields = ("config", "triple", "design", "mode", "measurements", "estimators", "counts")
+def test_report_takes_fields_in_order(small_run):
+    small_report, counts = small_run
+    fields = ("config", "triple", "design", "mode", "measurements", "estimators")
     values = [getattr(small_report, name) for name in fields]
-    rebuilt = SimReport(*values)
+    rebuilt = table_report(*values, counts)
     assert all(getattr(rebuilt, name) is value for name, value in zip(fields, values))
-    # the statistics are rebuilt from the counts, bit for bit
+    # the statistics are rebuilt from the whole table's scores, bit for bit
     for name in ("mean_fidelity", "std"):
         assert getattr(rebuilt, name) == getattr(small_report, name)
     for name in ("per_block_fidelities", "per_state_fidelity"):
@@ -167,9 +196,9 @@ def test_config_rejects_bad_seed(seed):
 
 @pytest.mark.parametrize("params, cfg, counts_sha256, mean", GOLDEN_RUNS)
 def test_golden_counts(design960, params, cfg, counts_sha256, mean):
-    report = simulate_protocol(mub_triple(*params), design960, cfg, keep_counts=True)
+    report, counts = kept_run(mub_triple(*params), design960, cfg)
     # the table is held in the narrowest unsigned dtype that holds M
-    assert hashlib.sha256(report.counts.astype(np.int64).tobytes()).hexdigest() == counts_sha256
+    assert hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest() == counts_sha256
     assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
@@ -196,8 +225,8 @@ def test_v1_golden_counts(design960, params, cfg, counts_sha256, mean):
     triple = mub_triple(*params)
     counts = reference_counts(triple, design960, cfg)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == counts_sha256
-    report = SimReport(cfg, triple, design960, "ideal", triple.bases,
-                       estimator_tables(triple.bases, design960), counts)
+    report = table_report(cfg, triple, design960, "ideal", triple.bases,
+                          estimator_tables(triple.bases, design960), counts)
     assert abs(report.mean_fidelity - mean) <= 1e-12
 
 
@@ -220,24 +249,30 @@ def test_multinomial_counts_match_reference(haar_triple, design960):
     # one part full, so chunking must not change the streams
     for blocks in (3, 45):
         cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=blocks)
-        report = simulate_protocol(haar_triple, design960, cfg, keep_counts=True)
+        _, counts = kept_run(haar_triple, design960, cfg)
         assert np.array_equal(
-            report.counts, reference_multinomial_counts(haar_triple, design960, cfg)
+            counts, reference_multinomial_counts(haar_triple, design960, cfg)
         ), blocks
 
 
 @pytest.fixture(scope="module")
-def full_report(symmetric_triple, design960):
-    return simulate_protocol(symmetric_triple, design960, SimConfig(seed=5), keep_counts=True)
+def full_run(symmetric_triple, design960):
+    return kept_run(symmetric_triple, design960, SimConfig(seed=5))
 
 
-def test_counts_goodness_of_fit(full_report, symmetric_triple, design960):
+@pytest.fixture(scope="module")
+def full_report(full_run):
+    return full_run[0]
+
+
+def test_counts_goodness_of_fit(full_run, symmetric_triple, design960):
     # pooled over blocks, each state's counts follow Multinomial(M B, p_A x p_B x p_C)
+    full_report, counts = full_run
     cfg = full_report.config
     probs = [born_probabilities(b, design960.states) for b in symmetric_triple.bases]
     expected = cfg.m_block * cfg.blocks * np.einsum("ka,kb,kc->kabc", *probs).reshape(-1, 64)
     assert expected.min() > 1  # every cell is populated, so all take part
-    observed = full_report.counts.sum(axis=1)
+    observed = counts.sum(axis=1)
     chi2 = ((observed - expected) ** 2 / expected).sum()
     dof = expected.size - design960.size
     assert abs(chi2 - dof) / math.sqrt(2 * dof) <= 5
@@ -267,8 +302,8 @@ def test_run_health_exact_is_the_design_fidelity(symmetric_triple, haar_triple, 
     triples = (symmetric_triple, mub_triple(HALF, 0.0, math.pi / 4), haar_triple)
     cfg = SimConfig(seed=0, m_block=10, blocks=2)
     for design, triple, mode in itertools.product(designs, triples, ("ideal", "empirical")):
-        run = simulate_protocol(triple, design, cfg, mode, keep_counts=True)
-        for report in (run, reprocess_two_copy(run, (0, 2))):
+        run, counts = kept_run(triple, design, cfg, mode)
+        for report in (run, reprocess_two_copy(run, counts, (0, 2))):
             expected = fidelities([report.measurements], report.mode, report.design)[0]
             assert run_health(report)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
 
@@ -286,26 +321,23 @@ def test_standard_estimator_fidelity_of_a_one_state_design():
         exact, abs=1e-12)
 
 
-def test_counts_shape_and_totals(small_report, design960):
-    counts = small_report.counts
+def test_counts_shape_and_totals(small_run, design960):
+    small_report, counts = small_run
     assert counts.shape == (design960.size, SMALL.blocks, 64)
     assert np.all(counts.sum(axis=2) == SMALL.m_block)
     assert len(small_report.measurements) == 3
     assert all(m is b for m, b in zip(small_report.measurements, small_report.triple.bases))
 
 
-def test_seed_reproducibility(symmetric_triple, design960, small_report):
-    again = simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True)
-    assert np.array_equal(again.counts, small_report.counts)
-    assert again.mean_fidelity == small_report.mean_fidelity
+def test_seed_reproducibility(symmetric_triple, design960, small_run):
+    again, counts = kept_run(symmetric_triple, design960, SMALL)
+    assert np.array_equal(counts, small_run[1])
+    assert again.mean_fidelity == small_run[0].mean_fidelity
 
 
-def test_different_seed_differs(symmetric_triple, design960, small_report):
-    other = simulate_protocol(
-        symmetric_triple, design960, SimConfig(seed=12, m_block=400, blocks=3),
-        keep_counts=True,
-    )
-    assert not np.array_equal(other.counts, small_report.counts)
+def test_different_seed_differs(symmetric_triple, design960, small_run):
+    _, other = kept_run(symmetric_triple, design960, SimConfig(seed=12, m_block=400, blocks=3))
+    assert not np.array_equal(other, small_run[1])
 
 
 def test_mean_consistent_with_exact(small_report, design960):
@@ -329,8 +361,8 @@ def test_shared_ab_streams_across_z(design960):
     # triples differing only in z reuse the A and B outcome streams, so the
     # marginal counts over the C outcome agree exactly
     c1, c2 = (
-        simulate_protocol(mub_triple(HALF, HALF, z), design960, SMALL, keep_counts=True)
-        .counts.reshape(-1, SMALL.blocks, 4, 4, 4)
+        kept_run(mub_triple(HALF, HALF, z), design960, SMALL)[1]
+        .reshape(-1, SMALL.blocks, 4, 4, 4)
         for z in (HALF, HALF / 2)
     )
     assert np.array_equal(c1.sum(axis=4), c2.sum(axis=4))
@@ -342,7 +374,7 @@ def test_signed_zero_angles_share_streams(design960):
     design = StateDesign(t=4, states=design960.states[:, :40])
     cfg = SimConfig(seed=11, m_block=50, blocks=2)
     plus, minus = (
-        simulate_protocol(mub_triple(zero, HALF, zero), design, cfg, keep_counts=True).counts
+        kept_run(mub_triple(zero, HALF, zero), design, cfg)[1]
         for zero in (0.0, -0.0)
     )
     assert np.array_equal(plus, minus)
@@ -389,12 +421,15 @@ def test_unknown_mode_raises_before_sampling(monkeypatch, symmetric_triple, desi
         estimator_tables(symmetric_triple.bases, design960, mode="nonsense")
 
 
-def test_to_dict_roundtrippable(small_report, tmp_path):
+def test_to_dict_roundtrippable(small_run, tmp_path):
     import json
 
-    save_report(small_report, tmp_path / "run.json")
+    small_report, counts = small_run
+    text = io.StringIO()
+    counts_writer(text, SMALL.blocks)(slice(0, len(counts)), counts)
+    save_report(small_report, tmp_path / "run.json", text)
     back = json.loads((tmp_path / "run.json").read_text())
-    assert np.array_equal(back["counts"], small_report.counts)
+    assert np.array_equal(back["counts"], counts)
     assert back["mean_fidelity"] == small_report.mean_fidelity
     assert len(back["per_block_fidelities"]) == SMALL.blocks
 
@@ -407,8 +442,8 @@ def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     estimators = estimator_tables(measurements, design960)
     tracemalloc.start()
     try:
-        report = SimReport(cfg, symmetric_triple, design960, "ideal", measurements,
-                           estimators, counts)
+        report = table_report(cfg, symmetric_triple, design960, "ideal", measurements,
+                              estimators, counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,47 +454,44 @@ def test_scored_report_does_not_copy_counts(rng, symmetric_triple, design960):
     assert np.array_equal(report.per_block_fidelities, expected)
 
 
-def test_reprocess_two_copy(small_report, design960):
-    rep2 = reprocess_two_copy(small_report, (0, 1))
-    assert rep2.counts.shape == (design960.size, SMALL.blocks, 16)
-    assert np.all(rep2.counts.sum(axis=2) == SMALL.m_block)
+def test_reprocess_two_copy(small_run, design960):
+    small_report, counts = small_run
+    rep2, counts2 = scored_marginals(small_report, counts, (0, 1))
+    assert counts2.shape == (design960.size, SMALL.blocks, 16)
+    assert np.all(counts2.sum(axis=2) == SMALL.m_block)
     n = design960.size * SMALL.m_block * SMALL.blocks
     assert abs(rep2.mean_fidelity - 7.0 / 15.0) <= 8 / math.sqrt(n)
     with pytest.raises(ValueError):
-        reprocess_two_copy(small_report, (1, 0))
+        reprocess_two_copy(small_report, counts, (1, 0))
     with pytest.raises(ValueError):
-        reprocess_two_copy(rep2, (0, 1))  # a two-copy run has no third count axis
-    # a run scored without keeping its table has nothing to marginalize
-    design = StateDesign(t=4, states=design960.states[:, :6])
-    scored_only = simulate_protocol(small_report.triple, design, SMALL)
-    assert scored_only.counts is None
-    with pytest.raises(ValueError, match="kept no count table"):
-        reprocess_two_copy(scored_only, (0, 1))
+        reprocess_two_copy(rep2, counts2, (0, 1))  # a two-copy run has no third count axis
 
 
-def test_reprocess_pairs_marginalize_consistently(small_report):
+def test_reprocess_pairs_marginalize_consistently(small_run):
     # marginalized totals per state-block agree with the parent run
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        rep2 = reprocess_two_copy(small_report, pair)
-        assert np.array_equal(
-            rep2.counts.sum(axis=2), small_report.counts.sum(axis=2)
-        )
+        _, counts2 = scored_marginals(*small_run, pair)
+        assert np.array_equal(counts2.sum(axis=2), small_run[1].sum(axis=2))
 
 
-def test_two_copy_health(small_report):
+def test_two_copy_health(small_run):
     # a two-copy report is judged against the two-copy exact F of its pair
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        health = run_health(reprocess_two_copy(small_report, pair))
+        health = run_health(reprocess_two_copy(*small_run, pair))
         assert health["exact_fidelity"] == pytest.approx(7 / 15, abs=1e-12), pair
         assert abs(health["z"]) <= 5, pair
 
 
 @pytest.fixture(scope="module")
-def empirical_report(symmetric_triple):
+def empirical_run(symmetric_triple):
     design = optimize_design(40, 4, 4, seed=1, max_iters=400)
-    return simulate_protocol(symmetric_triple, design,
-                             SimConfig(seed=1, m_block=2000, blocks=4), mode="empirical",
-                             keep_counts=True)
+    return kept_run(symmetric_triple, design, SimConfig(seed=1, m_block=2000, blocks=4),
+                    "empirical")
+
+
+@pytest.fixture(scope="module")
+def empirical_report(empirical_run):
+    return empirical_run[0]
 
 
 def test_empirical_health_uses_run_mode(empirical_report, symmetric_triple):
@@ -471,8 +503,9 @@ def test_empirical_health_uses_run_mode(empirical_report, symmetric_triple):
     assert abs(health["z"]) <= 5
 
 
-def test_empirical_two_copy_uses_run_mode(empirical_report):
-    rep2 = reprocess_two_copy(empirical_report, (0, 1))
+def test_empirical_two_copy_uses_run_mode(empirical_run):
+    empirical_report, counts = empirical_run
+    rep2 = reprocess_two_copy(empirical_report, counts, (0, 1))
     expected = estimation_fidelity(empirical_report.measurements[:2], "empirical",
                                    empirical_report.design)
     assert run_health(rep2)["exact_fidelity"] == pytest.approx(expected, abs=1e-12)
@@ -522,7 +555,7 @@ def test_equivalence_scan_phase_exact_invariance(symmetric_triple, design960):
         assert sim is None and std is None
 
 
-def test_equivalence_scan_simulated_invariance(symmetric_triple, haar_report, design960):
+def test_equivalence_scan_simulated_invariance(symmetric_triple, haar_run, design960):
     # every transformed triple is scored with its own estimators: simulated F
     # stays within sampling error of the exact F of the untransformed triple
     rows = equivalence_scan_phase([0.0, HALF, math.pi], symmetric_triple, design960, SCAN)
@@ -530,13 +563,14 @@ def test_equivalence_scan_simulated_invariance(symmetric_triple, haar_report, de
         triple = transform_triple(symmetric_triple, controlled_phase(phi))
         assert abs(exact - F3_SYMMETRIC) <= 1e-10
         assert abs(sim - exact) <= 5 * predicted_std_of_mean(triple, design960, SCAN), phi
+    haar_report, _ = haar_run
     sigma = predicted_std_of_mean(haar_report.triple, design960, SCAN)
     assert abs(haar_report.mean_fidelity - F3_SYMMETRIC) <= 5 * sigma
 
 
-def test_reprocess_two_copy_transformed(haar_report, design960):
-    rep2 = reprocess_two_copy(haar_report, (0, 1))
-    assert rep2.triple is haar_report.triple
+def test_reprocess_two_copy_transformed(haar_run, design960):
+    rep2 = reprocess_two_copy(*haar_run, (0, 1))
+    assert rep2.triple is haar_run[0].triple
     n = design960.size * SCAN.m_block * SCAN.blocks
     assert abs(rep2.mean_fidelity - 7.0 / 15.0) <= 8 / math.sqrt(n)
 
@@ -599,16 +633,17 @@ def test_random_subset_analysis(small_report, design960):
 def test_count_dtype_boundaries(design960, symmetric_triple, m_block):
     design = StateDesign(t=4, states=design960.states[:, :6])
     cfg = SimConfig(seed=3, m_block=m_block, blocks=2)
-    report = simulate_protocol(symmetric_triple, design, cfg, keep_counts=True)
-    assert report.counts.dtype == np.min_scalar_type(m_block)
-    assert np.all(report.counts.sum(axis=2, dtype=np.int64) == m_block)
+    # the sampler's int64 chunks cast into the narrowest table without wrapping
+    report, counts = kept_run(symmetric_triple, design, cfg)
+    assert counts.dtype == np.min_scalar_type(m_block)
+    assert np.all(counts.sum(axis=2, dtype=np.int64) == m_block)
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        counts2 = reprocess_two_copy(report, pair).counts
-        assert counts2.dtype == report.counts.dtype, pair
+        _, counts2 = scored_marginals(report, counts, pair)
+        assert counts2.dtype == counts.dtype, pair
         assert np.all(counts2.sum(axis=2, dtype=np.int64) == m_block), pair
     # the whole kept table, in its dtype, scores the bits of the sampler's chunks
-    rebuilt = SimReport(cfg, report.triple, design, report.mode, report.measurements,
-                        report.estimators, report.counts)
+    rebuilt = table_report(cfg, report.triple, design, report.mode, report.measurements,
+                           report.estimators, counts)
     for name in ("per_block_fidelities", "per_state_fidelity"):
         assert getattr(rebuilt, name).tobytes() == getattr(report, name).tobytes(), name
     assert (rebuilt.mean_fidelity, rebuilt.std) == (report.mean_fidelity, report.std)
@@ -621,17 +656,21 @@ def test_per_state_sum_does_not_wrap(symmetric_triple, design960):
     counts[:, :, 5] = cfg.m_block
     estimators = estimator_tables(symmetric_triple.bases, design960)
     f_table = f_rows(design960.states, estimators)
-    report = SimReport(cfg, symmetric_triple, design960, "ideal",
-                       symmetric_triple.bases, estimators, counts)
+    report = table_report(cfg, symmetric_triple, design960, "ideal",
+                          symmetric_triple.bases, estimators, counts)
     assert np.array_equal(report.per_state_fidelity, f_table[:, 5] * (2.0 * cfg.m_block)
                           / (cfg.m_block * cfg.blocks))
 
 
 @pytest.fixture(scope="module")
-def sweep_report(symmetric_triple, design960):
+def sweep_run(symmetric_triple, design960):
     # one point of the simulated z curve: K = 960, M = 100, B = 10
-    return simulate_protocol(symmetric_triple, design960,
-                             SimConfig(seed=0, m_block=100, blocks=10), keep_counts=True)
+    return kept_run(symmetric_triple, design960, SimConfig(seed=0, m_block=100, blocks=10))
+
+
+@pytest.fixture(scope="module")
+def sweep_report(sweep_run):
+    return sweep_run[0]
 
 
 def traced_peak(fn):
@@ -650,30 +689,30 @@ def test_run_health_memory_is_o_of_k(sweep_report):
     assert traced_peak(lambda: run_health(sweep_report)) < 960 * 64 * 8
 
 
-def test_per_state_fidelity_memory_is_one_chunk(sweep_report):
-    # the report is built from its fields and read: scoring the whole table
-    # holds O(K B) floats, where a float copy of the counts summed over blocks
-    # would alone be one (K, 64) table
+def test_per_state_fidelity_memory_is_one_chunk(sweep_run):
+    # the report is built from its fields and its table and read: scoring the
+    # whole table holds O(K B) floats, where a float copy of the counts summed
+    # over blocks would alone be one (K, 64) table
+    sweep_report, counts = sweep_run
     fields = [getattr(sweep_report, name) for name in
-              ("config", "triple", "design", "mode", "measurements", "estimators", "counts")]
-    assert traced_peak(lambda: SimReport(*fields).per_state_fidelity) < 960 * 64 * 8
+              ("config", "triple", "design", "mode", "measurements", "estimators")]
+    assert traced_peak(lambda: table_report(*fields, counts).per_state_fidelity) < 960 * 64 * 8
 
 
-def test_per_state_fidelity_bits(sweep_report, small_report, symmetric_triple, design960):
+def test_per_state_fidelity_bits(sweep_run, small_run, symmetric_triple, design960):
     # scored a chunk of states at a time, with the bits of the whole-table
     # scores summed over blocks; 100 states end in a part chunk
-    part = simulate_protocol(symmetric_triple, StateDesign(t=4, states=design960.states[:, :100]),
-                             SMALL, keep_counts=True)
-    for report in (sweep_report, small_report, reprocess_two_copy(small_report, (1, 2)), part):
+    part = kept_run(symmetric_triple, StateDesign(t=4, states=design960.states[:, :100]), SMALL)
+    for report, counts in (sweep_run, small_run, scored_marginals(*small_run, (1, 2)), part):
         cfg = report.config
         f_table = f_rows(report.design.states, report.estimators)
-        expected = (np.einsum("kbo,ko->kb", report.counts, f_table).sum(axis=1)
+        expected = (np.einsum("kbo,ko->kb", counts, f_table).sum(axis=1)
                     / (cfg.m_block * cfg.blocks))
         assert np.array_equal(report.per_state_fidelity, expected)
 
 
-def test_run_health_matches_reference(sweep_report, empirical_report):
-    for report in (sweep_report, reprocess_two_copy(sweep_report, (0, 2)), empirical_report):
+def test_run_health_matches_reference(sweep_run, empirical_report):
+    for report in (sweep_run[0], reprocess_two_copy(*sweep_run, (0, 2)), empirical_report):
         health, expected = run_health(report), reference.run_health(report)
         assert health.keys() == expected.keys()
         for key in health:
@@ -686,12 +725,11 @@ def test_paper_size_table_memory(symmetric_triple, design960):
     simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=10, blocks=2))
     tracemalloc.start()
     try:
-        report = simulate_protocol(symmetric_triple, design960, SimConfig(seed=0),
-                                   keep_counts=True)
+        _, counts = kept_run(symmetric_triple, design960, SimConfig(seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.counts.nbytes == 960 * 10 * 64 * 2
+    assert counts.nbytes == 960 * 10 * 64 * 2
     assert peak < 960 * 10 * 64 * 8
 
 
@@ -706,31 +744,46 @@ def test_paper_size_table_memory(symmetric_triple, design960):
     pytest.param(100, 300, "empirical", 45, id="100-300-empirical-B45")])
 def test_kept_table_does_not_change_the_run(tmp_path, symmetric_triple, design960, n_states,
                                             m_block, mode, blocks):
+    # the same run with no sink, a table's, the report writer's and one that
+    # records its calls: a sink sees the counts and changes nothing of the run
     design = StateDesign(t=4, states=design960.states[:, :n_states])
     cfg = SimConfig(seed=4, m_block=m_block, blocks=blocks)
-    kept = simulate_protocol(symmetric_triple, design, cfg, mode, keep_counts=True)
     scored = simulate_protocol(symmetric_triple, design, cfg, mode)
-    streamed = simulate_protocol(symmetric_triple, design, cfg, mode, counts_text=io.StringIO())
-    assert kept.counts.dtype == np.min_scalar_type(m_block)
-    assert scored.counts is None and streamed.counts is None
+    kept, counts = kept_run(symmetric_triple, design, cfg, mode)
+    text = io.StringIO()
+    streamed = simulate_protocol(symmetric_triple, design, cfg, mode,
+                                 sink=counts_writer(text, blocks))
+    calls = []
+
+    def record(rows, chunk):
+        assert chunk.dtype == np.int64 and chunk.shape == (rows.stop - rows.start, blocks, 64)
+        assert np.all(chunk.sum(axis=2) == m_block)
+        assert np.array_equal(chunk, counts[rows])  # what the table's sink was handed
+        calls.append((rows.start, rows.stop, rows.step))
+
+    recorded = simulate_protocol(symmetric_triple, design, cfg, mode, sink=record)
+    # contiguous, non-overlapping slices that cover 0..K in order, one chunk's
+    # states each (7 at B = 45), the last one part full
+    starts, stops, steps = zip(*calls)
+    assert starts == (0,) + stops[:-1] and stops[-1] == n_states and set(steps) == {None}
+    step = max(1, _CHUNK_CELLS // blocks)
+    assert {stop - start for start, stop in zip(starts[:-1], stops[:-1])} <= {step}
+    assert 0 < stops[-1] - starts[-1] <= step
     # the sampler's chunk scores, and the scores of the whole kept table, bit for bit
-    rebuilt = SimReport(cfg, kept.triple, design, mode, kept.measurements, kept.estimators,
-                        kept.counts)
-    for report in (scored, rebuilt, streamed):
-        assert np.array_equal(report.per_block_fidelities, kept.per_block_fidelities)
-        assert np.array_equal(report.per_state_fidelity, kept.per_state_fidelity)
-        assert (report.mean_fidelity, report.std) == (kept.mean_fidelity, kept.std)
-        assert run_health(report) == run_health(kept)
-    # the counts written as they were drawn, and the kept table's, in one file's bytes
-    save_report(kept, tmp_path / "kept.json")
-    save_report(streamed, tmp_path / "streamed.json")
+    rebuilt = table_report(cfg, kept.triple, design, mode, kept.measurements, kept.estimators,
+                           counts)
+    for report in (kept, rebuilt, streamed, recorded):
+        assert report.per_block_fidelities.tobytes() == scored.per_block_fidelities.tobytes()
+        assert report.per_state_fidelity.tobytes() == scored.per_state_fidelity.tobytes()
+        assert (report.mean_fidelity, report.std) == (scored.mean_fidelity, scored.std)
+        assert run_health(report) == run_health(scored)
+    # the counts written as they were drawn, and the kept table fed to the writer
+    # whole, in one file's bytes
+    fed = io.StringIO()
+    counts_writer(fed, blocks)(slice(0, len(counts)), counts)
+    save_report(kept, tmp_path / "kept.json", fed)
+    save_report(streamed, tmp_path / "streamed.json", text)
     assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "kept.json").read_bytes()
-
-
-def test_counts_are_kept_one_way(symmetric_triple, design960):
-    with pytest.raises(ValueError, match="pass one"):
-        simulate_protocol(symmetric_triple, design960, SMALL, keep_counts=True,
-                          counts_text=io.StringIO())
 
 
 def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design960):
