@@ -302,8 +302,13 @@ def cmd_simulate(args):
     if args.counts and args.out:
         import tempfile  # here: at module level it adds 15 modules to every command's start
         # the counts' report text, written as each chunk is drawn; a missing
-        # directory fails here, before any state is sampled
-        spill = tempfile.TemporaryFile("w+", dir=os.path.dirname(_resolve(args.out)))
+        # directory fails here, before any state is sampled, naming --out's directory
+        directory = os.path.dirname(_resolve(args.out))
+        try:
+            spill = tempfile.TemporaryFile("w+", dir=directory)
+        except OSError as exc:
+            exc.filename = directory  # not the random name of the spill
+            raise
     sink = None if spill is None else counts_writer(spill, cfg.blocks)
     try:
         report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode, sink=sink)

@@ -19,9 +19,11 @@ formed.  From then on no key needs a float: the key of g u is u's fields
 through g's table.  The index is a set of int keys, filled in (frontier
 element, generator) order, the order of the nested loop.  The elements are
 written in place into one buffer, each breadth-first level an index range of
-it; only products with new keys are canonicalised and checked for unitarity.
-A `UnitaryGroup` holds its elements as one (n, d, d) array and nothing
-derived from them: membership keys only the candidate by its tableau.
+it; only the pairs with new keys are multiplied, each a d x d product that
+`canonicalize_phases` checks and phase-fixes, as it does the generators.  A
+`UnitaryGroup` holds its elements as one (n, d, d) array and nothing derived
+from them: a candidate is a member only if it is a unitary of their shape
+whose tableau exists and whose canonical form is one of them.
 
 `canonical_keys` encodes phase-canonical vectors on a 1e-6 int32 grid for
 `designs.orbit`: Clifford images of the fiducial live on a lattice with
@@ -38,12 +40,12 @@ import json
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import UNITARY_TOL, check_unitary
+from .linalg import UNITARY_TOL, check_unitary, is_unitary
 
 KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
-_CLOSURE_CHUNK = 64  # frontier elements multiplied by the generators at a time
+_CLOSURE_CHUNK = 64  # frontier elements keyed at a time: a whole level peaks 6.65 MB, not 3.95
 _TABLEAU_CHUNK = 1024  # unitaries keyed by `tableaux` at a time: about 5 MB of products
 # group elements formatted per write; in the Clifford group command the
 # formatting of a 128-element chunk reaches the closure's peak RSS but adds
@@ -165,8 +167,8 @@ def _keys(fields):
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
-    Membership keys only u by its tableau, so a u that is not Clifford is no
-    member, then compares u's phase-canonical form with the elements within
+    A u of another shape, not unitary or not Clifford (no tableau) is no
+    member; any other u is compared, phase-canonical, with the elements within
     UNITARY_TOL, O(n): distinct canonical Cliffords differ by far more.
     """
 
@@ -181,10 +183,8 @@ class UnitaryGroup:
         return iter(self.elements)
 
     def __contains__(self, u):
-        u = check_unitary(np.asarray(u))
-        if u.shape != self.elements.shape[1:]:
-            return False
-        if tableaux(u[None])[0, 0] < 0:
+        u = np.asarray(u)
+        if u.shape != self.elements.shape[1:] or not is_unitary(u) or tableaux(u[None])[0, 0] < 0:
             return False
         gaps = np.abs(self.elements - strip_phases(u[None])).max(axis=(1, 2))
         return bool(np.any(gaps <= UNITARY_TOL))
@@ -218,20 +218,16 @@ def generate_group(generators, max_size, generator_labels=()):
     that is not Clifford raises ContractViolationError before any product is
     formed.  The elements are written in place into one buffer of max_size
     elements; each level is the index range of the elements the previous
-    level found.  A level is keyed and multiplied `_CLOSURE_CHUNK` frontier
-    elements at a time, new keys taken in (frontier element u, generator g)
-    order.  The products come from one 2-D product, the generators' rows
-    stacked, (n_gens d, d), times the block's elements side by side, (d,
-    block d): its (g, u) tiles are the products g @ u, each from the same
-    d-term sums as a d x d product, so the elements keep their bits.  A block
-    with no new key skips the product.  A closure that ends below max_size
-    returns a copy of its elements, not a view that pins the buffer.  Raises
+    level found.  A level is keyed `_CLOSURE_CHUNK` frontier elements at a
+    time, new keys taken in (frontier element u, generator g) order, and only
+    the pairs with new keys are multiplied: each element is the d x d product
+    g @ u, canonicalised.  A closure that ends below max_size returns a copy
+    of its elements, not a view that pins the buffer.  Raises
     ContractViolationError if the closure would exceed max_size.
     """
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     n_gens, dim = gens.shape[:2]
     tables = _generator_tables(gens, list(generator_labels))
-    rows = gens.reshape(n_gens * dim, dim)  # every generator's rows, stacked
     elements = np.empty((max(max_size, 1), dim, dim), dtype=complex)
     elements[0] = np.eye(dim)
     labels = _tableau_labels(dim)
@@ -254,11 +250,9 @@ def generate_group(generators, max_size, generator_labels=()):
             if not new:
                 continue
             new = np.array(new, dtype=np.intp)  # one conversion serves both indexings
-            side = elements[lo:hi].transpose(1, 0, 2).reshape(dim, -1)  # the block side by side
-            products = (rows @ side).reshape(n_gens, dim, hi - lo, dim)
             u, g = np.divmod(new, n_gens)
             first = len(index) - len(new)
-            elements[first:len(index)] = check_unitary(strip_phases(products[g, :, u, :]))
+            elements[first:len(index)] = canonicalize_phases(gens[g] @ elements[lo + u])
             fields[first:len(index)] = images[new]
         start, stop = stop, len(index)
     if stop < len(elements):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -649,8 +650,37 @@ def test_counts_into_missing_directory_fail_before_drawing(outdir, monkeypatch, 
     out = outdir / "no_such_dir" / "run.json"
     assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
                  "--counts", "--out", str(out)]) == EXIT_IO
-    assert "No such file or directory" in capsys.readouterr().err
+    # the message names --out's directory, not the spill's random file name
+    message = f"error: [Errno 2] No such file or directory: {str(out.parent)!r}\n"
+    assert capsys.readouterr().err == message
     assert returned == []
+    assert list(outdir.iterdir()) == []
+
+
+def test_counts_spill_closes_when_the_run_fails(outdir, monkeypatch, capsys, small_design_file):
+    # the run raises after a chunk reached the open spill: the spill is closed
+    # then, not left to the collector, the command exits 4 and writes nothing
+    spills = []
+    temporary_file = tempfile.TemporaryFile
+
+    def spill_spy(*args, **kwargs):
+        spills.append(temporary_file(*args, **kwargs))
+        return spills[-1]
+
+    def failing_run(triple, design, cfg, mode="ideal", sink=None):
+        sink(slice(0, 1), np.zeros((1, cfg.blocks, 64), dtype=np.int64))
+        raise ValueError("the run failed after its first chunk")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill_spy)
+    monkeypatch.setattr("mubest.cli.simulate_protocol", failing_run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
+                     "--counts", "--out", "run.json"]) == EXIT_VALIDATION
+        gc.collect()
+    assert capsys.readouterr().err == "error: the run failed after its first chunk\n"
+    assert len(spills) == 1 and spills[0].closed
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert list(outdir.iterdir()) == []
 
 

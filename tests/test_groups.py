@@ -405,10 +405,12 @@ def test_closure_memory_is_bounded():
     assert len(group) == 11520
     # stacking a whole level's products at once peaked at 24 MB, concatenating
     # a list of levels held a second copy of the elements, 3 MB, a dict of
-    # 128-byte keys peaked at 6.13 MB and an index of their digests at 4.76 MB;
-    # with a set of tableau keys the peak is 4.12 MB, the 2.95 MB of held
-    # elements, the index and one block's arrays, and the ceiling is that plus 0.3 MB
-    assert peak < 4.42e6
+    # 128-byte keys peaked at 6.13 MB and an index of their digests at 4.76 MB,
+    # a set of tableau keys at 4.12 MB while every generator multiplied a whole
+    # block; multiplying only the pairs with new keys, the peak is 3.95 MB, the
+    # 2.95 MB of held elements, the index and one block's arrays, and the
+    # ceiling is that plus 0.3 MB
+    assert peak < 4.25e6
 
 
 def test_canonical_keys_reject_values_off_the_int32_grid(restricted_group):
@@ -451,6 +453,10 @@ def test_non_member(restricted_group, clifford_group):
     for phase in (1, np.exp(0.7j)):
         assert phase * h1 not in restricted_group
         assert phase * h1 in clifford_group
+    # a matrix that is no unitary of the elements' shape is no member either
+    for u in (2 * np.eye(4), np.ones((4, 3)), np.eye(2), np.eye(8), np.ones(4)):
+        assert u not in restricted_group
+        assert u not in clifford_group
 
 
 def test_clifford_group_memory_held():

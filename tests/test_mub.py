@@ -85,11 +85,21 @@ def test_orthonormal_basis_checks_unitarity(rng, deviation, unitary):
         m = math.sqrt(1 + deviation) * u
         assert abs(np.max(np.abs(m.conj().T @ m - np.eye(4))) - deviation) <= 1e-15
         assert bool(is_unitary(m)) is unitary
+        # orthonormal columns but not square: no unitary, whatever the gram matrix
+        assert not is_unitary(m[:, :3])
         if unitary:
             assert OrthonormalBasis(m).vectors is m
         else:
             with pytest.raises(ContractViolationError, match="not unitary"):
                 OrthonormalBasis(m)
+
+
+def test_transposed_hadamard_fails_unbiasedness(monkeypatch):
+    # the row/column transposition slip of the module docstring: the transpose
+    # of hadamard_c is still unitary, but its columns are biased against B's
+    monkeypatch.setattr("mubest.mub.hadamard_c", lambda y, z: hadamard_c(y, z).T)
+    with pytest.raises(ContractViolationError, match=r"not mutually unbiased \(dev=7.50e-01\)"):
+        mub_triple(0.3, 0.7, 1.1)
 
 
 def test_records_are_read_only(symmetric_triple):
