@@ -487,6 +487,8 @@ def main(argv=None):
         # numpy's message and exit code, before any design is built or state sampled
         if min(getattr(args, name, 0) for name in ("seed", "subset_seed")) < 0:
             raise ValueError("expected non-negative integer")
+        if args.out is not None and (not args.out or os.path.isdir(_resolve(args.out))):
+            raise OSError(f"--out must name a file, not {args.out!r}")
         return _finish(args, argv, args.func(args), t0)
     except (OSError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

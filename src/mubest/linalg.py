@@ -15,7 +15,7 @@ UNITARY_TOL = 1e-10
 def is_unitary(m):
     """max |U^dag U - I| <= UNITARY_TOL for a square matrix, or over a (maybe empty) stack."""
     m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
     gram = np.swapaxes(m.conj(), -1, -2) @ m
     return np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0) <= UNITARY_TOL

@@ -13,7 +13,7 @@ of states that holds it, so every path gives a state the same row bits.  A
 estimators, and the statistics of its (K, blocks) scores
 S[k, b] = sum_o n[k, b, o] f[k, o]: the per-block and per-state fidelities
 are S's two marginals.  `_scores` is the one contraction that gives S, from
-the sampler's chunks and from a whole table alike, so the two cannot
+the sampler's chunks and a whole table's blocks alike, so the two cannot
 disagree.  `run_health` and `reprocess_two_copy` read the same fields, so they
 always use the run's own estimators.  `save_report` writes a report's file,
 with the counts text that `counts_writer` spilled when there is one.
@@ -22,18 +22,18 @@ Memory after the draws.  A sampled command holds the d^N estimators (16 KB
 for three copies), the (K, blocks) scores and the (K,) per-state fidelities;
 no (K, d^N) table of f is formed, only the rows of the states being scored.
 `simulate_protocol` rejects a run whose float scores would pass
-`_MAX_SCORE_BYTES` before it forms any estimators.  The sampler draws
-max(1, `_CHUNK_CELLS` // blocks) states at a time (32 at 10 blocks), so a
+`_MAX_SCORE_BYTES` before it forms any estimators.  The sampler draws each
+block of f's rows in chunks of min(`_STATE_CHUNK`, max(1, `_CHUNK_CELLS` //
+blocks)) states (32 at 10 blocks, 7 at 45), so no chunk crosses a block and a
 chunk's int64 counts and `multinomial`'s intermediates do not grow with the
 number of blocks.  Each chunk is scored as soon as it is drawn and then handed
 to the caller's `sink`, if any; the library keeps no counts.  A caller that
 wants the (K, blocks, 64) table allocates it and passes its `__setitem__`;
 `simulate --counts --out` passes `counts_writer` of a temporary file that
 `save_report` copies, so no command holds more than one chunk's counts.
-Scoring a whole table makes no float copy of it: einsum casts the integer
-counts in its buffered iterator, `_STATE_CHUNK` states at a time.  `run_health`
-contracts the per-basis Born probabilities with f's rows one basis and
-`_STATE_CHUNK` states at a time.
+A whole table is scored a block at a time, with no float copy: einsum casts
+the integer counts in its buffered iterator.  `run_health` contracts the
+per-basis Born probabilities with f's rows one basis and block at a time.
 
 Count dtype.  No cell of a (K, blocks, 64) count table can exceed M, so a
 caller may keep it in np.min_scalar_type(M): uint8 up to M = 255, uint16 up
@@ -75,7 +75,7 @@ from .errors import ReadOnlyRecord
 from .estimation import _state_projectors, estimator_tables, fidelities
 from .mub import born_probabilities, controlled_phase, haar_random_unitary, transform_triple
 
-_CHUNK_CELLS = 320  # (state, block) cells sampled together
+_CHUNK_CELLS = 320  # most (state, block) cells sampled together
 _STATE_CHUNK = 32  # states whose f rows are formed together
 _MAX_SCORE_BYTES = 1 << 30  # largest (K, blocks) float64 score table a run allocates
 _COUNTS_STREAM = 2  # spawn-key prefix of the sampler's streams
@@ -201,7 +201,8 @@ def simulate_protocol(triple, design, cfg, mode="ideal", sink=None):
     is scored as soon as it is drawn, then handed to `sink(rows, counts)`
     unless `sink` is None: `rows` is the chunk's slice of the K states and
     `counts` its (states, blocks, 64) int64 joint outcome counts, the chunks
-    in state order.  A run whose (K, blocks) float scores would pass
+    contiguous, in state order and each inside one aligned `_STATE_CHUNK`
+    block.  A run whose (K, blocks) float scores would pass
     `_MAX_SCORE_BYTES` raises ValueError before anything is formed.
     """
     if design.size * cfg.blocks * 8 > _MAX_SCORE_BYTES:
@@ -218,13 +219,12 @@ def simulate_protocol(triple, design, cfg, mode="ideal", sink=None):
 def _multinomial_counts(probs, param_keys, cfg, states, estimators, sink):
     """Draw the counts from three chained multinomials (stream version 2) and score them.
 
-    Returns the (K, B) `_scores` of the (K, B, 64) counts, one chunk of
-    max(1, `_CHUNK_CELLS` // B) states scored as soon as it is drawn; `sink`,
-    unless None, is then called with the chunk's rows (a slice of the K
-    states) and counts.
+    Returns the (K, B) `_scores` of the (K, B, 64) counts.  Each `_estimator_rows`
+    block is drawn in chunks of min(`_STATE_CHUNK`, max(1, `_CHUNK_CELLS` // B))
+    states, each scored as soon as it is drawn, then handed to `sink` unless None.
     """
     K, B = states.shape[1], cfg.blocks
-    step = max(1, _CHUNK_CELLS // B)
+    step = min(_STATE_CHUNK, max(1, _CHUNK_CELLS // B))
     scores = np.empty((K, B))
     generators = [
         np.random.Generator(np.random.PCG64(
@@ -232,45 +232,38 @@ def _multinomial_counts(probs, param_keys, cfg, states, estimators, sink):
         ))
         for role, key in enumerate(param_keys)
     ]
-    for start in range(0, K, step):
-        chunk = slice(start, min(start + step, K))
-        n = np.full((chunk.stop - start, B), cfg.m_block, dtype=np.int64)
-        for generator, p in zip(generators, probs):
-            # each cell counted so far splits over this role's four outcomes
-            pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
-            n = generator.multinomial(n, pvals)
-        n = n.reshape(-1, B, 64)
-        scores[chunk] = _scores(n, states, estimators, chunk)
-        if sink is not None:
-            sink(chunk, n)
+    for block, f in _estimator_rows(states, estimators):
+        for start in range(block.start, block.stop, step):
+            chunk = slice(start, min(start + step, block.stop))
+            n = np.full((chunk.stop - start, B), cfg.m_block, dtype=np.int64)
+            for generator, p in zip(generators, probs):
+                # each cell counted so far splits over this role's four outcomes
+                pvals = p[chunk].reshape((-1,) + (1,) * (n.ndim - 1) + (4,))
+                n = generator.multinomial(n, pvals)
+            n = n.reshape(-1, B, 64)
+            scores[chunk] = _scores(n, f[start - block.start:chunk.stop - block.start])
+            if sink is not None:
+                sink(chunk, n)
     return scores
 
 
-def _estimator_rows(states, estimators, rows):
-    """Yield (piece, f) over `rows`, a slice of the states' columns: f[k, o] =
-    <psi_k| rhohat_o |psi_k> of the states at `piece`, as (states, outcomes).
-
-    The pieces are the aligned `_STATE_CHUNK` blocks of states clipped to
-    `rows`, and each f is sliced from the product over its whole block, so a
-    state's row has the same bits whichever rows are asked for.
+def _estimator_rows(states, estimators):
+    """Yield (block, f) over the aligned `_STATE_CHUNK` blocks of the states'
+    columns: f[k, o] = <psi_k| rhohat_o |psi_k> of the states at `block`, a
+    slice, as (states, outcomes).
     """
-    for start in range(rows.start - rows.start % _STATE_CHUNK, rows.stop, _STATE_CHUNK):
-        block = _state_projectors(states[:, start:start + _STATE_CHUNK])
-        piece = slice(max(start, rows.start), min(start + _STATE_CHUNK, rows.stop))
-        yield piece, (block @ estimators.T)[piece.start - start:piece.stop - start]
+    K = states.shape[1]
+    for start in range(0, K, _STATE_CHUNK):
+        block = slice(start, min(start + _STATE_CHUNK, K))
+        yield block, _state_projectors(states[:, block]) @ estimators.T
 
 
-def _scores(counts, states, estimators, rows):
-    """(states, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] of the states at `rows`.
+def _scores(counts, f):
+    """(states, blocks) scores S[k, b] = sum_o n[k, b, o] f[k, o] of counts and f's rows.
 
-    Each score is one row's sum over outcomes, and f's rows come from
-    `_estimator_rows`, so a chunk of states and a whole table give the same bits.
+    Each score is one row's sum over outcomes, so any chunk gives its rows' bits.
     """
-    scores = np.empty(counts.shape[:2])
-    for piece, f in _estimator_rows(states, estimators, rows):
-        at = slice(piece.start - rows.start, piece.stop - rows.start)
-        scores[at] = np.einsum("kbo,ko->kb", counts[at], f)
-    return scores
+    return np.einsum("kbo,ko->kb", counts, f)
 
 
 def run_health(report):
@@ -284,7 +277,7 @@ def run_health(report):
     z = (F_sim - F_exact) / sigma.
 
     Both per-state moments, of f and of its square, are taken for one
-    `_estimator_rows` piece of states at a time, summing out one basis's
+    `_estimator_rows` block of states at a time, summing out one basis's
     outcomes per batched (n, rest, d) @ (n, d, 1) product, last basis first: no
     joint-weight table and no (K, outcomes) table is formed.
     """
@@ -292,7 +285,7 @@ def run_health(report):
     states = report.design.states
     probs = [born_probabilities(b, states) for b in report.measurements]
     moments = np.empty((K, 2))
-    for rows, f in _estimator_rows(states, report.estimators, slice(0, K)):
+    for rows, f in _estimator_rows(states, report.estimators):
         table = np.stack([f, f * f], axis=1)
         for p in reversed(probs):
             table = table.reshape(len(table), -1, d) @ p[rows, :, None]
@@ -327,7 +320,9 @@ def reprocess_two_copy(report, counts, pair):
     estimators = estimator_tables(measurements, design, report.mode)
     drop_axis = ({0, 1, 2} - {i1, i2}).pop()
     counts2 = counts.reshape(K, B, 4, 4, 4).sum(axis=2 + drop_axis, dtype=counts.dtype)
-    scores = _scores(counts2.reshape(K, B, 16), design.states, estimators, slice(0, K))
+    counts2, scores = counts2.reshape(K, B, 16), np.empty((K, B))
+    for block, f in _estimator_rows(design.states, estimators):
+        scores[block] = _scores(counts2[block], f)
     return SimReport(cfg, report.triple, design, report.mode, measurements, estimators, scores)
 
 

@@ -564,9 +564,9 @@ def design100_file(tmp_path_factory):
       for M in (255, 256, 65535, 65536)),
     # K = 100 states end the writer's runs of states with a partial one
     pytest.param("design100_file", 30, 2, True, id="K-not-multiple-of-64"),
-    # at B = 3 the writer's runs are 10 states, so the kept table's runs
-    # straddle the sampler's 32-state chunks, from which --counts writes its runs
-    pytest.param("design100_file", 30, 3, True, id="runs-straddle-chunks"),
+    # at B = 3 the writer's runs are 10 states and the sampler's chunks, from
+    # which --counts writes its runs, 32: each chunk ends in a 2-state run
+    pytest.param("design100_file", 30, 3, True, id="chunks-end-in-part-runs"),
 ])
 def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
     path = request.getfixturevalue(design)
@@ -653,6 +653,25 @@ def test_counts_into_missing_directory_fail_before_drawing(outdir, monkeypatch, 
     # the message names --out's directory, not the spill's random file name
     message = f"error: [Errno 2] No such file or directory: {str(out.parent)!r}\n"
     assert capsys.readouterr().err == message
+    assert returned == []
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, spied, function", [
+    (["simulate", "--M", "10", "--blocks", "2", "--counts"], "simulate_protocol",
+     simulate_protocol),
+    (["simulate", "--M", "10", "--blocks", "2"], "simulate_protocol", simulate_protocol),
+    (["groups", "--which", "clifford"], "clifford_group_2q", groups.clifford_group_2q),
+], ids=["simulate-counts", "simulate", "groups"])
+@pytest.mark.parametrize("out", ["", "./"], ids=["empty", "directory"])
+def test_out_naming_no_file_fails_before_the_run(outdir, monkeypatch, capsys, argv, spied,
+                                                 function, out):
+    # an empty --out, or one that names a directory, exits 2 before any closure,
+    # design or draw, and writes nothing
+    monkeypatch.chdir(outdir)
+    returned = _spy(monkeypatch, spied, function)
+    assert main(argv + ["--out", out]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: --out must name a file, not {out!r}\n")
     assert returned == []
     assert list(outdir.iterdir()) == []
 

@@ -4,7 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from mubest.errors import ContractViolationError
+from mubest.linalg import check_unitary, is_unitary
+from mubest.mub import mub_triple, transform_triple
 from reference import permutation_operator, symmetric_projector
+
+
+@pytest.mark.parametrize("m", [np.float64(1.0), np.ones(4)], ids=["scalar", "vector"])
+def test_fewer_than_two_axes_are_not_unitary(m):
+    # no matrix at all: not unitary, and the checks that promise a contract error raise one
+    assert is_unitary(m) is False
+    with pytest.raises(ContractViolationError):
+        check_unitary(m)
+    with pytest.raises(ContractViolationError):
+        transform_triple(mub_triple(1, 1, 1), m)
 
 
 def test_permutation_identity():

@@ -90,9 +90,12 @@ def predicted_std_of_mean(triple, design, cfg):
 
 
 def table_report(cfg, triple, design, mode, measurements, estimators, counts):
-    """The SimReport of a whole (K, blocks, outcomes) count table, scored by one `_scores` call."""
-    return SimReport(cfg, triple, design, mode, measurements, estimators,
-                     _scores(counts, design.states, estimators, slice(0, design.size)))
+    """The SimReport of a whole (K, blocks, outcomes) count table, scored by `_scores`
+    one `_estimator_rows` block at a time."""
+    scores = np.empty(counts.shape[:2])
+    for block, f in _estimator_rows(design.states, estimators):
+        scores[block] = _scores(counts[block], f)
+    return SimReport(cfg, triple, design, mode, measurements, estimators, scores)
 
 
 def scored_marginals(report, counts, pair):
@@ -106,14 +109,12 @@ def scored_marginals(report, counts, pair):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("mubest.simulate._scores", spy)
         report2 = reprocess_two_copy(report, counts, pair)
-    (marginals,) = seen
-    return report2, marginals
+    return report2, np.concatenate(seen)  # scored a block at a time
 
 
 def f_rows(states, estimators):
     """The (K, outcomes) f table whose rows scoring a whole count table reads."""
-    return np.concatenate([f for _, f in _estimator_rows(states, estimators,
-                                                         slice(0, states.shape[1]))])
+    return np.concatenate([f for _, f in _estimator_rows(states, estimators)])
 
 
 @pytest.fixture(scope="module")
@@ -245,14 +246,16 @@ def reference_multinomial_counts(triple, design, cfg):
 
 
 def test_multinomial_counts_match_reference(haar_triple, design960):
-    # 960 states span 10 chunks of 106 at B = 3 and 138 of 7 at B = 45, the last
-    # one part full, so chunking must not change the streams
-    for blocks in (3, 45):
+    # 960 states span 30 chunks of 32 at B = 3, and 150 at B = 45, each block's
+    # 7, 7, 7, 7 and 4; 100 states at B = 3 end in a 4-state chunk.  Chunking
+    # must not change the streams
+    for n_states, blocks in ((960, 3), (100, 3), (960, 45)):
+        design = StateDesign(t=4, states=design960.states[:, :n_states])
         cfg = SimConfig(seed=2**40 + 3, m_block=500, blocks=blocks)
-        _, counts = kept_run(haar_triple, design960, cfg)
+        _, counts = kept_run(haar_triple, design, cfg)
         assert np.array_equal(
-            counts, reference_multinomial_counts(haar_triple, design960, cfg)
-        ), blocks
+            counts, reference_multinomial_counts(haar_triple, design, cfg)
+        ), (n_states, blocks)
 
 
 @pytest.fixture(scope="module")
@@ -733,15 +736,17 @@ def test_paper_size_table_memory(symmetric_triple, design960):
     assert peak < 960 * 10 * 64 * 8
 
 
-# uint8 and uint16 counts, a 100-state design that ends in a part chunk, and
-# empirical mode over it; at B = 45 the sampler's 7-state chunks straddle the
-# 32-state blocks of f's rows, and 960 states end in a 1-state chunk
+# uint8 and uint16 counts, a 100-state design that ends in a 4-state block of
+# f's rows, and empirical mode over it; the sampler's chunks are 32 states at
+# B = 2 and 3, 7, 7, 7, 7 and 4 per block at B = 45, and 2 at B = 160
 @pytest.mark.parametrize("n_states, m_block, mode, blocks", [
     pytest.param(960, 100, "ideal", 3, id="960-100-ideal"),
     pytest.param(100, 10_000, "ideal", 3, id="100-10000-ideal"),
     pytest.param(100, 300, "empirical", 3, id="100-300-empirical"),
     pytest.param(960, 100, "ideal", 45, id="960-100-ideal-B45"),
-    pytest.param(100, 300, "empirical", 45, id="100-300-empirical-B45")])
+    pytest.param(100, 300, "empirical", 45, id="100-300-empirical-B45"),
+    pytest.param(100, 300, "ideal", 2, id="100-300-ideal-B2"),
+    pytest.param(100, 300, "ideal", 160, id="100-300-ideal-B160")])
 def test_kept_table_does_not_change_the_run(tmp_path, symmetric_triple, design960, n_states,
                                             m_block, mode, blocks):
     # the same run with no sink, a table's, the report writer's and one that
@@ -762,13 +767,14 @@ def test_kept_table_does_not_change_the_run(tmp_path, symmetric_triple, design96
         calls.append((rows.start, rows.stop, rows.step))
 
     recorded = simulate_protocol(symmetric_triple, design, cfg, mode, sink=record)
-    # contiguous, non-overlapping slices that cover 0..K in order, one chunk's
-    # states each (7 at B = 45), the last one part full
+    # contiguous, non-overlapping slices that cover 0..K in order, each inside one
+    # aligned 32-state block of f's rows and of min(32, _CHUNK_CELLS // B) states,
+    # part full only where its block ends
     starts, stops, steps = zip(*calls)
     assert starts == (0,) + stops[:-1] and stops[-1] == n_states and set(steps) == {None}
-    step = max(1, _CHUNK_CELLS // blocks)
-    assert {stop - start for start, stop in zip(starts[:-1], stops[:-1])} <= {step}
-    assert 0 < stops[-1] - starts[-1] <= step
+    step = min(32, _CHUNK_CELLS // blocks)
+    for start, stop in zip(starts, stops):
+        assert stop - start == min(step, 32 - start % 32, n_states - start), (start, stop)
     # the sampler's chunk scores, and the scores of the whole kept table, bit for bit
     rebuilt = table_report(cfg, kept.triple, design, mode, kept.measurements, kept.estimators,
                            counts)
@@ -799,7 +805,7 @@ def test_run_without_table_holds_no_table(monkeypatch, symmetric_triple, design9
 
 
 def test_sampler_memory_does_not_grow_with_blocks(monkeypatch, symmetric_triple, design960):
-    # a chunk holds about _CHUNK_CELLS (state, block) cells whatever B is, so
+    # a chunk holds at most _CHUNK_CELLS (state, block) cells whatever B is, so
     # beyond the (K, B) scores the draws peak alike at 10 and 160 blocks, where
     # 32-state chunks of int64 counts would hold 2.6 MB at B = 160
     estimators = estimator_tables(symmetric_triple.bases, design960)
@@ -812,8 +818,7 @@ def test_sampler_memory_does_not_grow_with_blocks(monkeypatch, symmetric_triple,
     assert beyond_scores[1] <= beyond_scores[0] + 100_000
 
 
-# the sampler's chunks at each B: 160 states at B = 2, 106 at 3, 32 at 10, 7 at
-# 45 and 2 at 160; 100 states end in a 4-state block of f's rows
+# 100 states end in a 4-state block of f's rows
 @pytest.mark.parametrize("n_states", [960, 100])
 def test_estimator_rows_do_not_depend_on_chunks(symmetric_triple, haar_triple, design960,
                                                 n_states):
@@ -827,15 +832,25 @@ def test_estimator_rows_do_not_depend_on_chunks(symmetric_triple, haar_triple, d
                                for start in range(0, n_states, 32)])
         assert np.allclose(rows, reference.estimator_table(estimators, states),
                            rtol=0, atol=1e-14)
-        # the whole table's rows, which run_health's chunks and a kept table's scores read
+        # the rows that the sampler, run_health and a kept table's scores read
         assert f_rows(states, estimators).tobytes() == rows.tobytes()
-        for blocks in (2, 3, 10, 45, 160):
-            step = max(1, _CHUNK_CELLS // blocks)
-            chunked = np.concatenate([
-                f for start in range(0, n_states, step)
-                for _, f in _estimator_rows(states, estimators,
-                                            slice(start, min(start + step, n_states)))])
-            assert chunked.tobytes() == rows.tobytes(), (bases, blocks)
+
+
+def test_run_forms_each_block_of_f_once(monkeypatch, symmetric_triple, design960):
+    # a K = 960 run forms f's rows in ceil(K / 32) = 30 block products at every
+    # B, however many chunks the sampler draws a block in
+    calls = []
+
+    def spy(states):
+        calls.append(states.shape[1])
+        return _state_projectors(states)
+
+    monkeypatch.setattr("mubest.simulate._state_projectors", spy)
+    for blocks in (2, 3, 10, 45, 160):
+        calls.clear()
+        simulate_protocol(symmetric_triple, design960, SimConfig(seed=0, m_block=10,
+                                                                 blocks=blocks))
+        assert calls == [32] * 30, blocks
 
 
 def test_run_memory_does_not_grow_with_states(monkeypatch, symmetric_triple, design960):
