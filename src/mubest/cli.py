@@ -301,14 +301,8 @@ def cmd_simulate(args):
     spill = None  # only a written report reads the counts
     if args.counts and args.out:
         import tempfile  # here: at module level it adds 15 modules to every command's start
-        # the counts' report text, written as each chunk is drawn; a missing
-        # directory fails here, before any state is sampled, naming --out's directory
-        directory = os.path.dirname(_resolve(args.out))
-        try:
-            spill = tempfile.TemporaryFile("w+", dir=directory)
-        except OSError as exc:
-            exc.filename = directory  # not the random name of the spill
-            raise
+        # the counts' report text, written as each chunk is drawn, beside the report
+        spill = tempfile.TemporaryFile("w+", dir=os.path.dirname(_resolve(args.out)))
     sink = None if spill is None else counts_writer(spill, cfg.blocks)
     try:
         report = simulate_protocol(mub_triple(x, y, z), design, cfg, mode=args.mode, sink=sink)
@@ -484,11 +478,15 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        # numpy's message and exit code, before any design is built or state sampled
+        # before any closure, design or draw: numpy's seed check, and the one --out check
         if min(getattr(args, name, 0) for name in ("seed", "subset_seed")) < 0:
             raise ValueError("expected non-negative integer")
-        if args.out is not None and (not args.out or os.path.isdir(_resolve(args.out))):
-            raise OSError(f"--out must name a file, not {args.out!r}")
+        if args.out is not None:
+            out = _resolve(args.out)
+            parent = os.path.dirname(out) or "."
+            if not (args.out and not os.path.isdir(out) and os.path.isdir(parent)
+                    and os.access(parent, os.W_OK)):
+                raise OSError(f"--out must name a file in a writable directory, not {args.out!r}")
         return _finish(args, argv, args.func(args), t0)
     except (OSError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

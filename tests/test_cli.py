@@ -642,38 +642,40 @@ def test_counts_without_out_keep_nothing(outdir, monkeypatch, small_design_file)
     assert list(outdir.iterdir()) == []
 
 
-def test_counts_into_missing_directory_fail_before_drawing(outdir, monkeypatch, capsys,
-                                                           small_design_file):
-    # the spill opens in --out's directory before the draws, so a missing one
-    # exits 2 having sampled nothing and written nothing
-    returned = _spy(monkeypatch, "simulate_protocol", simulate_protocol)
-    out = outdir / "no_such_dir" / "run.json"
-    assert main(["simulate", "--design", small_design_file, "--M", "10", "--blocks", "2",
-                 "--counts", "--out", str(out)]) == EXIT_IO
-    # the message names --out's directory, not the spill's random file name
-    message = f"error: [Errno 2] No such file or directory: {str(out.parent)!r}\n"
-    assert capsys.readouterr().err == message
-    assert returned == []
-    assert list(outdir.iterdir()) == []
-
-
 @pytest.mark.parametrize("argv, spied, function", [
     (["simulate", "--M", "10", "--blocks", "2", "--counts"], "simulate_protocol",
      simulate_protocol),
     (["simulate", "--M", "10", "--blocks", "2"], "simulate_protocol", simulate_protocol),
     (["groups", "--which", "clifford"], "clifford_group_2q", groups.clifford_group_2q),
-], ids=["simulate-counts", "simulate", "groups"])
-@pytest.mark.parametrize("out", ["", "./"], ids=["empty", "directory"])
+    (["design", "clifford"], "default_design", default_design),
+    (["design", "optimize", "--K", "40", "--iters", "5"], "optimize_design", optimize_design),
+    (["fidelity"], "fidelity_scan", fidelity_scan),
+    (["equivalence", "--exact", "--phi-grid", "0:pi:3"], "equivalence_scan_phase",
+     equivalence_scan_phase),
+    (["subsets", "--M", "10", "--blocks", "2"], "simulate_protocol", simulate_protocol),
+], ids=["simulate-counts", "simulate", "groups", "design-clifford", "design-optimize",
+        "fidelity", "equivalence", "subsets"])
+@pytest.mark.parametrize("out", [
+    "", "./", "no_such_dir/x.out", "afile/x.out",
+    pytest.param("unwritable/x.out", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="os.access grants root every write")),
+], ids=["empty", "directory", "missing", "file", "unwritable"])
 def test_out_naming_no_file_fails_before_the_run(outdir, monkeypatch, capsys, argv, spied,
                                                  function, out):
-    # an empty --out, or one that names a directory, exits 2 before any closure,
-    # design or draw, and writes nothing
+    # an --out that is empty, names a directory, or lies in a directory that is
+    # missing, a regular file or not writable exits 2 before any closure, design
+    # or draw, and writes nothing
     monkeypatch.chdir(outdir)
+    (outdir / "afile").write_text("")
+    (outdir / "unwritable").mkdir(mode=0o500)
+    made = sorted(outdir.rglob("*"))
     returned = _spy(monkeypatch, spied, function)
     assert main(argv + ["--out", out]) == EXIT_IO
-    assert capsys.readouterr() == ("", f"error: --out must name a file, not {out!r}\n")
+    assert capsys.readouterr() == (
+        "", f"error: --out must name a file in a writable directory, not {out!r}\n")
     assert returned == []
-    assert list(outdir.iterdir()) == []
+    assert sorted(outdir.rglob("*")) == made
+    assert (outdir / "afile").read_text() == ""
 
 
 def test_counts_spill_closes_when_the_run_fails(outdir, monkeypatch, capsys, small_design_file):
