@@ -36,15 +36,23 @@ _PINNED_ORBIT = os.path.join(os.path.dirname(__file__), "default_design.npy")
 
 
 class StateDesign(ReadOnlyRecord):
-    """K unit vectors in dimension d, stored as columns of `states` (d x K); its fields are set once.
+    """K unit vectors in dimension d, the columns of `states` (d x K); its fields are set once.
 
-    `metadata` is a read-only view of a copy of the mapping given, so no
-    caller of a cached design can change it under the others.
+    It raises DesignFormatError unless `states` is d x K, K >= 1, with
+    norms within 1e-10 of 1, and freezes that array in place.
+    `metadata` is a read-only view of a copy of the mapping given.
     """
 
     __slots__ = ("t", "states", "provenance", "metadata")
 
     def __init__(self, t, states, provenance="custom", metadata=None):
+        states = np.asarray(states)
+        if states.ndim != 2 or not states.size:
+            raise DesignFormatError(f"states {states.shape} are not d x K, K >= 1")
+        bad = np.flatnonzero(~(abs(np.linalg.norm(states, axis=0) - 1) <= 1e-10))  # NaN fails too
+        if bad.size:
+            raise DesignFormatError(f"state {bad[0]} is not unit norm")
+        states.flags.writeable = False
         self._set(t=t, states=states, provenance=provenance,
                   metadata=MappingProxyType(dict(metadata or {})))
 
@@ -58,13 +66,6 @@ class StateDesign(ReadOnlyRecord):
     @property
     def size(self):
         return self.states.shape[1]
-
-    def validate(self):
-        norms = np.linalg.norm(self.states, axis=0)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # NaN fails too
-        if bad.size:
-            raise DesignFormatError(f"state {bad[0]} is not unit norm")
-        return self
 
 
 def bloch_to_state(r):
@@ -116,9 +117,9 @@ def clifford_design(restricted_group):
 
 @lru_cache(maxsize=None)
 def default_design():
-    """The Clifford-orbit 4-design, read once on first use; its states are read-only.
+    """The Clifford-orbit 4-design, read once on first use.
 
-    They are `clifford_design(restricted_clifford_group_2q())`'s states, read
+    Its states are `clifford_design(restricted_clifford_group_2q())`'s, read
     from the pinned copy in the orbit's (16, 64)-strided layout, so products
     over them keep the built orbit's bits; no BLAS kernel runs a closure for
     them.  A truncated or foreign copy raises DesignFormatError.
@@ -130,9 +131,8 @@ def default_design():
     if states.shape != (4, 960) or states.dtype != np.complex128:
         raise DesignFormatError(f"{_PINNED_ORBIT}: expected (4, 960) complex128 states,"
                                 f" got {states.shape} {states.dtype}")
-    states.flags.writeable = False
     return StateDesign(t=4, states=states, provenance="clifford_orbit",
-                       metadata={"group_order": 960, "orbit_length": 960}).validate()
+                       metadata={"group_order": 960, "orbit_length": 960})
 
 
 def frame_potential(design, t):
@@ -171,8 +171,6 @@ def _frame_operator(states, t):
     of S is the product of the t columns of states.T that alpha's word names.
     """
     d, K = states.shape
-    if K == 0:
-        raise ValueError("frame operator of an empty design")
     if t < 1:
         raise ValueError("t must be >= 1")
     words = list(itertools.combinations_with_replacement(range(d), t))
@@ -311,7 +309,7 @@ def save_design(design, path, phi_t=None):
 
 
 def load_design(path):
-    """Read a design file written by save_design and check it against the schema."""
+    """Read a design file written by save_design; StateDesign checks its states."""
     path = str(path)
 
     def fail(message):
@@ -346,14 +344,9 @@ def load_design(path):
         if len(row) != 2 * dim:
             fail(f"state {i}: expected {2 * dim} floats, got {len(row)}")
     table = np.array(rows)
-    design = StateDesign(
-        t=t,
-        states=(table[:, 0::2] + 1j * table[:, 1::2]).T,
-        provenance=provenance,
-        metadata=dict(metadata, phi_t=phi_t),
-    )
     try:
-        return design.validate()
+        return StateDesign(t=t, states=(table[:, 0::2] + 1j * table[:, 1::2]).T,
+                           provenance=provenance, metadata=dict(metadata, phi_t=phi_t))
     except DesignFormatError as exc:
         fail(exc)
 

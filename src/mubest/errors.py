@@ -6,7 +6,7 @@ class ContractViolationError(ValueError):
 
 
 class DesignFormatError(ValueError):
-    """A design file is malformed or fails validation."""
+    """A design, or a design file, is malformed."""
 
 
 class InfeasibleDesignError(ValueError):

@@ -554,28 +554,30 @@ def design100_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("design, M, blocks, counts", [
-    pytest.param("small_design_file", 30, 3, True, id="True"),
-    pytest.param("small_design_file", 30, 3, False, id="False"),
+@pytest.mark.parametrize("design, M, blocks, counts, mode", [
+    pytest.param("small_design_file", 30, 3, True, "ideal", id="True"),
+    pytest.param("small_design_file", 30, 3, False, "ideal", id="False"),
     # counts in the millions: far above any table sized for small counts
-    pytest.param("small_design_file", 5_000_000, 2, True, id="large-M"),
+    pytest.param("small_design_file", 5_000_000, 2, True, "ideal", id="large-M"),
     # the edges of the count table's uint8, uint16 and uint32 dtypes
-    *(pytest.param("small_design_file", M, 2, True, id=f"counts-M{M}")
+    *(pytest.param("small_design_file", M, 2, True, "ideal", id=f"counts-M{M}")
       for M in (255, 256, 65535, 65536)),
     # K = 100 states end the writer's runs of states with a partial one
-    pytest.param("design100_file", 30, 2, True, id="K-not-multiple-of-64"),
+    pytest.param("design100_file", 30, 2, True, "ideal", id="K-not-multiple-of-64"),
     # at B = 3 the writer's runs are 10 states and the sampler's chunks, from
     # which --counts writes its runs, 32: each chunk ends in a 2-state run
-    pytest.param("design100_file", 30, 3, True, id="chunks-end-in-part-runs"),
+    pytest.param("design100_file", 30, 3, True, "ideal", id="chunks-end-in-part-runs"),
+    # --mode reaches the run: over this design Q' is not Q, so the scores differ
+    pytest.param("design100_file", 30, 2, True, "empirical", id="empirical"),
 ])
-def test_simulate_report_bytes(outdir, request, design, M, blocks, counts):
+def test_simulate_report_bytes(outdir, request, design, M, blocks, counts, mode):
     path = request.getfixturevalue(design)
     argv = ["simulate", "--design", path, "--seed", "5", "--M", str(M),
-            "--blocks", str(blocks), "--out", "run.json"]
+            "--blocks", str(blocks), "--mode", mode, "--out", "run.json"]
     assert main(argv + (["--counts"] if counts else [])) == EXIT_OK
     half = math.pi / 2
     report, table = kept_run(mub_triple(half, half, half), load_design(path),
-                             SimConfig(seed=5, m_block=M, blocks=blocks))
+                             SimConfig(seed=5, m_block=M, blocks=blocks), mode)
     # the report's layout, spelled out here rather than taken from src/
     expected = {
         "seed": 5, "m_block": M, "blocks": blocks, "share_ab_outcomes": True,
@@ -820,7 +822,7 @@ def test_integer_options_exit_ok_target_or_validation(boundary_dir, three_state_
 ])
 def test_nan_design_exits_io(outdir, capsys, nan_design_file, argv):
     assert main(argv + ["--design", nan_design_file]) == EXIT_IO
-    assert "not unit norm" in capsys.readouterr().err
+    assert f"{nan_design_file}: state 7 is not unit norm" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, suffix", [
@@ -1162,16 +1164,19 @@ def test_scan_csv_golden(outdir):
 
 
 def test_standard_estimators_of_the_clifford_design_are_ideal(outdir):
-    # an exact 4-design has Q' = Q, so the Clifford Q's estimators scored over the
-    # Clifford design file give the ideal curves' data rows
-    assert main(["design", "clifford", "--out", "clifford.json"]) == EXIT_OK
+    # an exact 4-design has Q' = Q, so the Clifford design, either file, scored
+    # with the Clifford Q's estimators or its own, gives the ideal curves' data rows
+    for suffix in ("json", "csv"):
+        assert main(["design", "clifford", "--out", f"clifford.{suffix}"]) == EXIT_OK
     for copies in ([], ["--copies", "2", "--pair", "BC"]):
         assert main(["fidelity", *copies, "--out", "ideal.csv"]) == EXIT_OK
-        assert main(["fidelity", *copies, "--mode", "ideal", "--design", "clifford.json",
-                     "--out", "standard.csv"]) == EXIT_OK
-        rows = [[ln for ln in (outdir / name).read_text().splitlines() if not ln.startswith("#")]
-                for name in ("standard.csv", "ideal.csv")]
-        assert rows[0] == rows[1] and len(rows[0]) == 19
+        for mode in ("ideal", "empirical"):
+            for design in ("clifford.json", "clifford.csv"):
+                assert main(["fidelity", *copies, "--mode", mode, "--design", design,
+                             "--out", "standard.csv"]) == EXIT_OK
+                rows = [[ln for ln in (outdir / name).read_text().splitlines()
+                         if not ln.startswith("#")] for name in ("standard.csv", "ideal.csv")]
+                assert rows[0] == rows[1] and len(rows[0]) == 19, (mode, design)
 
 
 def test_subsets_csv_golden(outdir):

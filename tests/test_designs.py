@@ -10,6 +10,7 @@ import pytest
 from mubest.designs import (
     StateDesign,
     bloch_to_state,
+    clifford_design,
     default_design,
     fiducial_bloch_second_qubit,
     fiducial_state,
@@ -205,7 +206,6 @@ def test_frame_potential_bound_random(rng):
 
 @pytest.mark.parametrize("function", [frame_potential, moment_operator])
 @pytest.mark.parametrize("K, t, message", [
-    (0, 4, "empty design"),
     (5, 0, "t must be >= 1"),
     (5, -1, "t must be >= 1"),
 ])
@@ -494,12 +494,48 @@ def test_load_csv_bad_float(tmp_path):
     assert "5" in str(exc.value)  # reports the offending line
 
 
-def test_validate_rejects_non_unit(tmp_path):
-    V = np.eye(2, dtype=complex)
-    V[0, 0] = 2.0
-    with pytest.raises(DesignFormatError) as exc:
-        StateDesign(t=2, states=V).validate()
-    assert "0" in str(exc.value)
+@pytest.mark.parametrize("case", ["non_unit", "nan", "one_axis", "empty", "norm_2_orbit"])
+def test_state_design_rejects_bad_states(restricted_group, case):
+    # the constructor is the one check, however a design is made: an orbit of a
+    # norm-2 fiducial fails when it is built, not when its Born weights are summed
+    states, message = {
+        "non_unit": (np.diag([2.0, 1.0]), "state 0 is not unit norm"),
+        "nan": (np.diag([1.0, np.nan]), "state 1 is not unit norm"),
+        "one_axis": (np.eye(4)[0], r"states \(4,\) are not d x K"),
+        "empty": (np.ones((4, 0)), r"states \(4, 0\) are not d x K"),
+        "norm_2_orbit": (None, "state 0 is not unit norm"),
+    }[case]
+    with pytest.raises(DesignFormatError, match=message):
+        if states is None:
+            orbit(restricted_group, 2 * fiducial_state())
+        else:
+            StateDesign(t=2, states=states)
+
+
+@pytest.mark.parametrize("how", ["default", "orbit", "clifford_design", "optimize", "load_json",
+                                 "load_csv", "direct", "pickle"])
+def test_every_design_is_read_only(restricted_group, tmp_path, how):
+    V = np.eye(4, 3, dtype=complex)
+    if how == "default":
+        design = default_design()
+    elif how == "orbit":
+        design = orbit(restricted_group, np.eye(4, dtype=complex)[0])
+    elif how == "clifford_design":
+        design = clifford_design(restricted_group)
+    elif how == "optimize":
+        design = optimize_design(8, 2, 2, seed=2, max_iters=5)
+    elif how.startswith("load"):
+        path = tmp_path / ("d.json" if how == "load_json" else "d.csv")
+        save_design(StateDesign(t=4, states=V), path)
+        design = load_design(path)
+    elif how == "direct":
+        design = StateDesign(t=4, states=V)
+        assert design.states is V  # the caller's array, frozen in place
+    else:
+        design = pickle.loads(pickle.dumps(StateDesign(t=4, states=V)))
+    assert not design.states.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        design.states[:, 0] = 0
 
 
 def test_state_design_fields():
@@ -554,11 +590,3 @@ def test_qubit_design_file_keeps_its_dimension(tmp_path, suffix):
     loaded = load_design(path)
     assert (loaded.dim, loaded.size) == (2, 4)
     assert np.array_equal(loaded.states, design.states)
-
-
-def test_validate_rejects_nan():
-    V = np.eye(2, dtype=complex)
-    V[1, 1] = np.nan
-    with pytest.raises(DesignFormatError) as exc:
-        StateDesign(t=2, states=V).validate()
-    assert "state 1" in str(exc.value)

@@ -167,8 +167,10 @@ def test_measurement_completeness_and_rank(design960):
 def test_born_probabilities_reject_nan(symmetric_triple, design960):
     states = np.array(design960.states)
     states[2, 5] = np.nan
-    with pytest.raises(ContractViolationError):
-        born_probabilities(symmetric_triple.basis_a, states)
+    # and states of norm 2, whose probabilities sum to 4
+    for bad in (states, 2 * design960.states):
+        with pytest.raises(ContractViolationError, match="do not sum to 1"):
+            born_probabilities(symmetric_triple.basis_a, bad)
 
 
 def test_controlled_phase():
