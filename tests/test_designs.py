@@ -206,14 +206,15 @@ def test_frame_potential_bound_random(rng):
 
 @pytest.mark.parametrize("function", [frame_potential, moment_operator])
 @pytest.mark.parametrize("K, t, message", [
+    pytest.param(0, 4, r"states \(4, 0\) are not d x K", id="0-4-empty design"),
     (5, 0, "t must be >= 1"),
     (5, -1, "t must be >= 1"),
 ])
 def test_frame_operator_rejects_bad_input(rng, function, K, t, message):
+    # an empty design is refused when it is made, before any frame operator
     V = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
-    design = StateDesign(t=4, states=V / np.linalg.norm(V, axis=0))
     with pytest.raises(ValueError, match=message):
-        function(design, t)
+        function(StateDesign(t=4, states=V / np.linalg.norm(V, axis=0)), t)
 
 
 def whole_gram_frame_potential(design, t):
