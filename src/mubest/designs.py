@@ -38,14 +38,16 @@ _PINNED_ORBIT = os.path.join(os.path.dirname(__file__), "default_design.npy")
 class StateDesign(ReadOnlyRecord):
     """K unit vectors in dimension d, the columns of `states` (d x K); its fields are set once.
 
-    It raises DesignFormatError unless `states` is d x K, K >= 1, with
-    norms within 1e-10 of 1, and freezes that array in place.
+    It raises DesignFormatError unless `t` is an integer >= 1 and `states`
+    is d x K, K >= 1, with norms within 1e-10 of 1, and freezes it in place.
     `metadata` is a read-only view of a copy of the mapping given.
     """
 
     __slots__ = ("t", "states", "provenance", "metadata")
 
     def __init__(self, t, states, provenance="custom", metadata=None):
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 1:
+            raise DesignFormatError(f"'t' must be an integer >= 1, got {t!r}")
         states = np.asarray(states)
         if states.ndim != 2 or not states.size:
             raise DesignFormatError(f"states {states.shape} are not d x K, K >= 1")
@@ -53,7 +55,7 @@ class StateDesign(ReadOnlyRecord):
         if bad.size:
             raise DesignFormatError(f"state {bad[0]} is not unit norm")
         states.flags.writeable = False
-        self._set(t=t, states=states, provenance=provenance,
+        self._set(t=int(t), states=states, provenance=provenance,
                   metadata=MappingProxyType(dict(metadata or {})))
 
     def __reduce__(self):  # a mappingproxy does not pickle: pass its dict
@@ -326,7 +328,7 @@ def load_design(path):
     version = header["format_version"]
     if type(version) is not int or version != 1:
         fail(f"unsupported format_version {version!r}")
-    for key in ("dim", "t", "K"):
+    for key in ("dim", "K"):
         if type(header[key]) is not int or header[key] < 1:
             fail(f"'{key}' must be an integer >= 1, got {header[key]!r}")
     dim, t, K = header["dim"], header["t"], header["K"]

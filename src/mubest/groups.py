@@ -23,7 +23,7 @@ it; only the pairs with new keys are multiplied, each a d x d product that
 `canonicalize_phases` checks and phase-fixes, as it does the generators.  A
 `UnitaryGroup` holds its elements as one (n, d, d) array and nothing derived
 from them: a candidate is a member only if it is a unitary of their shape
-whose tableau exists and whose canonical form is one of them.
+whose canonical form is one of them.
 
 `canonical_keys` encodes phase-canonical vectors on a 1e-6 int32 grid for
 `designs.orbit`: Clifford images of the fiducial live on a lattice with
@@ -46,7 +46,6 @@ KEY_GRID = 1e6
 _KEY_MAX = np.iinfo(np.int32).max
 MODULUS_FLOOR = 1e-8
 _CLOSURE_CHUNK = 64  # frontier elements keyed at a time: a whole level peaks 6.65 MB, not 3.95
-_TABLEAU_CHUNK = 1024  # unitaries keyed by `tableaux` at a time: about 5 MB of products
 # group elements formatted per write; in the Clifford group command the
 # formatting of a 128-element chunk reaches the closure's peak RSS but adds
 # nothing to it, where 256 would add 0.3 MB
@@ -143,21 +142,6 @@ def _pauli_images(us, labels):
     return np.where(exact, 2 * label + sign, -1).reshape(len(us), len(labels))
 
 
-def tableaux(us):
-    """Each unitary's tableau: the fields of its images of X_1, Z_1, ..., X_n, Z_n, as (len(us), 2n).
-
-    A field is 2 * label + sign, for u P u^dag = (-1)^sign P_label.  The row
-    of a u that is not Clifford is -1.  Raises unless d = 2^n, 1 <= n <= 3.
-    """
-    us = np.asarray(us, dtype=complex)
-    labels = _tableau_labels(us.shape[-1])
-    fields = np.empty((len(us), len(labels)), dtype=np.int64)
-    for lo in range(0, len(us), _TABLEAU_CHUNK):
-        fields[lo:lo + _TABLEAU_CHUNK] = _pauli_images(us[lo:lo + _TABLEAU_CHUNK], labels)
-    fields[(fields < 0).any(axis=1)] = -1
-    return fields
-
-
 def _keys(fields):
     """One int per tableau, its 2n fields of 2n + 1 bits side by side; negative for a row of -1."""
     n_fields = fields.shape[1]
@@ -167,9 +151,9 @@ def _keys(fields):
 class UnitaryGroup:
     """An immutable set of phase-canonical unitaries, held as one (n, d, d) array.
 
-    A u of another shape, not unitary or not Clifford (no tableau) is no
-    member; any other u is compared, phase-canonical, with the elements within
-    UNITARY_TOL, O(n): distinct canonical Cliffords differ by far more.
+    A u of another shape or not unitary is no member; any other u is
+    compared, phase-canonical, with the elements within UNITARY_TOL, O(n):
+    distinct canonical Cliffords differ by far more.
     """
 
     def __init__(self, elements, generator_labels=()):
@@ -184,7 +168,7 @@ class UnitaryGroup:
 
     def __contains__(self, u):
         u = np.asarray(u)
-        if u.shape != self.elements.shape[1:] or not is_unitary(u) or tableaux(u[None])[0, 0] < 0:
+        if u.shape != self.elements.shape[1:] or not is_unitary(u):
             return False
         gaps = np.abs(self.elements - strip_phases(u[None])).max(axis=(1, 2))
         return bool(np.any(gaps <= UNITARY_TOL))
@@ -225,6 +209,8 @@ def generate_group(generators, max_size, generator_labels=()):
     of its elements, not a view that pins the buffer.  Raises
     ContractViolationError if the closure would exceed max_size.
     """
+    if not len(generators):
+        raise ContractViolationError("a closure needs at least one generator")
     gens = canonicalize_phases(np.array(generators, dtype=complex))
     n_gens, dim = gens.shape[:2]
     tables = _generator_tables(gens, list(generator_labels))

@@ -495,22 +495,30 @@ def test_load_csv_bad_float(tmp_path):
     assert "5" in str(exc.value)  # reports the offending line
 
 
-@pytest.mark.parametrize("case", ["non_unit", "nan", "one_axis", "empty", "norm_2_orbit"])
+@pytest.mark.parametrize("case", ["non_unit", "nan", "one_axis", "empty", "norm_2_orbit",
+                                  "t_0", "t_str", "t_float", "t_bool"])
 def test_state_design_rejects_bad_states(restricted_group, case):
     # the constructor is the one check, however a design is made: an orbit of a
     # norm-2 fiducial fails when it is built, not when its Born weights are summed
-    states, message = {
-        "non_unit": (np.diag([2.0, 1.0]), "state 0 is not unit norm"),
-        "nan": (np.diag([1.0, np.nan]), "state 1 is not unit norm"),
-        "one_axis": (np.eye(4)[0], r"states \(4,\) are not d x K"),
-        "empty": (np.ones((4, 0)), r"states \(4, 0\) are not d x K"),
-        "norm_2_orbit": (None, "state 0 is not unit norm"),
+    t, states, message = {
+        "non_unit": (2, np.diag([2.0, 1.0]), "state 0 is not unit norm"),
+        "nan": (2, np.diag([1.0, np.nan]), "state 1 is not unit norm"),
+        "one_axis": (2, np.eye(4)[0], r"states \(4,\) are not d x K"),
+        "empty": (2, np.ones((4, 0)), r"states \(4, 0\) are not d x K"),
+        "norm_2_orbit": (4, None, "state 0 is not unit norm"),
+        "t_0": (0, np.eye(2), "'t' must be an integer >= 1, got 0"),
+        "t_str": ("4", np.eye(2), "'t' must be an integer >= 1, got '4'"),
+        "t_float": (4.5, np.eye(2), "'t' must be an integer >= 1, got 4.5"),
+        "t_bool": (True, np.eye(2), "'t' must be an integer >= 1, got True"),
     }[case]
     with pytest.raises(DesignFormatError, match=message):
         if states is None:
             orbit(restricted_group, 2 * fiducial_state())
         else:
-            StateDesign(t=2, states=states)
+            StateDesign(t=t, states=states)
+    # a numpy integer is taken, as an int that save_design's JSON header can hold
+    design = StateDesign(t=np.int64(4), states=np.eye(2))
+    assert design.t == 4 and type(design.t) is int
 
 
 @pytest.mark.parametrize("how", ["default", "orbit", "clifford_design", "optimize", "load_json",

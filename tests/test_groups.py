@@ -27,7 +27,6 @@ from mubest.groups import (
     save_group,
     standard_gates,
     strip_phases,
-    tableaux,
 )
 from mubest.linalg import is_unitary
 from reference import stabilizer
@@ -121,9 +120,14 @@ def test_element_orders_modulo_paulis(name, census, request, pauli_group):
     assert dict(zip(*np.unique(orders, return_counts=True))) == census
 
 
+def _tableaux(us):
+    """Each unitary's tableau: the fields 2 * label + sign of its images of X1, Z1, X2, Z2."""
+    return groups._pauli_images(us, groups._tableau_labels(4))
+
+
 def _symplectic_parts(group):
     """Each element's tableau with its sign bits masked: the labels of its images of X1, Z1, X2, Z2."""
-    fields = tableaux(group.elements)
+    fields = _tableaux(group.elements)
     assert np.all(fields >= 0)  # every element is Clifford
     return fields >> 1
 
@@ -147,7 +151,7 @@ def test_symplectic_parts(name, parts, request, pauli_group):
     group = request.getfixturevalue(f"{name}_group")
     symplectic = _symplectic_parts(group)
     assert len(set(map(tuple, symplectic.tolist()))) == parts
-    fixes_paulis = np.all(symplectic == tableaux(np.eye(4)[None]) >> 1, axis=1)
+    fixes_paulis = np.all(symplectic == _tableaux(np.eye(4)[None]) >> 1, axis=1)
     assert key_set(group.elements[fixes_paulis]) == key_set(pauli_group.elements)
 
 
@@ -164,7 +168,7 @@ def test_action_on_the_six_anticommuting_sets(name, permutations, odd, request, 
     group = request.getfixturevalue(f"{name}_group")
     symplectic = _symplectic_parts(group)
     # the image of a label is the XOR of the images of its bits, the labels of X1, Z1, X2, Z2
-    bits = (tableaux(np.eye(4)[None]) >> 1)[0]
+    bits = (_tableaux(np.eye(4)[None]) >> 1)[0]
     images = np.zeros((len(group), 16), dtype=int)
     for label in range(16):
         for j, bit in enumerate(bits):
@@ -235,6 +239,9 @@ def test_generate_group_rejects_non_unitary_generator():
     g = standard_gates()
     with pytest.raises(ContractViolationError):
         generate_group([g["H1"], 1.01 * g["P2"]], max_size=100)
+    for empty in ([], np.empty((0, 4, 4))):
+        with pytest.raises(ContractViolationError, match="at least one generator"):
+            generate_group(empty, max_size=100)
 
 
 def test_generate_group_checks_every_product():
@@ -443,12 +450,11 @@ def test_empty_group_has_no_members():
 
 
 def test_non_member(restricted_group, clifford_group):
-    # a diagonal phase gate off the Clifford lattice has no tableau
+    # a diagonal phase gate off the Clifford lattice is in neither group
     u = np.diag([1, 1, 1, np.exp(0.1j)])
     assert u not in restricted_group
     assert u not in clifford_group
-    # H1 has one and is a Clifford, not in the restricted group: there only the
-    # comparison with the elements rejects it, at any global phase
+    # H1 is a Clifford, not in the restricted group, at any global phase
     h1 = standard_gates()["H1"]
     for phase in (1, np.exp(0.7j)):
         assert phase * h1 not in restricted_group
@@ -457,6 +463,11 @@ def test_non_member(restricted_group, clifford_group):
     for u in (2 * np.eye(4), np.ones((4, 3)), np.eye(2), np.eye(8), np.ones(4)):
         assert u not in restricted_group
         assert u not in clifford_group
+    # membership answers in any dimension, not only for 1 to 3 qubits
+    for dim in (1, 3, 16):
+        group = UnitaryGroup(np.eye(dim, dtype=complex)[None])
+        assert np.eye(dim) in group and np.exp(0.7j) * np.eye(dim) in group
+        assert 2 * np.eye(dim) not in group
 
 
 def test_clifford_group_memory_held():
